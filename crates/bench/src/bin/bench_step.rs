@@ -1,42 +1,30 @@
 //! `Network::step` throughput runner: times the same arch × load matrix
 //! as the `step_throughput` criterion bench with plain wall-clock
 //! timing and writes `BENCH_step.json` into the current directory (the
-//! repo root under CI) for trend tracking. A full run also appends the
-//! sharded-stepping scaling block (DESIGN.md §18): a 16×16 and a 32×32
-//! 2D mesh at saturated load, each at 1, 2 and 4 shard workers.
+//! repo root under CI) for trend tracking.
 //!
 //! `--quick` shortens the timed window; `--json` also prints the file's
-//! contents to stdout. `--mesh WxH` restricts the run to that 2D mesh
-//! (2DB router configuration) and `--shards <n>` sets the intra-run
-//! worker count — together they time one scaling configuration, e.g.
-//! `bench_step --mesh 16x16 --shards 4`.
+//! contents to stdout.
 //!
 //! `--compare <baseline.json>` turns the run into a regression gate: the
 //! baseline (a previously committed `BENCH_step.json`) is read *before*
 //! the fresh report overwrites it, each measured point is matched to its
-//! baseline point by (arch, mesh, shards, load), and the process exits
-//! non-zero if any point's `cycles_per_sec` falls more than 20% below
-//! the baseline. A restricted run (`--mesh`/`--shards`) gates only the
-//! points it measured; a full run also fails on baseline points missing
-//! from the fresh report.
+//! baseline point by (arch, load), and the process exits non-zero if any
+//! point's `cycles_per_sec` falls more than 20% below the baseline.
 use std::time::Instant;
 
 use mira::arch::Arch;
 use mira::experiments::common::EXPERIMENT_SEED;
-use mira_bench::{drive_network_step_sharded, write_obs_artifacts, Cli};
+use mira_bench::{drive_network_step, write_obs_artifacts, Cli};
 use serde::{Deserialize, Serialize};
 
 /// Fractional slowdown vs the baseline that fails the `--compare` gate.
 const COMPARE_TOLERANCE: f64 = 0.20;
 
-/// One timed (architecture, mesh, shards, load) cell.
+/// One timed (architecture, load) cell.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct StepPoint {
     arch: String,
-    /// Mesh dimensions, `WxH` (or `WxHxD` for the 3D architectures).
-    mesh: String,
-    /// Intra-run shard workers the mesh was split across (DESIGN.md §18).
-    shards: u64,
     load: f64,
     cycles: u64,
     flits_ejected: u64,
@@ -50,54 +38,30 @@ struct StepPoint {
 struct StepReport {
     quick: bool,
     cycles_per_point: u64,
-    /// CPUs available to the measuring host: shard speedups are bounded
-    /// by this, so scaling points are only comparable across runs with
-    /// the same value.
+    /// CPUs available to the measuring host, so runs on different hosts
+    /// are not compared blindly.
     host_cpus: u64,
-    /// True when `--mesh`/`--shards` restricted the run to a subset of
-    /// the matrix; the compare gate then skips baseline points the run
-    /// never measured.
-    filtered: bool,
     points: Vec<StepPoint>,
 }
 
-/// The native topology of the benchmarked architectures, as recorded in
-/// each point's `mesh` field.
-fn native_mesh(arch: Arch) -> &'static str {
-    match arch {
-        Arch::ThreeDB => "3x3x4",
-        _ => "6x6",
-    }
-}
-
 /// Compares the fresh report against `baseline`, returning the points
-/// that regressed past [`COMPARE_TOLERANCE`]. On a full (unfiltered)
-/// run, baseline points with no measured counterpart are reported as
-/// regressions too — a silently dropped point must not pass the gate.
+/// that regressed past [`COMPARE_TOLERANCE`]. Baseline points with no
+/// measured counterpart are reported as regressions too — a silently
+/// dropped point must not pass the gate.
 fn regressions(baseline: &StepReport, fresh: &StepReport) -> Vec<String> {
     let mut failures = Vec::new();
     for base in &baseline.points {
-        let Some(point) = fresh.points.iter().find(|p| {
-            p.arch == base.arch
-                && p.mesh == base.mesh
-                && p.shards == base.shards
-                && (p.load - base.load).abs() < 1e-9
-        }) else {
-            if !fresh.filtered {
-                failures.push(format!(
-                    "{} {} x{} @ load {}: missing from fresh run",
-                    base.arch, base.mesh, base.shards, base.load
-                ));
-            }
+        let Some(point) =
+            fresh.points.iter().find(|p| p.arch == base.arch && (p.load - base.load).abs() < 1e-9)
+        else {
+            failures.push(format!("{} @ load {}: missing from fresh run", base.arch, base.load));
             continue;
         };
         let floor = base.cycles_per_sec * (1.0 - COMPARE_TOLERANCE);
         if point.cycles_per_sec < floor {
             failures.push(format!(
-                "{} {} x{} @ load {}: {:.0} cycles/s is {:.1}% below baseline {:.0}",
+                "{} @ load {}: {:.0} cycles/s is {:.1}% below baseline {:.0}",
                 base.arch,
-                base.mesh,
-                base.shards,
                 base.load,
                 point.cycles_per_sec,
                 (1.0 - point.cycles_per_sec / base.cycles_per_sec) * 100.0,
@@ -127,62 +91,35 @@ fn main() {
     let cycles: u64 = if cli.quick { 3_000 } else { 20_000 };
 
     let mut points = Vec::new();
-    let mut bench = |arch: Arch, mesh: Option<(usize, usize)>, rate: f64, shards: usize| {
-        let mesh_name =
-            mesh.map_or_else(|| native_mesh(arch).to_string(), |(w, h)| format!("{w}x{h}"));
-        // One untimed pass warms allocator, caches and the shard worker
-        // pool so the timed pass measures steady-state stepping.
-        drive_network_step_sharded(arch, rate, cycles.min(1_000), mesh, shards);
-        let started = Instant::now();
-        let flits = drive_network_step_sharded(arch, rate, cycles, mesh, shards);
-        let wall = started.elapsed().as_secs_f64();
-        let denom = wall.max(f64::MIN_POSITIVE);
-        let point = StepPoint {
-            arch: arch.name().to_string(),
-            mesh: mesh_name,
-            shards: shards.max(1) as u64,
-            load: rate,
-            cycles,
-            flits_ejected: flits,
-            wall_ms: wall * 1e3,
-            cycles_per_sec: cycles as f64 / denom,
-            flits_per_sec: flits as f64 / denom,
-        };
-        eprintln!(
-            "[bench_step] {} {} x{} ({rate}): {:.0} cycles/s, {:.0} flits/s",
-            point.arch, point.mesh, point.shards, point.cycles_per_sec, point.flits_per_sec,
-        );
-        points.push(point);
-    };
-
-    let filtered = cli.mesh.is_some() || cli.shards.is_some();
-    if let Some(mesh) = cli.mesh {
-        // Restricted scaling run: one mesh, both loads, one shard count.
-        let shards = cli.shards.unwrap_or(1);
-        for rate in [0.05_f64, 0.60] {
-            bench(Arch::TwoDB, Some(mesh), rate, shards);
-        }
-    } else {
-        let shards = cli.shards.unwrap_or(1);
-        for arch in [Arch::TwoDB, Arch::ThreeDM, Arch::ThreeDME] {
-            for rate in [0.05_f64, 0.60] {
-                bench(arch, None, rate, shards);
-            }
-        }
-        if !filtered {
-            // Sharded-stepping scaling block: larger meshes where the
-            // per-cycle work is big enough to amortise shard barriers.
-            for mesh in [(16usize, 16usize), (32, 32)] {
-                for shards in [1usize, 2, 4] {
-                    bench(Arch::TwoDB, Some(mesh), 0.60, shards);
-                }
-            }
+    for arch in [Arch::TwoDB, Arch::ThreeDM, Arch::ThreeDME] {
+        for (load_name, rate) in [("low", 0.05_f64), ("saturated", 0.60)] {
+            // One untimed pass warms allocator and caches so the timed
+            // pass measures steady-state stepping.
+            drive_network_step(arch, rate, cycles.min(1_000));
+            let started = Instant::now();
+            let flits = drive_network_step(arch, rate, cycles);
+            let wall = started.elapsed().as_secs_f64();
+            let denom = wall.max(f64::MIN_POSITIVE);
+            points.push(StepPoint {
+                arch: arch.name().to_string(),
+                load: rate,
+                cycles,
+                flits_ejected: flits,
+                wall_ms: wall * 1e3,
+                cycles_per_sec: cycles as f64 / denom,
+                flits_per_sec: flits as f64 / denom,
+            });
+            eprintln!(
+                "[bench_step] {} {load_name} ({rate}): {:.0} cycles/s, {:.0} flits/s",
+                arch.name(),
+                points.last().expect("just pushed").cycles_per_sec,
+                points.last().expect("just pushed").flits_per_sec,
+            );
         }
     }
 
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
-    let report =
-        StepReport { quick: cli.quick, cycles_per_point: cycles, host_cpus, filtered, points };
+    let report = StepReport { quick: cli.quick, cycles_per_point: cycles, host_cpus, points };
     if mira_obs::enabled() {
         append_ledger(&report, t0);
     }
@@ -201,7 +138,8 @@ fn main() {
         let failures = regressions(baseline, &report);
         if failures.is_empty() {
             eprintln!(
-                "[bench_step] regression gate passed: measured points within {:.0}% of baseline",
+                "[bench_step] regression gate passed: all {} points within {:.0}% of baseline",
+                baseline.points.len(),
                 COMPARE_TOLERANCE * 100.0,
             );
         } else {
@@ -223,11 +161,8 @@ fn main() {
 /// [`Runner`]: mira::experiments::runner::Runner
 fn append_ledger(report: &StepReport, t0: Instant) {
     use mira_obs::ledger::{self, LedgerEntry};
-    let labels: Vec<String> = report
-        .points
-        .iter()
-        .map(|p| format!("{} {} x{} @ {}", p.arch, p.mesh, p.shards, p.load))
-        .collect();
+    let labels: Vec<String> =
+        report.points.iter().map(|p| format!("{} @ {}", p.arch, p.load)).collect();
     let hash =
         ledger::config_hash("bench_step", labels.iter().map(|l| (l.as_str(), EXPERIMENT_SEED)));
     let build = mira_obs::provenance::Provenance::current();

@@ -39,7 +39,7 @@ const USAGE: &str = "usage: <bin> [--quick] [--json] [--metrics-window <cycles>]
                      [--anomaly] [--anomaly-no-progress <cycles>] \
                      [--anomaly-starvation <cycles>] [--anomaly-fault-storm <events>] \
                      [--anomaly-latency-spike-pct <pct>] [--anomaly-window <cycles>] \
-                     [--blackbox-out <dir>] [--mesh <WxH>] [--shards <n>]";
+                     [--blackbox-out <dir>]";
 
 /// Shared CLI handling for the experiment binaries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -123,24 +123,6 @@ pub struct Cli {
     /// Directory anomaly black-box dumps are written under
     /// (`--blackbox-out`; default `results/blackbox`).
     pub blackbox_out: Option<&'static str>,
-    /// Explicit 2D mesh size as `(width, height)` for binaries that
-    /// support scaling runs (`--mesh WxH`, e.g. `--mesh 16x16`).
-    pub mesh: Option<(usize, usize)>,
-    /// Intra-run shard-worker count for a single simulation
-    /// (`--shards <n>`; DESIGN.md §18). Unset leaves the `MIRA_SHARDS`
-    /// environment default in charge.
-    pub shards: Option<usize>,
-}
-
-/// Parses `WxH` (e.g. `16x16`) for `--mesh`.
-fn parse_mesh(spec: &str) -> Option<(usize, usize)> {
-    let (w, h) = spec.split_once('x')?;
-    let (w, h) = (w.parse().ok()?, h.parse().ok()?);
-    if w >= 2 && h >= 2 {
-        Some((w, h))
-    } else {
-        None
-    }
 }
 
 /// Parses `node:port[@cycle]` (e.g. `7:3@250`) for `--kill-link`.
@@ -333,20 +315,6 @@ impl Cli {
                     let v =
                         args.next().unwrap_or_else(|| usage_error("--blackbox-out needs a dir"));
                     cli.blackbox_out = Some(leak(v));
-                }
-                "--mesh" => {
-                    let v = args.next().unwrap_or_else(|| usage_error("--mesh needs WxH"));
-                    match parse_mesh(&v) {
-                        Some(mesh) => cli.mesh = Some(mesh),
-                        None => usage_error(&format!("invalid --mesh value {v:?}")),
-                    }
-                }
-                "--shards" => {
-                    let v = args.next().unwrap_or_else(|| usage_error("--shards needs a count"));
-                    match v.parse::<usize>() {
-                        Ok(n) if n > 0 => cli.shards = Some(n),
-                        _ => usage_error(&format!("invalid --shards value {v:?}")),
-                    }
                 }
                 "--fault-seed" => {
                     let v = args.next().unwrap_or_else(|| usage_error("--fault-seed needs a seed"));
@@ -650,33 +618,10 @@ pub fn emit_with_runner<T: serde::Serialize>(
 /// phases: this times `Network::step` itself, not the simulation
 /// driver.
 pub fn drive_network_step(arch: Arch, rate: f64, cycles: u64) -> u64 {
-    drive_network_step_sharded(arch, rate, cycles, None, 0)
-}
-
-/// Like [`drive_network_step`], but on an explicit 2D mesh size and
-/// shard-worker count — the scaling points of `bench_step` (DESIGN.md
-/// §18). `mesh: None` keeps the architecture's native topology (a
-/// `Some` mesh replaces it with a plain 2D mesh at the 2DB pitch);
-/// `shards: 0` leaves the `MIRA_SHARDS` environment default in charge.
-pub fn drive_network_step_sharded(
-    arch: Arch,
-    rate: f64,
-    cycles: u64,
-    mesh: Option<(usize, usize)>,
-    shards: usize,
-) -> u64 {
     use mira::noc::network::Network;
     use mira::noc::packet::{Packet, PacketId};
-    use mira::noc::topology::{Mesh2D, Topology};
     use mira::noc::traffic::Workload;
-    let topo: Box<dyn Topology> = match mesh {
-        Some((w, h)) => Box::new(Mesh2D::with_pitch(w, h, Mesh2D::PITCH_2DB_MM)),
-        None => arch.topology(),
-    };
-    let mut net = Network::new(topo, arch.network_config(false));
-    if shards > 0 {
-        net.set_shards(shards);
-    }
+    let mut net = Network::new(arch.topology(), arch.network_config(false));
     let mut workload = UniformRandom::new(rate, 5, EXPERIMENT_SEED);
     workload.init(net.topology().num_nodes());
     let mut next_packet = 0u64;

@@ -271,23 +271,6 @@ impl NetworkConfigBuilder {
     }
 }
 
-/// The process-wide default shard count for intra-run sharded stepping
-/// (DESIGN.md §18), from the `MIRA_SHARDS` environment variable. Unset,
-/// unparsable, or `0` all mean 1 — sequential stepping, byte-identical
-/// to builds without the shard subsystem. Cached on first read: tests
-/// that need a specific count use `SimConfig::with_shards` or
-/// `Network::set_shards` instead of mutating the environment.
-pub fn shards_from_env() -> usize {
-    static SHARDS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *SHARDS.get_or_init(|| {
-        std::env::var("MIRA_SHARDS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(1)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -61,7 +61,6 @@ pub mod packet;
 pub mod recorder;
 pub mod router;
 pub mod routing;
-pub(crate) mod shard;
 pub mod sim;
 pub mod stats;
 pub mod telemetry;

@@ -19,10 +19,6 @@ use crate::journey::JourneyRecorder;
 use crate::link::Link;
 use crate::packet::{Packet, PacketId};
 use crate::router::{EjectedFlit, Router, StepScratch};
-use crate::shard::{
-    DeferredFx, DirectFx, Effect, NicEntry, P1Credit, P1Flit, ShardRuntime, SyncConstPtr, SyncPtr,
-    MAX_SHARDS,
-};
 use crate::stats::{ActivityCounters, RouterActivity};
 use crate::telemetry::{
     EventSink, MetricsCollector, MetricsWindow, NullSink, StallCounters, TelemetryConfig,
@@ -116,11 +112,6 @@ pub struct Network {
     journeys: Option<Box<JourneyRecorder>>,
     /// Fault-injection runtime, absent (and zero-cost) by default.
     faults: Option<Box<FaultRuntime>>,
-    /// Sharded-stepping runtime (worker pool + partition + per-shard
-    /// effect logs), absent unless [`Network::set_shards`] engaged it.
-    /// With it absent — or with fault injection engaged — every step
-    /// takes the sequential path.
-    shard_rt: Option<Box<ShardRuntime>>,
 }
 
 impl std::fmt::Debug for Network {
@@ -168,7 +159,7 @@ impl Network {
         // slot full) plus headroom for wires and source queues; it still
         // grows on demand past this.
         let fabric_slots = n * radix * vcs * cfg.router.buffer_depth;
-        let mut net = Network {
+        Network {
             scratch: StepScratch::new(radix, vcs),
             arena: FlitArena::with_capacity(2 * fabric_slots),
             topo,
@@ -183,46 +174,7 @@ impl Network {
             metrics: None,
             journeys: None,
             faults: None,
-            shard_rt: None,
-        };
-        let env_shards = crate::config::shards_from_env();
-        if env_shards > 1 {
-            net.set_shards(env_shards);
         }
-        net
-    }
-
-    /// Engages sharded stepping with `shards` workers (DESIGN.md §18):
-    /// the routers are partitioned into contiguous spatial tiles, each
-    /// cycle's phases run tile-parallel on a persistent pool, and every
-    /// globally ordered effect replays in canonical order — the run
-    /// stays bit-identical at any shard count. `shards <= 1` returns to
-    /// sequential stepping; the count is clamped to the router count
-    /// and an internal cap. Fault-injection runs always step
-    /// sequentially regardless of this setting.
-    pub fn set_shards(&mut self, shards: usize) {
-        let n = self.routers.len();
-        let shards = shards.clamp(1, n.min(MAX_SHARDS));
-        if shards <= 1 {
-            self.shard_rt = None;
-            return;
-        }
-        if self.shard_rt.as_ref().is_some_and(|rt| rt.shards == shards) {
-            return;
-        }
-        self.shard_rt = Some(Box::new(ShardRuntime::new(
-            shards,
-            n,
-            &self.links,
-            self.topo.radix(),
-            self.cfg.router.vcs_per_port,
-            self.cfg.router.buffer_depth,
-        )));
-    }
-
-    /// The engaged shard count (1 when stepping sequentially).
-    pub fn shards(&self) -> usize {
-        self.shard_rt.as_ref().map_or(1, |rt| rt.shards)
     }
 
     /// Engages fault injection per `cfg`: compiles the fault plan
@@ -266,6 +218,10 @@ impl Network {
         }));
         Ok(())
     }
+
+    /// Ignored: stepping is always sequential (DESIGN.md §18). Kept only
+    /// so existing callers compile.
+    pub fn set_shards(&mut self, _shards: usize) {}
 
     /// `true` when fault injection is engaged.
     pub fn faults_enabled(&self) -> bool {
@@ -408,19 +364,6 @@ impl Network {
     /// the profiler's ≥95 % coverage claim checkable. With observability
     /// off (the default) every scope is one relaxed atomic load.
     pub fn step(&mut self, cycle: u64) {
-        // Fault injection mutates links and the arena from inside the
-        // delivery loop in ways the shard partition does not isolate, so
-        // fault runs always take the (bit-identical) sequential path.
-        if self.shard_rt.is_some() && self.faults.is_none() {
-            self.step_sharded(cycle);
-        } else {
-            self.step_sequential(cycle);
-        }
-    }
-
-    /// The sequential cycle: every phase on the calling thread, effects
-    /// applied inline through [`DirectFx`].
-    fn step_sequential(&mut self, cycle: u64) {
         let _step = obs_scope(ObsPhase::StepTotal);
         self.counters.cycles += 1;
         let traced = self.sink.enabled();
@@ -456,15 +399,15 @@ impl Network {
                             j.on_link_arrival(packet, dst, port, cycle);
                         }
                     }
-                    let fraction = self.routers[dst.index()].receive_flit(
+                    self.routers[dst.index()].receive_flit(
                         port,
                         f.vc,
                         f.flit,
                         &self.arena,
                         cycle,
+                        &mut self.counters,
+                        &mut self.activity[dst.index()],
                     );
-                    self.counters.record_buffer_write(fraction);
-                    self.activity[dst.index()].buffer_events += fraction;
                 }
                 while let Some(c) = self.links[li].take_due_credit(cycle) {
                     let (src, port) = self.links[li].from;
@@ -490,34 +433,22 @@ impl Network {
         // trace, or arbiter state can change — so the active-set skip
         // costs nothing in fidelity and most of the fabric at low load.
         let pipeline_scope = obs_scope(ObsPhase::RouterPipeline);
-        {
-            let Network {
-                topo,
-                routers,
-                links,
-                arena,
-                scratch,
-                counters,
-                activity,
-                ejected,
-                sink,
-                journeys,
-                ..
-            } = self;
-            for (i, r) in routers.iter_mut().enumerate() {
-                if r.is_quiescent() {
-                    continue;
-                }
-                let mut fx = DirectFx {
-                    arena: &mut *arena,
-                    links: links.as_mut_slice(),
-                    counters: &mut *counters,
-                    ejected: &mut *ejected,
-                    sink: sink.as_mut(),
-                    journeys: journeys.as_deref_mut(),
-                };
-                r.step(cycle, &**topo, &mut *scratch, &mut activity[i], &mut fx);
+        for (i, r) in self.routers.iter_mut().enumerate() {
+            if r.is_quiescent() {
+                continue;
             }
+            r.step(
+                cycle,
+                &*self.topo,
+                &mut self.arena,
+                &mut self.links,
+                &mut self.scratch,
+                &mut self.counters,
+                &mut self.activity[i],
+                &mut self.ejected,
+                self.sink.as_mut(),
+                self.journeys.as_deref_mut(),
+            );
         }
         drop(pipeline_scope);
 
@@ -578,15 +509,15 @@ impl Network {
                             detail: 0,
                         });
                     }
-                    let fraction = self.routers[node].receive_flit(
+                    self.routers[node].receive_flit(
                         PortId::LOCAL,
                         VcId(vc),
                         fref,
                         &self.arena,
                         cycle,
+                        &mut self.counters,
+                        &mut self.activity[node],
                     );
-                    self.counters.record_buffer_write(fraction);
-                    self.activity[node].buffer_events += fraction;
                 }
             }
         }
@@ -599,302 +530,6 @@ impl Network {
             let routers = &self.routers;
             m.end_cycle(cycle, |i| routers[i].telemetry());
         }
-    }
-
-    /// The sharded cycle (DESIGN.md §18). Three pool dispatches — link
-    /// delivery, router pipelines, NIC injection — each followed by an
-    /// ordered replay of the deferred effects on this thread, so every
-    /// seam (counters, sink, journeys, link queues, arena free list)
-    /// sees the exact sequential order. Soundness of the raw-pointer
-    /// sharing: within each dispatch a shard touches only the routers,
-    /// NICs, and activity rows of its own contiguous range, the links it
-    /// owns (partitioned by destination router), and its own `ShardCtx`;
-    /// the arena, topology, and foreign links are accessed read-only.
-    fn step_sharded(&mut self, cycle: u64) {
-        let _step = obs_scope(ObsPhase::StepTotal);
-        self.counters.cycles += 1;
-        let traced = self.sink.enabled();
-        let journeys_on = self.journeys.is_some();
-        let mut rt = self.shard_rt.take().expect("sharded step without a runtime");
-        let shards = rt.shards;
-
-        // 1. Link delivery. Workers pop due flits off their owned links
-        // straight into their owned routers (the buffer push is
-        // shard-local) and log the ordered remainder; due credits are
-        // log-only, because a credit targets the link's *upstream*
-        // router, which may belong to another shard.
-        let link_scope = obs_scope(ObsPhase::LinkDelivery);
-        {
-            let plan = &rt.plan;
-            let ctx_ptr = SyncPtr(rt.ctxs.as_mut_ptr());
-            let routers_ptr = SyncPtr(self.routers.as_mut_ptr());
-            let links_ptr = SyncPtr(self.links.as_mut_ptr());
-            let activity_ptr = SyncPtr(self.activity.as_mut_ptr());
-            let arena_ptr = SyncConstPtr(std::ptr::from_ref(&self.arena));
-            rt.pool.run(&move |s| {
-                // SAFETY: `s` indexes ctxs (one per shard); every link in
-                // `links_of[s]` — and therefore every destination router
-                // and activity row reached through it — is owned by
-                // exactly this shard; the arena is shared read-only.
-                let ctx = unsafe { &mut *ctx_ptr.get().add(s) };
-                ctx.clear();
-                let arena = unsafe { &*arena_ptr.get() };
-                for &li in &plan.links_of[s] {
-                    let link = unsafe { &mut *links_ptr.get().add(li as usize) };
-                    while let Some(f) = link.take_due_flit(cycle) {
-                        let (dst, port) = link.to;
-                        let (packet, head) = {
-                            let flit = arena.get(f.flit);
-                            (flit.packet, flit.is_head())
-                        };
-                        let router = unsafe { &mut *routers_ptr.get().add(dst.index()) };
-                        let fraction = router.receive_flit(port, f.vc, f.flit, arena, cycle);
-                        let act = unsafe { &mut *activity_ptr.get().add(dst.index()) };
-                        act.buffer_events += fraction;
-                        ctx.p1_flits.push(P1Flit {
-                            li,
-                            fraction,
-                            packet,
-                            dst,
-                            port,
-                            vc: f.vc,
-                            head,
-                        });
-                    }
-                    while let Some(c) = link.take_due_credit(cycle) {
-                        ctx.p1_credits.push(P1Credit { li, vc: c.vc });
-                    }
-                }
-            });
-        }
-        // Replay in global link order — per link, flits then credits —
-        // which is exactly the sequential loop's order. Each shard's
-        // logs are already li-ascending, so a cursor per shard suffices.
-        let mut fcur = [0usize; MAX_SHARDS];
-        let mut ccur = [0usize; MAX_SHARDS];
-        for li in 0..self.links.len() {
-            let s = rt.plan.link_owner[li] as usize;
-            let ctx = &rt.ctxs[s];
-            while fcur[s] < ctx.p1_flits.len() && ctx.p1_flits[fcur[s]].li as usize == li {
-                let e = ctx.p1_flits[fcur[s]];
-                fcur[s] += 1;
-                if traced {
-                    self.sink.record(TraceEvent {
-                        cycle,
-                        router: e.dst,
-                        port: e.port,
-                        vc: e.vc,
-                        kind: TraceEventKind::BufferWrite,
-                        packet: e.packet.0,
-                        detail: 0,
-                    });
-                }
-                if e.head {
-                    if let Some(j) = &mut self.journeys {
-                        j.on_link_arrival(e.packet, e.dst, e.port, cycle);
-                    }
-                }
-                self.counters.record_buffer_write(e.fraction);
-            }
-            while ccur[s] < ctx.p1_credits.len() && ctx.p1_credits[ccur[s]].li as usize == li {
-                let e = ctx.p1_credits[ccur[s]];
-                ccur[s] += 1;
-                let (src, port) = self.links[li].from;
-                if traced {
-                    self.sink.record(TraceEvent {
-                        cycle,
-                        router: src,
-                        port,
-                        vc: e.vc,
-                        kind: TraceEventKind::CreditReturn,
-                        packet: 0,
-                        detail: 0,
-                    });
-                }
-                self.routers[src.index()].receive_credit(port, e.vc);
-            }
-        }
-        drop(link_scope);
-
-        // 2. Router pipelines, tile-parallel. Within a cycle the routers
-        // are mutually isolated — cross-router traffic only moves over
-        // links with future delivery cycles — so each shard steps its
-        // range with a logging effect seam and the logs replay here in
-        // router-ascending order (shard ranges are contiguous and
-        // ascending, so shard order *is* router order).
-        let pipeline_scope = obs_scope(ObsPhase::RouterPipeline);
-        {
-            let plan = &rt.plan;
-            let ctx_ptr = SyncPtr(rt.ctxs.as_mut_ptr());
-            let routers_ptr = SyncPtr(self.routers.as_mut_ptr());
-            let activity_ptr = SyncPtr(self.activity.as_mut_ptr());
-            let arena_ptr = SyncConstPtr(std::ptr::from_ref(&self.arena));
-            let links_ptr = SyncConstPtr(self.links.as_ptr());
-            let nlinks = self.links.len();
-            let topo: &dyn Topology = &*self.topo;
-            rt.pool.run(&move |s| {
-                // SAFETY: shard `s` steps only routers (and activity
-                // rows) in its own half-open range; the arena and link
-                // table are read-only inside `DeferredFx`.
-                let ctx = unsafe { &mut *ctx_ptr.get().add(s) };
-                let arena = unsafe { &*arena_ptr.get() };
-                let links = unsafe { std::slice::from_raw_parts(links_ptr.get(), nlinks) };
-                let (start, end) = plan.ranges[s];
-                for i in start..end {
-                    let r = unsafe { &mut *routers_ptr.get().add(i) };
-                    if r.is_quiescent() {
-                        continue;
-                    }
-                    let act = unsafe { &mut *activity_ptr.get().add(i) };
-                    let mut fx = DeferredFx {
-                        arena,
-                        links,
-                        traced,
-                        journeys_on,
-                        log: &mut ctx.fx_log,
-                        t: &mut ctx.tallies,
-                    };
-                    r.step(cycle, topo, &mut ctx.scratch, act, &mut fx);
-                }
-            });
-        }
-        for s in 0..shards {
-            let ctx = &mut rt.ctxs[s];
-            ctx.tallies.merge_into(&mut self.counters);
-            for ei in 0..ctx.fx_log.len() {
-                match ctx.fx_log[ei] {
-                    Effect::JourneySt { packet, out_port } => {
-                        if let Some(j) = &mut self.journeys {
-                            j.on_st(packet, out_port, cycle);
-                        }
-                    }
-                    Effect::JourneyStall { packet, router, cause, head } => {
-                        if let Some(j) = &mut self.journeys {
-                            j.on_stall(packet, router, cause, head);
-                        }
-                    }
-                    Effect::StRead { fraction } => {
-                        self.counters.record_buffer_read(fraction);
-                        self.counters.record_xbar(fraction);
-                    }
-                    Effect::Trace(ev) => self.sink.record(ev),
-                    Effect::SendCredit { li, vc, at } => {
-                        self.links[li as usize].send_credit(vc, at);
-                    }
-                    Effect::Eject { fref, node, tail } => {
-                        self.counters.flits_ejected += 1;
-                        if tail {
-                            self.counters.packets_ejected += 1;
-                        }
-                        self.ejected.push(EjectedFlit { flit: self.arena.take(fref), node, cycle });
-                    }
-                    Effect::Forward { li, fref, vc, at, fraction } => {
-                        self.arena.get_mut(fref).hops += 1;
-                        self.counters.record_link(self.links[li as usize].length_mm, fraction);
-                        self.links[li as usize].send_flit(&mut self.arena, fref, vc, at);
-                    }
-                }
-            }
-        }
-        drop(pipeline_scope);
-
-        // 3. Occupancy accounting (sequential; a sum over routers).
-        let occupancy_scope = obs_scope(ObsPhase::Occupancy);
-        let mut occupancy_total = 0u64;
-        for (i, r) in self.routers.iter().enumerate() {
-            let buffered = r.buffered_flits() as u64;
-            occupancy_total += buffered;
-            if let Some(m) = &mut self.metrics {
-                m.record_occupancy(i, buffered);
-            }
-        }
-        self.counters.buffer_occupancy_flit_cycles += occupancy_total;
-        drop(occupancy_scope);
-
-        // 4. NIC injection, tile-parallel: the NIC queue, destination
-        // router, and activity row are all shard-local (node ranges
-        // coincide with router ranges); the global counter, journey,
-        // and trace records replay in node order. The fault-severance
-        // check is absent here by construction — fault runs never take
-        // the sharded path.
-        let nic_scope = obs_scope(ObsPhase::NicInject);
-        {
-            let plan = &rt.plan;
-            let vcs = self.cfg.router.vcs_per_port;
-            let ctx_ptr = SyncPtr(rt.ctxs.as_mut_ptr());
-            let routers_ptr = SyncPtr(self.routers.as_mut_ptr());
-            let nics_ptr = SyncPtr(self.nics.as_mut_ptr());
-            let activity_ptr = SyncPtr(self.activity.as_mut_ptr());
-            let arena_ptr = SyncConstPtr(std::ptr::from_ref(&self.arena));
-            rt.pool.run(&move |s| {
-                // SAFETY: shard `s` touches only the NICs, routers, and
-                // activity rows of its own node range; the arena is
-                // shared read-only.
-                let ctx = unsafe { &mut *ctx_ptr.get().add(s) };
-                let arena = unsafe { &*arena_ptr.get() };
-                let (start, end) = plan.ranges[s];
-                for node in start..end {
-                    let nic = unsafe { &mut *nics_ptr.get().add(node) };
-                    let router = unsafe { &mut *routers_ptr.get().add(node) };
-                    let act = unsafe { &mut *activity_ptr.get().add(node) };
-                    for vc in 0..vcs {
-                        while let Some(&fref) = nic.queues[vc].front() {
-                            if router.local_free_slots(VcId(vc)) == 0 {
-                                break;
-                            }
-                            nic.queues[vc].pop_front();
-                            let (packet, head) = {
-                                let flit = arena.get(fref);
-                                (flit.packet, flit.is_head())
-                            };
-                            let fraction =
-                                router.receive_flit(PortId::LOCAL, VcId(vc), fref, arena, cycle);
-                            act.buffer_events += fraction;
-                            ctx.nic_log.push(NicEntry {
-                                node: NodeId(node),
-                                vc: VcId(vc),
-                                packet,
-                                head,
-                                fraction,
-                            });
-                        }
-                    }
-                }
-            });
-        }
-        for s in 0..shards {
-            for ei in 0..rt.ctxs[s].nic_log.len() {
-                let e = rt.ctxs[s].nic_log[ei];
-                self.counters.flits_injected += 1;
-                if e.head {
-                    if let Some(j) = &mut self.journeys {
-                        j.on_nic_inject(e.packet, e.node, cycle);
-                    }
-                }
-                if traced {
-                    self.sink.record(TraceEvent {
-                        cycle,
-                        router: e.node,
-                        port: PortId::LOCAL,
-                        vc: e.vc,
-                        kind: TraceEventKind::BufferWrite,
-                        packet: e.packet.0,
-                        detail: 0,
-                    });
-                }
-                self.counters.record_buffer_write(e.fraction);
-            }
-        }
-        drop(nic_scope);
-
-        // 5. Close a metrics window on its boundary cycle.
-        let telemetry_scope = obs_scope(ObsPhase::Telemetry);
-        if let Some(m) = &mut self.metrics {
-            let routers = &self.routers;
-            m.end_cycle(cycle, |i| routers[i].telemetry());
-        }
-        drop(telemetry_scope);
-        self.shard_rt = Some(rt);
     }
 
     /// Host-side high-water marks of the core data structures, for the
@@ -1115,10 +750,15 @@ impl Network {
                         j.on_link_arrival(pid, dst, port, cycle);
                     }
                 }
-                let fraction =
-                    self.routers[dst.index()].receive_flit(port, f.vc, f.flit, &self.arena, cycle);
-                self.counters.record_buffer_write(fraction);
-                self.activity[dst.index()].buffer_events += fraction;
+                self.routers[dst.index()].receive_flit(
+                    port,
+                    f.vc,
+                    f.flit,
+                    &self.arena,
+                    cycle,
+                    &mut self.counters,
+                    &mut self.activity[dst.index()],
+                );
             }
             while let Some(c) = self.links[li].take_due_credit(cycle) {
                 let (src, port) = self.links[li].from;

@@ -48,12 +48,14 @@ use crate::buffer::{BufSlot, FlitSlab};
 use crate::config::{NetworkConfig, PipelineConfig};
 use crate::flit::Flit;
 use crate::ids::{NodeId, PortId, VcId};
+use crate::journey::JourneyRecorder;
 use crate::link::Link;
 use crate::packet::PacketId;
 use crate::routing::apply_fault_mask;
-use crate::shard::StepFx;
-use crate::stats::RouterActivity;
-use crate::telemetry::{RouterTelemetry, StallCause, StallCounters, TraceEvent, TraceEventKind};
+use crate::stats::{ActivityCounters, RouterActivity};
+use crate::telemetry::{
+    EventSink, RouterTelemetry, StallCause, StallCounters, TraceEvent, TraceEventKind,
+};
 use crate::topology::Topology;
 use crate::vc::VcState;
 
@@ -303,16 +305,12 @@ impl Router {
         self.on_flit_buffered(pv);
     }
 
-    /// Accepts the flit at `fref` into the input buffer at (`port`, `vc`),
-    /// returning the active-layer fraction of the buffer write. The
-    /// caller owns the global accounting (`record_buffer_write` and the
-    /// per-router `buffer_events` fraction) — under sharded stepping the
-    /// buffer push happens on the owning worker while the f64 counter
-    /// addition replays on the main thread in canonical order.
+    /// Accepts the flit at `fref` into the input buffer at (`port`, `vc`).
     ///
     /// # Panics
     ///
     /// Panics if the buffer is full (credit-accounting violation).
+    #[allow(clippy::too_many_arguments)]
     pub fn receive_flit(
         &mut self,
         port: PortId,
@@ -320,9 +318,13 @@ impl Router {
         fref: FlitRef,
         arena: &FlitArena,
         cycle: u64,
-    ) -> f64 {
+        counters: &mut ActivityCounters,
+        activity: &mut RouterActivity,
+    ) {
         let flit = arena.get(fref);
         let fraction = self.layer_fraction(flit);
+        counters.record_buffer_write(fraction);
+        activity.buffer_events += fraction;
         let slot = BufSlot {
             fref,
             ready_at: cycle,
@@ -335,7 +337,6 @@ impl Router {
         let pv = self.pv(port, vc);
         self.buf.push(pv, slot);
         self.on_flit_buffered(pv);
-        fraction
     }
 
     /// Accepts a returned credit for output VC (`port`, `vc`).
@@ -657,37 +658,45 @@ impl Router {
     ///   (speculative SA; failure degenerates into a retry);
     /// * **two-stage look-ahead** — ST → RC → VA → SA: the route is also
     ///   available in the arrival cycle, modelling look-ahead routing.
-    ///
-    /// Every mutation of shared (cross-router) state goes through the
-    /// [`StepFx`] seam: [`crate::shard::DirectFx`] applies it inline
-    /// (sequential path, byte-identical to the pre-shard code) while
-    /// [`crate::shard::DeferredFx`] logs it for ordered replay (sharded
-    /// path). Monomorphisation keeps the sequential path free of
-    /// virtual-call overhead.
-    pub(crate) fn step<F: StepFx>(
+    #[allow(clippy::too_many_arguments)]
+    pub fn step(
         &mut self,
         cycle: u64,
         topo: &dyn Topology,
+        arena: &mut FlitArena,
+        links: &mut [Link],
         scratch: &mut StepScratch,
+        counters: &mut ActivityCounters,
         activity: &mut RouterActivity,
-        fx: &mut F,
+        ejected: &mut Vec<EjectedFlit>,
+        sink: &mut dyn EventSink,
+        mut journeys: Option<&mut JourneyRecorder>,
     ) {
-        self.stage_st(cycle, activity, &mut *fx);
+        self.stage_st(
+            cycle,
+            arena,
+            links,
+            counters,
+            activity,
+            ejected,
+            sink,
+            journeys.as_deref_mut(),
+        );
         match self.pipeline.depth {
             crate::config::PipelineDepth::FourStage => {
-                self.stage_sa(cycle, scratch, &mut *fx);
-                self.stage_va(cycle, scratch, &mut *fx);
-                self.stage_rc(cycle, topo, scratch, &mut *fx);
+                self.stage_sa(cycle, scratch, counters, sink, journeys.as_deref_mut());
+                self.stage_va(cycle, scratch, counters, sink, journeys.as_deref_mut());
+                self.stage_rc(cycle, topo, scratch, counters, sink);
             }
             crate::config::PipelineDepth::ThreeStageSpeculative => {
-                self.stage_va(cycle, scratch, &mut *fx);
-                self.stage_sa(cycle, scratch, &mut *fx);
-                self.stage_rc(cycle, topo, scratch, &mut *fx);
+                self.stage_va(cycle, scratch, counters, sink, journeys.as_deref_mut());
+                self.stage_sa(cycle, scratch, counters, sink, journeys.as_deref_mut());
+                self.stage_rc(cycle, topo, scratch, counters, sink);
             }
             crate::config::PipelineDepth::TwoStageLookahead => {
-                self.stage_rc(cycle, topo, scratch, &mut *fx);
-                self.stage_va(cycle, scratch, &mut *fx);
-                self.stage_sa(cycle, scratch, fx);
+                self.stage_rc(cycle, topo, scratch, counters, sink);
+                self.stage_va(cycle, scratch, counters, sink, journeys.as_deref_mut());
+                self.stage_sa(cycle, scratch, counters, sink, journeys);
             }
         }
     }
@@ -698,23 +707,36 @@ impl Router {
     /// refills `st_grants`) always runs after it, so iterating the grant
     /// list by index and clearing it at the end is safe and keeps the
     /// vector's capacity.
-    fn stage_st<F: StepFx>(&mut self, cycle: u64, activity: &mut RouterActivity, fx: &mut F) {
+    #[allow(clippy::too_many_arguments)]
+    fn stage_st(
+        &mut self,
+        cycle: u64,
+        arena: &mut FlitArena,
+        links: &mut [Link],
+        counters: &mut ActivityCounters,
+        activity: &mut RouterActivity,
+        ejected: &mut Vec<EjectedFlit>,
+        sink: &mut dyn EventSink,
+        mut journeys: Option<&mut JourneyRecorder>,
+    ) {
         let _obs = obs_scope(ObsPhase::StageSt);
         if self.st_grants.is_empty() {
             return;
         }
-        let traced = fx.traced();
+        let traced = sink.enabled();
         for gi in 0..self.st_grants.len() {
             let g = self.st_grants[gi];
             let pv = self.pv(g.in_port, g.in_vc);
             let slot = self.buf.pop(pv).expect("SA granted an empty VC");
             if slot.head {
-                fx.journey_st(slot.packet, g.out_port, cycle);
+                if let Some(rec) = journeys.as_deref_mut() {
+                    rec.on_st(slot.packet, g.out_port, cycle);
+                }
             }
             // The only payload touch on the traversal path: one arena
             // read for the activity fractions.
             let (fraction, active_layers) = {
-                let data = &fx.arena().get(slot.fref).data;
+                let data = &arena.get(slot.fref).data;
                 if self.layer_shutdown {
                     let words = data.num_words();
                     let active =
@@ -724,7 +746,8 @@ impl Router {
                     (1.0, self.layers)
                 }
             };
-            fx.st_read(fraction);
+            counters.record_buffer_read(fraction);
+            counters.record_xbar(fraction);
             activity.buffer_events += fraction;
             activity.xbar_events += fraction;
             activity.xbar_events_raw += 1;
@@ -738,7 +761,7 @@ impl Router {
             }
             self.layer_events += 1;
             if traced {
-                fx.trace(TraceEvent {
+                sink.record(TraceEvent {
                     cycle,
                     router: self.id,
                     port: g.in_port,
@@ -748,7 +771,7 @@ impl Router {
                     detail: g.out_port.index() as u32,
                 });
                 if active_layers < self.layers {
-                    fx.trace(TraceEvent {
+                    sink.record(TraceEvent {
                         cycle,
                         router: self.id,
                         port: g.out_port,
@@ -762,17 +785,23 @@ impl Router {
 
             // Return a credit upstream for the freed buffer slot.
             if let Some(li) = self.in_links[g.in_port.index()] {
-                fx.send_credit(li, g.in_vc, cycle + 1);
+                links[li].send_credit(g.in_vc, cycle + 1);
             }
 
             if g.out_port.is_local() {
-                fx.eject(slot.fref, self.id, cycle, slot.tail);
+                counters.flits_ejected += 1;
+                if slot.tail {
+                    counters.packets_ejected += 1;
+                }
+                ejected.push(EjectedFlit { flit: arena.take(slot.fref), node: self.id, cycle });
             } else {
+                arena.get_mut(slot.fref).hops += 1;
                 let li = self.out_links[g.out_port.index()]
                     .expect("route led through a port with no link");
-                activity.link_flit_mm += fx.link_length_mm(li) * fraction;
+                counters.record_link(links[li].length_mm, fraction);
+                activity.link_flit_mm += links[li].length_mm * fraction;
                 let deliver = Link::delivery_cycle(cycle, self.pipeline.link_extra_cycles());
-                fx.forward(li, slot.fref, g.out_vc, deliver, fraction);
+                links[li].send_flit(arena, slot.fref, g.out_vc, deliver);
             }
 
             if slot.tail {
@@ -792,14 +821,21 @@ impl Router {
     /// an eligible VC that fails to receive an ST grant (lost SA1 or SA2)
     /// is charged `SaLoss`. The two sets are disjoint, so each stalled
     /// VC-cycle carries exactly one cause.
-    fn stage_sa<F: StepFx>(&mut self, cycle: u64, scratch: &mut StepScratch, fx: &mut F) {
+    fn stage_sa(
+        &mut self,
+        cycle: u64,
+        scratch: &mut StepScratch,
+        counters: &mut ActivityCounters,
+        sink: &mut dyn EventSink,
+        mut journeys: Option<&mut JourneyRecorder>,
+    ) {
         let _obs = obs_scope(ObsPhase::StageSa);
         if self.active_mask == 0 || self.sa_frozen {
             // No VC holds the switch (or the chaos hook froze the
             // allocator): both allocation stages are no-ops.
             return;
         }
-        let traced = fx.traced();
+        let traced = sink.enabled();
         // SA1: one candidate VC per input port. Only ports with an
         // `Active` VC (a set bit in the work-list mask) do any work.
         scratch.sa1.clear();
@@ -828,9 +864,9 @@ impl Router {
                     // The outgoing link is replaying its window; new
                     // traffic would interleave into the resent stream.
                     self.stalls.record(StallCause::LinkFault);
-                    if fx.journeys_on() {
+                    if let Some(rec) = journeys.as_deref_mut() {
                         if let Some(t) = self.buf.front(pv) {
-                            fx.journey_stall(t.packet, self.id, StallCause::LinkFault, t.head);
+                            rec.on_stall(t.packet, self.id, StallCause::LinkFault, t.head);
                         }
                     }
                     continue;
@@ -839,9 +875,9 @@ impl Router {
                     elig_mask |= 1u64 << iv;
                 } else {
                     self.stalls.record(StallCause::NoCredit);
-                    if fx.journeys_on() {
+                    if let Some(rec) = journeys.as_deref_mut() {
                         if let Some(t) = self.buf.front(pv) {
-                            fx.journey_stall(t.packet, self.id, StallCause::NoCredit, t.head);
+                            rec.on_stall(t.packet, self.id, StallCause::NoCredit, t.head);
                         }
                     }
                 }
@@ -849,7 +885,7 @@ impl Router {
             if elig_mask == 0 {
                 continue;
             }
-            fx.count_sa1();
+            counters.sa1_arbitrations += 1;
             if let Some(iv) = self.sa1_arbiters[ip].arbitrate_mask(elig_mask) {
                 if let VcState::Active { out_port, out_vc } = self.vc_state[ip * self.vcs + iv] {
                     scratch.sa1[ip] = Some((VcId(iv), out_port, out_vc));
@@ -870,7 +906,7 @@ impl Router {
         while sa2_used != 0 {
             let op = sa2_used.trailing_zeros() as usize;
             sa2_used &= sa2_used - 1;
-            fx.count_sa2();
+            counters.sa2_arbitrations += 1;
             if let Some(ip) = self.sa2_arbiters[op].arbitrate_mask(scratch.sa2_req[op]) {
                 let (iv, out_port, out_vc) = scratch.sa1[ip].expect("requester has an SA1 grant");
                 if !out_port.is_local() {
@@ -881,7 +917,7 @@ impl Router {
                 if traced {
                     let packet =
                         self.buf.front(ip * self.vcs + iv.index()).map_or(0, |t| t.packet.0);
-                    fx.trace(TraceEvent {
+                    sink.record(TraceEvent {
                         cycle,
                         router: self.id,
                         port: PortId(ip),
@@ -902,9 +938,9 @@ impl Router {
         for &pair in &scratch.eligible_all {
             if !scratch.granted.contains(&pair) {
                 self.stalls.record(StallCause::SaLoss);
-                if fx.journeys_on() {
+                if let Some(rec) = journeys.as_deref_mut() {
                     if let Some(t) = self.buf.front(pair.0 * self.vcs + pair.1) {
-                        fx.journey_stall(t.packet, self.id, StallCause::SaLoss, t.head);
+                        rec.on_stall(t.packet, self.id, StallCause::SaLoss, t.head);
                     }
                 }
             }
@@ -917,12 +953,19 @@ impl Router {
     /// Stall attribution for head flits waiting on a VC: requesters of an
     /// output VC still owned by another packet are charged `RouteBusy`;
     /// losers of the arbitration for a free VC are charged `VaLoss`.
-    fn stage_va<F: StepFx>(&mut self, cycle: u64, scratch: &mut StepScratch, fx: &mut F) {
+    fn stage_va(
+        &mut self,
+        cycle: u64,
+        scratch: &mut StepScratch,
+        counters: &mut ActivityCounters,
+        sink: &mut dyn EventSink,
+        mut journeys: Option<&mut JourneyRecorder>,
+    ) {
         let _obs = obs_scope(ObsPhase::StageVa);
         if self.waiting_mask == 0 {
             return;
         }
-        let traced = fx.traced();
+        let traced = sink.enabled();
         // VA1: each waiting input VC (a set bit in the work-list mask)
         // selects its desired output VC — one VC per traffic class
         // (control / data), clamped to the available VC count. Buckets
@@ -941,7 +984,7 @@ impl Router {
             }
             let class = self.buf.front(pv).expect("waiting VC holds a head flit").class;
             let out_vc = class.vc_index().min(self.vcs - 1);
-            fx.count_va1();
+            counters.va1_arbitrations += 1;
             let b = out_port.index() * self.vcs + out_vc;
             scratch.va_requests[b].push((PortId(pv / self.vcs), VcId(pv % self.vcs)));
             scratch.va_line_masks[b] |= 1u64 << pv;
@@ -954,17 +997,17 @@ impl Router {
             let b = va2_used.trailing_zeros() as usize;
             va2_used &= va2_used - 1;
             let (op, ov) = (b / self.vcs, b % self.vcs);
-            fx.count_va2();
+            counters.va2_arbitrations += 1;
             if self.out_owner[b].is_some() {
                 // The target VC is held by an in-flight packet: every
                 // requester stalls on route occupancy this cycle.
                 for ri in 0..scratch.va_requests[b].len() {
                     let (rip, riv) = scratch.va_requests[b][ri];
                     self.stalls.record(StallCause::RouteBusy);
-                    if fx.journeys_on() {
+                    if let Some(rec) = journeys.as_deref_mut() {
                         let front = self.buf.front(rip.index() * self.vcs + riv.index());
                         if let Some(t) = front {
-                            fx.journey_stall(t.packet, self.id, StallCause::RouteBusy, true);
+                            rec.on_stall(t.packet, self.id, StallCause::RouteBusy, true);
                         }
                     }
                 }
@@ -978,7 +1021,7 @@ impl Router {
                 self.set_state(line, VcState::Active { out_port: PortId(op), out_vc: VcId(ov) });
                 if traced {
                     let packet = self.buf.front(line).map_or(0, |t| t.packet.0);
-                    fx.trace(TraceEvent {
+                    sink.record(TraceEvent {
                         cycle,
                         router: self.id,
                         port: ip,
@@ -993,10 +1036,10 @@ impl Router {
                     let (rip, riv) = scratch.va_requests[b][ri];
                     if (rip, riv) != (ip, iv) {
                         self.stalls.record(StallCause::VaLoss);
-                        if fx.journeys_on() {
+                        if let Some(rec) = journeys.as_deref_mut() {
                             let front = self.buf.front(rip.index() * self.vcs + riv.index());
                             if let Some(t) = front {
-                                fx.journey_stall(t.packet, self.id, StallCause::VaLoss, true);
+                                rec.on_stall(t.packet, self.id, StallCause::VaLoss, true);
                             }
                         }
                     }
@@ -1013,18 +1056,19 @@ impl Router {
     /// yields more than one port) the stage selects the candidate whose
     /// output VCs hold the most credits — congestion-aware selection —
     /// with the model's preference order breaking ties.
-    fn stage_rc<F: StepFx>(
+    fn stage_rc(
         &mut self,
         cycle: u64,
         topo: &dyn Topology,
         scratch: &mut StepScratch,
-        fx: &mut F,
+        counters: &mut ActivityCounters,
+        sink: &mut dyn EventSink,
     ) {
         let _obs = obs_scope(ObsPhase::StageRc);
         if self.routing_mask == 0 {
             return;
         }
-        let traced = fx.traced();
+        let traced = sink.enabled();
         let mut routing = self.routing_mask;
         while routing != 0 {
             let pv = routing.trailing_zeros() as usize;
@@ -1084,10 +1128,10 @@ impl Router {
                         .max_by_key(|&p| credits_of(p))
                         .expect("non-empty candidates")
                 };
-                fx.count_rc();
+                counters.rc_computations += 1;
                 self.set_state(pv, VcState::WaitingVc { out_port });
                 if traced {
-                    fx.trace(TraceEvent {
+                    sink.record(TraceEvent {
                         cycle,
                         router: self.id,
                         port: PortId(ip),
@@ -1108,7 +1152,6 @@ mod tests {
     use crate::config::NetworkConfig;
     use crate::flit::{FlitData, FlitKind};
     use crate::packet::{PacketClass, PacketId};
-    use crate::stats::ActivityCounters;
     use crate::telemetry::NullSink;
     use crate::topology::Mesh2D;
 
@@ -1157,22 +1200,30 @@ mod tests {
 
         fn recv(&mut self, r: &mut Router, port: PortId, vc: VcId, flit: Flit, cycle: u64) {
             let fref = self.arena.alloc(flit);
-            let fraction = r.receive_flit(port, vc, fref, &self.arena, cycle);
-            self.counters.record_buffer_write(fraction);
-            self.activity.buffer_events += fraction;
+            r.receive_flit(
+                port,
+                vc,
+                fref,
+                &self.arena,
+                cycle,
+                &mut self.counters,
+                &mut self.activity,
+            );
         }
 
         fn step(&mut self, r: &mut Router, cycle: u64) {
-            let mut sink = NullSink;
-            let mut fx = crate::shard::DirectFx {
-                arena: &mut self.arena,
-                links: &mut self.links,
-                counters: &mut self.counters,
-                ejected: &mut self.ejected,
-                sink: &mut sink,
-                journeys: None,
-            };
-            r.step(cycle, &self.topo, &mut self.scratch, &mut self.activity, &mut fx);
+            r.step(
+                cycle,
+                &self.topo,
+                &mut self.arena,
+                &mut self.links,
+                &mut self.scratch,
+                &mut self.counters,
+                &mut self.activity,
+                &mut self.ejected,
+                &mut NullSink,
+                None,
+            );
         }
     }
 
@@ -1402,7 +1453,6 @@ mod pipeline_depth_tests {
     use crate::config::{NetworkConfig, PipelineConfig, PipelineDepth};
     use crate::flit::{FlitData, FlitKind};
     use crate::packet::{PacketClass, PacketId};
-    use crate::stats::ActivityCounters;
     use crate::telemetry::NullSink;
     use crate::topology::Mesh2D;
 
@@ -1429,20 +1479,20 @@ mod pipeline_depth_tests {
             hops: 0,
         };
         let fref = arena.alloc(flit);
-        let fraction = r.receive_flit(PortId::LOCAL, VcId(0), fref, &arena, 0);
-        counters.record_buffer_write(fraction);
-        activity.buffer_events += fraction;
+        r.receive_flit(PortId::LOCAL, VcId(0), fref, &arena, 0, &mut counters, &mut activity);
         for cycle in 0..10 {
-            let mut sink = NullSink;
-            let mut fx = crate::shard::DirectFx {
-                arena: &mut arena,
-                links: &mut links,
-                counters: &mut counters,
-                ejected: &mut ejected,
-                sink: &mut sink,
-                journeys: None,
-            };
-            r.step(cycle, &topo, &mut scratch, &mut activity, &mut fx);
+            r.step(
+                cycle,
+                &topo,
+                &mut arena,
+                &mut links,
+                &mut scratch,
+                &mut counters,
+                &mut activity,
+                &mut ejected,
+                &mut NullSink,
+                None,
+            );
             if let Some(e) = ejected.first() {
                 return e.cycle;
             }

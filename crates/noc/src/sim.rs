@@ -53,10 +53,8 @@ pub struct SimConfig {
     /// zero-overhead path: no recorder is constructed and the run is
     /// bit-identical to a build without the anomaly subsystem).
     pub anomaly: AnomalyConfig,
-    /// Intra-run shard count for parallel cycle execution (DESIGN.md
-    /// §18). `0` defers to the `MIRA_SHARDS` environment default applied
-    /// by `Network::new`; any other value overrides it (`1` forces
-    /// sequential stepping). Bit-identical at every count.
+    /// Ignored: stepping is always sequential (DESIGN.md §18). Kept only
+    /// so existing callers that set it compile.
     pub shards: usize,
 }
 
@@ -69,7 +67,7 @@ impl Default for SimConfig {
             telemetry: TelemetryConfig::disabled(),
             faults: FaultConfig::disabled(),
             anomaly: AnomalyConfig::disabled(),
-            shards: 0,
+            shards: 1,
         }
     }
 }
@@ -81,10 +79,7 @@ impl SimConfig {
             warmup_cycles: 200,
             measure_cycles: 1_000,
             drain_cycles: 5_000,
-            telemetry: TelemetryConfig::disabled(),
-            faults: FaultConfig::disabled(),
-            anomaly: AnomalyConfig::disabled(),
-            shards: 0,
+            ..SimConfig::default()
         }
     }
 
@@ -106,13 +101,6 @@ impl SimConfig {
     #[must_use]
     pub fn with_anomaly(mut self, anomaly: AnomalyConfig) -> Self {
         self.anomaly = anomaly;
-        self
-    }
-
-    /// The same phase lengths with an explicit intra-run shard count.
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
         self
     }
 }
@@ -301,11 +289,6 @@ impl Simulator {
     /// configuration.
     pub fn new(topo: Box<dyn Topology>, net_cfg: NetworkConfig, cfg: SimConfig) -> Self {
         let mut network = Network::new(topo, net_cfg);
-        if cfg.shards > 0 {
-            // An explicit count overrides the MIRA_SHARDS default that
-            // Network::new may already have applied.
-            network.set_shards(cfg.shards);
-        }
         network.set_telemetry(cfg.telemetry);
         network.set_faults(cfg.faults).expect("invalid fault configuration");
         let recorder = if cfg.anomaly.is_enabled() {

@@ -81,23 +81,13 @@ const MEASURED_CYCLES: u64 = 1_000;
 fn allocations_during_steady_state(
     topo: Box<dyn Topology>,
     combined: bool,
-    recorder: Option<&mut FlightRecorder>,
-) -> (u64, usize) {
-    allocations_during_steady_state_sharded(topo, combined, recorder, 1)
-}
-
-fn allocations_during_steady_state_sharded(
-    topo: Box<dyn Topology>,
-    combined: bool,
     mut recorder: Option<&mut FlightRecorder>,
-    shards: usize,
 ) -> (u64, usize) {
     let nodes = topo.num_nodes();
     let pipeline =
         if combined { PipelineConfig::combined_st_lt() } else { PipelineConfig::separate_lt() };
     let cfg = NetworkConfig::builder().pipeline(pipeline).build();
     let mut net = Network::new(topo, cfg);
-    net.set_shards(shards);
 
     // Enough flits per node to keep every source queue non-empty for the
     // whole run, so the measured window is genuinely steady-state (the
@@ -183,27 +173,6 @@ fn steady_state_stepping_never_allocates() {
         "obs-enabled steady-state stepping performed {allocs} heap allocations \
          across {MEASURED_CYCLES} cycles — observability must not allocate per cycle"
     );
-
-    // Sharded stepping (DESIGN.md §18) holds the contract at N > 1 too:
-    // the worker pool is persistent, job dispatch passes a borrowed
-    // closure through an atomic epoch (no boxing), and every per-cycle
-    // effect log reaches its steady-state capacity during warmup. The
-    // counting allocator is process-global, so worker-thread
-    // allocations would be caught just like main-thread ones.
-    for (name, shards) in [("2-shard", 2usize), ("4-shard", 4)] {
-        let (allocs, ejected) = allocations_during_steady_state_sharded(
-            Box::new(Mesh2D::new(4, 4)),
-            false,
-            None,
-            shards,
-        );
-        assert!(ejected > 0, "{name} scenario must actually move traffic");
-        assert_eq!(
-            allocs, 0,
-            "{name} steady-state stepping performed {allocs} heap allocations \
-             across {MEASURED_CYCLES} cycles — sharded dispatch must be allocation-free"
-        );
-    }
 
     // The armed flight recorder holds the contract too (DESIGN.md §17):
     // a non-firing `evaluate()` is pure reads over the SoA state, so

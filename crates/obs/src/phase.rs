@@ -26,7 +26,6 @@
 //!   driver around the step: packet generation/injection and ejection
 //!   processing. They sit outside `StepTotal` and do not enter coverage.
 
-use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -119,23 +118,6 @@ const ZERO: AtomicU64 = AtomicU64::new(0);
 static NANOS: [AtomicU64; COUNT] = [ZERO; COUNT];
 static CALLS: [AtomicU64; COUNT] = [ZERO; COUNT];
 
-thread_local! {
-    /// Set on shard worker threads (see [`set_worker_thread`]): their
-    /// scopes are inert so the sections tiling `Network::step` are
-    /// charged exactly once, by the main thread whose scope spans the
-    /// dispatch, the parallel execution, and the join. Without this,
-    /// N workers inside one `RouterPipeline` wall-clock interval would
-    /// charge N overlapping durations and `coverage()` could exceed 1.
-    static IS_WORKER: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Marks (or unmarks) the current thread as a shard worker. Phase
-/// scopes opened on a worker thread record nothing — the main thread's
-/// enclosing scope already accounts for the worker's wall time.
-pub fn set_worker_thread(worker: bool) {
-    IS_WORKER.with(|w| w.set(worker));
-}
-
 /// Live guard for one phase scope; charges the phase on drop. Inert
 /// (start time absent) when observability is off at entry.
 #[derive(Debug)]
@@ -146,13 +128,9 @@ pub struct PhaseGuard {
 
 /// Opens a timing scope for `phase`. Call at the top of the region and
 /// bind the guard (`let _p = scope(...)`) so it drops at region exit.
-/// On shard worker threads the guard is always inert (see
-/// [`set_worker_thread`]); the `enabled` check runs first so the
-/// disabled path stays one relaxed atomic load with no TLS access.
 #[inline(always)]
 pub fn scope(phase: Phase) -> PhaseGuard {
-    let start =
-        if crate::enabled() && !IS_WORKER.with(Cell::get) { Some(Instant::now()) } else { None };
+    let start = if crate::enabled() { Some(Instant::now()) } else { None };
     PhaseGuard { phase, start }
 }
 
@@ -235,22 +213,11 @@ mod tests {
                 std::hint::black_box(0u64);
             }
         }
-        // Scopes on a shard worker thread are inert even while enabled:
-        // the main thread's enclosing section scope already accounts for
-        // the worker's wall time, so a worker-side scope would be a
-        // double count.
-        set_worker_thread(true);
-        {
-            let _p = scope(Phase::RouterPipeline);
-        }
-        set_worker_thread(false);
         crate::set_enabled(false);
 
         let snap = snapshot();
         let total = snap.iter().find(|s| s.phase == "step_total").expect("present");
         assert_eq!(total.calls, 1);
-        let pipeline = snap.iter().find(|s| s.phase == "router_pipeline").expect("present");
-        assert_eq!(pipeline.calls, 1, "worker-thread scope must not record");
         assert!(total.nanos > 0);
         let cov = coverage().expect("step profiled");
         assert!(cov > 0.0 && cov <= 1.0, "coverage {cov} out of range");

@@ -394,8 +394,8 @@ pub struct RunSummary {
     /// Worst per-point queue wait, milliseconds.
     pub queue_wait_max_ms: f64,
     /// Load-imbalance ratio: busiest worker's busy time over the mean
-    /// worker busy time (1.0 = perfectly balanced; the number ROADMAP
-    /// item 2's sharded stepping will be judged against).
+    /// worker busy time (1.0 = perfectly balanced): how well point-level
+    /// parallelism fills the cores (DESIGN.md §18).
     pub imbalance: f64,
     /// Peak live flits in any point's arena (host memory watermark).
     pub peak_arena_flits: u64,

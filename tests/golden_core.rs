@@ -124,18 +124,9 @@ fn points() -> Vec<Point> {
     pts
 }
 
-// `shards: 0` defers to the `MIRA_SHARDS` environment default, so CI
-// can re-run the whole suite with a process-wide shard count and the
-// snapshots must still match.
 fn run_point(p: &Point, anomaly: AnomalyConfig) -> RunResult {
-    run_point_sharded(p, anomaly, 0)
-}
-
-fn run_point_sharded(p: &Point, anomaly: AnomalyConfig, shards: usize) -> RunResult {
-    let mut cfg: SimConfig = quick_sim_config()
-        .with_telemetry(golden_telemetry())
-        .with_anomaly(anomaly)
-        .with_shards(shards);
+    let mut cfg: SimConfig =
+        quick_sim_config().with_telemetry(golden_telemetry()).with_anomaly(anomaly);
     if let Some(f) = p.faults {
         cfg = cfg.with_faults(f);
     }
@@ -255,36 +246,6 @@ fn anomaly_armed_matches_golden_bits() {
     // against real transient traffic).
     check_points_with(&pts[..2], AnomalyConfig::detect());
     check_points_with(&pts[8..9], AnomalyConfig::detect());
-}
-
-/// Sharded stepping (DESIGN.md §18) is bit-identical to sequential
-/// stepping: running the same design points split across N worker
-/// shards must reproduce the committed golden snapshots — which pin the
-/// sequential output — byte for byte, including the IEEE-754 power
-/// bits. Two shards cover the full fault-free matrix; four and eight
-/// shards cover one load per architecture (the 6x6 2D meshes cap out
-/// at fewer routers per shard, exercising unbalanced partitions).
-#[test]
-fn sharded_points_match_golden_bits() {
-    let pts = points();
-    for p in &pts[..8] {
-        let r = run_point_sharded(p, AnomalyConfig::disabled(), 2);
-        assert_matches_golden(p, &r);
-    }
-    for &shards in &[4usize, 8] {
-        for p in pts.iter().take(8).step_by(2) {
-            let r = run_point_sharded(p, AnomalyConfig::disabled(), shards);
-            assert_matches_golden(p, &r);
-        }
-    }
-}
-
-fn assert_matches_golden(p: &Point, r: &RunResult) {
-    let actual = golden_json(p, r);
-    let path = golden_path(p.name);
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("{}: missing golden snapshot {} ({e})", p.name, path.display()));
-    assert_eq!(actual, expected, "{}: sharded run drifted from the sequential golden bits", p.name);
 }
 
 /// Sanity: the golden recipe actually populates every report section it

@@ -97,37 +97,6 @@ fn sampled_journey_set_is_identical_across_worker_counts() {
     }
 }
 
-/// Intra-run sharding composes with the runner: splitting each
-/// simulation across shard workers (DESIGN.md §18) — on top of the
-/// runner's own point-level pool — still yields bit-identical reports
-/// and identical sampled journey sets, per point, at any shard count.
-#[test]
-fn sharded_stepping_is_bit_identical_across_shard_counts() {
-    use mira_noc::telemetry::TelemetryConfig;
-    let run = |shards: usize| {
-        let cfg = quick_sim_config()
-            .with_telemetry(TelemetryConfig::disabled().with_journeys(250_000))
-            .with_shards(shards);
-        let points = sweep_ur_points(&[0.05, 0.20], 0.5, cfg);
-        Runner::with_jobs(2).run(points).outcomes
-    };
-    let sequential = run(1);
-    for shards in [2usize, 4] {
-        let sharded = run(shards);
-        assert_outcomes_identical(&sequential, &sharded);
-        for (x, y) in sequential.iter().zip(&sharded) {
-            let jx = x.result.report.journeys.as_ref().expect("journeys enabled");
-            let jy = y.result.report.journeys.as_ref().expect("journeys enabled");
-            assert_eq!(
-                jx.packets_hash, jy.packets_hash,
-                "sampled packet set differs at {} with {shards} shards",
-                x.label
-            );
-            assert_eq!(jx, jy, "attribution differs at {} with {shards} shards", x.label);
-        }
-    }
-}
-
 #[test]
 fn seed_derivation_is_a_pure_function() {
     // The per-point seeds come from (EXPERIMENT_SEED, rate index) and
