@@ -34,8 +34,7 @@ const USAGE: &str = "usage: <bin> [--quick] [--json] [--metrics-window <cycles>]
                      [--fault-rate <fraction>] [--kill-link <node:port[@cycle]>] \
                      [--fault-seed <seed>] [--compare <baseline.json>] \
                      [--obs-out <path>] [--progress-json] \
-                     [--resume] [--checkpoint-dir <dir>] [--point-timeout <secs>] \
-                     [--point-retries <n>] [--fail-fast] \
+                     [--resume] [--checkpoint-dir <dir>] [--fail-fast] \
                      [--anomaly] [--anomaly-no-progress <cycles>] \
                      [--anomaly-starvation <cycles>] [--anomaly-fault-storm <events>] \
                      [--anomaly-latency-spike-pct <pct>] [--anomaly-window <cycles>] \
@@ -92,12 +91,6 @@ pub struct Cli {
     /// Directory for per-point sweep checkpoints (`--checkpoint-dir`);
     /// giving it enables checkpoint writing.
     pub checkpoint_dir: Option<&'static str>,
-    /// Watchdog limit per runner point in milliseconds, parsed from the
-    /// `--point-timeout <secs>` flag (stored as ms so [`Cli`] stays
-    /// `Eq`).
-    pub point_timeout_ms: Option<u64>,
-    /// Extra attempts per failed runner point (`--point-retries`).
-    pub point_retries: Option<u32>,
     /// Abort the batch on the first point failure instead of running the
     /// remaining points (`--fail-fast`).
     pub fail_fast: bool,
@@ -229,24 +222,6 @@ impl Cli {
                         .next()
                         .unwrap_or_else(|| usage_error("--checkpoint-dir needs a directory"));
                     cli.checkpoint_dir = Some(leak(v));
-                }
-                "--point-timeout" => {
-                    let v =
-                        args.next().unwrap_or_else(|| usage_error("--point-timeout needs seconds"));
-                    match v.parse::<f64>() {
-                        Ok(s) if s > 0.0 && s.is_finite() => {
-                            cli.point_timeout_ms = Some((s * 1e3).round().max(1.0) as u64);
-                        }
-                        _ => usage_error(&format!("invalid --point-timeout value {v:?}")),
-                    }
-                }
-                "--point-retries" => {
-                    let v =
-                        args.next().unwrap_or_else(|| usage_error("--point-retries needs a count"));
-                    match v.parse::<u32>() {
-                        Ok(n) => cli.point_retries = Some(n),
-                        _ => usage_error(&format!("invalid --point-retries value {v:?}")),
-                    }
                 }
                 "--fail-fast" => cli.fail_fast = true,
                 "--anomaly" => cli.anomaly = true,
@@ -426,17 +401,10 @@ impl Cli {
     /// The worker pool for this invocation: sized by
     /// `available_parallelism`, overridable with `MIRA_JOBS`; the
     /// progress line shows whenever stderr is a terminal. Crash-safety
-    /// flags (`--resume`, `--checkpoint-dir`, `--point-timeout`,
-    /// `--point-retries`, `--fail-fast`) layer on top of their
-    /// environment-variable equivalents.
+    /// flags (`--resume`, `--checkpoint-dir`, `--fail-fast`) layer on
+    /// top of their environment-variable equivalents.
     pub fn runner(&self) -> Runner {
         let mut runner = Runner::from_env().progress_json(self.progress_json);
-        if let Some(n) = self.point_retries {
-            runner = runner.point_retries(n);
-        }
-        if let Some(ms) = self.point_timeout_ms {
-            runner = runner.point_timeout(std::time::Duration::from_millis(ms));
-        }
         if self.fail_fast {
             runner = runner.fail_fast(true);
         }

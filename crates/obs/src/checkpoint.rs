@@ -33,13 +33,6 @@ use crate::ledger::hash_hex;
 /// directory (override per-runner or with `MIRA_CHECKPOINT_DIR`).
 pub const DEFAULT_CHECKPOINT_DIR: &str = "results/checkpoints";
 
-/// The checkpoint directory: `MIRA_CHECKPOINT_DIR` when set, else
-/// [`DEFAULT_CHECKPOINT_DIR`].
-pub fn default_dir() -> PathBuf {
-    std::env::var("MIRA_CHECKPOINT_DIR")
-        .map_or_else(|_| PathBuf::from(DEFAULT_CHECKPOINT_DIR), PathBuf::from)
-}
-
 /// The checkpoint file for one `(exhibit, config hash)` batch identity.
 pub fn path_for(dir: &Path, exhibit: &str, config_hash: u64) -> PathBuf {
     dir.join(format!("{exhibit}-{}.jsonl", hash_hex(config_hash)))

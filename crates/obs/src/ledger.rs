@@ -71,8 +71,8 @@ pub struct LedgerEntry {
     pub mflits_per_sec: f64,
     /// Points that saturated.
     pub saturated_points: usize,
-    /// Points that failed (panicked, timed out, or were skipped by
-    /// fail-fast) after exhausting their retry budget.
+    /// Points that failed (panicked, halted by an anomaly detector, or
+    /// skipped by fail-fast).
     pub failed_points: usize,
     /// Points replayed from a sweep checkpoint instead of simulated.
     pub resumed_points: usize,

@@ -35,9 +35,11 @@ pub enum HostError {
         /// Why it failed.
         detail: String,
     },
-    /// A command-line flag was malformed or missing its value.
+    /// A command-line flag or `MIRA_*` environment variable was
+    /// malformed or missing its value.
     Flag {
-        /// The flag, as typed (e.g. `"--point-timeout"`).
+        /// The flag or environment variable, as typed (e.g.
+        /// `"--metrics-window"` or `"MIRA_RESUME"`).
         flag: &'static str,
         /// What was wrong with it.
         detail: String,
@@ -114,8 +116,8 @@ mod tests {
         assert!(s.contains("out/trace.json") && s.contains("No space left"), "{s}");
 
         let e =
-            HostError::Flag { flag: "--point-timeout", detail: "needs seconds, got \"x\"".into() };
-        assert!(e.to_string().contains("--point-timeout"), "{e}");
+            HostError::Flag { flag: "--metrics-window", detail: "needs cycles, got \"x\"".into() };
+        assert!(e.to_string().contains("--metrics-window"), "{e}");
     }
 
     #[test]

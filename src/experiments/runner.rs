@@ -4,9 +4,9 @@
 //!
 //! Every MIRA exhibit sweeps independent (architecture × rate ×
 //! workload) points, which are embarrassingly parallel. The runner
-//! executes a list of [`SimPoint`]s on detached worker threads — pool
-//! size from [`std::thread::available_parallelism`], overridable with
-//! the `MIRA_JOBS` environment variable — and guarantees:
+//! executes a list of [`SimPoint`]s on a [`std::thread::scope`] worker
+//! pool — size from [`std::thread::available_parallelism`], overridable
+//! with the `MIRA_JOBS` environment variable — and guarantees:
 //!
 //! - **Input order**: outcomes come back in the order points were
 //!   submitted, regardless of which worker finished first.
@@ -24,14 +24,10 @@
 //!   other point's result stays bit-identical to a clean run.
 //!   [`Runner::try_run`] returns one `Result` per point;
 //!   [`Runner::run`] keeps the historical all-success contract and
-//!   panics with an itemized message if any point failed.
-//! - **Retry and watchdog**: failed attempts are retried with the
-//!   *same seed* up to a bounded budget (`MIRA_POINT_RETRIES`), with
-//!   exponential backoff only for host-resource errors (disk full,
-//!   allocation failure). A configurable watchdog
-//!   (`MIRA_POINT_TIMEOUT`) marks runaway points
-//!   [`FailureKind::Timeout`] and replaces their stuck worker so the
-//!   rest of the batch keeps moving.
+//!   panics with an itemized message if any point failed. A point runs
+//!   once: retrying a pure function of its seed cannot change the
+//!   outcome, and an in-simulator hang is caught by the cycle-based
+//!   anomaly detectors, not a wall clock (DESIGN.md §16).
 //! - **Checkpointed resume**: with a checkpoint directory configured
 //!   (`MIRA_CHECKPOINT_DIR`), every completed point is flushed to
 //!   `results/checkpoints/<exhibit>-<hash>.jsonl` as it finishes; a
@@ -46,7 +42,7 @@ use std::io::IsTerminal;
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use mira_noc::anomaly::AnomalyAbort;
@@ -75,20 +71,10 @@ static QUEUE_WAIT_MS: Histogram = Histogram::new(
     "mira_runner_queue_wait_ms",
     "Per-point wait from batch start until a worker claimed it, ms",
 );
-/// Points that exhausted their retry budget and failed.
+/// Points recorded as failed.
 static POINT_FAILURES_TOTAL: Counter = Counter::new(
     "mira_runner_point_failures_total",
-    "Points recorded as failed (panic, timeout or fail-fast skip)",
-);
-/// Retried point attempts.
-static POINT_RETRIES_TOTAL: Counter = Counter::new(
-    "mira_runner_point_retries_total",
-    "Point attempts retried after a panicking attempt",
-);
-/// Points the watchdog marked timed out.
-static POINT_TIMEOUTS_TOTAL: Counter = Counter::new(
-    "mira_runner_point_timeouts_total",
-    "Points marked failed by the point-timeout watchdog",
+    "Points recorded as failed (panic, anomaly or fail-fast skip)",
 );
 /// Points replayed from sweep checkpoints instead of simulated.
 static POINTS_RESUMED_TOTAL: Counter = Counter::new(
@@ -119,8 +105,8 @@ pub fn derive_seed(base: u64, index: u64) -> u64 {
 /// The closure must build its workload *inside* the call (so every
 /// worker constructs an independent RNG from the stored seed) and must
 /// not read any shared mutable state — that is what makes the batch
-/// schedule-independent, retries bit-identical, and a caught panic
-/// safe to retry (no partial state survives an unwound attempt).
+/// schedule-independent and a caught panic harmless to the other
+/// points (no partial state survives an unwound point).
 pub struct SimPoint {
     label: String,
     seed: u64,
@@ -176,15 +162,12 @@ pub struct PointOutcome {
     pub seed: u64,
     /// The simulation result.
     pub result: RunResult,
-    /// Wall-clock time this point took on its worker, across all
-    /// attempts (zero for resumed points).
+    /// Wall-clock time this point took on its worker (zero for resumed
+    /// points).
     pub wall: Duration,
     /// Time from batch start until a worker claimed this point (queue
     /// wait: how long the point sat behind others).
     pub queue_wait: Duration,
-    /// Attempts the point needed (1 = first try; 0 = replayed from a
-    /// checkpoint, never executed in this process).
-    pub attempts: u32,
     /// Whether the result was replayed from a sweep checkpoint instead
     /// of simulated in this batch.
     pub resumed: bool,
@@ -193,24 +176,19 @@ pub struct PointOutcome {
 /// Why a point did not produce a result.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FailureKind {
-    /// The point's closure panicked on its final attempt.
+    /// The point's closure panicked.
     Panic {
         /// The panic payload, rendered to a string.
         payload: String,
-    },
-    /// The point exceeded the configured watchdog timeout.
-    Timeout {
-        /// The limit it exceeded.
-        limit: Duration,
     },
     /// The point was never run: an earlier failure aborted the batch
     /// under the fail-fast policy.
     Skipped,
     /// A flight-recorder detector halted the simulation from inside the
     /// point (an in-simulator hang or invariant violation). Anomalies
-    /// are deterministic — the same seed wedges the same way — so they
-    /// are never retried, and the simulator's black-box dump is written
-    /// out for `trace_tool blackbox` before the failure is recorded.
+    /// are deterministic — the same seed wedges the same way — and the
+    /// simulator's black-box dump is written out for `trace_tool
+    /// blackbox` before the failure is recorded.
     Anomaly {
         /// Stable detector tag (`no_progress`, `starvation`, ...).
         detector: String,
@@ -223,12 +201,10 @@ pub enum FailureKind {
 }
 
 impl FailureKind {
-    /// Stable machine-readable tag (`panic` / `timeout` / `skipped` /
-    /// `anomaly`).
+    /// Stable machine-readable tag (`panic` / `skipped` / `anomaly`).
     pub fn name(&self) -> &'static str {
         match self {
             FailureKind::Panic { .. } => "panic",
-            FailureKind::Timeout { .. } => "timeout",
             FailureKind::Skipped => "skipped",
             FailureKind::Anomaly { .. } => "anomaly",
         }
@@ -238,7 +214,6 @@ impl FailureKind {
     pub fn detail(&self) -> String {
         match self {
             FailureKind::Panic { payload } => payload.clone(),
-            FailureKind::Timeout { limit } => format!("exceeded point timeout {limit:?}"),
             FailureKind::Skipped => "skipped after an earlier failure (fail-fast)".to_string(),
             FailureKind::Anomaly { detector, cycle, dump_path } => match dump_path {
                 Some(p) => format!(
@@ -262,10 +237,7 @@ pub struct PointFailure {
     pub seed: u64,
     /// What went wrong.
     pub kind: FailureKind,
-    /// Attempts completed when the failure was recorded (1 for watchdog
-    /// timeouts — the attempt in flight; 0 for fail-fast skips).
-    pub attempts: u32,
-    /// Wall-clock spent on the point across all attempts.
+    /// Wall-clock spent on the point (zero for fail-fast skips).
     pub wall: Duration,
 }
 
@@ -273,20 +245,16 @@ impl std::fmt::Display for PointFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "point {} `{}` (seed {}) ", self.index, self.label, self.seed)?;
         match &self.kind {
-            FailureKind::Panic { payload } => write!(f, "panicked: {payload}")?,
-            FailureKind::Timeout { limit } => write!(f, "timed out after {limit:?}")?,
-            FailureKind::Skipped => write!(f, "skipped (fail-fast)")?,
+            FailureKind::Panic { payload } => write!(f, "panicked: {payload}"),
+            FailureKind::Skipped => write!(f, "skipped (fail-fast)"),
             FailureKind::Anomaly { detector, cycle, dump_path } => {
                 write!(f, "tripped anomaly detector `{detector}` at cycle {cycle}")?;
                 if let Some(p) = dump_path {
                     write!(f, " (dump: {})", p.display())?;
                 }
+                Ok(())
             }
         }
-        if self.attempts > 1 {
-            write!(f, " [{} attempts]", self.attempts)?;
-        }
-        Ok(())
     }
 }
 
@@ -353,9 +321,8 @@ impl TryRunBatch {
 ///
 /// `Serialize` is implemented by hand (not derived) so the `windows`
 /// time-series, the `failed_points` itemization and the
-/// `resumed_points`/`retried_points` counts are omitted entirely when
-/// empty/zero — the default-path JSON stays byte-identical to
-/// pre-crash-safety output.
+/// `resumed_points` count are omitted entirely when empty/zero — the
+/// default-path JSON stays byte-identical to pre-crash-safety output.
 #[derive(Debug, Clone)]
 pub struct RunSummary {
     /// Worker threads used.
@@ -395,12 +362,11 @@ pub struct RunSummary {
     pub queue_wait_max_ms: f64,
     /// Load-imbalance ratio: busiest worker's busy time over the mean
     /// worker busy time (1.0 = perfectly balanced): how well point-level
-    /// parallelism fills the cores (DESIGN.md §18).
+    /// parallelism fills the cores (DESIGN.md §15).
     pub imbalance: f64,
     /// Peak live flits in any point's arena (host memory watermark).
     pub peak_arena_flits: u64,
-    /// Per-worker busy/idle accounting (replacement workers spawned by
-    /// the watchdog append extra rows).
+    /// Per-worker busy/idle accounting, one row per worker thread.
     pub workers: Vec<WorkerSummary>,
     /// Build provenance of this binary (git rev, rustc, profile).
     pub build: Provenance,
@@ -411,8 +377,8 @@ pub struct RunSummary {
     pub failed_points: Vec<FailureSummary>,
     /// Points replayed from a sweep checkpoint instead of simulated.
     pub resumed_points: usize,
-    /// Points that needed more than one attempt (successes and
-    /// failures).
+    /// Always 0: points run once. Kept so existing readers of the
+    /// field still compile; never serialized.
     pub retried_points: usize,
     /// Windowed-metrics time series aggregated across points, empty
     /// unless points ran with `TelemetryConfig::metrics_window` set.
@@ -431,8 +397,7 @@ pub struct RunSummary {
 pub struct WorkerSummary {
     /// Worker index within the pool.
     pub worker: usize,
-    /// Points this worker executed (including attempts whose result
-    /// lost a race with the watchdog).
+    /// Points this worker executed.
     pub points: usize,
     /// Time spent inside point closures, milliseconds.
     pub busy_ms: f64,
@@ -451,12 +416,10 @@ pub struct FailureSummary {
     pub label: String,
     /// Seed the point ran (or would have run) with.
     pub seed: u64,
-    /// Failure tag: `panic`, `timeout` or `skipped`.
+    /// Failure tag: `panic`, `skipped` or `anomaly`.
     pub kind: String,
-    /// Human-readable cause (panic payload, timeout limit, …).
+    /// Human-readable cause (panic payload, detector, …).
     pub detail: String,
-    /// Attempts completed when the failure was recorded.
-    pub attempts: u32,
     /// Wall-clock spent on the point, milliseconds.
     pub wall_ms: f64,
 }
@@ -469,7 +432,6 @@ impl FailureSummary {
             seed: f.seed,
             kind: f.kind.name().to_string(),
             detail: f.kind.detail(),
-            attempts: f.attempts,
             wall_ms: f.wall.as_secs_f64() * 1e3,
         }
     }
@@ -564,9 +526,6 @@ impl Serialize for RunSummary {
         }
         if self.resumed_points > 0 {
             fields.push(("resumed_points".to_string(), self.resumed_points.to_value()));
-        }
-        if self.retried_points > 0 {
-            fields.push(("retried_points".to_string(), self.retried_points.to_value()));
         }
         if !self.windows.is_empty() {
             fields.push(("windows".to_string(), self.windows.to_value()));
@@ -671,10 +630,6 @@ impl RunSummary {
             .filter_map(|r| r.as_ref().err())
             .map(|f| f.wall.as_secs_f64() * 1e3)
             .sum();
-        let attempts_of = |r: &Result<PointOutcome, PointFailure>| match r {
-            Ok(o) => o.attempts,
-            Err(f) => f.attempts,
-        };
         // Anomalies: windowed detections on completed points (halt off
         // or non-halting detectors) plus one per triggered halt.
         let mut anomalies: u64 = ok.iter().map(|o| o.result.report.anomalies.total()).sum();
@@ -739,7 +694,7 @@ impl RunSummary {
                 .collect(),
             failed_points,
             resumed_points: ok.iter().filter(|o| o.resumed).count(),
-            retried_points: outcomes.iter().filter(|r| attempts_of(r) > 1).count(),
+            retried_points: 0,
             windows: aggregate_windows(&ok),
             anomalies,
             anomaly_kinds,
@@ -844,68 +799,24 @@ struct SeedSpan {
     max: u64,
 }
 
-/// A result slot: every submitted point owns exactly one, finalized
-/// exactly once (worker success/panic, watchdog timeout, fail-fast
-/// skip, or checkpoint replay — whichever gets there first).
-#[allow(clippy::large_enum_variant)] // one slot per point, moved out once at batch end
-enum Slot {
-    Empty,
-    Done(PointOutcome),
-    Failed(PointFailure),
-}
+/// A point's final outcome: its result or its typed failure.
+type Outcome = Result<PointOutcome, PointFailure>;
 
-/// What a worker currently has on its bench.
-#[derive(Debug, Clone)]
-struct Inflight {
-    index: usize,
-    since: Instant,
-    /// Set by the watchdog after it times the point out: the worker
-    /// must discard its (already-lost) result and exit, because a
-    /// replacement has taken its place in the pool.
-    zombie: bool,
-}
-
-/// Per-worker bookkeeping, indexed by worker id. Replacement workers
-/// spawned by the watchdog extend both vectors.
-struct Roster {
-    inflight: Vec<Option<Inflight>>,
-    stats: Vec<(usize, Duration)>,
-}
-
-/// Everything the detached workers, the watchdog and the waiting main
-/// thread share for one batch.
-struct BatchState {
-    total: usize,
+/// What the scoped workers of one batch share. Every point owns one
+/// slot, filled exactly once: by checkpoint replay before the pool
+/// starts, or by the worker that claimed the point.
+struct BatchState<'a> {
+    runner: &'a Runner,
+    exhibit: &'a str,
+    points: &'a [SimPoint],
+    slots: Vec<OnceLock<Outcome>>,
     started: Instant,
     next: AtomicUsize,
+    finalized: AtomicUsize,
     abort: AtomicBool,
-    points: Vec<SimPoint>,
-    slots: Vec<Mutex<Slot>>,
-    finalized: Mutex<usize>,
-    complete: Condvar,
-    progress: bool,
-    progress_json: bool,
-    resumed_initial: usize,
-    max_attempts: u32,
-    backoff: Duration,
-    fail_fast: bool,
-    chaos_every: Option<usize>,
-    timeout: Option<Duration>,
-    roster: Mutex<Roster>,
+    resumed: usize,
     ckpt: Mutex<Option<CheckpointWriter>>,
     config_hash: u64,
-    exhibit: String,
-    blackbox_dir: PathBuf,
-}
-
-/// What one point execution came back with (before slot arbitration).
-#[allow(clippy::large_enum_variant)] // short-lived, one per attempt
-enum Verdict {
-    Ok(RunResult),
-    Panicked(String),
-    /// A flight-recorder detector halted the simulation; the payload
-    /// carries the pre-rendered black-box dump.
-    Anomaly(AnomalyAbort),
 }
 
 /// Renders a caught panic payload (the `&str`/`String` panics
@@ -920,94 +831,104 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Whether a panic payload looks like a transient host-resource
-/// failure (worth backing off before the deterministic retry) rather
-/// than a simulator bug (retried immediately — same seed, same bug,
-/// but the retry budget documents the attempt).
-fn is_host_resource_error(payload: &str) -> bool {
-    let lower = payload.to_ascii_lowercase();
-    [
-        "os error",
-        "no space left",
-        "cannot allocate",
-        "out of memory",
-        "too many open files",
-        "resource temporarily unavailable",
-    ]
-    .iter()
-    .any(|pat| lower.contains(pat))
-}
-
-/// Reads one environment setting. Unset or blank means "not
-/// configured"; a value that does not parse (or fails `valid`) exits
-/// non-zero naming the variable — a typo in `MIRA_POINT_TIMEOUT` must
-/// not silently run the sweep without its watchdog.
-fn env_setting<T: std::str::FromStr>(
+/// Parses one setting from its raw environment value. Unset or blank
+/// means "not configured"; a value that does not parse (or fails
+/// `valid`) is a [`HostError::Flag`] naming the variable — a typo in
+/// `MIRA_JOBS` must not silently run the sweep on another pool size.
+fn parse_setting<T: std::str::FromStr>(
     key: &'static str,
+    raw: Option<&str>,
     expects: &str,
     valid: impl Fn(&T) -> bool,
-) -> Option<T> {
-    let raw = std::env::var(key).ok()?;
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return None;
-    }
-    match trimmed.parse::<T>() {
-        Ok(v) if valid(&v) => Some(v),
-        _ => crate::error::HostError::Flag {
-            flag: key,
-            detail: format!("expects {expects}, got {trimmed:?}"),
+) -> Result<Option<T>, HostError> {
+    let Some(value) = raw.map(str::trim).filter(|v| !v.is_empty()) else {
+        return Ok(None);
+    };
+    match value.parse::<T>() {
+        Ok(v) if valid(&v) => Ok(Some(v)),
+        _ => {
+            Err(HostError::Flag { flag: key, detail: format!("expects {expects}, got {value:?}") })
         }
-        .exit(),
     }
 }
 
-impl BatchState {
-    /// Runs one point with the retry policy: bounded attempts, same
-    /// seed every time, exponential backoff only between attempts that
-    /// failed on host resources.
-    fn attempt_point(&self, index: usize, p: &SimPoint) -> (Verdict, u32) {
-        let mut attempt: u32 = 0;
+/// Parses an on/off setting: `1`/`true`/`yes` is on; `0`/`false`/`no`,
+/// blank or unset is off; anything else is a [`HostError::Flag`] — an
+/// unrecognised `MIRA_RESUME` must not be read as a fresh run, which
+/// resets the checkpoint it meant to resume from.
+fn parse_switch(key: &'static str, raw: Option<&str>) -> Result<bool, HostError> {
+    let value = raw.map_or("", str::trim);
+    match value.to_ascii_lowercase().as_str() {
+        "1" | "true" | "yes" => Ok(true),
+        "" | "0" | "false" | "no" => Ok(false),
+        _ => Err(HostError::Flag {
+            flag: key,
+            detail: format!("expects 1/true/yes or 0/false/no, got {value:?}"),
+        }),
+    }
+}
+
+impl BatchState<'_> {
+    /// The claim-run-finalize loop every worker runs. Returns the
+    /// points this worker executed and the time it spent in them.
+    fn worker_loop(&self) -> (usize, Duration) {
+        let (mut executed, mut busy) = (0usize, Duration::ZERO);
         loop {
-            attempt += 1;
-            let inject =
-                attempt == 1 && self.chaos_every.is_some_and(|n| (index + 1).is_multiple_of(n));
-            let run = &p.run;
-            let seed = p.seed;
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            let Some(p) = self.points.get(i) else { break };
+            // Resumed points were finalized before the workers started.
+            if self.slots[i].get().is_some() {
+                continue;
+            }
+            let failure = |kind: FailureKind, wall: Duration| PointFailure {
+                index: i,
+                label: p.label.clone(),
+                seed: p.seed,
+                kind,
+                wall,
+            };
+            if self.abort.load(Ordering::Relaxed) {
+                self.finalize(i, Err(failure(FailureKind::Skipped, Duration::ZERO)));
+                continue;
+            }
+            let queue_wait = self.started.elapsed();
+            let t0 = Instant::now();
             // The closures are pure functions of the seed by contract
             // (module docs), so observing one after an unwind is safe.
-            let outcome = std::panic::catch_unwind(AssertUnwindSafe(move || {
-                if inject {
-                    panic!("injected chaos panic (MIRA_CHAOS_PANIC_EVERY)");
-                }
-                run(seed)
-            }));
-            match outcome {
-                Ok(result) => return (Verdict::Ok(result), attempt),
+            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| (p.run)(p.seed)));
+            let wall = t0.elapsed();
+            executed += 1;
+            busy += wall;
+            let value = match outcome {
+                Ok(result) => Ok(PointOutcome {
+                    label: p.label.clone(),
+                    seed: p.seed,
+                    result,
+                    wall,
+                    queue_wait,
+                    resumed: false,
+                }),
                 Err(payload) => {
                     // An anomaly halt is a deterministic simulator
                     // verdict carrying a black-box dump, not a host
                     // fault: take it out of the unwind path *before*
-                    // the payload is flattened to a string, and never
-                    // retry it (same seed, same wedge).
-                    let payload = match payload.downcast::<AnomalyAbort>() {
-                        Ok(abort) => return (Verdict::Anomaly(*abort), attempt),
-                        Err(payload) => panic_message(payload.as_ref()),
+                    // the payload is flattened to a string.
+                    let kind = match payload.downcast::<AnomalyAbort>() {
+                        Ok(abort) => FailureKind::Anomaly {
+                            detector: abort.kind.name().to_string(),
+                            cycle: abort.cycle,
+                            dump_path: self.write_blackbox(i, &abort),
+                        },
+                        Err(payload) => {
+                            FailureKind::Panic { payload: panic_message(payload.as_ref()) }
+                        }
                     };
-                    if attempt >= self.max_attempts {
-                        return (Verdict::Panicked(payload), attempt);
-                    }
-                    if mira_obs::enabled() {
-                        POINT_RETRIES_TOTAL.inc(1);
-                    }
-                    if is_host_resource_error(&payload) && !self.backoff.is_zero() {
-                        std::thread::sleep(
-                            self.backoff * 2u32.saturating_pow((attempt - 1).min(5)),
-                        );
-                    }
+                    Err(failure(kind, wall))
                 }
-            }
+            };
+            self.finalize(i, value);
         }
+        (executed, busy)
     }
 
     /// Writes one anomaly black-box dump as
@@ -1015,9 +936,10 @@ impl BatchState {
     /// as needed. IO failure warns and returns `None` — the typed
     /// failure still records the detector and cycle.
     fn write_blackbox(&self, index: usize, abort: &AnomalyAbort) -> Option<PathBuf> {
-        let path = self.blackbox_dir.join(format!("{}-p{index}.json", self.exhibit));
+        let dir = self.runner.blackbox_dir.as_deref().unwrap_or(Path::new(DEFAULT_BLACKBOX_DIR));
+        let path = dir.join(format!("{}-p{index}.json", self.exhibit));
         let write = || -> std::io::Result<()> {
-            std::fs::create_dir_all(&self.blackbox_dir)?;
+            std::fs::create_dir_all(dir)?;
             std::fs::write(&path, abort.dump.as_bytes())
         };
         match write() {
@@ -1029,79 +951,39 @@ impl BatchState {
         }
     }
 
-    /// Installs `value` into slot `index` if it is still empty, runs
-    /// the side effects (metrics, checkpoint append, progress), bumps
-    /// the finalized count and wakes the waiter. Returns whether this
-    /// call won the slot — a loser (a closure that finished after the
-    /// watchdog already timed its point out) discards its value.
-    fn finalize(&self, index: usize, value: Slot) -> bool {
-        let progress_rec;
-        {
-            let mut slot = self.slots[index].lock().expect("result slot");
-            if !matches!(*slot, Slot::Empty) {
-                return false;
-            }
-            match &value {
-                Slot::Done(o) => {
-                    if mira_obs::enabled() {
-                        POINTS_TOTAL.inc(1);
-                        CYCLES_TOTAL.inc(o.result.report.cycles_simulated);
-                        POINT_WALL_MS.observe(o.wall.as_millis() as u64);
-                        QUEUE_WAIT_MS.observe(o.queue_wait.as_millis() as u64);
-                        ARENA_LIVE_PEAK.set_max(o.result.arena_peak_flits);
-                        ROUTER_BUFFER_PEAK.set_max(o.result.buffer_peak_flits);
-                        ANOMALIES_TOTAL.inc(o.result.report.anomalies.total());
-                    }
-                    // Flush the checkpoint *before* the point counts as
-                    // finalized: once visible as done, it is durable.
-                    self.checkpoint_append(o);
-                    progress_rec = (self.progress || self.progress_json).then(|| ProgressRecord {
-                        label: o.label.clone(),
-                        seed: o.seed,
-                        wall: o.wall,
-                        cycles: o.result.report.cycles_simulated,
-                        saturated: o.result.report.saturated,
-                        failed: false,
-                        detail: None,
-                    });
+    /// Records point `index`'s outcome: metrics, checkpoint append,
+    /// the fail-fast abort flag and the progress line, then its slot.
+    fn finalize(&self, index: usize, value: Outcome) {
+        match &value {
+            Ok(o) => {
+                if mira_obs::enabled() {
+                    POINTS_TOTAL.inc(1);
+                    CYCLES_TOTAL.inc(o.result.report.cycles_simulated);
+                    POINT_WALL_MS.observe(o.wall.as_millis() as u64);
+                    QUEUE_WAIT_MS.observe(o.queue_wait.as_millis() as u64);
+                    ARENA_LIVE_PEAK.set_max(o.result.arena_peak_flits);
+                    ROUTER_BUFFER_PEAK.set_max(o.result.buffer_peak_flits);
+                    ANOMALIES_TOTAL.inc(o.result.report.anomalies.total());
                 }
-                Slot::Failed(f) => {
-                    if mira_obs::enabled() {
-                        POINT_FAILURES_TOTAL.inc(1);
-                        if matches!(f.kind, FailureKind::Timeout { .. }) {
-                            POINT_TIMEOUTS_TOTAL.inc(1);
-                        }
-                        if matches!(f.kind, FailureKind::Anomaly { .. }) {
-                            ANOMALIES_TOTAL.inc(1);
-                        }
-                    }
-                    if self.fail_fast && !matches!(f.kind, FailureKind::Skipped) {
-                        self.abort.store(true, Ordering::Relaxed);
-                    }
-                    progress_rec = (self.progress || self.progress_json).then(|| ProgressRecord {
-                        label: f.label.clone(),
-                        seed: f.seed,
-                        wall: f.wall,
-                        cycles: 0,
-                        saturated: false,
-                        failed: true,
-                        detail: Some(f.kind.detail()),
-                    });
-                }
-                Slot::Empty => unreachable!("finalize is never called with an empty value"),
+                // Flush the checkpoint *before* the point counts as
+                // finalized: once reported done, it is durable.
+                self.checkpoint_append(o);
             }
-            *slot = value;
+            Err(f) => {
+                if mira_obs::enabled() {
+                    POINT_FAILURES_TOTAL.inc(1);
+                    if matches!(f.kind, FailureKind::Anomaly { .. }) {
+                        ANOMALIES_TOTAL.inc(1);
+                    }
+                }
+                if self.runner.fail_fast && !matches!(f.kind, FailureKind::Skipped) {
+                    self.abort.store(true, Ordering::Relaxed);
+                }
+            }
         }
-        let finished = {
-            let mut done = self.finalized.lock().expect("finalized count");
-            *done += 1;
-            *done
-        };
-        if let Some(rec) = progress_rec {
-            self.emit_progress(finished, &rec);
-        }
-        self.complete.notify_all();
-        true
+        let finished = self.finalized.fetch_add(1, Ordering::Relaxed) + 1;
+        self.emit_progress(finished, &value);
+        self.slots[index].set(value).expect("each point is claimed by exactly one worker");
     }
 
     /// Appends a completed point to the batch's checkpoint file (if
@@ -1129,216 +1011,48 @@ impl BatchState {
 
     /// Emits the human and/or JSONL progress line for one finalized
     /// point.
-    fn emit_progress(&self, finished: usize, rec: &ProgressRecord) {
-        if self.progress {
-            if rec.failed {
+    fn emit_progress(&self, finished: usize, value: &Outcome) {
+        let (human, json) = (self.runner.progress, self.runner.progress_json);
+        if !human && !json {
+            return;
+        }
+        let total = self.points.len();
+        let (label, seed, wall, cycles, saturated) = match value {
+            Ok(o) => {
+                let r = &o.result.report;
+                (&o.label, o.seed, o.wall, r.cycles_simulated, r.saturated)
+            }
+            Err(f) => (&f.label, f.seed, f.wall, 0, false),
+        };
+        let rate = per_sec(cycles as f64 / 1e3, wall.as_secs_f64());
+        if human {
+            if let Err(f) = value {
                 eprintln!(
-                    "[runner] {finished}/{} done (FAILED: {}: {})",
-                    self.total,
-                    rec.label,
-                    rec.detail.as_deref().unwrap_or("failed"),
+                    "[runner] {finished}/{total} done (FAILED: {label}: {})",
+                    f.kind.detail()
                 );
             } else {
                 let elapsed = self.started.elapsed();
-                let run_done = finished.saturating_sub(self.resumed_initial).max(1);
-                let eta = elapsed.mul_f64((self.total - finished) as f64 / run_done as f64);
-                let rate = per_sec(rec.cycles as f64 / 1e3, rec.wall.as_secs_f64());
+                let run_done = finished.saturating_sub(self.resumed).max(1);
+                let eta = elapsed.mul_f64((total - finished) as f64 / run_done as f64);
                 eprintln!(
-                    "[runner] {finished}/{} done, {elapsed:.1?} elapsed, ~{eta:.1?} left (last: {} in {:.1?}, {rate:.0} Kcyc/s)",
-                    self.total, rec.label, rec.wall,
+                    "[runner] {finished}/{total} done, {elapsed:.1?} elapsed, ~{eta:.1?} left (last: {label} in {wall:.1?}, {rate:.0} Kcyc/s)",
                 );
             }
         }
-        if self.progress_json {
+        if json {
             let event = ProgressEvent {
                 done: finished,
-                total: self.total,
-                label: rec.label.clone(),
-                seed: rec.seed,
-                wall_ms: rec.wall.as_secs_f64() * 1e3,
-                cycles: rec.cycles,
-                kcycles_per_sec: per_sec(rec.cycles as f64 / 1e3, rec.wall.as_secs_f64()),
-                saturated: rec.saturated,
-                failed: rec.failed,
+                total,
+                label: label.clone(),
+                seed,
+                wall_ms: wall.as_secs_f64() * 1e3,
+                cycles,
+                kcycles_per_sec: rate,
+                saturated,
+                failed: value.is_err(),
             };
             eprintln!("{}", event.to_jsonl());
-        }
-    }
-}
-
-/// Progress data captured inside `finalize` (before the value moves
-/// into its slot) and emitted after the finalized count is known.
-struct ProgressRecord {
-    label: String,
-    seed: u64,
-    wall: Duration,
-    cycles: u64,
-    saturated: bool,
-    failed: bool,
-    detail: Option<String>,
-}
-
-/// The claim-run-finalize loop every (detached) worker thread runs.
-fn worker_loop(state: Arc<BatchState>, wid: usize) {
-    loop {
-        let i = state.next.fetch_add(1, Ordering::Relaxed);
-        if i >= state.total {
-            break;
-        }
-        // Resumed points were finalized before the workers started.
-        if !matches!(*state.slots[i].lock().expect("result slot"), Slot::Empty) {
-            continue;
-        }
-        let p = &state.points[i];
-        if state.abort.load(Ordering::Relaxed) {
-            state.finalize(
-                i,
-                Slot::Failed(PointFailure {
-                    index: i,
-                    label: p.label.clone(),
-                    seed: p.seed,
-                    kind: FailureKind::Skipped,
-                    attempts: 0,
-                    wall: Duration::ZERO,
-                }),
-            );
-            continue;
-        }
-        {
-            let mut roster = state.roster.lock().expect("worker roster");
-            roster.inflight[wid] =
-                Some(Inflight { index: i, since: Instant::now(), zombie: false });
-        }
-        let queue_wait = state.started.elapsed();
-        let t0 = Instant::now();
-        let (verdict, attempts) = state.attempt_point(i, p);
-        let wall = t0.elapsed();
-        // Stats update and zombie check happen *before* finalize so the
-        // waiter's post-batch roster snapshot is complete.
-        let am_zombie = {
-            let mut roster = state.roster.lock().expect("worker roster");
-            let zombie = roster.inflight[wid].as_ref().is_some_and(|f| f.zombie);
-            roster.inflight[wid] = None;
-            roster.stats[wid].0 += 1;
-            roster.stats[wid].1 += wall;
-            zombie
-        };
-        let slot = match verdict {
-            Verdict::Ok(result) => Slot::Done(PointOutcome {
-                label: p.label.clone(),
-                seed: p.seed,
-                result,
-                wall,
-                queue_wait,
-                attempts,
-                resumed: false,
-            }),
-            Verdict::Panicked(payload) => Slot::Failed(PointFailure {
-                index: i,
-                label: p.label.clone(),
-                seed: p.seed,
-                kind: FailureKind::Panic { payload },
-                attempts,
-                wall,
-            }),
-            Verdict::Anomaly(abort) => {
-                let dump_path = state.write_blackbox(i, &abort);
-                Slot::Failed(PointFailure {
-                    index: i,
-                    label: p.label.clone(),
-                    seed: p.seed,
-                    kind: FailureKind::Anomaly {
-                        detector: abort.kind.name().to_string(),
-                        cycle: abort.cycle,
-                        dump_path,
-                    },
-                    attempts,
-                    wall,
-                })
-            }
-        };
-        state.finalize(i, slot);
-        if am_zombie {
-            // The watchdog timed this point out and already spawned a
-            // replacement; this thread's slot in the pool is taken.
-            break;
-        }
-    }
-}
-
-/// Spawns one detached worker. Returns whether the spawn succeeded
-/// (failure warns and degrades — the batch still completes on the
-/// remaining workers).
-fn spawn_worker(state: &Arc<BatchState>, wid: usize) -> bool {
-    let st = Arc::clone(state);
-    match std::thread::Builder::new()
-        .name(format!("mira-worker-{wid}"))
-        .spawn(move || worker_loop(st, wid))
-    {
-        Ok(handle) => {
-            // Detached on purpose: a worker stuck in a runaway closure
-            // must not block batch completion; the process reaps it.
-            drop(handle);
-            true
-        }
-        Err(e) => {
-            eprintln!("[runner] warning: cannot spawn worker {wid}: {e}");
-            false
-        }
-    }
-}
-
-/// One watchdog pass: times out in-flight points that exceeded the
-/// limit, marks their workers zombies and spawns replacements.
-fn watchdog_scan(state: &Arc<BatchState>) {
-    let Some(limit) = state.timeout else { return };
-    let stuck: Vec<(usize, usize, Duration)> = {
-        let roster = state.roster.lock().expect("worker roster");
-        roster
-            .inflight
-            .iter()
-            .enumerate()
-            .filter_map(|(wid, slot)| {
-                slot.as_ref().and_then(|f| {
-                    let running = f.since.elapsed();
-                    (!f.zombie && running > limit).then_some((wid, f.index, running))
-                })
-            })
-            .collect()
-    };
-    for (wid, index, running) in stuck {
-        let p = &state.points[index];
-        let failure = PointFailure {
-            index,
-            label: p.label.clone(),
-            seed: p.seed,
-            kind: FailureKind::Timeout { limit },
-            attempts: 1,
-            wall: running,
-        };
-        if !state.finalize(index, Slot::Failed(failure)) {
-            continue; // the worker finished while we were deciding
-        }
-        // The worker is genuinely stuck inside the closure: it will
-        // discard its result (the slot is taken) and exit when — if —
-        // the closure returns. Replace it so the pool keeps its width.
-        let replacement = {
-            let mut roster = state.roster.lock().expect("worker roster");
-            let still_on_it = roster.inflight[wid]
-                .as_mut()
-                .filter(|f| f.index == index)
-                .map(|f| f.zombie = true)
-                .is_some();
-            if still_on_it {
-                roster.inflight.push(None);
-                roster.stats.push((0, Duration::ZERO));
-                Some(roster.inflight.len() - 1)
-            } else {
-                None
-            }
-        };
-        if let Some(new_wid) = replacement {
-            spawn_worker(state, new_wid);
         }
     }
 }
@@ -1349,7 +1063,7 @@ fn prefill_from_checkpoint(
     path: &Path,
     config_hash: u64,
     points: &[SimPoint],
-    slots: &[Mutex<Slot>],
+    slots: &[OnceLock<Outcome>],
     progress: bool,
 ) -> usize {
     let loaded = match checkpoint::load(path, config_hash) {
@@ -1385,15 +1099,15 @@ fn prefill_from_checkpoint(
         let entry = pool.swap_remove(pos);
         match RunResult::from_value(&entry.result) {
             Ok(result) => {
-                *slots[i].lock().expect("result slot") = Slot::Done(PointOutcome {
+                let replayed = PointOutcome {
                     label: p.label.clone(),
                     seed: p.seed,
                     result,
                     wall: Duration::ZERO,
                     queue_wait: Duration::ZERO,
-                    attempts: 0,
                     resumed: true,
-                });
+                };
+                slots[i].set(Ok(replayed)).expect("each point is replayed at most once");
                 resumed += 1;
             }
             Err(e) => {
@@ -1419,13 +1133,9 @@ pub struct Runner {
     progress_json: bool,
     ledger_path: Option<PathBuf>,
     exhibit: Option<String>,
-    max_attempts: u32,
-    backoff: Duration,
-    point_timeout: Option<Duration>,
     fail_fast: bool,
     checkpoint_dir: Option<PathBuf>,
     resume: bool,
-    chaos_every: Option<usize>,
     blackbox_dir: Option<PathBuf>,
 }
 
@@ -1440,57 +1150,46 @@ impl Runner {
     /// Crash-safety policy also comes from the environment (each knob
     /// has a matching builder method and, in the benches, a CLI flag):
     ///
-    /// - `MIRA_POINT_RETRIES` — extra attempts per failed point,
-    /// - `MIRA_POINT_TIMEOUT` — watchdog limit per point, seconds,
-    /// - `MIRA_FAIL_FAST` — `1`/`true`: skip remaining points after
-    ///   the first failure,
+    /// - `MIRA_FAIL_FAST` — skip remaining points after the first
+    ///   failure,
     /// - `MIRA_CHECKPOINT_DIR` — write per-point sweep checkpoints
     ///   under this directory,
-    /// - `MIRA_RESUME` — `1`/`true`: replay completed points from the
-    ///   checkpoint before running the rest,
-    /// - `MIRA_CHAOS_PANIC_EVERY` — fault injection for the chaos CI
-    ///   job: panic the first attempt of every Nth point.
+    /// - `MIRA_RESUME` — replay completed points from the checkpoint
+    ///   before running the rest.
+    ///
+    /// Switches take `1`/`true`/`yes` or `0`/`false`/`no`; a blank
+    /// value counts as unset. Any other value exits non-zero naming
+    /// the variable.
     pub fn from_env() -> Self {
-        let jobs = env_setting("MIRA_JOBS", "a positive worker count", |&n: &usize| n > 0)
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-        let truthy = |k: &str| {
-            std::env::var(k).is_ok_and(|v| {
-                matches!(v.trim().to_ascii_lowercase().as_str(), "1" | "true" | "yes")
-            })
-        };
-        let retries = env_setting("MIRA_POINT_RETRIES", "an extra-attempt count", |_: &u32| true)
-            .unwrap_or(0);
-        let point_timeout = env_setting("MIRA_POINT_TIMEOUT", "positive seconds", |&s: &f64| {
-            s > 0.0 && s.is_finite()
-        })
-        .map(Duration::from_secs_f64);
-        let resume = truthy("MIRA_RESUME");
-        let checkpoint_dir = if std::env::var("MIRA_CHECKPOINT_DIR").is_ok() {
-            Some(checkpoint::default_dir())
-        } else {
-            None
-        };
-        let chaos_every =
-            env_setting("MIRA_CHAOS_PANIC_EVERY", "a positive point period", |&n: &usize| n > 0);
-        Runner {
-            jobs,
-            progress: std::io::stderr().is_terminal(),
-            progress_json: false,
-            ledger_path: None,
-            exhibit: None,
-            max_attempts: retries + 1,
-            backoff: Duration::from_millis(100),
-            point_timeout,
-            fail_fast: truthy("MIRA_FAIL_FAST"),
-            checkpoint_dir,
-            resume,
-            chaos_every,
-            blackbox_dir: None,
-        }
+        Self::from_settings(|key| std::env::var(key).ok()).unwrap_or_else(|e| e.exit())
     }
 
-    /// Pool with an explicit worker count (progress off, no retries,
-    /// no timeout, no checkpoints — this is the constructor tests use).
+    /// [`Runner::from_env`] over any variable lookup, so the parsing is
+    /// testable on plain strings.
+    fn from_settings(var: impl Fn(&str) -> Option<String>) -> Result<Self, HostError> {
+        let jobs = parse_setting(
+            "MIRA_JOBS",
+            var("MIRA_JOBS").as_deref(),
+            "a positive worker count",
+            |&n: &usize| n > 0,
+        )?
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+        Ok(Runner {
+            progress: std::io::stderr().is_terminal(),
+            fail_fast: parse_switch("MIRA_FAIL_FAST", var("MIRA_FAIL_FAST").as_deref())?,
+            checkpoint_dir: parse_setting(
+                "MIRA_CHECKPOINT_DIR",
+                var("MIRA_CHECKPOINT_DIR").as_deref(),
+                "a directory",
+                |_: &PathBuf| true,
+            )?,
+            resume: parse_switch("MIRA_RESUME", var("MIRA_RESUME").as_deref())?,
+            ..Runner::with_jobs(jobs)
+        })
+    }
+
+    /// Pool with an explicit worker count (progress off, no
+    /// checkpoints — this is the constructor tests use).
     pub fn with_jobs(jobs: usize) -> Self {
         Runner {
             jobs: jobs.max(1),
@@ -1498,13 +1197,9 @@ impl Runner {
             progress_json: false,
             ledger_path: None,
             exhibit: None,
-            max_attempts: 1,
-            backoff: Duration::from_millis(100),
-            point_timeout: None,
             fail_fast: false,
             checkpoint_dir: None,
             resume: false,
-            chaos_every: None,
             blackbox_dir: None,
         }
     }
@@ -1538,29 +1233,6 @@ impl Runner {
         self
     }
 
-    /// Extra attempts per failed point (0 = fail on the first panic).
-    /// Retries rerun the closure with the *same seed*, so a retried
-    /// success is bit-identical to a first-try success.
-    pub fn point_retries(mut self, retries: u32) -> Self {
-        self.max_attempts = retries + 1;
-        self
-    }
-
-    /// Base backoff between attempts that failed on host resources
-    /// (doubled per attempt; other panics retry immediately).
-    pub fn retry_backoff(mut self, backoff: Duration) -> Self {
-        self.backoff = backoff;
-        self
-    }
-
-    /// Watchdog limit per point (all attempts combined): exceeding it
-    /// marks the point [`FailureKind::Timeout`] and replaces its stuck
-    /// worker so the batch keeps moving.
-    pub fn point_timeout(mut self, limit: Duration) -> Self {
-        self.point_timeout = Some(limit);
-        self
-    }
-
     /// Fail-fast policy: after the first point failure, remaining
     /// unstarted points are recorded [`FailureKind::Skipped`] instead
     /// of executed (default: degrade gracefully — run everything and
@@ -1579,19 +1251,10 @@ impl Runner {
     }
 
     /// Replays completed points from the batch's checkpoint file
-    /// before running the rest. Implies checkpointing into the default
-    /// directory when none is configured.
+    /// before running the rest. Implies checkpointing into
+    /// `results/checkpoints` when no directory is configured.
     pub fn resume(mut self, on: bool) -> Self {
         self.resume = on;
-        self
-    }
-
-    /// Fault injection for chaos tests: panic the *first* attempt of
-    /// every `n`-th point (1-based, by submission index — deterministic
-    /// across schedules and resumes). Combined with
-    /// [`Runner::point_retries`], the batch still completes.
-    pub fn chaos_every(mut self, n: usize) -> Self {
-        self.chaos_every = Some(n.max(1));
         self
     }
 
@@ -1623,12 +1286,11 @@ impl Runner {
     /// Runs every point with fault isolation and returns one `Result`
     /// per point, in input order.
     ///
-    /// Workers pull the next unclaimed index from a shared atomic
-    /// counter; each outcome lands in its own slot, so no result
-    /// depends on completion order. Panicking points are caught and
-    /// retried per the configured policy; runaway points are timed out
-    /// by the watchdog; completed points are checkpointed and replayed
-    /// on resume.
+    /// Scoped workers pull the next unclaimed index from a shared
+    /// atomic counter and run it once under `catch_unwind`; each
+    /// outcome lands in its own slot, so no result depends on
+    /// completion order. Completed points are checkpointed and
+    /// replayed on resume. The pool is joined before this returns.
     pub fn try_run(&self, points: Vec<SimPoint>) -> TryRunBatch {
         let started = Instant::now();
         let total = points.len();
@@ -1645,11 +1307,11 @@ impl Runner {
 
         let ckpt_path = self
             .checkpoint_dir
-            .clone()
-            .or_else(|| if self.resume { Some(checkpoint::default_dir()) } else { None })
-            .map(|dir| checkpoint::path_for(&dir, &exhibit, config_hash));
+            .as_deref()
+            .or_else(|| self.resume.then_some(Path::new(checkpoint::DEFAULT_CHECKPOINT_DIR)))
+            .map(|dir| checkpoint::path_for(dir, &exhibit, config_hash));
 
-        let slots: Vec<Mutex<Slot>> = (0..total).map(|_| Mutex::new(Slot::Empty)).collect();
+        let slots: Vec<OnceLock<Outcome>> = (0..total).map(|_| OnceLock::new()).collect();
         let mut resumed = 0usize;
         if let Some(path) = &ckpt_path {
             if self.resume {
@@ -1679,86 +1341,46 @@ impl Runner {
         });
 
         let runtime_total = total - resumed;
-        let workers = if runtime_total == 0 { 0 } else { self.jobs.min(runtime_total).max(1) };
-
-        let state = Arc::new(BatchState {
-            total,
+        let workers = self.jobs.min(runtime_total);
+        let state = BatchState {
+            runner: self,
+            exhibit: &exhibit,
+            points: &points,
+            slots,
             started,
             next: AtomicUsize::new(0),
+            finalized: AtomicUsize::new(resumed),
             abort: AtomicBool::new(false),
-            points,
-            slots,
-            finalized: Mutex::new(resumed),
-            complete: Condvar::new(),
-            progress: self.progress,
-            progress_json: self.progress_json,
-            resumed_initial: resumed,
-            max_attempts: self.max_attempts.max(1),
-            backoff: self.backoff,
-            fail_fast: self.fail_fast,
-            chaos_every: self.chaos_every,
-            timeout: self.point_timeout,
-            roster: Mutex::new(Roster {
-                inflight: vec![None; workers],
-                stats: vec![(0, Duration::ZERO); workers],
-            }),
+            resumed,
             ckpt: Mutex::new(writer),
             config_hash,
-            exhibit: exhibit.clone(),
-            blackbox_dir: self
-                .blackbox_dir
-                .clone()
-                .unwrap_or_else(|| PathBuf::from(DEFAULT_BLACKBOX_DIR)),
+        };
+        let worker_stats: Vec<(usize, Duration)> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers)
+                .filter_map(|wid| {
+                    std::thread::Builder::new()
+                        .name(format!("mira-worker-{wid}"))
+                        .spawn_scoped(s, || state.worker_loop())
+                        .map_err(|e| eprintln!("[runner] warning: cannot spawn worker {wid}: {e}"))
+                        .ok()
+                })
+                .collect();
+            if handles.is_empty() && runtime_total > 0 {
+                // Could not start a single thread: degrade to running
+                // the batch inline.
+                return vec![state.worker_loop()];
+            }
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .collect()
         });
 
-        let mut spawned = 0usize;
-        for wid in 0..workers {
-            if spawn_worker(&state, wid) {
-                spawned += 1;
-            }
-        }
-        if spawned == 0 && runtime_total > 0 {
-            // Could not start a single thread: degrade to running the
-            // batch inline (no watchdog for a stuck point, but the
-            // batch still completes).
-            worker_loop(Arc::clone(&state), 0);
-        }
-
-        // Wait for completion, scanning for stuck points when a
-        // watchdog timeout is configured.
-        let tick = state.timeout.map_or(Duration::from_millis(250), |t| {
-            (t / 4).clamp(Duration::from_millis(10), Duration::from_millis(250))
-        });
-        {
-            let mut done = state.finalized.lock().expect("finalized count");
-            while *done < total {
-                let (guard, _) = state.complete.wait_timeout(done, tick).expect("finalized count");
-                done = guard;
-                if *done >= total {
-                    break;
-                }
-                if state.timeout.is_some() {
-                    drop(done);
-                    watchdog_scan(&state);
-                    done = state.finalized.lock().expect("finalized count");
-                }
-            }
-        }
-
-        // Every slot is finalized; zombies (if any) hold the Arc but
-        // never touch slots again, so draining via replace is safe.
-        let outcomes: Vec<Result<PointOutcome, PointFailure>> = state
+        let outcomes: Vec<Outcome> = state
             .slots
-            .iter()
-            .map(|slot| {
-                match std::mem::replace(&mut *slot.lock().expect("result slot"), Slot::Empty) {
-                    Slot::Done(o) => Ok(o),
-                    Slot::Failed(f) => Err(f),
-                    Slot::Empty => unreachable!("batch completed with an unfinalized slot"),
-                }
-            })
+            .into_iter()
+            .map(|slot| slot.into_inner().expect("every point is finalized before the pool joins"))
             .collect();
-        let worker_stats = state.roster.lock().expect("worker roster").stats.clone();
         let summary = RunSummary::new(workers.max(1), started.elapsed(), &outcomes, &worker_stats);
         if mira_obs::enabled() && total > 0 {
             self.append_ledger(&exhibit, config_hash, seeds, &summary);
@@ -1831,22 +1453,12 @@ mod tests {
     use crate::arch::Arch;
     use crate::experiments::common::{quick_sim_config, run_arch};
     use mira_noc::traffic::UniformRandom;
-    use std::sync::atomic::AtomicU32;
 
     fn ur_point(label: &str, arch: Arch, rate: f64, seed: u64) -> SimPoint {
         SimPoint::new(label, seed, move |s| {
             let cfg = quick_sim_config();
             run_arch(arch, false, Box::new(UniformRandom::new(rate, 5, s)), cfg)
         })
-    }
-
-    fn quick_run(seed: u64) -> RunResult {
-        run_arch(
-            Arch::TwoDB,
-            false,
-            Box::new(UniformRandom::new(0.02, 5, seed)),
-            quick_sim_config(),
-        )
     }
 
     fn scratch_dir(name: &str) -> PathBuf {
@@ -1941,6 +1553,44 @@ mod tests {
     }
 
     #[test]
+    fn switch_settings_parse_or_name_the_variable() {
+        for on in ["1", "true", "YES", " yes "] {
+            assert_eq!(parse_switch("MIRA_RESUME", Some(on)), Ok(true), "{on:?}");
+        }
+        for off in [None, Some(""), Some("  "), Some("0"), Some("false"), Some("No")] {
+            assert_eq!(parse_switch("MIRA_RESUME", off), Ok(false), "{off:?}");
+        }
+        // An unrecognised value must not read as "fresh run" (which
+        // resets the checkpoint the user meant to resume from).
+        let err = parse_switch("MIRA_RESUME", Some("on")).expect_err("`on` is not a switch value");
+        assert!(matches!(err, HostError::Flag { flag: "MIRA_RESUME", .. }), "{err}");
+        assert!(err.to_string().contains("\"on\""), "{err}");
+        let settings = |key: &'static str, value: &'static str| {
+            Runner::from_settings(move |k| (k == key).then(|| value.to_string()))
+        };
+        assert!(settings("MIRA_FAIL_FAST", "yes").expect("valid").fail_fast);
+        assert!(settings("MIRA_RESUME", "1").expect("valid").resume);
+        let err = settings("MIRA_FAIL_FAST", "maybe").expect_err("invalid switch");
+        assert!(err.to_string().contains("MIRA_FAIL_FAST"), "{err}");
+        let err = settings("MIRA_JOBS", "0").expect_err("zero workers");
+        assert!(err.to_string().contains("MIRA_JOBS"), "{err}");
+        assert_eq!(settings("MIRA_JOBS", " 3 ").expect("valid").jobs(), 3);
+    }
+
+    #[test]
+    fn blank_checkpoint_dir_means_not_configured() {
+        let dir = |value: &'static str| {
+            Runner::from_settings(|k| (k == "MIRA_CHECKPOINT_DIR").then(|| value.to_string()))
+                .expect("any directory parses")
+                .checkpoint_dir
+        };
+        assert_eq!(dir(""), None, "blank must not checkpoint into the working directory");
+        assert_eq!(dir("   "), None);
+        assert_eq!(dir("ckpt"), Some(PathBuf::from("ckpt")));
+        assert_eq!(Runner::from_settings(|_| None).expect("unset").checkpoint_dir, None);
+    }
+
+    #[test]
     fn panicking_point_is_isolated() {
         let points = vec![
             ur_point("ok0", Arch::TwoDB, 0.05, 11),
@@ -1954,7 +1604,6 @@ mod tests {
         assert_eq!(f.index, 1);
         assert_eq!(f.label, "boom");
         assert_eq!(f.kind, FailureKind::Panic { payload: "injected test panic".into() });
-        assert_eq!(f.attempts, 1);
         assert_eq!(batch.summary.failed_points.len(), 1);
         assert_eq!(batch.summary.failed_points[0].kind, "panic");
         assert_eq!(batch.summary.point_details.len(), 2, "details cover completed points");
@@ -1984,72 +1633,32 @@ mod tests {
     }
 
     #[test]
-    fn flaky_point_retries_with_same_seed() {
-        let tries = Arc::new(AtomicU32::new(0));
-        let seen_seed = Arc::new(Mutex::new(Vec::new()));
-        let t = Arc::clone(&tries);
-        let seen = Arc::clone(&seen_seed);
-        let points = vec![SimPoint::new("flaky", 77, move |s| {
-            seen.lock().expect("seen").push(s);
-            if t.fetch_add(1, Ordering::Relaxed) == 0 {
-                panic!("flaky first attempt");
-            }
-            quick_run(s)
-        })];
-        let batch =
-            Runner::with_jobs(1).point_retries(1).retry_backoff(Duration::ZERO).try_run(points);
-        let o = batch.outcomes[0].as_ref().expect("second attempt succeeds");
-        assert_eq!(o.attempts, 2);
-        assert_eq!(batch.summary.retried_points, 1);
-        assert_eq!(*seen_seed.lock().expect("seen"), vec![77, 77], "retries reuse the seed");
-        // Bit-identical to a first-try run with the same seed.
-        assert_eq!(
-            o.result.report.avg_latency.to_bits(),
-            quick_run(77).report.avg_latency.to_bits()
-        );
-    }
-
-    #[test]
     fn fail_fast_skips_remaining_points() {
-        let points = vec![
-            SimPoint::new("boom", 1, |_| panic!("first point fails")),
-            ur_point("after1", Arch::TwoDB, 0.05, 2),
-            ur_point("after2", Arch::TwoDB, 0.05, 3),
-        ];
-        let batch = Runner::with_jobs(1).fail_fast(true).try_run(points);
-        assert!(matches!(
-            batch.outcomes[0].as_ref().expect_err("panics").kind,
-            FailureKind::Panic { .. }
-        ));
-        for i in [1, 2] {
-            let f = batch.outcomes[i].as_ref().expect_err("skipped");
-            assert_eq!(f.kind, FailureKind::Skipped, "point {i}");
+        for jobs in [1, 2] {
+            let points = vec![
+                SimPoint::new("boom", 1, |_| panic!("first point fails")),
+                ur_point("after1", Arch::TwoDB, 0.05, 2),
+                ur_point("after2", Arch::TwoDB, 0.05, 3),
+            ];
+            let batch = Runner::with_jobs(jobs).fail_fast(true).try_run(points);
+            assert!(matches!(
+                batch.outcomes[0].as_ref().expect_err("panics").kind,
+                FailureKind::Panic { .. }
+            ));
+            // With two workers a point claimed before the abort landed
+            // may still complete; every other point is skipped.
+            for i in [1, 2] {
+                match &batch.outcomes[i] {
+                    Ok(_) => assert!(jobs > 1, "jobs {jobs}: point {i} ran after the abort"),
+                    Err(f) => assert_eq!(f.kind, FailureKind::Skipped, "jobs {jobs}: point {i}"),
+                }
+            }
+            let s = &batch.summary;
+            assert_eq!(s.point_details.len() + s.failed_points.len(), s.points, "jobs {jobs}");
+            if jobs == 1 {
+                assert_eq!(s.failed_points.len(), 3);
+            }
         }
-        assert_eq!(batch.summary.failed_points.len(), 3);
-    }
-
-    #[test]
-    fn watchdog_times_out_runaway_point() {
-        let points = vec![
-            ur_point("quick", Arch::TwoDB, 0.05, 21),
-            SimPoint::new("stuck", 22, |s| {
-                std::thread::sleep(Duration::from_millis(600));
-                quick_run(s)
-            }),
-        ];
-        let t0 = Instant::now();
-        let batch = Runner::with_jobs(2).point_timeout(Duration::from_millis(60)).try_run(points);
-        assert!(batch.outcomes[0].is_ok(), "healthy point unaffected");
-        let f = batch.outcomes[1].as_ref().expect_err("stuck point timed out");
-        assert_eq!(f.kind, FailureKind::Timeout { limit: Duration::from_millis(60) });
-        assert!(f.wall >= Duration::from_millis(60));
-        assert!(
-            t0.elapsed() < Duration::from_millis(600),
-            "batch returns without waiting for the runaway closure"
-        );
-        assert_eq!(batch.summary.failed_points[0].kind, "timeout");
-        // Let the zombie finish before the test binary tears down.
-        std::thread::sleep(Duration::from_millis(650));
     }
 
     #[test]
@@ -2066,12 +1675,8 @@ mod tests {
                 })
             }),
         ];
-        let batch = Runner::with_jobs(1)
-            .exhibit("blackbox_unit")
-            .point_retries(3)
-            .retry_backoff(Duration::ZERO)
-            .blackbox_out(&dir)
-            .try_run(points);
+        let batch =
+            Runner::with_jobs(1).exhibit("blackbox_unit").blackbox_out(&dir).try_run(points);
         assert!(batch.outcomes[0].is_ok(), "healthy point unaffected");
         let f = batch.outcomes[1].as_ref().expect_err("anomaly fails the point");
         let FailureKind::Anomaly { detector, cycle, dump_path } = &f.kind else {
@@ -2079,7 +1684,6 @@ mod tests {
         };
         assert_eq!(detector, "no_progress");
         assert_eq!(*cycle, 1234);
-        assert_eq!(f.attempts, 1, "deterministic anomalies are never retried");
         let path = dump_path.as_ref().expect("dump written");
         assert_eq!(path, &dir.join("blackbox_unit-p1.json"));
         assert_eq!(
@@ -2121,7 +1725,7 @@ mod tests {
         for (a, b) in first.outcomes.iter().zip(&second.outcomes) {
             assert_eq!(a.label, b.label);
             assert!(b.resumed);
-            assert_eq!(b.attempts, 0);
+            assert_eq!(b.wall, Duration::ZERO, "replayed, not executed");
             assert_eq!(
                 a.result.report.avg_latency.to_bits(),
                 b.result.report.avg_latency.to_bits(),
@@ -2133,26 +1737,5 @@ mod tests {
             assert_eq!(a.result.arena_peak_flits, b.result.arena_peak_flits);
         }
         std::fs::remove_dir_all(&dir).expect("cleanup");
-    }
-
-    #[test]
-    fn chaos_injection_is_deterministic_and_retryable() {
-        let points = vec![
-            ur_point("c0", Arch::TwoDB, 0.05, 41),
-            ur_point("c1", Arch::TwoDB, 0.05, 42),
-            ur_point("c2", Arch::TwoDB, 0.05, 43),
-            ur_point("c3", Arch::TwoDB, 0.05, 44),
-        ];
-        // Every 2nd point's first attempt panics; one retry heals all.
-        let batch = Runner::with_jobs(2)
-            .chaos_every(2)
-            .point_retries(1)
-            .retry_backoff(Duration::ZERO)
-            .try_run(points);
-        assert!(batch.outcomes.iter().all(Result::is_ok), "retries absorb injected chaos");
-        assert_eq!(batch.summary.retried_points, 2, "points 2 and 4 were injected");
-        let attempts: Vec<u32> =
-            batch.outcomes.iter().map(|r| r.as_ref().expect("ok").attempts).collect();
-        assert_eq!(attempts, [1, 2, 1, 2]);
     }
 }

@@ -1,15 +1,12 @@
 //! Chaos tests for the crash-safe runner (DESIGN.md §16): point
-//! failures stay isolated, retries are deterministic, runaway points
-//! are timed out, and a sweep resumed from any checkpoint prefix is
-//! bit-identical to an uninterrupted run.
+//! failures stay isolated, and a sweep resumed from any checkpoint
+//! prefix is bit-identical to an uninterrupted run.
 //!
 //! Sims here use an ultra-short config — the claims under test are
 //! about the *harness* (isolation, resume identity), not statistics.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;
-use std::time::Duration;
 
 use mira::arch::Arch;
 use mira::experiments::common::{run_arch, EXPERIMENT_SEED};
@@ -189,56 +186,6 @@ fn panicking_point_leaves_other_results_bit_identical() {
     assert!(json.contains("failed_points"), "failures reach the JSON consumers");
 }
 
-/// A flaky-once point (panics on its first attempt only) succeeds on
-/// the retry with the same seed, producing the result a never-flaky
-/// run would have.
-#[test]
-fn flaky_once_point_succeeds_on_retry_bit_identically() {
-    static CALLS: AtomicU32 = AtomicU32::new(0);
-    let seed = derive_seed(EXPERIMENT_SEED, 0);
-    let clean =
-        Runner::with_jobs(1).run(vec![sim_point("flaky".into(), Arch::TwoDB, 0.05, seed)]).outcomes;
-
-    let flaky = SimPoint::new("flaky", seed, move |s| {
-        if CALLS.fetch_add(1, Ordering::SeqCst) == 0 {
-            panic!("transient chaos failure");
-        }
-        run_arch(Arch::TwoDB, false, Box::new(UniformRandom::new(0.05, 5, s)), chaos_cfg())
-    });
-    let batch = Runner::with_jobs(1)
-        .point_retries(1)
-        .retry_backoff(Duration::from_millis(1))
-        .run(vec![flaky]);
-
-    assert_eq!(CALLS.load(Ordering::SeqCst), 2, "exactly one retry");
-    assert_eq!(batch.outcomes[0].attempts, 2);
-    assert_eq!(batch.summary.retried_points, 1);
-    assert_bit_identical(&clean[0], &batch.outcomes[0]);
-}
-
-/// A runaway point is marked timed out by the watchdog while the rest
-/// of the pool keeps completing points.
-#[test]
-fn runaway_point_is_timed_out_and_pool_continues() {
-    let seed = derive_seed(EXPERIMENT_SEED, 0);
-    let pts = vec![
-        sim_point("t-ok0".into(), Arch::TwoDB, 0.05, seed),
-        SimPoint::new("stuck", 1, |_| {
-            std::thread::sleep(Duration::from_secs(3));
-            unreachable!("watchdog should have replaced this worker")
-        }),
-        sim_point("t-ok2".into(), Arch::ThreeDM, 0.05, seed),
-    ];
-    let batch = Runner::with_jobs(2).point_timeout(Duration::from_millis(200)).try_run(pts);
-
-    assert!(batch.outcomes[0].is_ok(), "pool kept working");
-    assert!(batch.outcomes[2].is_ok(), "pool survived the runaway point");
-    let f = batch.outcomes[1].as_ref().expect_err("stuck point timed out");
-    assert!(matches!(f.kind, FailureKind::Timeout { .. }), "{:?}", f.kind);
-    assert_eq!(batch.summary.failed_points.len(), 1);
-    assert_eq!(batch.summary.failed_points[0].kind, "timeout");
-}
-
 /// Torn (interrupted mid-write) and stale (different config hash)
 /// checkpoint lines are skipped with the valid prefix still replayed.
 #[test]
@@ -268,26 +215,4 @@ fn torn_and_stale_checkpoint_lines_are_skipped() {
     for (a, b) in base.iter().zip(&batch.outcomes) {
         assert_bit_identical(a, b);
     }
-}
-
-/// The chaos hook panics deterministic points; with one retry budgeted
-/// the batch completes bit-identically, documenting the attempts.
-#[test]
-fn chaos_hook_with_retries_completes_bit_identically() {
-    let (clean, _) = baseline();
-    let batch = Runner::with_jobs(2)
-        .chaos_every(2)
-        .point_retries(1)
-        .retry_backoff(Duration::from_millis(1))
-        .run(sim_points());
-
-    assert_eq!(clean.len(), batch.outcomes.len());
-    for (a, b) in clean.iter().zip(&batch.outcomes) {
-        assert_bit_identical(a, b);
-    }
-    for (i, o) in batch.outcomes.iter().enumerate() {
-        let expected = if (i + 1) % 2 == 0 { 2 } else { 1 };
-        assert_eq!(o.attempts, expected, "point {i}: chaos is index-deterministic");
-    }
-    assert_eq!(batch.summary.retried_points, 3);
 }
