@@ -6,15 +6,16 @@
 //! `--json` emits `{"claims": [...], "tail": [...], "host": {...}}`: one
 //! object per claim (`name`, `source`, `expected`, `actual`, `band`,
 //! `passes`), one tail row per architecture, and a host section (wall
-//! time, Kcycles/s, peak arena watermark, build rev — sourced from the
-//! run ledger), so CI can archive all three as an artifact.
+//! time, Kcycles/s, peak arena watermark, build rev — summed over the
+//! process's batch summaries), so CI can archive all three as an
+//! artifact.
 use std::time::Instant;
 
+use mira::experiments::runner::session_summaries;
 use mira::experiments::scorecard::{
     run_scorecard, scorecard_table, tail_summaries, tail_table, Claim,
 };
-use mira_bench::{write_obs_artifacts, write_telemetry_artifacts, Cli};
-use mira_obs::ledger;
+use mira_bench::{write_obs_artifacts, write_telemetry_artifacts, Cli, RunSummary};
 use serde::Serialize;
 
 /// JSON shape of one claim row.
@@ -35,10 +36,10 @@ impl Serialize for ClaimRow<'_> {
 }
 
 /// The `"host"` section: this process's simulation batches summarised
-/// from the in-process session ledger (total wall time across batches,
+/// from the in-process session list (total wall time across batches,
 /// aggregate Kcycles/s, peak arena watermark, build revision).
 fn host_section() -> serde::Value {
-    let entries = ledger::session_entries();
+    let entries = session_summaries();
     let wall_ms: f64 = entries.iter().map(|e| e.wall_ms).sum();
     let cycles: u64 = entries.iter().map(|e| e.cycles_simulated).sum();
     let kcycles_per_sec = if wall_ms > 0.0 { cycles as f64 / 1e3 / (wall_ms / 1e3) } else { 0.0 };
@@ -63,12 +64,12 @@ fn host_section() -> serde::Value {
     ])
 }
 
-/// Aggregates anomaly-detector firings over the session's ledger
-/// entries: total count and the deduplicated, sorted kind names.
-fn session_anomalies(entries: &[ledger::LedgerEntry]) -> (u64, Vec<String>) {
-    let count: u64 = entries.iter().filter_map(|e| e.anomalies).sum();
+/// Aggregates anomaly-detector firings over the session's batch
+/// summaries: total count and the deduplicated, sorted kind names.
+fn session_anomalies(entries: &[RunSummary]) -> (u64, Vec<String>) {
+    let count: u64 = entries.iter().map(|e| e.anomalies).sum();
     let mut kinds: Vec<String> =
-        entries.iter().filter_map(|e| e.anomaly_kinds.clone()).flatten().collect();
+        entries.iter().flat_map(|e| e.anomaly_kinds.iter().cloned()).collect();
     kinds.sort_unstable();
     kinds.dedup();
     (count, kinds)
@@ -77,14 +78,14 @@ fn session_anomalies(entries: &[ledger::LedgerEntry]) -> (u64, Vec<String>) {
 fn main() {
     let cli = Cli::parse();
     // The scorecard always collects host observability: its batches feed
-    // the session ledger the `"host"` section is built from. (Simulated
+    // the session list the `"host"` section is built from. (Simulated
     // results are unaffected — the golden suites pin that.)
     mira_obs::set_enabled(true);
     let t0 = Instant::now();
     let claims = run_scorecard(cli.sim_config(), cli.trace_cycles());
     let tail = tail_summaries(cli.sim_config());
     let passed = claims.iter().filter(|c| c.passes()).count();
-    let (anomaly_count, anomaly_kinds) = session_anomalies(&ledger::session_entries());
+    let (anomaly_count, anomaly_kinds) = session_anomalies(&session_summaries());
     if anomaly_count > 0 {
         eprintln!(
             "[scorecard] WARNING: {anomaly_count} anomaly detector firing(s) this session \
@@ -105,7 +106,7 @@ fn main() {
         println!("{}", table.to_text());
         println!("{}", tail_table(&tail).to_text());
         println!("{passed}/{} claims reproduced", claims.len());
-        let entries = ledger::session_entries();
+        let entries = session_summaries();
         let wall_ms: f64 = entries.iter().map(|e| e.wall_ms).sum();
         let cycles: u64 = entries.iter().map(|e| e.cycles_simulated).sum();
         let peak = entries.iter().map(|e| e.peak_arena_flits).max().unwrap_or(0);

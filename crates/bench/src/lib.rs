@@ -32,13 +32,10 @@ const USAGE: &str = "usage: <bin> [--quick] [--json] [--metrics-window <cycles>]
                      [--trace-out <path>] [--metrics-out <path>] \
                      [--span-sample-rate <0..=1>] [--journeys-out <path>] \
                      [--fault-rate <fraction>] [--kill-link <node:port[@cycle]>] \
-                     [--fault-seed <seed>] [--compare <baseline.json>] \
+                     [--fault-seed <seed>] \
                      [--obs-out <path>] [--progress-json] \
                      [--resume] [--checkpoint-dir <dir>] [--fail-fast] \
-                     [--anomaly] [--anomaly-no-progress <cycles>] \
-                     [--anomaly-starvation <cycles>] [--anomaly-fault-storm <events>] \
-                     [--anomaly-latency-spike-pct <pct>] [--anomaly-window <cycles>] \
-                     [--blackbox-out <dir>]";
+                     [--anomaly] [--blackbox-out <dir>]";
 
 /// Shared CLI handling for the experiment binaries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -73,46 +70,26 @@ pub struct Cli {
     /// Seed for the fault plan (`--fault-seed`); defaults to the fault
     /// subsystem's own default when unset.
     pub fault_seed: Option<u64>,
-    /// Baseline report to regression-gate against (`--compare <path>`):
-    /// binaries that support it exit non-zero when a measured point falls
-    /// too far below the baseline.
-    pub compare: Option<&'static str>,
     /// Write the host-observability snapshot as JSON (`--obs-out`); a
     /// Prometheus text rendering lands next to it with a `.prom`
     /// extension. Giving the flag also enables observability for the
-    /// process (phase timers, metrics, run ledger).
+    /// process (phase timers, metrics, the session summary list).
     pub obs_out: Option<&'static str>,
     /// Emit one machine-readable JSON line per completed runner point on
     /// stderr (`--progress-json`).
     pub progress_json: bool,
-    /// Replay completed points from the batch's sweep checkpoint and run
-    /// only the missing ones (`--resume`). Implies checkpointing.
+    /// Replay this build's stored points of each batch and run only the
+    /// missing ones (`--resume`). Implies a results store.
     pub resume: bool,
-    /// Directory for per-point sweep checkpoints (`--checkpoint-dir`);
-    /// giving it enables checkpoint writing.
+    /// Directory for the results store (`--checkpoint-dir`); giving it
+    /// enables store writing.
     pub checkpoint_dir: Option<&'static str>,
     /// Abort the batch on the first point failure instead of running the
     /// remaining points (`--fail-fast`).
     pub fail_fast: bool,
     /// Arm the flight recorder with every detector at its default
-    /// threshold (`--anomaly`); any specific `--anomaly-*` threshold
-    /// flag implies this.
+    /// threshold (`--anomaly`).
     pub anomaly: bool,
-    /// No-progress watchdog threshold in cycles
-    /// (`--anomaly-no-progress`); overrides the default.
-    pub anomaly_no_progress: Option<u64>,
-    /// Starvation head-flit age threshold in cycles
-    /// (`--anomaly-starvation`).
-    pub anomaly_starvation: Option<u64>,
-    /// Fault-storm budget in fault events per window
-    /// (`--anomaly-fault-storm`).
-    pub anomaly_fault_storm: Option<u64>,
-    /// Latency-spike threshold in percent of the trailing baseline p99
-    /// (`--anomaly-latency-spike-pct`).
-    pub anomaly_latency_spike_pct: Option<u32>,
-    /// Windowed-detector evaluation cadence in cycles
-    /// (`--anomaly-window`).
-    pub anomaly_window: Option<u64>,
     /// Directory anomaly black-box dumps are written under
     /// (`--blackbox-out`; default `results/blackbox`).
     pub blackbox_out: Option<&'static str>,
@@ -142,7 +119,10 @@ fn usage_error(message: &str) -> ! {
 impl Cli {
     /// Parses the process arguments (unknown flags abort with usage).
     /// Also initialises host observability from the environment
-    /// (`MIRA_OBS=1`), so every bench binary honours it without code.
+    /// (`MIRA_OBS=1`), so every bench binary honours it without code,
+    /// and installs the process runner: the runner flags layered over
+    /// their environment-variable equivalents, which every batch then
+    /// runs on (see [`Cli::runner`]).
     pub fn parse() -> Cli {
         mira_obs::init_from_env();
         let mut cli = Cli::default();
@@ -204,12 +184,6 @@ impl Cli {
                         None => usage_error(&format!("invalid --kill-link spec {v:?}")),
                     }
                 }
-                "--compare" => {
-                    let v = args
-                        .next()
-                        .unwrap_or_else(|| usage_error("--compare needs a baseline path"));
-                    cli.compare = Some(leak(v));
-                }
                 "--obs-out" => {
                     let v = args.next().unwrap_or_else(|| usage_error("--obs-out needs a path"));
                     cli.obs_out = Some(leak(v));
@@ -225,67 +199,6 @@ impl Cli {
                 }
                 "--fail-fast" => cli.fail_fast = true,
                 "--anomaly" => cli.anomaly = true,
-                "--anomaly-no-progress" => {
-                    let v = args
-                        .next()
-                        .unwrap_or_else(|| usage_error("--anomaly-no-progress needs cycles"));
-                    match v.parse::<u64>() {
-                        Ok(cycles) => {
-                            cli.anomaly = true;
-                            cli.anomaly_no_progress = Some(cycles);
-                        }
-                        _ => usage_error(&format!("invalid --anomaly-no-progress value {v:?}")),
-                    }
-                }
-                "--anomaly-starvation" => {
-                    let v = args
-                        .next()
-                        .unwrap_or_else(|| usage_error("--anomaly-starvation needs cycles"));
-                    match v.parse::<u64>() {
-                        Ok(age) => {
-                            cli.anomaly = true;
-                            cli.anomaly_starvation = Some(age);
-                        }
-                        _ => usage_error(&format!("invalid --anomaly-starvation value {v:?}")),
-                    }
-                }
-                "--anomaly-fault-storm" => {
-                    let v = args
-                        .next()
-                        .unwrap_or_else(|| usage_error("--anomaly-fault-storm needs a budget"));
-                    match v.parse::<u64>() {
-                        Ok(budget) => {
-                            cli.anomaly = true;
-                            cli.anomaly_fault_storm = Some(budget);
-                        }
-                        _ => usage_error(&format!("invalid --anomaly-fault-storm value {v:?}")),
-                    }
-                }
-                "--anomaly-latency-spike-pct" => {
-                    let v = args.next().unwrap_or_else(|| {
-                        usage_error("--anomaly-latency-spike-pct needs a percentage")
-                    });
-                    match v.parse::<u32>() {
-                        Ok(pct) => {
-                            cli.anomaly = true;
-                            cli.anomaly_latency_spike_pct = Some(pct);
-                        }
-                        _ => {
-                            usage_error(&format!("invalid --anomaly-latency-spike-pct value {v:?}"))
-                        }
-                    }
-                }
-                "--anomaly-window" => {
-                    let v =
-                        args.next().unwrap_or_else(|| usage_error("--anomaly-window needs cycles"));
-                    match v.parse::<u64>() {
-                        Ok(cycles) if cycles > 0 => {
-                            cli.anomaly = true;
-                            cli.anomaly_window = Some(cycles);
-                        }
-                        _ => usage_error(&format!("invalid --anomaly-window value {v:?}")),
-                    }
-                }
                 "--blackbox-out" => {
                     let v =
                         args.next().unwrap_or_else(|| usage_error("--blackbox-out needs a dir"));
@@ -305,7 +218,29 @@ impl Cli {
                 other => usage_error(&format!("unknown flag {other}")),
             }
         }
+        cli.install_runner();
         cli
+    }
+
+    /// Installs [`Runner::from_env`] with the runner flags
+    /// (`--progress-json`, `--fail-fast`, `--checkpoint-dir`,
+    /// `--resume`, `--blackbox-out`) layered on top, so library
+    /// exhibits that build their own runner honour them too.
+    fn install_runner(&self) {
+        let mut runner = Runner::from_env().progress_json(self.progress_json);
+        if self.fail_fast {
+            runner = runner.fail_fast(true);
+        }
+        if let Some(dir) = self.checkpoint_dir {
+            runner = runner.checkpoint_dir(dir);
+        }
+        if self.resume {
+            runner = runner.resume(true);
+        }
+        if let Some(dir) = self.blackbox_out {
+            runner = runner.blackbox_out(dir);
+        }
+        runner.install();
     }
 
     /// The simulation window for this invocation (metrics windows wired
@@ -339,32 +274,12 @@ impl Cli {
         }
     }
 
-    /// The flight-recorder configuration requested by `--anomaly` and
-    /// the `--anomaly-*` threshold flags, or `None` when no anomaly
-    /// flag was given (so the default path stays bit-identical to the
-    /// recorder-free simulator).
+    /// The flight-recorder configuration requested by `--anomaly` (every
+    /// detector at its default threshold), or `None` without the flag
+    /// (so the default path stays bit-identical to the recorder-free
+    /// simulator).
     pub fn anomaly_config(&self) -> Option<mira::noc::anomaly::AnomalyConfig> {
-        use mira::noc::anomaly::AnomalyConfig;
-        if !self.anomaly {
-            return None;
-        }
-        let mut cfg = AnomalyConfig::detect();
-        if let Some(cycles) = self.anomaly_no_progress {
-            cfg = cfg.with_no_progress(cycles);
-        }
-        if let Some(age) = self.anomaly_starvation {
-            cfg = cfg.with_starvation(age);
-        }
-        if let Some(budget) = self.anomaly_fault_storm {
-            cfg = cfg.with_fault_storm(budget);
-        }
-        if let Some(pct) = self.anomaly_latency_spike_pct {
-            cfg = cfg.with_latency_spike(pct, cfg.latency_spike_min_samples);
-        }
-        if let Some(cycles) = self.anomaly_window {
-            cfg = cfg.with_window(cycles);
-        }
-        Some(cfg)
+        self.anomaly.then(mira::noc::anomaly::AnomalyConfig::detect)
     }
 
     /// The fault configuration requested by `--fault-rate` /
@@ -398,26 +313,13 @@ impl Cli {
         }
     }
 
-    /// The worker pool for this invocation: sized by
-    /// `available_parallelism`, overridable with `MIRA_JOBS`; the
-    /// progress line shows whenever stderr is a terminal. Crash-safety
-    /// flags (`--resume`, `--checkpoint-dir`, `--fail-fast`) layer on
-    /// top of their environment-variable equivalents.
+    /// The worker pool for this invocation: the runner [`Cli::parse`]
+    /// installed (sized by `available_parallelism`, overridable with
+    /// `MIRA_JOBS`; the progress line shows whenever stderr is a
+    /// terminal; the runner flags layered over their
+    /// environment-variable equivalents).
     pub fn runner(&self) -> Runner {
-        let mut runner = Runner::from_env().progress_json(self.progress_json);
-        if self.fail_fast {
-            runner = runner.fail_fast(true);
-        }
-        if let Some(dir) = self.checkpoint_dir {
-            runner = runner.checkpoint_dir(dir);
-        }
-        if self.resume {
-            runner = runner.resume(true);
-        }
-        if let Some(dir) = self.blackbox_out {
-            runner = runner.blackbox_out(dir);
-        }
-        runner
+        Runner::from_env()
     }
 }
 
@@ -577,45 +479,6 @@ pub fn emit_with_runner<T: serde::Serialize>(
     write_telemetry_artifacts(cli);
     write_obs_artifacts(cli);
     eprintln!("[done in {:.1?}]", started.elapsed());
-}
-
-/// Drives a bare [`Network`](mira::noc::network::Network) under
-/// uniform-random load for `cycles` cycles and returns the flits
-/// ejected — the measured unit of the `step_throughput` criterion bench
-/// and the `bench_step` binary. No warm-up, measurement, or drain
-/// phases: this times `Network::step` itself, not the simulation
-/// driver.
-pub fn drive_network_step(arch: Arch, rate: f64, cycles: u64) -> u64 {
-    use mira::noc::network::Network;
-    use mira::noc::packet::{Packet, PacketId};
-    use mira::noc::traffic::Workload;
-    let mut net = Network::new(arch.topology(), arch.network_config(false));
-    let mut workload = UniformRandom::new(rate, 5, EXPERIMENT_SEED);
-    workload.init(net.topology().num_nodes());
-    let mut next_packet = 0u64;
-    let mut ejected = Vec::new();
-    for cycle in 0..cycles {
-        for spec in workload.generate(cycle) {
-            net.enqueue_packet(Packet {
-                id: PacketId(next_packet),
-                src: spec.src,
-                dst: spec.dst,
-                class: spec.class,
-                payload: spec.payload,
-                created_at: cycle,
-            });
-            next_packet += 1;
-        }
-        net.step(cycle);
-        net.drain_ejected(&mut ejected);
-        ejected.clear();
-    }
-    if mira_obs::enabled() {
-        let wm = net.watermarks();
-        mira_obs::registry::ARENA_LIVE_PEAK.set_max(wm.arena_live_peak as u64);
-        mira_obs::registry::ROUTER_BUFFER_PEAK.set_max(wm.router_buffer_peak as u64);
-    }
-    net.counters().flits_ejected
 }
 
 /// Injection-rate grid for the uniform-random sweeps (flits/node/cycle).

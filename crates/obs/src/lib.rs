@@ -5,7 +5,7 @@
 //! crate observes the *simulator itself*: where host wall time goes
 //! (phase profiler), how large the core data structures grow (watermark
 //! gauges), how the worker pool behaves (runner metrics), and what every
-//! run produced (durable ledger). See DESIGN.md §15.
+//! run produced (results store). See DESIGN.md §15.
 //!
 //! Everything hangs off one global switch:
 //!
@@ -26,18 +26,17 @@
 //!   router pipeline stages).
 //! * [`provenance`] — git revision / rustc / build profile stamped into
 //!   the binary at compile time.
-//! * [`ledger`] — the append-only `results/ledger.jsonl` run record
-//!   (config hash, seed range, provenance, throughput, watermarks and
-//!   failure counts per batch).
-//! * [`checkpoint`] — per-point sweep checkpoints
-//!   (`results/checkpoints/<exhibit>-<hash>.jsonl`), the replay
-//!   substrate of the runner's `--resume` (DESIGN.md §16).
+//! * [`store`] — the results store: one
+//!   `results/checkpoints/<exhibit>-<hash>.jsonl` file per batch, with a
+//!   line per completed point (the replay substrate of the runner's
+//!   `--resume`, DESIGN.md §16) and a line per finished run (its
+//!   summary). It is written whenever a store directory is set,
+//!   independent of [`enabled`].
 
-pub mod checkpoint;
-pub mod ledger;
 pub mod phase;
 pub mod provenance;
 pub mod registry;
+pub mod store;
 
 use serde::{Deserialize, Serialize};
 

@@ -2,8 +2,8 @@
 //! produced this binary. Stamped at compile time by `build.rs` (git
 //! revision with a `-dirty` suffix for uncommitted trees, rustc
 //! version) and surfaced in `RunSummary` JSON, observability snapshots,
-//! and every ledger entry — the fields a future result cache keys on to
-//! decide whether a cached run is still trustworthy.
+//! and every results-store line — resume replays a stored point only
+//! into the build whose `git_rev` wrote it.
 
 use serde::{Deserialize, Serialize};
 

@@ -2,11 +2,11 @@
 //!
 //! [`mira_noc::error::NocError`] covers what goes wrong *inside* a
 //! simulation; [`HostError`] covers what goes wrong *around* one — file
-//! IO, flag and file parsing, checkpoint handling, and batches whose
-//! points failed. The idiom mirrors `NocError`: a typed,
-//! `#[non_exhaustive]` enum whose `Display` names the exact file, flag
-//! or point involved, so binaries can exit non-zero with an actionable
-//! message instead of panicking through an `unwrap()`.
+//! IO, flag and file parsing, and batches whose points failed. The
+//! idiom mirrors `NocError`: a typed, `#[non_exhaustive]` enum whose
+//! `Display` names the exact file, flag or point involved, so binaries
+//! can exit non-zero with an actionable message instead of panicking
+//! through an `unwrap()`.
 
 use std::error::Error;
 use std::fmt;
@@ -44,13 +44,6 @@ pub enum HostError {
         /// What was wrong with it.
         detail: String,
     },
-    /// A checkpoint file could not be written or replayed.
-    Checkpoint {
-        /// The checkpoint file involved.
-        path: PathBuf,
-        /// What went wrong.
-        detail: String,
-    },
     /// A runner batch finished with failed points (each rendered by
     /// [`PointFailure::to_string`](crate::experiments::runner::PointFailure)).
     Batch {
@@ -85,9 +78,6 @@ impl fmt::Display for HostError {
             }
             HostError::Parse { what, detail } => write!(f, "cannot parse {what}: {detail}"),
             HostError::Flag { flag, detail } => write!(f, "invalid {flag}: {detail}"),
-            HostError::Checkpoint { path, detail } => {
-                write!(f, "checkpoint {}: {detail}", path.display())
-            }
             HostError::Batch { exhibit, points, failures } => {
                 write!(f, "{exhibit}: {} of {points} points failed", failures.len())?;
                 for line in failures {

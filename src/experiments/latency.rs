@@ -156,7 +156,9 @@ pub fn run_trace(
 /// Trace points pin [`EXPERIMENT_SEED`] rather than deriving per-point
 /// seeds: every architecture must replay the *same logical trace* for
 /// the normalised comparison to be apples-to-apples (the paper's
-/// methodology; see [`app_trace`]).
+/// methodology; see [`app_trace`]). Labels name the shutdown setting,
+/// so the Fig. 11(c) and Fig. 12(c) batches never share a results-store
+/// identity.
 pub(crate) fn trace_points(
     apps: &[Application],
     shutdown_multilayer: bool,
@@ -167,8 +169,9 @@ pub(crate) fn trace_points(
     for &app in apps {
         for arch in Arch::ALL {
             let shutdown = shutdown_multilayer && arch.paper_arch().is_multilayer();
+            let gated = if shutdown { " (shutdown)" } else { "" };
             points.push(SimPoint::new(
-                format!("trace {} on {arch}", app.name()),
+                format!("trace {} on {arch}{gated}", app.name()),
                 EXPERIMENT_SEED,
                 move |_| run_trace(app, arch, shutdown, cycles, sim_cfg),
             ));

@@ -28,15 +28,19 @@
 //!   once: retrying a pure function of its seed cannot change the
 //!   outcome, and an in-simulator hang is caught by the cycle-based
 //!   anomaly detectors, not a wall clock (DESIGN.md §16).
-//! - **Checkpointed resume**: with a checkpoint directory configured
-//!   (`MIRA_CHECKPOINT_DIR`), every completed point is flushed to
-//!   `results/checkpoints/<exhibit>-<hash>.jsonl` as it finishes; a
-//!   resumed batch (`MIRA_RESUME=1`) replays verified entries and runs
-//!   only the missing points, bit-identical to an uninterrupted run.
+//! - **Checkpointed resume**: with a store directory configured
+//!   (`MIRA_CHECKPOINT_DIR`), every completed point is flushed to the
+//!   batch's results-store file `<dir>/<exhibit>-<hash>.jsonl` as it
+//!   finishes, and the batch summary follows once the pool joins
+//!   ([`mira_obs::store`]). A resumed batch (`MIRA_RESUME=1`) replays
+//!   the points this build stored and runs only the rest,
+//!   bit-identical to an uninterrupted run.
 //! - **Observability**: per-point wall-clock and cycle counts, an
 //!   optional progress line (done/total, ETA) on stderr, and a
 //!   machine-readable [`RunSummary`] for the benches' `--json` output,
-//!   now including a `failed_points` itemization.
+//!   now including a `failed_points` itemization. While
+//!   [`mira_obs::enabled`], every summary is also kept in the
+//!   in-process [`session_summaries`] list.
 
 use std::io::IsTerminal;
 use std::panic::AssertUnwindSafe;
@@ -48,10 +52,9 @@ use std::time::{Duration, Instant};
 use mira_noc::anomaly::AnomalyAbort;
 use mira_noc::stats::{LatencyHistogram, LatencyStats};
 use mira_noc::telemetry::StallCounters;
-use mira_obs::checkpoint::{self, CheckpointEntry, CheckpointWriter};
-use mira_obs::ledger::{self, LedgerEntry};
 use mira_obs::provenance::Provenance;
 use mira_obs::registry::{Counter, Histogram, ARENA_LIVE_PEAK, ROUTER_BUFFER_PEAK};
+use mira_obs::store::{self, StoreWriter};
 use serde::{Deserialize, Serialize};
 
 use crate::error::HostError;
@@ -790,20 +793,11 @@ impl ProgressEvent {
     }
 }
 
-/// Seeds of the submitted point list, captured before the run so the
-/// ledger records batch identity even when points fail.
-#[derive(Debug, Clone, Copy)]
-struct SeedSpan {
-    first: u64,
-    min: u64,
-    max: u64,
-}
-
 /// A point's final outcome: its result or its typed failure.
 type Outcome = Result<PointOutcome, PointFailure>;
 
 /// What the scoped workers of one batch share. Every point owns one
-/// slot, filled exactly once: by checkpoint replay before the pool
+/// slot, filled exactly once: by store replay before the pool
 /// starts, or by the worker that claimed the point.
 struct BatchState<'a> {
     runner: &'a Runner,
@@ -815,8 +809,7 @@ struct BatchState<'a> {
     finalized: AtomicUsize,
     abort: AtomicBool,
     resumed: usize,
-    ckpt: Mutex<Option<CheckpointWriter>>,
-    config_hash: u64,
+    store: Mutex<Option<StoreWriter>>,
 }
 
 /// Renders a caught panic payload (the `&str`/`String` panics
@@ -951,7 +944,7 @@ impl BatchState<'_> {
         }
     }
 
-    /// Records point `index`'s outcome: metrics, checkpoint append,
+    /// Records point `index`'s outcome: metrics, point-line append,
     /// the fail-fast abort flag and the progress line, then its slot.
     fn finalize(&self, index: usize, value: Outcome) {
         match &value {
@@ -965,9 +958,9 @@ impl BatchState<'_> {
                     ROUTER_BUFFER_PEAK.set_max(o.result.buffer_peak_flits);
                     ANOMALIES_TOTAL.inc(o.result.report.anomalies.total());
                 }
-                // Flush the checkpoint *before* the point counts as
+                // Flush the point line *before* the point counts as
                 // finalized: once reported done, it is durable.
-                self.checkpoint_append(o);
+                self.store_point(o);
             }
             Err(f) => {
                 if mira_obs::enabled() {
@@ -986,27 +979,11 @@ impl BatchState<'_> {
         self.slots[index].set(value).expect("each point is claimed by exactly one worker");
     }
 
-    /// Appends a completed point to the batch's checkpoint file (if
-    /// one is configured), disabling checkpointing for the rest of the
-    /// batch on IO failure — checkpoints are a convenience, not a
-    /// reason to fail a healthy sweep.
-    fn checkpoint_append(&self, o: &PointOutcome) {
-        let mut guard = self.ckpt.lock().expect("checkpoint writer");
-        if let Some(w) = guard.as_mut() {
-            let entry = CheckpointEntry {
-                config_hash: ledger::hash_hex(self.config_hash),
-                label: o.label.clone(),
-                seed: o.seed,
-                result: o.result.to_value(),
-            };
-            if let Err(e) = w.append(&entry) {
-                eprintln!(
-                    "[runner] warning: checkpoint append to {} failed: {e}; disabling checkpoints",
-                    w.path().display()
-                );
-                *guard = None;
-            }
-        }
+    /// Appends a completed point to the batch's store file (if one is
+    /// configured).
+    fn store_point(&self, o: &PointOutcome) {
+        let mut guard = self.store.lock().expect("store writer");
+        store_append(&mut guard, |w| w.append_point(&o.label, o.seed, o.result.to_value()));
     }
 
     /// Emits the human and/or JSONL progress line for one finalized
@@ -1057,20 +1034,39 @@ impl BatchState<'_> {
     }
 }
 
-/// Replays verified checkpoint entries into the result slots before any
-/// worker starts. Returns how many points were prefilled.
-fn prefill_from_checkpoint(
+/// Appends one line through the batch's store writer, disabling the
+/// store for the rest of the batch on IO failure — the store is a
+/// convenience, not a reason to fail a healthy sweep.
+fn store_append(
+    writer: &mut Option<StoreWriter>,
+    append: impl FnOnce(&mut StoreWriter) -> std::io::Result<()>,
+) {
+    if let Some(w) = writer.as_mut() {
+        if let Err(e) = append(w) {
+            eprintln!(
+                "[runner] warning: store append to {} failed: {e}; disabling the store",
+                w.path().display()
+            );
+            *writer = None;
+        }
+    }
+}
+
+/// Replays the batch's stored points from this build into the result
+/// slots before any worker starts. Returns how many points were
+/// prefilled.
+fn prefill_from_store(
     path: &Path,
     config_hash: u64,
     points: &[SimPoint],
     slots: &[OnceLock<Outcome>],
     progress: bool,
 ) -> usize {
-    let loaded = match checkpoint::load(path, config_hash) {
+    let loaded = match store::load(path, config_hash) {
         Ok(l) => l,
         Err(e) => {
             eprintln!(
-                "[runner] warning: cannot read checkpoint {}: {e}; running every point",
+                "[runner] warning: cannot read store {}: {e}; running every point",
                 path.display()
             );
             return 0;
@@ -1078,19 +1074,19 @@ fn prefill_from_checkpoint(
     };
     if loaded.torn_lines > 0 {
         eprintln!(
-            "[runner] checkpoint {}: ignored {} torn line(s) from an interrupted append",
+            "[runner] store {}: ignored {} torn line(s) from an interrupted append",
             path.display(),
             loaded.torn_lines
         );
     }
     if loaded.stale_lines > 0 {
         eprintln!(
-            "[runner] checkpoint {}: ignored {} line(s) from a different batch",
+            "[runner] store {}: ignored {} point line(s) from a different batch or build",
             path.display(),
             loaded.stale_lines
         );
     }
-    let mut pool = loaded.entries;
+    let mut pool = loaded.points;
     let mut resumed = 0usize;
     for (i, p) in points.iter().enumerate() {
         let Some(pos) = pool.iter().position(|e| e.label == p.label && e.seed == p.seed) else {
@@ -1112,7 +1108,7 @@ fn prefill_from_checkpoint(
             }
             Err(e) => {
                 eprintln!(
-                    "[runner] warning: checkpoint {}: entry for `{}` does not replay ({e}); re-running it",
+                    "[runner] warning: store {}: line for `{}` does not replay ({e}); re-running it",
                     path.display(),
                     p.label
                 );
@@ -1131,7 +1127,6 @@ pub struct Runner {
     jobs: usize,
     progress: bool,
     progress_json: bool,
-    ledger_path: Option<PathBuf>,
     exhibit: Option<String>,
     fail_fast: bool,
     checkpoint_dir: Option<PathBuf>,
@@ -1142,26 +1137,53 @@ pub struct Runner {
 /// Default directory for anomaly black-box dumps.
 const DEFAULT_BLACKBOX_DIR: &str = "results/blackbox";
 
+/// The process-wide runner set by [`Runner::install`].
+static INSTALLED: OnceLock<Runner> = OnceLock::new();
+
+/// Summaries of the batches this process ran while observability was on.
+static SESSION: Mutex<Vec<RunSummary>> = Mutex::new(Vec::new());
+
+/// Every batch summary recorded while [`mira_obs::enabled`] was on, in
+/// completion order: what `scorecard --json` builds its `"host"`
+/// section from. Batches run with observability off are not kept, so a
+/// long-lived process does not grow with its batch count.
+pub fn session_summaries() -> Vec<RunSummary> {
+    SESSION.lock().expect("session list").clone()
+}
+
 impl Runner {
-    /// Pool sized from the environment: `MIRA_JOBS` if set to a
-    /// positive integer, otherwise [`std::thread::available_parallelism`].
-    /// Progress reporting defaults to on when stderr is a terminal.
+    /// The process's runner: the one [`Runner::install`]ed, if any
+    /// (the bench binaries install their flag-over-env runner at
+    /// startup, so library exhibits that cannot take a `&Runner` still
+    /// honour the flags). Otherwise the pool is sized from the
+    /// environment: `MIRA_JOBS` if set to a positive integer, else
+    /// [`std::thread::available_parallelism`]. Progress reporting
+    /// defaults to on when stderr is a terminal.
     ///
     /// Crash-safety policy also comes from the environment (each knob
     /// has a matching builder method and, in the benches, a CLI flag):
     ///
     /// - `MIRA_FAIL_FAST` — skip remaining points after the first
     ///   failure,
-    /// - `MIRA_CHECKPOINT_DIR` — write per-point sweep checkpoints
+    /// - `MIRA_CHECKPOINT_DIR` — write each batch's results-store file
     ///   under this directory,
-    /// - `MIRA_RESUME` — replay completed points from the checkpoint
-    ///   before running the rest.
+    /// - `MIRA_RESUME` — replay this build's stored points before
+    ///   running the rest.
     ///
     /// Switches take `1`/`true`/`yes` or `0`/`false`/`no`; a blank
     /// value counts as unset. Any other value exits non-zero naming
     /// the variable.
     pub fn from_env() -> Self {
+        if let Some(runner) = INSTALLED.get() {
+            return runner.clone();
+        }
         Self::from_settings(|key| std::env::var(key).ok()).unwrap_or_else(|e| e.exit())
+    }
+
+    /// Makes this runner the one every later [`Runner::from_env`] call
+    /// in the process returns. The first installed runner wins.
+    pub fn install(self) {
+        let _ = INSTALLED.set(self);
     }
 
     /// [`Runner::from_env`] over any variable lookup, so the parsing is
@@ -1188,26 +1210,19 @@ impl Runner {
         })
     }
 
-    /// Pool with an explicit worker count (progress off, no
-    /// checkpoints — this is the constructor tests use).
+    /// Pool with an explicit worker count (progress off, no store —
+    /// this is the constructor tests use).
     pub fn with_jobs(jobs: usize) -> Self {
         Runner {
             jobs: jobs.max(1),
             progress: false,
             progress_json: false,
-            ledger_path: None,
             exhibit: None,
             fail_fast: false,
             checkpoint_dir: None,
             resume: false,
             blackbox_dir: None,
         }
-    }
-
-    /// Enables or disables the stderr progress line.
-    pub fn progress(mut self, on: bool) -> Self {
-        self.progress = on;
-        self
     }
 
     /// Enables or disables the machine-readable JSONL progress stream
@@ -1218,16 +1233,8 @@ impl Runner {
         self
     }
 
-    /// Overrides the run-ledger path (default:
-    /// [`mira_obs::ledger::default_path`]). Only consulted when
-    /// observability is enabled.
-    pub fn ledger_path(mut self, path: impl Into<PathBuf>) -> Self {
-        self.ledger_path = Some(path.into());
-        self
-    }
-
-    /// Names the exhibit for ledger entries and checkpoint files
-    /// (default: the binary's file stem).
+    /// Names the exhibit for store files and batch lines (default: the
+    /// binary's file stem).
     pub fn exhibit(mut self, name: impl Into<String>) -> Self {
         self.exhibit = Some(name.into());
         self
@@ -1242,7 +1249,7 @@ impl Runner {
         self
     }
 
-    /// Writes per-point sweep checkpoints under `dir` (one
+    /// Writes each batch's results-store file under `dir` (one
     /// `<exhibit>-<confighash>.jsonl` file per batch identity). A
     /// non-resume run resets the batch's file first.
     pub fn checkpoint_dir(mut self, dir: impl Into<PathBuf>) -> Self {
@@ -1250,8 +1257,8 @@ impl Runner {
         self
     }
 
-    /// Replays completed points from the batch's checkpoint file
-    /// before running the rest. Implies checkpointing into
+    /// Replays the points this build stored in the batch's store file
+    /// before running the rest. Implies a store in
     /// `results/checkpoints` when no directory is configured.
     pub fn resume(mut self, on: bool) -> Self {
         self.resume = on;
@@ -1289,56 +1296,51 @@ impl Runner {
     /// Scoped workers pull the next unclaimed index from a shared
     /// atomic counter and run it once under `catch_unwind`; each
     /// outcome lands in its own slot, so no result depends on
-    /// completion order. Completed points are checkpointed and
-    /// replayed on resume. The pool is joined before this returns.
+    /// completion order. With a store configured, completed points are
+    /// stored (and replayed on resume) and the summary is appended once
+    /// the pool joins, before this returns.
     pub fn try_run(&self, points: Vec<SimPoint>) -> TryRunBatch {
         let started = Instant::now();
         let total = points.len();
         let exhibit = self.exhibit_name();
         // Hashed before the run so a crashing point can't change the
-        // batch's identity in the ledger or checkpoint.
+        // batch's identity in the store.
         let config_hash =
-            ledger::config_hash(&exhibit, points.iter().map(|p| (p.label(), p.seed())));
-        let seeds = SeedSpan {
-            first: points.first().map_or(0, |p| p.seed),
-            min: points.iter().map(|p| p.seed).min().unwrap_or(0),
-            max: points.iter().map(|p| p.seed).max().unwrap_or(0),
-        };
+            store::config_hash(&exhibit, points.iter().map(|p| (p.label(), p.seed())));
 
-        let ckpt_path = self
+        let store_path = self
             .checkpoint_dir
             .as_deref()
-            .or_else(|| self.resume.then_some(Path::new(checkpoint::DEFAULT_CHECKPOINT_DIR)))
-            .map(|dir| checkpoint::path_for(dir, &exhibit, config_hash));
+            .or_else(|| self.resume.then_some(Path::new(store::DEFAULT_DIR)))
+            .map(|dir| store::path_for(dir, &exhibit, config_hash));
 
         let slots: Vec<OnceLock<Outcome>> = (0..total).map(|_| OnceLock::new()).collect();
         let mut resumed = 0usize;
-        if let Some(path) = &ckpt_path {
+        if let Some(path) = &store_path {
             if self.resume {
-                resumed =
-                    prefill_from_checkpoint(path, config_hash, &points, &slots, self.progress);
+                resumed = prefill_from_store(path, config_hash, &points, &slots, self.progress);
             } else if path.exists() {
-                // A fresh (non-resume) run restarts its checkpoint:
-                // stacking a rerun's entries onto the old file would
-                // only grow it with duplicates.
+                // A fresh (non-resume) run restarts its store file, so
+                // each file records the latest run of its batch.
                 if let Err(e) = std::fs::remove_file(path) {
-                    eprintln!("[runner] warning: cannot reset checkpoint {}: {e}", path.display());
+                    eprintln!("[runner] warning: cannot reset store {}: {e}", path.display());
                 }
             }
         }
         if resumed > 0 && mira_obs::enabled() {
             POINTS_RESUMED_TOTAL.inc(resumed as u64);
         }
-        let writer = ckpt_path.as_ref().and_then(|path| match CheckpointWriter::open(path) {
-            Ok(w) => Some(w),
-            Err(e) => {
-                eprintln!(
-                    "[runner] warning: cannot open checkpoint {}: {e}; running without checkpoints",
-                    path.display()
-                );
-                None
-            }
-        });
+        let writer =
+            store_path.as_ref().and_then(|path| match StoreWriter::open(path, config_hash) {
+                Ok(w) => Some(w),
+                Err(e) => {
+                    eprintln!(
+                        "[runner] warning: cannot open store {}: {e}; running without a store",
+                        path.display()
+                    );
+                    None
+                }
+            });
 
         let runtime_total = total - resumed;
         let workers = self.jobs.min(runtime_total);
@@ -1352,8 +1354,7 @@ impl Runner {
             finalized: AtomicUsize::new(resumed),
             abort: AtomicBool::new(false),
             resumed,
-            ckpt: Mutex::new(writer),
-            config_hash,
+            store: Mutex::new(writer),
         };
         let worker_stats: Vec<(usize, Duration)> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers)
@@ -1376,20 +1377,22 @@ impl Runner {
                 .collect()
         });
 
+        let mut writer = state.store.into_inner().expect("store writer");
         let outcomes: Vec<Outcome> = state
             .slots
             .into_iter()
             .map(|slot| slot.into_inner().expect("every point is finalized before the pool joins"))
             .collect();
         let summary = RunSummary::new(workers.max(1), started.elapsed(), &outcomes, &worker_stats);
+        store_append(&mut writer, |w| w.append_batch(&exhibit, summary.to_value()));
         if mira_obs::enabled() && total > 0 {
-            self.append_ledger(&exhibit, config_hash, seeds, &summary);
+            SESSION.lock().expect("session list").push(summary.clone());
         }
         TryRunBatch { exhibit, outcomes, summary }
     }
 
-    /// The exhibit name for ledger entries: the explicit override, or
-    /// the running binary's file stem.
+    /// The exhibit name for store files: the explicit override, or the
+    /// running binary's file stem.
     fn exhibit_name(&self) -> String {
         if let Some(name) = &self.exhibit {
             return name.clone();
@@ -1398,52 +1401,6 @@ impl Runner {
             .ok()
             .and_then(|p| p.file_stem().map(|s| s.to_string_lossy().into_owned()))
             .unwrap_or_else(|| "unknown".to_string())
-    }
-
-    /// Appends one batch entry to the durable run ledger (and the
-    /// in-process session log). IO failure warns on stderr instead of
-    /// failing the batch — the ledger is observability, not results.
-    ///
-    /// Seeds come from the *submitted* point list (not whichever points
-    /// completed), so partial and resumed runs of the same batch record
-    /// the same identity.
-    fn append_ledger(
-        &self,
-        exhibit: &str,
-        config_hash: u64,
-        seeds: SeedSpan,
-        summary: &RunSummary,
-    ) {
-        let build = summary.build.clone();
-        let entry = LedgerEntry {
-            ts_ms: ledger::unix_millis(),
-            exhibit: exhibit.to_string(),
-            config_hash: ledger::hash_hex(config_hash),
-            seed: seeds.first,
-            seed_min: seeds.min,
-            seed_max: seeds.max,
-            git_rev: build.git_rev,
-            profile: build.profile,
-            rustc: build.rustc,
-            points: summary.points,
-            jobs: summary.jobs,
-            wall_ms: summary.wall_ms,
-            cycles_simulated: summary.cycles_simulated,
-            kcycles_per_sec: summary.kcycles_per_sec,
-            mflits_per_sec: summary.mflits_per_sec,
-            saturated_points: summary.saturated_points,
-            failed_points: summary.failed_points.len(),
-            resumed_points: summary.resumed_points,
-            peak_arena_flits: summary.peak_arena_flits,
-            anomalies: (summary.anomalies > 0).then_some(summary.anomalies),
-            anomaly_kinds: (!summary.anomaly_kinds.is_empty())
-                .then(|| summary.anomaly_kinds.clone()),
-        };
-        let path = self.ledger_path.clone().unwrap_or_else(ledger::default_path);
-        if let Err(e) = ledger::append(&path, &entry) {
-            eprintln!("[runner] warning: could not append run ledger {}: {e}", path.display());
-        }
-        ledger::record_session(entry);
     }
 }
 

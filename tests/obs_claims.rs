@@ -1,14 +1,14 @@
 //! Acceptance tests for host-side observability (DESIGN.md §15): the
-//! phase profiler accounts for ≥ 95% of hot-loop wall time, every
-//! runner batch appends a complete ledger entry, and the batch summary
-//! carries provenance and per-worker accounting.
+//! phase profiler accounts for ≥ 95% of hot-loop wall time, a stored
+//! runner batch appends its summary as the store file's batch line, and
+//! the batch summary carries provenance and per-worker accounting.
 //!
 //! Tests that flip the global obs switch live in one `#[test]` so no
 //! concurrent test observes a half-configured process.
 
 use mira::arch::Arch;
 use mira::experiments::common::{quick_sim_config, run_arch, EXPERIMENT_SEED};
-use mira::experiments::runner::{derive_seed, ProgressEvent, Runner, SimPoint};
+use mira::experiments::runner::{derive_seed, session_summaries, ProgressEvent, Runner, SimPoint};
 use mira_noc::traffic::UniformRandom;
 use serde::Serialize;
 
@@ -30,11 +30,7 @@ fn summary_carries_provenance_and_worker_accounting() {
         ur_point("c", 0.10, seed),
         ur_point("d", 0.10, seed),
     ];
-    // Explicit temp ledger path: if another test has obs enabled while
-    // this batch runs, the entry must not land in the repo's ledger.
-    let scratch =
-        std::env::temp_dir().join(format!("mira_obs_claims_off_{}.jsonl", std::process::id()));
-    let batch = Runner::with_jobs(2).ledger_path(&scratch).exhibit("obs_claims_off").run(points);
+    let batch = Runner::with_jobs(2).exhibit("obs_claims_off").run(points);
     let s = &batch.summary;
 
     assert!(!s.build.git_rev.is_empty(), "git rev stamped");
@@ -67,7 +63,6 @@ fn summary_carries_provenance_and_worker_accounting() {
     ] {
         assert!(json.contains(key), "summary JSON carries {key}");
     }
-    let _ = std::fs::remove_file(&scratch);
 }
 
 /// A progress event renders as one parseable JSON line with the fields
@@ -99,8 +94,9 @@ fn progress_event_line_parses() {
 ///
 /// 1. the phase profiler's tiled sections account for ≥ 95% of measured
 ///    `Network::step` wall time on a real simulation;
-/// 2. a runner batch appends a ledger entry carrying config hash, seed,
-///    git rev and throughput;
+/// 2. a runner batch with a store directory writes one point line per
+///    point plus one batch line carrying its summary, which the session
+///    list also holds;
 /// 3. the snapshot renders those phases and metrics in both formats.
 #[test]
 fn obs_enabled_end_to_end() {
@@ -128,33 +124,37 @@ fn obs_enabled_end_to_end() {
     assert!(by_name("stage_st").calls > 0, "router stages profiled");
     assert!(by_name("workload").calls > 0, "driver phases profiled");
 
-    // Claim 2: a runner batch appends one complete ledger entry.
-    let ledger_path =
-        std::env::temp_dir().join(format!("mira_obs_claims_ledger_{}.jsonl", std::process::id()));
-    let _ = std::fs::remove_file(&ledger_path);
+    // Claim 2: a stored batch writes N point lines plus one batch line.
+    let dir = std::env::temp_dir().join(format!("mira_obs_claims_store_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     let seed = derive_seed(EXPERIMENT_SEED, 1);
     let points = vec![ur_point("p0", 0.05, seed), ur_point("p1", 0.10, seed)];
-    let expected_hash = mira_obs::ledger::hash_hex(mira_obs::ledger::config_hash(
-        "obs_claims",
-        points.iter().map(|p| (p.label(), p.seed())),
-    ));
-    let batch = Runner::with_jobs(2).ledger_path(&ledger_path).exhibit("obs_claims").run(points);
-    let entries = mira_obs::ledger::read(&ledger_path).expect("ledger written");
-    assert_eq!(entries.len(), 1, "one entry per batch");
-    let e = &entries[0];
-    assert_eq!(e.exhibit, "obs_claims");
-    assert_eq!(e.config_hash, expected_hash, "hash covers exhibit, labels and seeds");
-    assert_eq!(e.seed, seed);
-    assert_eq!(e.git_rev, batch.summary.build.git_rev);
-    assert_eq!(e.points, 2);
-    assert_eq!(e.cycles_simulated, batch.summary.cycles_simulated);
-    assert!(e.kcycles_per_sec > 0.0, "throughput recorded");
-    assert_eq!(e.peak_arena_flits, batch.summary.peak_arena_flits);
-    assert!(e.ts_ms > 0);
+    let hash =
+        mira_obs::store::config_hash("obs_claims", points.iter().map(|p| (p.label(), p.seed())));
+    let batch = Runner::with_jobs(2).checkpoint_dir(&dir).exhibit("obs_claims").run(points);
+    let path = mira_obs::store::path_for(&dir, "obs_claims", hash);
+    let stored = mira_obs::store::load(&path, hash).expect("store written");
+    assert_eq!(stored.points.len(), 2, "one point line per point");
+    assert_eq!(stored.batches.len(), 1, "one batch line per run");
+    assert_eq!((stored.stale_lines, stored.torn_lines), (0, 0));
+    let line = &stored.batches[0];
+    let s = &batch.summary;
+    assert_eq!(line.exhibit, "obs_claims");
+    assert_eq!(line.config_hash, mira_obs::store::hash_hex(hash), "hash covers labels and seeds");
+    assert!(line.ts_ms > 0);
+    let field = |name: &str| line.batch.field(name).as_u64().expect(name);
+    assert_eq!(field("cycles_simulated"), s.cycles_simulated);
+    assert_eq!(field("peak_arena_flits"), s.peak_arena_flits);
+    assert_eq!(line.batch.field("build").field("git_rev").as_str().expect("rev"), s.build.git_rev);
+    assert!(line.batch.field("kcycles_per_sec").as_f64().expect("rate") > 0.0);
+    let json = |s: &mira::experiments::runner::RunSummary| {
+        serde_json::to_string(&s.to_value()).expect("summary serializes")
+    };
     assert!(
-        mira_obs::ledger::session_entries().iter().any(|s| s.config_hash == e.config_hash),
-        "entry also recorded in the session list"
+        session_summaries().iter().any(|e| json(e) == json(s)),
+        "the summary is also in the session list"
     );
+    std::fs::remove_dir_all(&dir).expect("cleanup");
 
     // Claim 3: the snapshot renders everything in both formats.
     let snap = mira_obs::snapshot();
@@ -168,6 +168,5 @@ fn obs_enabled_end_to_end() {
         serde_json::from_str(&snap.to_json()).expect("snapshot round-trips");
     assert_eq!(back.phases.len(), snap.phases.len());
 
-    std::fs::remove_file(&ledger_path).expect("cleanup");
     mira_obs::set_enabled(false);
 }

@@ -1,6 +1,7 @@
 //! Chaos tests for the crash-safe runner (DESIGN.md §16): point
-//! failures stay isolated, and a sweep resumed from any checkpoint
-//! prefix is bit-identical to an uninterrupted run.
+//! failures stay isolated, a sweep resumed from any prefix of its
+//! results-store file is bit-identical to an uninterrupted run, and
+//! only points stored by this build replay.
 //!
 //! Sims here use an ultra-short config — the claims under test are
 //! about the *harness* (isolation, resume identity), not statistics.
@@ -53,11 +54,21 @@ fn temp_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("mira_chaos_{}_{tag}", std::process::id()))
 }
 
-/// The checkpoint file the canonical batch writes under `dir`.
-fn ckpt_path(dir: &Path) -> PathBuf {
+/// The canonical batch's config hash.
+fn batch_hash() -> u64 {
     let pts = sim_points();
-    let hash = mira_obs::ledger::config_hash(EXHIBIT, pts.iter().map(|p| (p.label(), p.seed())));
-    mira_obs::checkpoint::path_for(dir, EXHIBIT, hash)
+    mira_obs::store::config_hash(EXHIBIT, pts.iter().map(|p| (p.label(), p.seed())))
+}
+
+/// The store file the canonical batch writes under `dir`.
+fn ckpt_path(dir: &Path) -> PathBuf {
+    mira_obs::store::path_for(dir, EXHIBIT, batch_hash())
+}
+
+/// Whether a store line is a batch line (rather than a point line).
+fn is_batch_line(line: &str) -> bool {
+    let v: serde::Value = serde_json::from_str(line).expect("baseline lines parse");
+    !matches!(v.field("batch"), serde::Value::Null)
 }
 
 /// Bitwise comparison of everything an exhibit reads off a point.
@@ -80,19 +91,21 @@ fn assert_bit_identical(a: &PointOutcome, b: &PointOutcome) {
     assert_eq!(a.result.arena_peak_flits, b.result.arena_peak_flits, "arena at {}", a.label);
 }
 
-/// One uninterrupted checkpointed run of the canonical batch: the
-/// reference outcomes plus the checkpoint lines it wrote, shared by
-/// every resume test (the runner contract makes it reusable — results
-/// depend only on `(closure, seed)`).
+/// One uninterrupted stored run of the canonical batch: the reference
+/// outcomes plus the point lines it wrote, shared by every resume test
+/// (the runner contract makes it reusable — results depend only on
+/// `(closure, seed)`).
 fn baseline() -> &'static (Vec<PointOutcome>, Vec<String>) {
     static BASELINE: OnceLock<(Vec<PointOutcome>, Vec<String>)> = OnceLock::new();
     BASELINE.get_or_init(|| {
         let dir = temp_dir("baseline");
         let batch = Runner::with_jobs(3).exhibit(EXHIBIT).checkpoint_dir(&dir).run(sim_points());
-        let text = std::fs::read_to_string(ckpt_path(&dir)).expect("checkpoint written");
-        let lines: Vec<String> = text.lines().map(str::to_string).collect();
+        let text = std::fs::read_to_string(ckpt_path(&dir)).expect("store written");
         let _ = std::fs::remove_dir_all(&dir);
-        assert_eq!(lines.len(), batch.outcomes.len(), "one checkpoint line per point");
+        let (batch_lines, lines): (Vec<String>, Vec<String>) =
+            text.lines().map(str::to_string).partition(|l| is_batch_line(l));
+        assert_eq!(lines.len(), batch.outcomes.len(), "one point line per point");
+        assert_eq!(batch_lines.len(), 1, "one batch line per run");
         (batch.outcomes, lines)
     })
 }
@@ -191,11 +204,7 @@ fn panicking_point_leaves_other_results_bit_identical() {
 #[test]
 fn torn_and_stale_checkpoint_lines_are_skipped() {
     let (base, lines) = baseline();
-    let pts = sim_points();
-    let hash = mira_obs::ledger::hash_hex(mira_obs::ledger::config_hash(
-        EXHIBIT,
-        pts.iter().map(|p| (p.label(), p.seed())),
-    ));
+    let hash = mira_obs::store::hash_hex(batch_hash());
 
     let mut content: String = lines[..3].iter().map(|l| format!("{l}\n")).collect();
     // A stale line: valid JSON from some other batch identity.
@@ -212,6 +221,45 @@ fn torn_and_stale_checkpoint_lines_are_skipped() {
     let _ = std::fs::remove_dir_all(&dir);
 
     assert_eq!(batch.summary.resumed_points, 3, "only the intact prefix replays");
+    for (a, b) in base.iter().zip(&batch.outcomes) {
+        assert_bit_identical(a, b);
+    }
+}
+
+/// Sets a point line's `git_rev` (or drops it, as on lines written
+/// before points carried their build).
+fn with_rev(line: &str, rev: Option<&str>) -> String {
+    let serde::Value::Object(mut fields) = serde_json::from_str(line).expect("point line parses")
+    else {
+        panic!("a point line is an object");
+    };
+    fields.retain(|(k, _)| k != "git_rev");
+    if let Some(rev) = rev {
+        fields.push(("git_rev".to_string(), serde::Value::Str(rev.to_string())));
+    }
+    serde_json::to_string(&serde::Value::Object(fields)).expect("point line serializes")
+}
+
+/// A sweep stored by one build and resumed by another re-runs the
+/// other build's points instead of replaying them: a line with a
+/// different `git_rev`, or none, is stale.
+#[test]
+fn points_from_another_build_are_rerun() {
+    let (base, lines) = baseline();
+    let mut seeded = lines.clone();
+    seeded[1] = with_rev(&lines[1], Some("0123456789ab-other-build"));
+    seeded[4] = with_rev(&lines[4], None);
+    let batch = resume_with_prefix(&seeded, 2, "rev");
+    assert_eq!(batch.summary.resumed_points, lines.len() - 2, "two lines are stale");
+    // Lines are in completion order, so name the re-run points by label.
+    let label = |line: &str| {
+        let v: serde::Value = serde_json::from_str(line).expect("point line parses");
+        v.field("label").as_str().expect("label").to_string()
+    };
+    let rerun = [label(&lines[1]), label(&lines[4])];
+    for o in &batch.outcomes {
+        assert_eq!(o.resumed, !rerun.contains(&o.label), "{}", o.label);
+    }
     for (a, b) in base.iter().zip(&batch.outcomes) {
         assert_bit_identical(a, b);
     }
