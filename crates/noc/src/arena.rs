@@ -1,10 +1,12 @@
 //! Flat flit storage for the data-oriented core (DESIGN.md §14).
 //!
 //! Every flit in the fabric lives in one [`FlitArena`] owned by the
-//! network; routers, links, and NIC queues hold 4-byte [`FlitRef`]
-//! indices instead of by-value [`Flit`]s. This keeps the per-cycle path
-//! allocation-free: a flit's heap payload is allocated exactly once at
-//! packet creation, and every subsequent hop moves only an index.
+//! network; routers and links hold 4-byte [`FlitRef`] indices instead of
+//! by-value [`Flit`]s. A flit enters the arena when the NIC injects it
+//! into the local input buffer and leaves it at ejection, so the live
+//! count is bounded by the fabric's buffer slots, not by the source
+//! backlog. Payloads are inline, so a slot holds the whole flit and
+//! every hop moves only an index.
 //!
 //! The arena is a slot map with a free list. `alloc` reuses the
 //! lowest-water free slot when one exists, so steady-state simulation

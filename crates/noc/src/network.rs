@@ -2,15 +2,16 @@
 //!
 //! [`Network`] owns the routers, the links, and per-node network
 //! interfaces (NICs) with unbounded source queues. Packets enter through
-//! [`Network::enqueue_packet`]; each cycle the NIC moves flits into the
-//! local input buffers as space permits, routers advance one cycle, and
-//! ejected flits accumulate for the simulator to collect.
+//! [`Network::enqueue_packet`]; each cycle the NIC builds the next flits
+//! of its queued packets into the local input buffers as space permits,
+//! routers advance one cycle, and ejected flits accumulate for the
+//! simulator to collect.
 
 use std::collections::{HashSet, VecDeque};
 
-use mira_obs::phase::{scope as obs_scope, Phase as ObsPhase};
+use mira_obs::phase::{step_timer, Phase as ObsPhase};
 
-use crate::arena::{FlitArena, FlitRef};
+use crate::arena::FlitArena;
 use crate::config::NetworkConfig;
 use crate::error::NocError;
 use crate::fault::{FaultConfig, FaultCounters, FaultPlan, Verdict};
@@ -26,21 +27,26 @@ use crate::telemetry::{
 };
 use crate::topology::Topology;
 
-/// Per-node network interface: one unbounded source queue per VC. The
-/// queues hold [`FlitRef`]s into the network's arena, so moving a flit
-/// from the queue into a router buffer moves a 4-byte index.
-#[derive(Debug)]
-struct Nic {
-    queues: Vec<VecDeque<FlitRef>>,
+/// One VC's unbounded source queue at a network interface (NIC): whole
+/// [`Packet`]s. A flit enters the arena only when the NIC writes it into
+/// the local input buffer, so the arena holds fabric flits and nothing
+/// else, however long the queues grow.
+#[derive(Debug, Default)]
+struct SourceQueue {
+    packets: VecDeque<Packet>,
+    /// Index of the front packet's next flit to inject.
+    next: usize,
 }
 
-impl Nic {
-    fn new(vcs: usize) -> Self {
-        Nic { queues: (0..vcs).map(|_| VecDeque::new()).collect() }
-    }
-
-    fn queued_flits(&self) -> usize {
-        self.queues.iter().map(VecDeque::len).sum()
+impl SourceQueue {
+    /// Retires `flits` flits of the front packet, popping the packet
+    /// once its tail has gone.
+    fn advance(&mut self, flits: usize) {
+        self.next += flits;
+        if self.next == self.packets[0].len_flits() {
+            self.packets.pop_front();
+            self.next = 0;
+        }
     }
 }
 
@@ -61,7 +67,7 @@ struct FaultRuntime {
     /// Index of the next not-yet-fired entry in the plan's sorted kills.
     next_kill: usize,
     /// Packets severed by a drop: their remaining flits are discarded
-    /// wherever they surface (wire, buffers, source queues).
+    /// wherever they surface (wire, buffers, source queue).
     severed: HashSet<PacketId>,
     /// Drop notifications not yet collected by the simulator.
     dropped: Vec<PacketId>,
@@ -90,10 +96,14 @@ pub struct Network {
     cfg: NetworkConfig,
     routers: Vec<Router>,
     links: Vec<Link>,
-    nics: Vec<Nic>,
-    /// The single flit store: every flit anywhere in the network (source
-    /// queues, router buffers, link wires) lives in one slot here and
-    /// moves as a [`FlitRef`].
+    /// Per node, the NIC's source queue for each VC.
+    nics: Vec<Vec<SourceQueue>>,
+    /// Flits not yet injected, over every source queue.
+    queued_flits: usize,
+    /// The single flit store: every flit in the fabric (router buffers,
+    /// link wires) lives in one slot here and moves as a
+    /// [`FlitRef`](crate::arena::FlitRef).
+    /// Queued packets are not in it until the NIC injects their flits.
     arena: FlitArena,
     /// Reusable per-step scratch space shared by every router (router
     /// steps are sequential, so one set suffices for the whole network).
@@ -155,18 +165,19 @@ impl Network {
         }
 
         let vcs = cfg.router.vcs_per_port;
-        // Pre-size the arena for the fabric's worst case (every buffer
-        // slot full) plus headroom for wires and source queues; it still
-        // grows on demand past this.
+        // Pre-size the arena for the fabric's worst case: credit flow
+        // control bounds the live flits by the buffer slots (a flit on a
+        // wire holds its downstream slot), so the slot table never grows.
         let fabric_slots = n * radix * vcs * cfg.router.buffer_depth;
         Network {
             scratch: StepScratch::new(radix, vcs),
-            arena: FlitArena::with_capacity(2 * fabric_slots),
+            arena: FlitArena::with_capacity(fabric_slots),
             topo,
             cfg,
             routers,
             links,
-            nics: (0..n).map(|_| Nic::new(vcs)).collect(),
+            nics: (0..n).map(|_| (0..vcs).map(|_| SourceQueue::default()).collect()).collect(),
+            queued_flits: 0,
             ejected: Vec::new(),
             counters: ActivityCounters::new(),
             activity: vec![RouterActivity::default(); n],
@@ -338,39 +349,37 @@ impl Network {
         &self.activity
     }
 
-    /// Splits `packet` into flits and appends them to the source queue at
-    /// its source node.
+    /// Appends `packet` to the source queue at its source node; its
+    /// flits are built one by one as the NIC injects them.
     ///
     /// # Panics
     ///
-    /// Panics if the packet's source or destination node is outside the
-    /// topology.
+    /// Panics if the packet has no flits, or if its source or destination
+    /// node is outside the topology.
     pub fn enqueue_packet(&mut self, packet: Packet) {
+        assert!(packet.len_flits() > 0, "packet must have at least one flit");
         assert!(packet.src.index() < self.routers.len(), "unknown source {}", packet.src);
         assert!(packet.dst.index() < self.routers.len(), "unknown destination {}", packet.dst);
         let vc = packet.class.vc_index().min(self.cfg.router.vcs_per_port - 1);
-        let src = packet.src.index();
-        for flit in packet.into_flit_iter() {
-            let fref = self.arena.alloc(flit);
-            self.nics[src].queues[vc].push_back(fref);
-        }
+        self.queued_flits += packet.len_flits();
+        self.nics[packet.src.index()][vc].packets.push_back(packet);
     }
 
     /// Advances the whole network by one cycle.
     ///
-    /// Each numbered section sits under a `mira-obs` phase scope; the
-    /// five sections tile the whole body under
-    /// [`Phase::StepTotal`](mira_obs::phase::Phase), which is what makes
-    /// the profiler's ≥95 % coverage claim checkable. With observability
-    /// off (the default) every scope is one relaxed atomic load.
+    /// Each numbered section is one `mira-obs` phase of a
+    /// [`StepTimer`](mira_obs::phase::StepTimer): one clock read per
+    /// boundary ends a section and starts the next, so the five sections
+    /// tile the whole body under
+    /// [`Phase::StepTotal`](mira_obs::phase::Phase) by construction. With
+    /// observability off (the default) the timer costs one relaxed
+    /// atomic load per step.
     pub fn step(&mut self, cycle: u64) {
-        let _step = obs_scope(ObsPhase::StepTotal);
-        self.counters.cycles += 1;
-        let traced = self.sink.enabled();
-
         // 1. Deliver due flits and credits from the links — through the
         // fault layer when fault injection is engaged.
-        let link_scope = obs_scope(ObsPhase::LinkDelivery);
+        let mut sections = step_timer(ObsPhase::LinkDelivery);
+        self.counters.cycles += 1;
+        let traced = self.sink.enabled();
         if self.faults.is_some() {
             let mut fr = self.faults.take().expect("checked above");
             self.fault_link_phase(cycle, &mut fr, traced);
@@ -426,13 +435,12 @@ impl Network {
                 }
             }
         }
-        drop(link_scope);
 
         // 2. Router pipelines. Quiescent routers (no buffered flit, no
         // pending switch grant) are provably no-ops — no counter, stall,
         // trace, or arbiter state can change — so the active-set skip
         // costs nothing in fidelity and most of the fabric at low load.
-        let pipeline_scope = obs_scope(ObsPhase::RouterPipeline);
+        sections.next(ObsPhase::RouterPipeline);
         for (i, r) in self.routers.iter_mut().enumerate() {
             if r.is_quiescent() {
                 continue;
@@ -450,11 +458,10 @@ impl Network {
                 self.journeys.as_deref_mut(),
             );
         }
-        drop(pipeline_scope);
 
         // 3. Occupancy accounting: buffered flits this cycle (globally
         // for the energy model, per router for the metrics windows).
-        let occupancy_scope = obs_scope(ObsPhase::Occupancy);
+        sections.next(ObsPhase::Occupancy);
         let mut occupancy_total = 0u64;
         for (i, r) in self.routers.iter().enumerate() {
             let buffered = r.buffered_flits() as u64;
@@ -464,36 +471,39 @@ impl Network {
             }
         }
         self.counters.buffer_occupancy_flit_cycles += occupancy_total;
-        drop(occupancy_scope);
 
-        // 4. NIC injection: move queued flits into local input buffers.
-        // This runs after the router phase so that a slot freed by ST in
-        // this cycle is immediately refillable — the NIC plays the role of
-        // an upstream pipeline latch, keeping wormhole streaming gapless.
-        let nic_scope = obs_scope(ObsPhase::NicInject);
+        // 4. NIC injection: build the next flits of the queued packets
+        // into the local input buffers, allocating each flit's arena slot
+        // only now. This runs after the router phase so that a slot freed
+        // by ST in this cycle is immediately refillable — the NIC plays
+        // the role of an upstream pipeline latch, keeping wormhole
+        // streaming gapless.
+        sections.next(ObsPhase::NicInject);
         for node in 0..self.nics.len() {
             for vc in 0..self.cfg.router.vcs_per_port {
-                while let Some(&fref) = self.nics[node].queues[vc].front() {
-                    // Flits of a severed packet die at the source: the
+                let queue = &mut self.nics[node][vc];
+                while let Some(front) = queue.packets.front() {
+                    let next = queue.next;
+                    let packet = front.id;
+                    // The rest of a severed packet dies at the source: the
                     // packet can no longer be delivered whole.
                     if let Some(fr) = &mut self.faults {
-                        if fr.severed.contains(&self.arena.get(fref).packet) {
-                            self.nics[node].queues[vc].pop_front();
-                            self.arena.free(fref);
-                            fr.counters.flits_dropped += 1;
+                        if fr.severed.contains(&packet) {
+                            let rest = front.len_flits() - next;
+                            fr.counters.flits_dropped += rest as u64;
+                            self.queued_flits -= rest;
+                            queue.advance(rest);
                             continue;
                         }
                     }
                     if self.routers[node].local_free_slots(VcId(vc)) == 0 {
                         break;
                     }
-                    self.nics[node].queues[vc].pop_front();
+                    let fref = self.arena.alloc(front.flit(next));
+                    self.queued_flits -= 1;
+                    queue.advance(1);
                     self.counters.flits_injected += 1;
-                    let (packet, is_head) = {
-                        let flit = self.arena.get(fref);
-                        (flit.packet, flit.is_head())
-                    };
-                    if is_head {
+                    if next == 0 {
                         if let Some(j) = &mut self.journeys {
                             j.on_nic_inject(packet, NodeId(node), cycle);
                         }
@@ -522,10 +532,8 @@ impl Network {
             }
         }
 
-        drop(nic_scope);
-
         // 5. Close a metrics window on its boundary cycle.
-        let _telemetry_scope = obs_scope(ObsPhase::Telemetry);
+        sections.next(ObsPhase::Telemetry);
         if let Some(m) = &mut self.metrics {
             let routers = &self.routers;
             m.end_cycle(cycle, |i| routers[i].telemetry());
@@ -814,7 +822,7 @@ impl Network {
 
     /// Flits waiting in source queues.
     pub fn flits_in_source_queues(&self) -> usize {
-        self.nics.iter().map(Nic::queued_flits).sum()
+        self.queued_flits
     }
 
     /// Runs [`Router::assert_worklists_consistent`] on every router —
@@ -904,7 +912,7 @@ impl Network {
 mod tests {
     use super::*;
     use crate::flit::FlitData;
-    use crate::packet::{PacketClass, PacketId};
+    use crate::packet::PacketClass;
     use crate::topology::Mesh2D;
 
     fn mk_net() -> Network {
@@ -1024,6 +1032,43 @@ mod tests {
         let ejected = run_until_drained(&mut net, 100);
         assert_eq!(ejected.len(), 2);
         assert!(ejected.iter().all(|e| e.flit.hops == 0));
+    }
+
+    #[test]
+    fn severed_packet_drops_its_queued_flits_at_once() {
+        // Two-flit buffers keep flits of a 5-flit packet queued at the
+        // NIC while its head crosses the first link (0 → 1, east); the
+        // link dies under the head at `kill_at`, severing the packet.
+        let kill_at = 5;
+        let cfg = NetworkConfig::builder().buffer_depth(2).build();
+        let mut net = Network::new(Box::new(Mesh2D::new(4, 4)), cfg);
+        let east = crate::topology::port::EAST.index();
+        net.set_faults(FaultConfig::disabled().with_kill(0, east, kill_at)).unwrap();
+        net.enqueue_packet(mk_packet(1, 0, 3, 5));
+        let dropped = |net: &Network| net.fault_counters().flits_dropped as usize;
+        let mut ejected = 0;
+        for c in 0..100 {
+            if c == kill_at {
+                assert!(net.flits_in_fabric() > 0, "head in the fabric");
+                assert!(net.flits_in_source_queues() > 0, "body flits still queued");
+                assert_eq!(dropped(&net), 0);
+            }
+            net.step(c);
+            ejected += net.take_ejected().len();
+            let (fabric, queued) = (net.flits_in_fabric(), net.flits_in_source_queues());
+            assert_eq!(ejected + fabric + queued + dropped(&net), 5, "conservation at cycle {c}");
+            assert_eq!(net.arena().allocated(), fabric, "only fabric flits hold arena slots");
+            if c == kill_at {
+                assert_eq!(net.take_dropped(), vec![PacketId(1)]);
+                assert_eq!(queued, 0, "the queued rest dies in the cycle of the sever");
+            }
+            if net.is_drained() {
+                break;
+            }
+        }
+        assert!(net.is_drained());
+        assert_eq!(ejected, 0);
+        assert_eq!(dropped(&net), 5, "every flit of the severed packet is dropped once");
     }
 
     #[test]

@@ -135,26 +135,33 @@ impl Packet {
         self.payload.len()
     }
 
-    /// Splits the packet into its flits, in order.
-    pub fn into_flits(self) -> Vec<Flit> {
-        self.into_flit_iter().collect()
-    }
-
-    /// Iterates the packet's flits in order without collecting them —
-    /// the allocation-free path the injection fast path uses.
-    pub fn into_flit_iter(self) -> impl Iterator<Item = Flit> {
-        let Packet { id, src, dst, class, payload, created_at } = self;
-        let n = payload.len();
-        assert!(n > 0, "packet must have at least one flit");
-        payload.into_iter().enumerate().map(move |(i, data)| {
-            let kind = match (n, i) {
-                (1, _) => FlitKind::HeadTail,
-                (_, 0) => FlitKind::Head,
-                (_, i) if i == n - 1 => FlitKind::Tail,
-                _ => FlitKind::Body,
-            };
-            Flit { packet: id, seq: i as u32, kind, src, dst, class, data, created_at, hops: 0 }
-        })
+    /// Builds flit `i` of the packet (0 = head): the one place the
+    /// head/body/tail [`FlitKind`] rule lives. The NIC materialises each
+    /// flit this way only when the local input buffer has room for it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not below [`Packet::len_flits`].
+    pub fn flit(&self, i: usize) -> Flit {
+        let n = self.payload.len();
+        assert!(i < n, "flit {i} of a {n}-flit packet");
+        let kind = match (n, i) {
+            (1, _) => FlitKind::HeadTail,
+            (_, 0) => FlitKind::Head,
+            (_, i) if i == n - 1 => FlitKind::Tail,
+            _ => FlitKind::Body,
+        };
+        Flit {
+            packet: self.id,
+            seq: i as u32,
+            kind,
+            src: self.src,
+            dst: self.dst,
+            class: self.class,
+            data: self.payload[i],
+            created_at: self.created_at,
+            hops: 0,
+        }
     }
 
     /// Average active-layer fraction across the packet's flits (1.0 when
@@ -237,21 +244,27 @@ mod tests {
 
     #[test]
     fn single_flit_packet_is_headtail() {
-        let p = mk_packet(1);
-        let flits = p.into_flits();
-        assert_eq!(flits.len(), 1);
-        assert_eq!(flits[0].kind, FlitKind::HeadTail);
-        assert!(flits[0].is_head() && flits[0].is_tail());
+        let f = mk_packet(1).flit(0);
+        assert_eq!(f.kind, FlitKind::HeadTail);
+        assert!(f.is_head() && f.is_tail());
     }
 
     #[test]
     fn multi_flit_packet_kinds() {
-        let flits = mk_packet(5).into_flits();
+        let p = mk_packet(5);
+        let flits: Vec<_> = (0..p.len_flits()).map(|i| p.flit(i)).collect();
         assert_eq!(flits[0].kind, FlitKind::Head);
         assert_eq!(flits[1].kind, FlitKind::Body);
         assert_eq!(flits[3].kind, FlitKind::Body);
         assert_eq!(flits[4].kind, FlitKind::Tail);
         assert!(flits.iter().enumerate().all(|(i, f)| f.seq == i as u32));
+        assert!(flits.iter().all(|f| f.packet == p.id && f.created_at == 10 && f.hops == 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "flit 5 of a 5-flit packet")]
+    fn flit_past_the_tail_panics() {
+        let _ = mk_packet(5).flit(5);
     }
 
     #[test]

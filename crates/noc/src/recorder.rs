@@ -169,8 +169,9 @@ pub struct BlackBox {
     pub routers: Vec<RouterDump>,
     /// Links with in-flight flits or credits (quiet links omitted).
     pub links: Vec<LinkDump>,
-    /// Every live flit in the arena, with position implied by the
-    /// router/link dumps that reference its packet.
+    /// Every live fabric flit (the arena's contents; queued packets
+    /// hold no slot), with position implied by the router/link dumps
+    /// that reference its packet.
     pub arena: Vec<ArenaSlot>,
     /// The flight-recorder event ring, oldest first (empty when the
     /// ring was off).

@@ -1,7 +1,8 @@
 //! Property tests for the data-oriented core (DESIGN.md §14): flit-arena
 //! slot conservation, work-list (active-set) consistency, and
 //! counter-level in-flight conservation, checked after *every* simulated
-//! cycle of randomized fault-free runs.
+//! cycle of randomized fault-free runs; plus the arena's occupancy bound
+//! under a saturating open-loop load.
 
 use proptest::prelude::*;
 
@@ -11,6 +12,7 @@ use mira_noc::ids::NodeId;
 use mira_noc::network::Network;
 use mira_noc::packet::{Packet, PacketClass, PacketId};
 use mira_noc::topology::{ExpressMesh2D, Mesh2D, Mesh3D, Topology};
+use mira_noc::traffic::{UniformRandom, Workload};
 
 #[derive(Debug, Clone)]
 struct Spec {
@@ -81,10 +83,10 @@ proptest! {
 
     /// Arena slot conservation: at every cycle boundary, the live slots
     /// of the flit arena are exactly the flits observable in the fabric
-    /// (router buffers + link wires) plus the source queues — no slot
-    /// leaks, no flit exists outside the arena.
+    /// (router buffers + link wires) — no slot leaks, no fabric flit
+    /// exists outside the arena, and queued packets hold no slot.
     #[test]
-    fn arena_slots_partition_into_fabric_and_sources(
+    fn arena_slots_equal_fabric_flits(
         which in any::<u8>(),
         combined in any::<bool>(),
         specs in proptest::collection::vec(spec_strategy(36), 1..50),
@@ -92,8 +94,8 @@ proptest! {
         run_checked(which, combined, &specs, |net, _| {
             prop_assert_eq!(
                 net.arena().allocated(),
-                net.flits_in_fabric() + net.flits_in_source_queues(),
-                "live arena slots must equal fabric + source-queue flits"
+                net.flits_in_fabric(),
+                "live arena slots must equal fabric flits"
             );
             Ok(())
         })?;
@@ -140,4 +142,43 @@ proptest! {
             Ok(())
         })?;
     }
+}
+
+/// Past saturation the source backlog grows without bound, but the arena
+/// holds fabric flits only, and credit flow control caps those at the
+/// buffer slots: every router input port's VCs, full. A breach is a
+/// credit bug.
+#[test]
+fn arena_stays_within_buffer_slots_past_saturation() {
+    let (side, cycles) = (8, 2_000);
+    let cfg = NetworkConfig::default();
+    let mut net = Network::new(Box::new(Mesh2D::new(side, side)), cfg);
+    let nodes = side * side;
+    let bound = nodes * net.topology().radix() * cfg.router.vcs_per_port * cfg.router.buffer_depth;
+    let mut workload = UniformRandom::new(0.6, 5, 11);
+    workload.init(nodes);
+    let mut id = 0u64;
+    for cycle in 0..cycles {
+        for spec in workload.generate(cycle) {
+            net.enqueue_packet(Packet {
+                id: PacketId(id),
+                src: spec.src,
+                dst: spec.dst,
+                class: spec.class,
+                payload: spec.payload,
+                created_at: cycle,
+            });
+            id += 1;
+        }
+        net.step(cycle);
+        let _ = net.take_ejected();
+        assert!(
+            net.arena().capacity_slots() <= bound,
+            "cycle {cycle}: arena slot table {} outgrew the {bound} buffer slots",
+            net.arena().capacity_slots()
+        );
+    }
+    assert!(net.arena().live_peak() <= bound, "live peak {} > {bound}", net.arena().live_peak());
+    let backlog = net.flits_in_source_queues();
+    assert!(backlog > 4 * bound, "the load must saturate: backlog {backlog} vs bound {bound}");
 }

@@ -21,9 +21,9 @@
 //!
 //! * [`registry`] — static-registration atomic counters, max-gauges and
 //!   log₂ histograms, rendered as a JSON snapshot or Prometheus text.
-//! * [`phase`] — scoped wall-time attribution for the hot loop
-//!   ([`phase::scope`] guards around `Network::step`'s sections and the
-//!   router pipeline stages).
+//! * [`phase`] — wall-time attribution for the hot loop (a
+//!   [`phase::StepTimer`] tiling `Network::step`'s sections, and
+//!   [`phase::scope`] guards around the router pipeline stages).
 //! * [`provenance`] — git revision / rustc / build profile stamped into
 //!   the binary at compile time.
 //! * [`store`] — the results store: one

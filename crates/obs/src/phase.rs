@@ -13,10 +13,12 @@
 //! * [`Phase::StepTotal`] wraps the whole of `Network::step`, and the
 //!   [`Phase::STEP_SECTIONS`] tile its body exactly — link delivery
 //!   (including ARQ and fault verdicts), router pipelines, occupancy
-//!   accounting, NIC injection, and the metrics-window close. The
-//!   profiler's accounting claim, `coverage() >= 0.95`, compares the
-//!   section sum against the step total: only per-guard overhead and a
-//!   couple of scalar updates can leak out.
+//!   accounting, NIC injection, and the metrics-window close. A
+//!   [`StepTimer`] times them: one clock read per section boundary ends
+//!   one section and starts the next, and the step total runs from the
+//!   first read to the last. No instant of the step is left untimed, so
+//!   the profiler's accounting claim, `coverage() >= 0.95`, holds by
+//!   construction rather than by the host scheduler's grace.
 //! * The `Stage*` phases nest *inside* [`Phase::RouterPipeline`],
 //!   attributing pipeline time to BW/ST, SA, VA, and RC individually
 //!   (BW — buffer write — happens inside link delivery and NIC
@@ -138,9 +140,61 @@ impl Drop for PhaseGuard {
     #[inline]
     fn drop(&mut self) {
         if let Some(t0) = self.start {
-            let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            NANOS[self.phase as usize].fetch_add(ns, Ordering::Relaxed);
-            CALLS[self.phase as usize].fetch_add(1, Ordering::Relaxed);
+            charge(self.phase, t0, Instant::now());
+        }
+    }
+}
+
+/// Times `Network::step` as back-to-back sections under
+/// [`Phase::StepTotal`]. Inert (no clock reads at all) when observability
+/// is off at [`step_timer`].
+#[derive(Debug)]
+pub struct StepTimer {
+    /// The step's first clock read, and the start of the open section.
+    start: Option<(Instant, Instant)>,
+    section: Phase,
+}
+
+/// Starts timing a step, with `first` as its open section.
+#[inline(always)]
+pub fn step_timer(first: Phase) -> StepTimer {
+    let start = if crate::enabled() {
+        let now = Instant::now();
+        Some((now, now))
+    } else {
+        None
+    };
+    StepTimer { start, section: first }
+}
+
+/// Charges `phase` with the wall time between two clock reads.
+#[inline]
+fn charge(phase: Phase, from: Instant, to: Instant) {
+    let ns = u64::try_from((to - from).as_nanos()).unwrap_or(u64::MAX);
+    NANOS[phase as usize].fetch_add(ns, Ordering::Relaxed);
+    CALLS[phase as usize].fetch_add(1, Ordering::Relaxed);
+}
+
+impl StepTimer {
+    /// Ends the open section and starts `next`, with one clock read.
+    #[inline]
+    pub fn next(&mut self, next: Phase) {
+        if let Some((_, from)) = &mut self.start {
+            let now = Instant::now();
+            charge(self.section, *from, now);
+            *from = now;
+        }
+        self.section = next;
+    }
+}
+
+impl Drop for StepTimer {
+    #[inline]
+    fn drop(&mut self) {
+        if let Some((step, from)) = self.start {
+            let now = Instant::now();
+            charge(self.section, from, now);
+            charge(Phase::StepTotal, step, now);
         }
     }
 }
@@ -205,6 +259,12 @@ mod tests {
         }
         assert!(snapshot().iter().all(|s| s.calls == 0), "disabled scopes must not record");
 
+        {
+            let mut t = step_timer(Phase::LinkDelivery);
+            t.next(Phase::RouterPipeline);
+        }
+        assert!(snapshot().iter().all(|s| s.calls == 0), "disabled timers must not record");
+
         crate::set_enabled(true);
         {
             let _t = scope(Phase::StepTotal);
@@ -213,14 +273,33 @@ mod tests {
                 std::hint::black_box(0u64);
             }
         }
-        crate::set_enabled(false);
-
         let snap = snapshot();
         let total = snap.iter().find(|s| s.phase == "step_total").expect("present");
         assert_eq!(total.calls, 1);
         assert!(total.nanos > 0);
         let cov = coverage().expect("step profiled");
         assert!(cov > 0.0 && cov <= 1.0, "coverage {cov} out of range");
+
+        // A step timer's sections tile its total exactly: every boundary
+        // is one clock read shared by the section it ends and the next.
+        reset();
+        for _ in 0..3 {
+            let mut t = step_timer(Phase::STEP_SECTIONS[0]);
+            for &s in &Phase::STEP_SECTIONS[1..] {
+                std::hint::black_box(0u64);
+                t.next(s);
+            }
+        }
+        crate::set_enabled(false);
+        let snap = snapshot();
+        for s in &snap[..=Phase::STEP_SECTIONS.len()] {
+            assert_eq!(s.calls, 3, "{} closed once per step", s.phase);
+        }
+        let sections: u64 = snap[1..=Phase::STEP_SECTIONS.len()].iter().map(|s| s.nanos).sum();
+        assert_eq!(sections, snap[0].nanos, "sections sum to the step total");
+        if sections > 0 {
+            assert_eq!(coverage(), Some(1.0));
+        }
         reset();
         assert_eq!(coverage(), None);
     }
