@@ -852,34 +852,34 @@ impl Network {
         &self.links
     }
 
-    /// An FNV-1a hash over the fabric's structural state: every
-    /// router's work-list masks, buffer occupancy and pending switch
-    /// grants, plus every link's wire contents. Any flit movement or
-    /// pipeline-state transition changes it; a truly wedged fabric
-    /// (deadlock, frozen allocator) keeps it constant cycle after
-    /// cycle — which is exactly what the no-progress watchdog samples.
-    /// Source queues are deliberately excluded: continued injection
-    /// into a deadlocked fabric must not read as progress.
+    /// The fabric's structural state as a word sequence: every router's
+    /// [`Router::progress_word`] (work-list masks, buffer occupancy,
+    /// pending switch grants), then every link's flits and credits in
+    /// flight. Any flit movement or pipeline-state transition changes a
+    /// word; a truly wedged fabric (deadlock, frozen allocator) keeps
+    /// every word constant cycle after cycle — which is exactly what the
+    /// no-progress watchdog compares. Source queues are deliberately
+    /// excluded: continued injection into a deadlocked fabric must not
+    /// read as progress. The length is fixed for a network's lifetime.
+    pub(crate) fn progress_words(&self) -> impl Iterator<Item = u64> + '_ {
+        let links = self
+            .links
+            .iter()
+            .flat_map(|l| [l.flits_in_flight() as u64, l.credits_in_flight() as u64]);
+        self.routers.iter().flat_map(Router::progress_word).chain(links)
+    }
+
+    /// An FNV-1a hash over [`progress_words`](Self::progress_words),
+    /// fed one little-endian byte at a time: a one-word digest of the
+    /// fabric's structural state. The benchmark's step digests hash it,
+    /// and the watchdog's equivalence test uses it as the reference for
+    /// the exact word comparison the watchdog itself performs.
     pub fn progress_signature(&self) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut feed = |word: u64| {
-            for byte in word.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        for r in &self.routers {
-            for w in r.progress_word() {
-                feed(w);
-            }
-        }
-        for l in &self.links {
-            feed(l.flits_in_flight() as u64);
-            feed(l.credits_in_flight() as u64);
-        }
-        h
+        self.progress_words()
+            .flat_map(u64::to_le_bytes)
+            .fold(FNV_OFFSET, |h, byte| (h ^ u64::from(byte)).wrapping_mul(FNV_PRIME))
     }
 
     /// Chaos hook: permanently freezes `node`'s switch allocator (see

@@ -11,9 +11,11 @@
 //!    [`NullSink`](crate::telemetry::NullSink): a run with the ring on
 //!    is bit-identical to a run without it;
 //! 2. evaluates the deterministic detectors configured in
-//!    [`AnomalyConfig`]: a per-cycle no-progress watchdog and, on the
-//!    window cadence, credit-conservation, starvation, fault-storm and
-//!    latency-spike checks.
+//!    [`AnomalyConfig`]: a per-cycle no-progress watchdog — an exact
+//!    comparison of the fabric's progress words (router work-list masks,
+//!    occupancy and grants, link wire state) against the previous
+//!    cycle's — and, on the window cadence, credit-conservation,
+//!    starvation, fault-storm and latency-spike checks.
 //!
 //! On a halting trigger the simulator calls [`capture`] to freeze the
 //! whole network — VC occupancy, work-list masks, in-flight arena
@@ -277,8 +279,10 @@ pub struct FlightRecorder {
     /// Consecutive cycles without ejection progress or a fabric-state
     /// transition.
     stall_cycles: u64,
-    /// Fabric-state signature of the previous cycle.
-    last_signature: u64,
+    /// The previous cycle's [`Network::progress_words`], compared word
+    /// for word each cycle. Empty until the first check, which sizes it;
+    /// later checks overwrite it in place and allocate nothing.
+    last_words: Vec<u64>,
     /// Cumulative ejected-flit count of the previous cycle.
     last_ejected: u64,
     /// Fault-event total at the end of the previous window.
@@ -300,7 +304,7 @@ impl FlightRecorder {
             counts: AnomalyCounts::default(),
             fired: Vec::new(),
             stall_cycles: 0,
-            last_signature: 0,
+            last_words: Vec::new(),
             last_ejected: 0,
             last_fault_total: 0,
             window_latencies: Vec::new(),
@@ -354,19 +358,40 @@ impl FlightRecorder {
         halting
     }
 
-    /// The per-cycle no-progress/deadlock watchdog: progress is a flit
-    /// ejection *or* any fabric-state transition (the signature covers
-    /// every router's work-list masks, buffer occupancy and pending
-    /// switch grants, plus every link's wire state). While the network
-    /// holds flits and neither happens for the configured number of
-    /// consecutive cycles, the watchdog fires.
-    fn check_no_progress(&mut self, net: &Network, cycle: u64) -> Option<AnomalyKind> {
+    /// Whether any of the fabric's progress words (every router's
+    /// work-list masks, buffer occupancy and pending switch grants, plus
+    /// every link's wire state) differs from the previous call's, which
+    /// it then overwrites — one pass, exact equality. The first call
+    /// only records the words and reports a change.
+    fn fabric_moved(&mut self, net: &Network) -> bool {
+        if self.last_words.is_empty() {
+            self.last_words.extend(net.progress_words());
+            return true;
+        }
+        let mut moved = false;
+        for (last, word) in self.last_words.iter_mut().zip(net.progress_words()) {
+            moved |= *last != word;
+            *last = word;
+        }
+        moved
+    }
+
+    /// The watchdog's per-cycle compare step: progress is a flit
+    /// ejection since the previous call *or* any fabric-state transition
+    /// ([`fabric_moved`](Self::fabric_moved)).
+    fn progressed(&mut self, net: &Network) -> bool {
         let ejected = net.counters().flits_ejected;
-        let signature = net.progress_signature();
-        let progressed = ejected != self.last_ejected || signature != self.last_signature;
+        let moved = self.fabric_moved(net);
+        let progressed = ejected != self.last_ejected || moved;
         self.last_ejected = ejected;
-        self.last_signature = signature;
-        if progressed || net.is_drained() {
+        progressed
+    }
+
+    /// The per-cycle no-progress/deadlock watchdog: while the network
+    /// holds flits and makes no [`progress`](Self::progressed) for the
+    /// configured number of consecutive cycles, the watchdog fires.
+    fn check_no_progress(&mut self, net: &Network, cycle: u64) -> Option<AnomalyKind> {
+        if self.progressed(net) || net.is_drained() {
             self.stall_cycles = 0;
             return None;
         }
@@ -464,7 +489,11 @@ impl FlightRecorder {
 mod tests {
     use super::*;
     use crate::config::NetworkConfig;
+    use crate::flit::FlitData;
+    use crate::ids::NodeId;
+    use crate::packet::{Packet, PacketClass, PacketId};
     use crate::topology::Mesh2D;
+    use crate::traffic::{UniformRandom, Workload};
 
     fn quiet_net() -> Network {
         Network::new(Box::new(Mesh2D::new(2, 2)), NetworkConfig::default())
@@ -478,6 +507,77 @@ mod tests {
             assert_eq!(rec.evaluate(&net, cycle), None, "idle network must never trip");
         }
         assert_eq!(rec.counts().total(), 0);
+    }
+
+    #[test]
+    fn compare_step_sees_first_call_stillness_and_a_delivery() {
+        let mut net = quiet_net();
+        let mut rec = FlightRecorder::new(AnomalyConfig::detect());
+        assert!(rec.progressed(&net), "the first call has nothing to compare against");
+        assert!(!rec.progressed(&net), "an unchanged fabric is no progress");
+
+        // Deliver one single-flit packet and let the fabric settle back
+        // to its idle words, so only the ejection can read as progress.
+        let idle = net.progress_signature();
+        net.enqueue_packet(Packet {
+            id: PacketId(0),
+            src: NodeId(0),
+            dst: NodeId(3),
+            class: PacketClass::ReadRequest,
+            payload: vec![FlitData::with_active_words(4, 1)],
+            created_at: 0,
+        });
+        let mut cycle = 0;
+        while !net.is_drained() {
+            net.step(cycle);
+            cycle += 1;
+        }
+        assert_eq!(net.counters().flits_ejected, 1);
+        assert_eq!(net.progress_signature(), idle, "the fabric is idle again");
+        assert!(rec.progressed(&net), "one delivered flit is progress");
+        assert!(!rec.progressed(&net));
+    }
+
+    /// The exact word comparison reports a change on exactly the cycles
+    /// the FNV-1a `progress_signature` of the same words changes, through
+    /// a deadlock: the chaos scenario of `tests/anomaly.rs` on a bare
+    /// network, compared every cycle.
+    #[test]
+    fn word_comparison_agrees_with_the_signature() {
+        let mut net = Network::new(Box::new(Mesh2D::new(4, 4)), NetworkConfig::default());
+        let mut rec = FlightRecorder::new(AnomalyConfig::detect());
+        let mut workload = UniformRandom::new(0.10, 5, 42);
+        workload.init(net.topology().num_nodes());
+        let (mut last_signature, mut id) = (0u64, 0u64);
+        let (mut moved_cycles, mut still_cycles) = (0, 0);
+        for cycle in 0..2_000 {
+            for spec in workload.generate(cycle) {
+                net.enqueue_packet(Packet {
+                    id: PacketId(id),
+                    src: spec.src,
+                    dst: spec.dst,
+                    class: spec.class,
+                    payload: spec.payload,
+                    created_at: cycle,
+                });
+                id += 1;
+            }
+            if cycle == 400 {
+                net.freeze_router_sa(5);
+            }
+            net.step(cycle);
+            let _ = net.take_ejected();
+            let signature = net.progress_signature();
+            let moved = rec.fabric_moved(&net);
+            assert_eq!(moved, signature != last_signature, "cycle {cycle}");
+            last_signature = signature;
+            if moved {
+                moved_cycles += 1;
+            } else {
+                still_cycles += 1;
+            }
+        }
+        assert!(moved_cycles > 0 && still_cycles > 0, "{moved_cycles} moved, {still_cycles} still");
     }
 
     #[test]

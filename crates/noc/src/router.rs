@@ -485,8 +485,8 @@ impl Router {
     /// A compact word summarising this router's fabric-facing state:
     /// the three work-list masks, the buffer occupancy and the pending
     /// switch grants. Any flit movement, state transition or grant
-    /// changes it, so the no-progress watchdog can hash it per cycle
-    /// instead of comparing full state.
+    /// changes it, so the no-progress watchdog can compare it per cycle
+    /// instead of the full state.
     pub(crate) fn progress_word(&self) -> [u64; 5] {
         [
             self.routing_mask,

@@ -605,6 +605,7 @@ impl Simulator {
                     self.process_ejections(cycle, &mut *workload, &mut per_class, &mut histogram);
             }
             if self.recorder.is_some() {
+                let _obs = mira_obs::phase::scope(mira_obs::phase::Phase::Anomaly);
                 self.evaluate_anomalies(cycle);
             }
 

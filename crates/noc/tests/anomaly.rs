@@ -78,6 +78,7 @@ fn deadlock_dump_has_exact_stuck_packet_set() {
     let (sim, abort) = run_to_abort();
     assert_eq!(abort.kind, AnomalyKind::NoProgress);
     assert!(abort.cycle > 400, "trigger follows the stall injection");
+    assert_eq!(abort.cycle, 1229, "the watchdog fires on the pinned cycle");
 
     let value: serde::Value = serde_json::from_str(&abort.dump).expect("dump is valid JSON");
     let bb = BlackBox::from_value(&value).expect("dump matches the BlackBox schema");
@@ -132,6 +133,7 @@ fn non_halting_recorder_counts_the_same_deadlock() {
     let report = sim.run(Box::new(UniformRandom::new(0.10, 5, 42)));
     assert!(report.saturated, "stranded packets never drain");
     assert!(report.anomalies.no_progress >= 1, "the watchdog fired: {:?}", report.anomalies);
+    assert_eq!(report.anomalies.no_progress, 20, "one firing per stalled period");
     assert!(!sim.anomalies_fired().is_empty());
 
     let dumped: Vec<u64> = bb.stuck_packets.iter().map(|s| s.packet).collect();

@@ -24,9 +24,11 @@
 //!   (BW — buffer write — happens inside link delivery and NIC
 //!   injection; ST carries the label here because the write and
 //!   traversal share the slab path).
-//! * [`Phase::Workload`] and [`Phase::Ejection`] time the simulator
-//!   driver around the step: packet generation/injection and ejection
-//!   processing. They sit outside `StepTotal` and do not enter coverage.
+//! * [`Phase::Workload`], [`Phase::Ejection`] and [`Phase::Anomaly`]
+//!   time the simulator driver around the step: packet
+//!   generation/injection, ejection processing, and the armed flight
+//!   recorder's per-cycle detectors. They sit outside `StepTotal` and do
+//!   not enter coverage.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -61,10 +63,13 @@ pub enum Phase {
     Workload,
     /// Simulator driver: drop and ejection processing.
     Ejection,
+    /// Simulator driver: the flight recorder's anomaly detectors (armed
+    /// runs only).
+    Anomaly,
 }
 
 /// Number of phases (array sizing).
-const COUNT: usize = 12;
+const COUNT: usize = 13;
 
 impl Phase {
     /// Every phase, in display order.
@@ -81,6 +86,7 @@ impl Phase {
         Phase::StageRc,
         Phase::Workload,
         Phase::Ejection,
+        Phase::Anomaly,
     ];
 
     /// The sections that tile `Network::step`'s body (the coverage
@@ -108,6 +114,7 @@ impl Phase {
             Phase::StageRc => "stage_rc",
             Phase::Workload => "workload",
             Phase::Ejection => "ejection",
+            Phase::Anomaly => "anomaly",
         }
     }
 }

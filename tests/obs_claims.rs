@@ -9,6 +9,7 @@
 use mira::arch::Arch;
 use mira::experiments::common::{quick_sim_config, run_arch, EXPERIMENT_SEED};
 use mira::experiments::runner::{derive_seed, session_summaries, ProgressEvent, Runner, SimPoint};
+use mira_noc::anomaly::AnomalyConfig;
 use mira_noc::traffic::UniformRandom;
 use serde::Serialize;
 
@@ -93,7 +94,8 @@ fn progress_event_line_parses() {
 /// The obs-enabled acceptance claims, serialized in one test:
 ///
 /// 1. the phase profiler's tiled sections account for ≥ 95% of measured
-///    `Network::step` wall time on a real simulation;
+///    `Network::step` wall time on a real simulation, and an armed run
+///    attributes its anomaly detectors to their own driver phase;
 /// 2. a runner batch with a store directory writes one point line per
 ///    point plus one batch line carrying its summary, which the session
 ///    list also holds;
@@ -103,12 +105,12 @@ fn obs_enabled_end_to_end() {
     mira_obs::set_enabled(true);
     mira_obs::phase::reset();
 
-    // Claim 1: profile a real run and check coverage.
+    // Claim 1: profile a real, recorder-armed run and check coverage.
     let r = run_arch(
         Arch::ThreeDM,
         false,
         Box::new(UniformRandom::new(0.10, 5, EXPERIMENT_SEED)),
-        quick_sim_config(),
+        quick_sim_config().with_anomaly(AnomalyConfig::detect()),
     );
     assert!(r.report.packets_ejected > 0, "profiled run moved traffic");
     let coverage = mira_obs::phase::coverage().expect("steps were profiled");
@@ -123,6 +125,7 @@ fn obs_enabled_end_to_end() {
     assert!(by_name("router_pipeline").nanos > 0);
     assert!(by_name("stage_st").calls > 0, "router stages profiled");
     assert!(by_name("workload").calls > 0, "driver phases profiled");
+    assert!(by_name("anomaly").calls > 0, "armed detectors profiled");
 
     // Claim 2: a stored batch writes N point lines plus one batch line.
     let dir = std::env::temp_dir().join(format!("mira_obs_claims_store_{}", std::process::id()));
