@@ -6,7 +6,7 @@
 //! selects packets at injection; for each sampled packet a
 //! [`JourneyRecorder`] collects one [`HopSpan`] per router visited, with
 //! the head flit's residency split into stall cycles by
-//! [`StallCause`](crate::telemetry::StallCause) (the same attribution the
+//! [`StallCause`] (the same attribution the
 //! router's [`StallCounters`] use) and pipeline occupancy (RC/VA/SA/ST),
 //! plus the wire time between routers split into nominal link traversal
 //! and ARQ replay delay.
@@ -352,9 +352,10 @@ impl JourneyReport {
 pub const TAIL_QUANTILES: [(&str, f64); 4] =
     [("p50", 0.50), ("p95", 0.95), ("p99", 0.99), ("p99.9", 0.999)];
 
-/// Records journeys for sampled packets. Owned by the network, fed by
-/// the NIC/link/router hooks, finalized by the simulator at tail
-/// ejection. Purely observational.
+/// Records journeys for sampled packets. A consumer on the network's
+/// [`Telemetry`](crate::telemetry::Telemetry) seam, fed by its NIC, link
+/// and router calls and closed by the simulator at tail ejection.
+/// Purely observational.
 #[derive(Debug)]
 pub struct JourneyRecorder {
     sampler: JourneySampler,

@@ -85,7 +85,7 @@ pub use recorder::{BlackBox, FlightRecorder};
 pub use sim::{SimConfig, SimReport, Simulator};
 pub use stats::{ActivityCounters, LatencyStats};
 pub use telemetry::{
-    EventSink, MetricsWindow, NullSink, StallCause, StallCounters, TelemetryConfig, TraceEvent,
+    MetricsWindow, StallCause, StallCounters, Telemetry, TelemetryConfig, TraceEvent,
     TraceEventKind, TraceSink,
 };
 pub use topology::{ExpressMesh2D, Mesh2D, Mesh3D, Topology};

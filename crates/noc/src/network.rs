@@ -17,13 +17,13 @@ use crate::error::NocError;
 use crate::fault::{FaultConfig, FaultCounters, FaultPlan, Verdict};
 use crate::ids::{NodeId, PortId, VcId};
 use crate::journey::JourneyRecorder;
-use crate::link::Link;
+use crate::link::{FlitInFlight, Link};
 use crate::packet::{Packet, PacketId};
 use crate::router::{EjectedFlit, Router, StepScratch};
 use crate::stats::{ActivityCounters, RouterActivity};
 use crate::telemetry::{
-    EventSink, MetricsCollector, MetricsWindow, NullSink, StallCounters, TelemetryConfig,
-    TraceEvent, TraceEventKind, TraceSink,
+    MetricsCollector, MetricsWindow, StallCounters, Telemetry, TelemetryConfig, TraceEvent,
+    TraceEventKind, TraceSink,
 };
 use crate::topology::Topology;
 
@@ -76,6 +76,17 @@ struct FaultRuntime {
     errors: Vec<NocError>,
 }
 
+/// The fault layer's decision for one flit due off a link.
+enum Arrival {
+    /// Write the flit into the downstream router.
+    Accept,
+    /// The flit was swallowed on the wire; keep draining the link.
+    Swallowed,
+    /// A NACK purged the wire: nothing more arrives on the link this
+    /// cycle.
+    Purged,
+}
+
 /// Host-side high-water marks of the network's core data structures
 /// (arena and router buffer slabs). Maintained unconditionally — a
 /// compare and a store on paths that already mutate the structures —
@@ -111,15 +122,9 @@ pub struct Network {
     ejected: Vec<EjectedFlit>,
     counters: ActivityCounters,
     activity: Vec<RouterActivity>,
-    /// Telemetry event receiver ([`NullSink`] unless tracing is enabled;
-    /// purely observational either way).
-    sink: Box<dyn EventSink>,
-    /// Windowed metrics collector, present when a metrics window is
-    /// configured.
-    metrics: Option<MetricsCollector>,
-    /// Packet-journey recorder, present when journey sampling is
-    /// configured; purely observational.
-    journeys: Option<Box<JourneyRecorder>>,
+    /// The one telemetry seam: trace ring, metrics windows and journeys,
+    /// each present only when configured; purely observational.
+    telemetry: Telemetry,
     /// Fault-injection runtime, absent (and zero-cost) by default.
     faults: Option<Box<FaultRuntime>>,
 }
@@ -181,9 +186,7 @@ impl Network {
             ejected: Vec::new(),
             counters: ActivityCounters::new(),
             activity: vec![RouterActivity::default(); n],
-            sink: Box::new(NullSink),
-            metrics: None,
-            journeys: None,
+            telemetry: Telemetry::default(),
             faults: None,
         }
     }
@@ -254,64 +257,47 @@ impl Network {
     }
 
     /// Errors recorded by the fault machinery (retry exhaustion),
-    /// capped at the first [`MAX_FAULT_ERRORS`].
+    /// capped at the first `MAX_FAULT_ERRORS` (64).
     pub fn fault_errors(&self) -> &[NocError] {
         self.faults.as_ref().map_or(&[], |f| &f.errors)
     }
 
-    /// Applies a telemetry configuration: installs a [`TraceSink`] when a
-    /// trace capacity is set and a [`MetricsCollector`] when a metrics
-    /// window is set. Call before stepping; telemetry never affects
-    /// simulation behaviour.
+    /// Applies a telemetry configuration, replacing the network's
+    /// [`Telemetry`] with the consumers `cfg` turns on: a [`TraceSink`]
+    /// ring, metrics windows, journey sampling. Call before stepping;
+    /// telemetry never affects simulation behaviour.
     pub fn set_telemetry(&mut self, cfg: TelemetryConfig) {
-        if cfg.trace_capacity > 0 {
-            self.sink = Box::new(TraceSink::new(cfg.trace_capacity));
-        }
-        if cfg.metrics_window > 0 {
-            let coords: Vec<(usize, usize)> = (0..self.routers.len())
-                .map(|i| {
-                    let c = self.topo.coords(NodeId(i));
-                    (c.x, c.y)
-                })
-                .collect();
-            self.metrics = Some(MetricsCollector::new(cfg.metrics_window, coords));
-        }
-        if cfg.journey_sample_ppm > 0 {
-            // Nominal fault-free link latency: send at ST, deliver
-            // `1 + LT cycles` later (the same latency ARQ replays at).
-            let nominal = Link::nominal_latency(self.cfg.router.pipeline.link_extra_cycles());
-            self.journeys = Some(Box::new(JourneyRecorder::new(
-                cfg.journey_sample_ppm,
-                cfg.journey_seed,
-                nominal,
-            )));
-        }
+        let coords: Vec<(usize, usize)> = (0..self.routers.len())
+            .map(|i| {
+                let c = self.topo.coords(NodeId(i));
+                (c.x, c.y)
+            })
+            .collect();
+        // Nominal fault-free link latency: send at ST, deliver
+        // `1 + LT cycles` later (the same latency ARQ replays at).
+        let nominal = Link::nominal_latency(self.cfg.router.pipeline.link_extra_cycles());
+        self.telemetry = Telemetry::new(cfg, coords, self.topo.radix(), self.cfg.layers, nominal);
     }
 
-    /// Installs a custom event sink (replaces the current one).
-    pub fn install_sink(&mut self, sink: Box<dyn EventSink>) {
-        self.sink = sink;
-    }
-
-    /// The installed sink as a [`TraceSink`], when tracing is enabled.
+    /// The event-trace ring, when tracing is enabled.
     pub fn trace_sink(&self) -> Option<&TraceSink> {
-        self.sink.as_trace()
+        self.telemetry.trace.as_ref()
     }
 
     /// Metrics windows closed so far (empty when windows are disabled).
     pub fn metrics_windows(&self) -> &[MetricsWindow] {
-        self.metrics.as_ref().map_or(&[], |m| m.windows())
+        self.telemetry.metrics.as_ref().map_or(&[], MetricsCollector::windows)
     }
 
     /// The journey recorder, when journey sampling is enabled.
     pub fn journeys(&self) -> Option<&JourneyRecorder> {
-        self.journeys.as_deref()
+        self.telemetry.journeys.as_ref()
     }
 
-    /// Mutable access to the journey recorder (the simulator feeds it
-    /// packet creations and ejections).
-    pub fn journeys_mut(&mut self) -> Option<&mut JourneyRecorder> {
-        self.journeys.as_deref_mut()
+    /// The telemetry seam (the simulator reports packet creations and
+    /// ejections through it).
+    pub(crate) fn telemetry_mut(&mut self) -> &mut Telemetry {
+        &mut self.telemetry
     }
 
     /// Cumulative stall-cause counters summed over every router.
@@ -379,60 +365,13 @@ impl Network {
         // fault layer when fault injection is engaged.
         let mut sections = step_timer(ObsPhase::LinkDelivery);
         self.counters.cycles += 1;
-        let traced = self.sink.enabled();
         if self.faults.is_some() {
             let mut fr = self.faults.take().expect("checked above");
-            self.fault_link_phase(cycle, &mut fr, traced);
+            self.fault_link_phase(cycle, &mut fr);
             self.faults = Some(fr);
         } else {
             for li in 0..self.links.len() {
-                while let Some(f) = self.links[li].take_due_flit(cycle) {
-                    let (dst, port) = self.links[li].to;
-                    let (packet, is_head) = {
-                        let flit = self.arena.get(f.flit);
-                        (flit.packet, flit.is_head())
-                    };
-                    if traced {
-                        self.sink.record(TraceEvent {
-                            cycle,
-                            router: dst,
-                            port,
-                            vc: f.vc,
-                            kind: TraceEventKind::BufferWrite,
-                            packet: packet.0,
-                            detail: 0,
-                        });
-                    }
-                    if is_head {
-                        if let Some(j) = &mut self.journeys {
-                            j.on_link_arrival(packet, dst, port, cycle);
-                        }
-                    }
-                    self.routers[dst.index()].receive_flit(
-                        port,
-                        f.vc,
-                        f.flit,
-                        &self.arena,
-                        cycle,
-                        &mut self.counters,
-                        &mut self.activity[dst.index()],
-                    );
-                }
-                while let Some(c) = self.links[li].take_due_credit(cycle) {
-                    let (src, port) = self.links[li].from;
-                    if traced {
-                        self.sink.record(TraceEvent {
-                            cycle,
-                            router: src,
-                            port,
-                            vc: c.vc,
-                            kind: TraceEventKind::CreditReturn,
-                            packet: 0,
-                            detail: 0,
-                        });
-                    }
-                    self.routers[src.index()].receive_credit(port, c.vc);
-                }
+                self.drain_link(li, cycle, |_, _| Arrival::Accept);
             }
         }
 
@@ -454,8 +393,7 @@ impl Network {
                 &mut self.counters,
                 &mut self.activity[i],
                 &mut self.ejected,
-                self.sink.as_mut(),
-                self.journeys.as_deref_mut(),
+                &mut self.telemetry,
             );
         }
 
@@ -466,9 +404,7 @@ impl Network {
         for (i, r) in self.routers.iter().enumerate() {
             let buffered = r.buffered_flits() as u64;
             occupancy_total += buffered;
-            if let Some(m) = &mut self.metrics {
-                m.record_occupancy(i, buffered);
-            }
+            self.telemetry.occupancy(i, buffered);
         }
         self.counters.buffer_occupancy_flit_cycles += occupancy_total;
 
@@ -503,22 +439,14 @@ impl Network {
                     self.queued_flits -= 1;
                     queue.advance(1);
                     self.counters.flits_injected += 1;
-                    if next == 0 {
-                        if let Some(j) = &mut self.journeys {
-                            j.on_nic_inject(packet, NodeId(node), cycle);
-                        }
-                    }
-                    if traced {
-                        self.sink.record(TraceEvent {
-                            cycle,
-                            router: NodeId(node),
-                            port: PortId::LOCAL,
-                            vc: VcId(vc),
-                            kind: TraceEventKind::BufferWrite,
-                            packet: packet.0,
-                            detail: 0,
-                        });
-                    }
+                    self.telemetry.buffer_write(
+                        cycle,
+                        NodeId(node),
+                        PortId::LOCAL,
+                        VcId(vc),
+                        packet,
+                        next == 0,
+                    );
                     self.routers[node].receive_flit(
                         PortId::LOCAL,
                         VcId(vc),
@@ -534,9 +462,52 @@ impl Network {
 
         // 5. Close a metrics window on its boundary cycle.
         sections.next(ObsPhase::Telemetry);
-        if let Some(m) = &mut self.metrics {
-            let routers = &self.routers;
-            m.end_cycle(cycle, |i| routers[i].telemetry());
+        self.telemetry.end_cycle(cycle);
+    }
+
+    /// The link-delivery tail both delivery paths share: every flit due
+    /// on link `li` passes `arrive` (the fault layer's verdict; the
+    /// fault-free path accepts them all) and, if accepted, is written
+    /// into the downstream router, after its telemetry (the BW event and
+    /// a head's journey arrival); then every due credit returns upstream.
+    #[inline]
+    fn drain_link(
+        &mut self,
+        li: usize,
+        cycle: u64,
+        mut arrive: impl FnMut(&mut Self, &FlitInFlight) -> Arrival,
+    ) {
+        while let Some(f) = self.links[li].take_due_flit(cycle) {
+            match arrive(self, &f) {
+                Arrival::Accept => {}
+                Arrival::Swallowed => continue,
+                Arrival::Purged => break,
+            }
+            let (dst, port) = self.links[li].to;
+            let flit = self.arena.get(f.flit);
+            self.telemetry.buffer_write(cycle, dst, port, f.vc, flit.packet, flit.is_head());
+            self.routers[dst.index()].receive_flit(
+                port,
+                f.vc,
+                f.flit,
+                &self.arena,
+                cycle,
+                &mut self.counters,
+                &mut self.activity[dst.index()],
+            );
+        }
+        while let Some(c) = self.links[li].take_due_credit(cycle) {
+            let (src, port) = self.links[li].from;
+            self.telemetry.trace_event(TraceEvent {
+                cycle,
+                router: src,
+                port,
+                vc: c.vc,
+                kind: TraceEventKind::CreditReturn,
+                packet: 0,
+                detail: 0,
+            });
+            self.routers[src.index()].receive_credit(port, c.vc);
         }
     }
 
@@ -557,17 +528,15 @@ impl Network {
         if fr.severed.insert(pid) {
             fr.counters.packets_dropped += 1;
             fr.dropped.push(pid);
-            if self.sink.enabled() {
-                self.sink.record(TraceEvent {
-                    cycle,
-                    router: site.0,
-                    port: site.1,
-                    vc: VcId(0),
-                    kind: TraceEventKind::PacketDrop,
-                    packet: pid.0,
-                    detail: 0,
-                });
-            }
+            self.telemetry.trace_event(TraceEvent {
+                cycle,
+                router: site.0,
+                port: site.1,
+                vc: VcId(0),
+                kind: TraceEventKind::PacketDrop,
+                packet: pid.0,
+                detail: 0,
+            });
         }
     }
 
@@ -576,7 +545,7 @@ impl Network {
     /// buffers, services scheduled retransmissions, applies the fault
     /// plan's verdict to every delivery, and keeps the per-router
     /// link-paused flags current.
-    fn fault_link_phase(&mut self, cycle: u64, fr: &mut FaultRuntime, traced: bool) {
+    fn fault_link_phase(&mut self, cycle: u64, fr: &mut FaultRuntime) {
         // (a) Fire scheduled permanent kills. The forward wire dies (the
         // reverse credit wire is modelled as surviving — credits are an
         // abstraction of buffer state, not a physical channel here);
@@ -598,17 +567,15 @@ impl Network {
                 self.sever(fr, pid, (node, port), cycle);
             }
             self.routers[node.index()].on_port_death(port);
-            if traced {
-                self.sink.record(TraceEvent {
-                    cycle,
-                    router: node,
-                    port,
-                    vc: VcId(0),
-                    kind: TraceEventKind::FaultInject,
-                    packet: 0,
-                    detail: li as u32,
-                });
-            }
+            self.telemetry.trace_event(TraceEvent {
+                cycle,
+                router: node,
+                port,
+                vc: VcId(0),
+                kind: TraceEventKind::FaultInject,
+                packet: 0,
+                detail: li as u32,
+            });
         }
 
         // (b) Reap buffered stubs of severed packets (skipping VCs with
@@ -620,169 +587,24 @@ impl Network {
             }
         }
 
-        // (c) Per link: execute due retransmissions, then deliver.
+        // (c) Per link: execute due retransmissions, then deliver what
+        // survives the fault plan.
         for li in 0..self.links.len() {
             let resent = self.links[li].arq_service(cycle, &mut self.arena);
             if resent > 0 {
                 fr.counters.retransmissions += resent;
-                if traced {
-                    let (node, port) = self.links[li].from;
-                    self.sink.record(TraceEvent {
-                        cycle,
-                        router: node,
-                        port,
-                        vc: VcId(0),
-                        kind: TraceEventKind::Retransmit,
-                        packet: 0,
-                        detail: resent as u32,
-                    });
-                }
-            }
-            'deliver: while let Some(f) = self.links[li].take_due_flit(cycle) {
-                let (dst, port) = self.links[li].to;
-                let upstream = self.links[li].from;
-                let pid = self.arena.get(f.flit).packet;
-                if fr.dead[li] || fr.severed.contains(&pid) {
-                    // Black hole (the link died under the flit) or a
-                    // stub of an already-dropped packet: swallow it,
-                    // acknowledge so the window drains, and credit the
-                    // reserved slot back.
-                    self.links[li].arq_ack(f.seq);
-                    fr.counters.flits_dropped += 1;
-                    self.links[li].send_credit(f.vc, Link::delivery_cycle(cycle, 0));
-                    self.arena.free(f.flit);
-                    if fr.dead[li] {
-                        self.sever(fr, pid, upstream, cycle);
-                    }
-                    continue;
-                }
-                let (num_words, active_words) = {
-                    let data = &self.arena.get(f.flit).data;
-                    (data.num_words(), data.active_words())
-                };
-                let verdict = fr.plan.verdict(
-                    li,
-                    f.seq,
+                let (node, port) = self.links[li].from;
+                self.telemetry.trace_event(TraceEvent {
                     cycle,
-                    num_words,
-                    active_words,
-                    self.cfg.layer_shutdown,
-                );
-                match verdict {
-                    Verdict::Clean => self.links[li].arq_ack(f.seq),
-                    Verdict::Masked => {
-                        // The flip landed on a slice the short-flit
-                        // shutdown gated off: never transported, so the
-                        // flit arrives pristine.
-                        fr.counters.transient_faults += 1;
-                        fr.counters.masked += 1;
-                        self.links[li].arq_ack(f.seq);
-                    }
-                    Verdict::Escaped { word, mask } => {
-                        fr.counters.transient_faults += 1;
-                        fr.counters.escaped += 1;
-                        self.arena.get_mut(f.flit).data.flip_bits(word, mask);
-                        self.links[li].arq_ack(f.seq);
-                        if traced {
-                            self.sink.record(TraceEvent {
-                                cycle,
-                                router: dst,
-                                port,
-                                vc: f.vc,
-                                kind: TraceEventKind::FaultInject,
-                                packet: pid.0,
-                                detail: li as u32,
-                            });
-                        }
-                    }
-                    Verdict::Detected => {
-                        let stuck = fr.plan.stuck_gate(li).is_some_and(|(onset, healthy)| {
-                            cycle >= onset && active_words > healthy
-                        });
-                        if stuck {
-                            fr.counters.stuck_faults += 1;
-                        } else {
-                            fr.counters.transient_faults += 1;
-                        }
-                        fr.counters.detected += 1;
-                        if traced {
-                            self.sink.record(TraceEvent {
-                                cycle,
-                                router: dst,
-                                port,
-                                vc: f.vc,
-                                kind: TraceEventKind::FaultInject,
-                                packet: pid.0,
-                                detail: li as u32,
-                            });
-                        }
-                        // The popped copy is discarded (the pristine
-                        // window clone replays later); its slot dies here.
-                        self.arena.free(f.flit);
-                        let retries = self.links[li].arq_nack(cycle, &mut self.arena);
-                        let budget = fr.plan.config().max_retries;
-                        if budget > 0 && retries > budget {
-                            if let Some((pid, vcs)) = self.links[li].arq_drop_front_packet() {
-                                fr.counters.flits_dropped += vcs.len() as u64;
-                                for vc in vcs {
-                                    self.links[li].send_credit(vc, Link::delivery_cycle(cycle, 0));
-                                }
-                                self.sever(fr, pid, upstream, cycle);
-                                if fr.errors.len() < MAX_FAULT_ERRORS {
-                                    fr.errors.push(NocError::RetryExhausted {
-                                        node: upstream.0,
-                                        port: upstream.1,
-                                        packet: pid,
-                                    });
-                                }
-                            }
-                        }
-                        // The NACK purged the wire; nothing further is
-                        // due on this link this cycle.
-                        break 'deliver;
-                    }
-                }
-                if traced {
-                    self.sink.record(TraceEvent {
-                        cycle,
-                        router: dst,
-                        port,
-                        vc: f.vc,
-                        kind: TraceEventKind::BufferWrite,
-                        packet: pid.0,
-                        detail: 0,
-                    });
-                }
-                if self.arena.get(f.flit).is_head() {
-                    if let Some(j) = &mut self.journeys {
-                        j.on_link_arrival(pid, dst, port, cycle);
-                    }
-                }
-                self.routers[dst.index()].receive_flit(
+                    router: node,
                     port,
-                    f.vc,
-                    f.flit,
-                    &self.arena,
-                    cycle,
-                    &mut self.counters,
-                    &mut self.activity[dst.index()],
-                );
+                    vc: VcId(0),
+                    kind: TraceEventKind::Retransmit,
+                    packet: 0,
+                    detail: resent as u32,
+                });
             }
-            while let Some(c) = self.links[li].take_due_credit(cycle) {
-                let (src, port) = self.links[li].from;
-                if traced {
-                    self.sink.record(TraceEvent {
-                        cycle,
-                        router: src,
-                        port,
-                        vc: c.vc,
-                        kind: TraceEventKind::CreditReturn,
-                        packet: 0,
-                        detail: 0,
-                    });
-                }
-                self.routers[src.index()].receive_credit(port, c.vc);
-            }
+            self.drain_link(li, cycle, |net, f| net.fault_arrival(fr, li, f, cycle));
         }
 
         // (d) Refresh the per-router pause flags: a link replaying its
@@ -794,6 +616,107 @@ impl Network {
             let paused = !fr.dead[li] && self.links[li].arq_resend_pending();
             self.routers[node.index()].set_link_paused(port, paused);
         }
+    }
+
+    /// Applies the fault plan to flit `f` arriving off link `li`: a dead
+    /// link or a severed packet swallows it, a detected corruption
+    /// NACKs it (purging the wire, and severing the packet once the
+    /// retry budget is spent), and anything else is acknowledged and
+    /// accepted — with its bits flipped if the corruption escaped.
+    fn fault_arrival(
+        &mut self,
+        fr: &mut FaultRuntime,
+        li: usize,
+        f: &FlitInFlight,
+        cycle: u64,
+    ) -> Arrival {
+        let (dst, port) = self.links[li].to;
+        let upstream = self.links[li].from;
+        let pid = self.arena.get(f.flit).packet;
+        if fr.dead[li] || fr.severed.contains(&pid) {
+            // Black hole (the link died under the flit) or a stub of an
+            // already-dropped packet: swallow it, acknowledge so the
+            // window drains, and credit the reserved slot back.
+            self.links[li].arq_ack(f.seq);
+            fr.counters.flits_dropped += 1;
+            self.links[li].send_credit(f.vc, Link::delivery_cycle(cycle, 0));
+            self.arena.free(f.flit);
+            if fr.dead[li] {
+                self.sever(fr, pid, upstream, cycle);
+            }
+            return Arrival::Swallowed;
+        }
+        let (num_words, active_words) = {
+            let data = &self.arena.get(f.flit).data;
+            (data.num_words(), data.active_words())
+        };
+        let verdict =
+            fr.plan.verdict(li, f.seq, cycle, num_words, active_words, self.cfg.layer_shutdown);
+        let fault_event = TraceEvent {
+            cycle,
+            router: dst,
+            port,
+            vc: f.vc,
+            kind: TraceEventKind::FaultInject,
+            packet: pid.0,
+            detail: li as u32,
+        };
+        match verdict {
+            Verdict::Clean => self.links[li].arq_ack(f.seq),
+            Verdict::Masked => {
+                // The flip landed on a slice the short-flit shutdown
+                // gated off: never transported, so the flit arrives
+                // pristine.
+                fr.counters.transient_faults += 1;
+                fr.counters.masked += 1;
+                self.links[li].arq_ack(f.seq);
+            }
+            Verdict::Escaped { word, mask } => {
+                fr.counters.transient_faults += 1;
+                fr.counters.escaped += 1;
+                self.arena.get_mut(f.flit).data.flip_bits(word, mask);
+                self.links[li].arq_ack(f.seq);
+                self.telemetry.trace_event(fault_event);
+            }
+            Verdict::Detected => {
+                let stuck = fr
+                    .plan
+                    .stuck_gate(li)
+                    .is_some_and(|(onset, healthy)| cycle >= onset && active_words > healthy);
+                if stuck {
+                    fr.counters.stuck_faults += 1;
+                } else {
+                    fr.counters.transient_faults += 1;
+                }
+                fr.counters.detected += 1;
+                self.telemetry.trace_event(fault_event);
+                // The popped copy is discarded (the pristine window
+                // clone replays later); its slot dies here.
+                self.arena.free(f.flit);
+                let retries = self.links[li].arq_nack(cycle, &mut self.arena);
+                let budget = fr.plan.config().max_retries;
+                if budget > 0 && retries > budget {
+                    if let Some((pid, vcs)) = self.links[li].arq_drop_front_packet() {
+                        fr.counters.flits_dropped += vcs.len() as u64;
+                        for vc in vcs {
+                            self.links[li].send_credit(vc, Link::delivery_cycle(cycle, 0));
+                        }
+                        self.sever(fr, pid, upstream, cycle);
+                        if fr.errors.len() < MAX_FAULT_ERRORS {
+                            fr.errors.push(NocError::RetryExhausted {
+                                node: upstream.0,
+                                port: upstream.1,
+                                packet: pid,
+                            });
+                        }
+                    }
+                }
+                // The NACK purged the wire; nothing further is due on
+                // this link this cycle.
+                return Arrival::Purged;
+            }
+        }
+        Arrival::Accept
     }
 
     /// Removes and returns the flits ejected so far.
@@ -869,11 +792,13 @@ impl Network {
         self.routers.iter().flat_map(Router::progress_word).chain(links)
     }
 
-    /// An FNV-1a hash over [`progress_words`](Self::progress_words),
-    /// fed one little-endian byte at a time: a one-word digest of the
-    /// fabric's structural state. The benchmark's step digests hash it,
-    /// and the watchdog's equivalence test uses it as the reference for
-    /// the exact word comparison the watchdog itself performs.
+    /// An FNV-1a hash over the fabric's progress words (each router's
+    /// work-list masks, occupancy and pending grants, then each link's
+    /// flits and credits in flight), fed one little-endian byte at a
+    /// time: a one-word digest of the fabric's structural state. The
+    /// benchmark's step digests hash it, and the watchdog's equivalence
+    /// test uses it as the reference for the exact word comparison the
+    /// watchdog itself performs.
     pub fn progress_signature(&self) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;

@@ -4,12 +4,13 @@
 //! The [`FlightRecorder`] is the simulator's black box. While a run is
 //! in flight it does two cheap things every cycle:
 //!
-//! 1. keeps a fixed-size ring of recent compact events — this is just a
-//!    [`TraceSink`](crate::telemetry::TraceSink) installed on the
-//!    existing `EventSink` seam, so an armed ring obeys the same
-//!    observational-purity contract as the
-//!    [`NullSink`](crate::telemetry::NullSink): a run with the ring on
-//!    is bit-identical to a run without it;
+//! 1. keeps a fixed-size ring of recent compact events — this is just
+//!    the network's [`TraceSink`](crate::telemetry::TraceSink) ring on
+//!    the one [`Telemetry`](crate::telemetry::Telemetry) seam (sized by
+//!    the recorder's `ring_capacity` unless an explicit trace capacity
+//!    is set), so an armed ring obeys the same observational-purity
+//!    contract as every other telemetry consumer: a run with the ring
+//!    on is bit-identical to a run without it;
 //! 2. evaluates the deterministic detectors configured in
 //!    [`AnomalyConfig`]: a per-cycle no-progress watchdog — an exact
 //!    comparison of the fabric's progress words (router work-list masks,

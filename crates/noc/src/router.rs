@@ -48,14 +48,11 @@ use crate::buffer::{BufSlot, FlitSlab};
 use crate::config::{NetworkConfig, PipelineConfig};
 use crate::flit::Flit;
 use crate::ids::{NodeId, PortId, VcId};
-use crate::journey::JourneyRecorder;
 use crate::link::Link;
 use crate::packet::PacketId;
 use crate::routing::apply_fault_mask;
 use crate::stats::{ActivityCounters, RouterActivity};
-use crate::telemetry::{
-    EventSink, RouterTelemetry, StallCause, StallCounters, TraceEvent, TraceEventKind,
-};
+use crate::telemetry::{StallCause, StallCounters, Telemetry, TraceEvent, TraceEventKind};
 use crate::topology::Topology;
 use crate::vc::VcState;
 
@@ -72,11 +69,11 @@ pub struct EjectedFlit {
 
 /// A granted crossbar traversal, scheduled at SA time and executed at ST.
 #[derive(Debug, Clone, Copy)]
-struct StGrant {
-    in_port: PortId,
-    in_vc: VcId,
-    out_port: PortId,
-    out_vc: VcId,
+pub(crate) struct StGrant {
+    pub(crate) in_port: PortId,
+    pub(crate) in_vc: VcId,
+    pub(crate) out_port: PortId,
+    pub(crate) out_vc: VcId,
 }
 
 /// Reusable per-cycle working memory for [`Router::step`].
@@ -159,18 +156,11 @@ pub struct Router {
     sa1_arbiters: Vec<RoundRobinArbiter>,
     sa2_arbiters: Vec<RoundRobinArbiter>,
     st_grants: Vec<StGrant>,
-    /// Number of physical datapath layers (duty-cycle denominator).
+    /// Number of physical datapath layers.
     layers: usize,
     /// Stall cycles attributed by cause (telemetry; never read by the
     /// pipeline itself).
     stalls: StallCounters,
-    /// Cumulative flits sent per output port (telemetry).
-    port_flits_out: Vec<u64>,
-    /// Per-layer count of switch traversals in which the layer was
-    /// powered (telemetry for the shutdown duty cycle).
-    layer_active: Vec<u64>,
-    /// Total switch traversals (denominator for `layer_active`).
-    layer_events: u64,
     /// Fault-aware routing enabled: RC masks dead output ports and
     /// detours around them. Off (and free) unless fault injection with
     /// rerouting is configured.
@@ -221,9 +211,6 @@ impl Router {
             st_grants: Vec::with_capacity(ports),
             layers: cfg.layers,
             stalls: StallCounters::new(),
-            port_flits_out: vec![0; ports],
-            layer_active: vec![0; cfg.layers],
-            layer_events: 0,
             fault_routing: false,
             dead_out: vec![false; ports],
             link_paused: vec![false; ports],
@@ -431,15 +418,13 @@ impl Router {
         &self.stalls
     }
 
-    /// Live view of this router's cumulative telemetry counters (the
-    /// metrics collector diffs successive views to form windows).
-    pub fn telemetry(&self) -> RouterTelemetry<'_> {
-        RouterTelemetry {
-            stalls: self.stalls,
-            port_flits_out: &self.port_flits_out,
-            layer_active: &self.layer_active,
-            layer_events: self.layer_events,
-        }
+    /// Charges the stalled VC `pv` one cycle to `cause`: the router's
+    /// own counter, then the telemetry consumers for its front flit.
+    #[inline]
+    fn stall(&mut self, pv: usize, cause: StallCause, tel: &mut Telemetry) {
+        self.stalls.record(cause);
+        let front = self.buf.front(pv).expect("a stalled VC holds a flit");
+        tel.stall(self.id, front.packet, front.head, cause);
     }
 
     /// Enables fault-aware route computation: dead output ports are
@@ -669,34 +654,24 @@ impl Router {
         counters: &mut ActivityCounters,
         activity: &mut RouterActivity,
         ejected: &mut Vec<EjectedFlit>,
-        sink: &mut dyn EventSink,
-        mut journeys: Option<&mut JourneyRecorder>,
+        tel: &mut Telemetry,
     ) {
-        self.stage_st(
-            cycle,
-            arena,
-            links,
-            counters,
-            activity,
-            ejected,
-            sink,
-            journeys.as_deref_mut(),
-        );
+        self.stage_st(cycle, arena, links, counters, activity, ejected, tel);
         match self.pipeline.depth {
             crate::config::PipelineDepth::FourStage => {
-                self.stage_sa(cycle, scratch, counters, sink, journeys.as_deref_mut());
-                self.stage_va(cycle, scratch, counters, sink, journeys.as_deref_mut());
-                self.stage_rc(cycle, topo, scratch, counters, sink);
+                self.stage_sa(cycle, scratch, counters, tel);
+                self.stage_va(cycle, scratch, counters, tel);
+                self.stage_rc(cycle, topo, scratch, counters, tel);
             }
             crate::config::PipelineDepth::ThreeStageSpeculative => {
-                self.stage_va(cycle, scratch, counters, sink, journeys.as_deref_mut());
-                self.stage_sa(cycle, scratch, counters, sink, journeys.as_deref_mut());
-                self.stage_rc(cycle, topo, scratch, counters, sink);
+                self.stage_va(cycle, scratch, counters, tel);
+                self.stage_sa(cycle, scratch, counters, tel);
+                self.stage_rc(cycle, topo, scratch, counters, tel);
             }
             crate::config::PipelineDepth::TwoStageLookahead => {
-                self.stage_rc(cycle, topo, scratch, counters, sink);
-                self.stage_va(cycle, scratch, counters, sink, journeys.as_deref_mut());
-                self.stage_sa(cycle, scratch, counters, sink, journeys);
+                self.stage_rc(cycle, topo, scratch, counters, tel);
+                self.stage_va(cycle, scratch, counters, tel);
+                self.stage_sa(cycle, scratch, counters, tel);
             }
         }
     }
@@ -716,23 +691,16 @@ impl Router {
         counters: &mut ActivityCounters,
         activity: &mut RouterActivity,
         ejected: &mut Vec<EjectedFlit>,
-        sink: &mut dyn EventSink,
-        mut journeys: Option<&mut JourneyRecorder>,
+        tel: &mut Telemetry,
     ) {
         let _obs = obs_scope(ObsPhase::StageSt);
         if self.st_grants.is_empty() {
             return;
         }
-        let traced = sink.enabled();
         for gi in 0..self.st_grants.len() {
             let g = self.st_grants[gi];
             let pv = self.pv(g.in_port, g.in_vc);
             let slot = self.buf.pop(pv).expect("SA granted an empty VC");
-            if slot.head {
-                if let Some(rec) = journeys.as_deref_mut() {
-                    rec.on_st(slot.packet, g.out_port, cycle);
-                }
-            }
             // The only payload touch on the traversal path: one arena
             // read for the activity fractions.
             let (fraction, active_layers) = {
@@ -752,36 +720,7 @@ impl Router {
             activity.xbar_events += fraction;
             activity.xbar_events_raw += 1;
 
-            // Duty-cycle accounting: which datapath layers powered this
-            // traversal. Flit words map onto layers MSB-down, so the
-            // first `active_layers` layers carry the active words.
-            self.port_flits_out[g.out_port.index()] += 1;
-            for l in &mut self.layer_active[..active_layers] {
-                *l += 1;
-            }
-            self.layer_events += 1;
-            if traced {
-                sink.record(TraceEvent {
-                    cycle,
-                    router: self.id,
-                    port: g.in_port,
-                    vc: g.in_vc,
-                    kind: TraceEventKind::SwitchTraversal,
-                    packet: slot.packet.0,
-                    detail: g.out_port.index() as u32,
-                });
-                if active_layers < self.layers {
-                    sink.record(TraceEvent {
-                        cycle,
-                        router: self.id,
-                        port: g.out_port,
-                        vc: g.out_vc,
-                        kind: TraceEventKind::LayerGate,
-                        packet: slot.packet.0,
-                        detail: (self.layers - active_layers) as u32,
-                    });
-                }
-            }
+            tel.switch_traversal(cycle, self.id, g, slot.packet, slot.head, active_layers);
 
             // Return a credit upstream for the freed buffer slot.
             if let Some(li) = self.in_links[g.in_port.index()] {
@@ -826,8 +765,7 @@ impl Router {
         cycle: u64,
         scratch: &mut StepScratch,
         counters: &mut ActivityCounters,
-        sink: &mut dyn EventSink,
-        mut journeys: Option<&mut JourneyRecorder>,
+        tel: &mut Telemetry,
     ) {
         let _obs = obs_scope(ObsPhase::StageSa);
         if self.active_mask == 0 || self.sa_frozen {
@@ -835,7 +773,6 @@ impl Router {
             // allocator): both allocation stages are no-ops.
             return;
         }
-        let traced = sink.enabled();
         // SA1: one candidate VC per input port. Only ports with an
         // `Active` VC (a set bit in the work-list mask) do any work.
         scratch.sa1.clear();
@@ -863,23 +800,13 @@ impl Router {
                 if !out_port.is_local() && self.link_paused[out_port.index()] {
                     // The outgoing link is replaying its window; new
                     // traffic would interleave into the resent stream.
-                    self.stalls.record(StallCause::LinkFault);
-                    if let Some(rec) = journeys.as_deref_mut() {
-                        if let Some(t) = self.buf.front(pv) {
-                            rec.on_stall(t.packet, self.id, StallCause::LinkFault, t.head);
-                        }
-                    }
+                    self.stall(pv, StallCause::LinkFault, tel);
                     continue;
                 }
                 if out_port.is_local() || self.out_credits[self.pv(out_port, out_vc)] > 0 {
                     elig_mask |= 1u64 << iv;
                 } else {
-                    self.stalls.record(StallCause::NoCredit);
-                    if let Some(rec) = journeys.as_deref_mut() {
-                        if let Some(t) = self.buf.front(pv) {
-                            rec.on_stall(t.packet, self.id, StallCause::NoCredit, t.head);
-                        }
-                    }
+                    self.stall(pv, StallCause::NoCredit, tel);
                 }
             }
             if elig_mask == 0 {
@@ -914,19 +841,15 @@ impl Router {
                     debug_assert!(self.out_credits[ov] > 0, "SA granted without credit");
                     self.out_credits[ov] -= 1;
                 }
-                if traced {
-                    let packet =
-                        self.buf.front(ip * self.vcs + iv.index()).map_or(0, |t| t.packet.0);
-                    sink.record(TraceEvent {
-                        cycle,
-                        router: self.id,
-                        port: PortId(ip),
-                        vc: iv,
-                        kind: TraceEventKind::SwitchAlloc,
-                        packet,
-                        detail: out_port.index() as u32,
-                    });
-                }
+                tel.trace_event(TraceEvent {
+                    cycle,
+                    router: self.id,
+                    port: PortId(ip),
+                    vc: iv,
+                    kind: TraceEventKind::SwitchAlloc,
+                    packet: self.buf.front(ip * self.vcs + iv.index()).map_or(0, |t| t.packet.0),
+                    detail: out_port.index() as u32,
+                });
                 scratch.granted.push((ip, iv.index()));
                 self.st_grants.push(StGrant { in_port: PortId(ip), in_vc: iv, out_port, out_vc });
             }
@@ -937,12 +860,7 @@ impl Router {
         // arbitration this cycle.
         for &pair in &scratch.eligible_all {
             if !scratch.granted.contains(&pair) {
-                self.stalls.record(StallCause::SaLoss);
-                if let Some(rec) = journeys.as_deref_mut() {
-                    if let Some(t) = self.buf.front(pair.0 * self.vcs + pair.1) {
-                        rec.on_stall(t.packet, self.id, StallCause::SaLoss, t.head);
-                    }
-                }
+                self.stall(pair.0 * self.vcs + pair.1, StallCause::SaLoss, tel);
             }
         }
     }
@@ -958,14 +876,12 @@ impl Router {
         cycle: u64,
         scratch: &mut StepScratch,
         counters: &mut ActivityCounters,
-        sink: &mut dyn EventSink,
-        mut journeys: Option<&mut JourneyRecorder>,
+        tel: &mut Telemetry,
     ) {
         let _obs = obs_scope(ObsPhase::StageVa);
         if self.waiting_mask == 0 {
             return;
         }
-        let traced = sink.enabled();
         // VA1: each waiting input VC (a set bit in the work-list mask)
         // selects its desired output VC — one VC per traffic class
         // (control / data), clamped to the available VC count. Buckets
@@ -1003,13 +919,7 @@ impl Router {
                 // requester stalls on route occupancy this cycle.
                 for ri in 0..scratch.va_requests[b].len() {
                     let (rip, riv) = scratch.va_requests[b][ri];
-                    self.stalls.record(StallCause::RouteBusy);
-                    if let Some(rec) = journeys.as_deref_mut() {
-                        let front = self.buf.front(rip.index() * self.vcs + riv.index());
-                        if let Some(t) = front {
-                            rec.on_stall(t.packet, self.id, StallCause::RouteBusy, true);
-                        }
-                    }
+                    self.stall(self.pv(rip, riv), StallCause::RouteBusy, tel);
                 }
                 scratch.va_requests[b].clear();
                 scratch.va_line_masks[b] = 0;
@@ -1019,29 +929,20 @@ impl Router {
                 let (ip, iv) = (PortId(line / self.vcs), VcId(line % self.vcs));
                 self.out_owner[b] = Some((ip, iv));
                 self.set_state(line, VcState::Active { out_port: PortId(op), out_vc: VcId(ov) });
-                if traced {
-                    let packet = self.buf.front(line).map_or(0, |t| t.packet.0);
-                    sink.record(TraceEvent {
-                        cycle,
-                        router: self.id,
-                        port: ip,
-                        vc: iv,
-                        kind: TraceEventKind::VcAlloc,
-                        packet,
-                        detail: op as u32,
-                    });
-                }
+                tel.trace_event(TraceEvent {
+                    cycle,
+                    router: self.id,
+                    port: ip,
+                    vc: iv,
+                    kind: TraceEventKind::VcAlloc,
+                    packet: self.buf.front(line).map_or(0, |t| t.packet.0),
+                    detail: op as u32,
+                });
                 // The remaining requesters lost the arbitration.
                 for ri in 0..scratch.va_requests[b].len() {
                     let (rip, riv) = scratch.va_requests[b][ri];
                     if (rip, riv) != (ip, iv) {
-                        self.stalls.record(StallCause::VaLoss);
-                        if let Some(rec) = journeys.as_deref_mut() {
-                            let front = self.buf.front(rip.index() * self.vcs + riv.index());
-                            if let Some(t) = front {
-                                rec.on_stall(t.packet, self.id, StallCause::VaLoss, true);
-                            }
-                        }
+                        self.stall(self.pv(rip, riv), StallCause::VaLoss, tel);
                     }
                 }
             }
@@ -1062,13 +963,12 @@ impl Router {
         topo: &dyn Topology,
         scratch: &mut StepScratch,
         counters: &mut ActivityCounters,
-        sink: &mut dyn EventSink,
+        tel: &mut Telemetry,
     ) {
         let _obs = obs_scope(ObsPhase::StageRc);
         if self.routing_mask == 0 {
             return;
         }
-        let traced = sink.enabled();
         let mut routing = self.routing_mask;
         while routing != 0 {
             let pv = routing.trailing_zeros() as usize;
@@ -1130,17 +1030,15 @@ impl Router {
                 };
                 counters.rc_computations += 1;
                 self.set_state(pv, VcState::WaitingVc { out_port });
-                if traced {
-                    sink.record(TraceEvent {
-                        cycle,
-                        router: self.id,
-                        port: PortId(ip),
-                        vc: VcId(iv),
-                        kind: TraceEventKind::RouteCompute,
-                        packet,
-                        detail: out_port.index() as u32,
-                    });
-                }
+                tel.trace_event(TraceEvent {
+                    cycle,
+                    router: self.id,
+                    port: PortId(ip),
+                    vc: VcId(iv),
+                    kind: TraceEventKind::RouteCompute,
+                    packet,
+                    detail: out_port.index() as u32,
+                });
             }
         }
     }
@@ -1152,7 +1050,6 @@ mod tests {
     use crate::config::NetworkConfig;
     use crate::flit::{FlitData, FlitKind};
     use crate::packet::{PacketClass, PacketId};
-    use crate::telemetry::NullSink;
     use crate::topology::Mesh2D;
 
     fn mk_cfg() -> NetworkConfig {
@@ -1221,8 +1118,7 @@ mod tests {
                 &mut self.counters,
                 &mut self.activity,
                 &mut self.ejected,
-                &mut NullSink,
-                None,
+                &mut Telemetry::default(),
             );
         }
     }
@@ -1453,7 +1349,6 @@ mod pipeline_depth_tests {
     use crate::config::{NetworkConfig, PipelineConfig, PipelineDepth};
     use crate::flit::{FlitData, FlitKind};
     use crate::packet::{PacketClass, PacketId};
-    use crate::telemetry::NullSink;
     use crate::topology::Mesh2D;
 
     fn eject_cycle(depth: PipelineDepth) -> u64 {
@@ -1490,8 +1385,7 @@ mod pipeline_depth_tests {
                 &mut counters,
                 &mut activity,
                 &mut ejected,
-                &mut NullSink,
-                None,
+                &mut Telemetry::default(),
             );
             if let Some(e) = ejected.first() {
                 return e.cycle;

@@ -30,7 +30,7 @@ use crate::recorder::{self, FlightRecorder, StuckPacket};
 use crate::stats::{
     ActivityCounters, LatencyHistogram, LatencyStats, PerClassLatency, RouterActivity,
 };
-use crate::telemetry::{MetricsWindow, StallCounters, TelemetryConfig, TraceSink};
+use crate::telemetry::{MetricsWindow, StallCounters, TelemetryConfig};
 use crate::topology::Topology;
 use crate::traffic::{EjectedPacket, Workload};
 
@@ -254,6 +254,20 @@ fn chaos_stall_from_env(nodes: usize) -> Option<(u64, usize)> {
     Some((cycle, router))
 }
 
+/// The capacity of the run's one trace ring: an explicit
+/// [`TelemetryConfig::trace_capacity`] wins; otherwise an armed flight
+/// recorder's event ring (its `ring_capacity`), which the recorder then
+/// reads; otherwise 0, no ring.
+fn trace_capacity(cfg: &SimConfig) -> usize {
+    if cfg.telemetry.trace_capacity > 0 {
+        cfg.telemetry.trace_capacity
+    } else if cfg.anomaly.is_enabled() {
+        cfg.anomaly.ring_capacity
+    } else {
+        0
+    }
+}
+
 /// The simulation driver.
 pub struct Simulator {
     network: Network,
@@ -289,19 +303,12 @@ impl Simulator {
     /// configuration.
     pub fn new(topo: Box<dyn Topology>, net_cfg: NetworkConfig, cfg: SimConfig) -> Self {
         let mut network = Network::new(topo, net_cfg);
-        network.set_telemetry(cfg.telemetry);
+        network.set_telemetry(TelemetryConfig {
+            trace_capacity: trace_capacity(&cfg),
+            ..cfg.telemetry
+        });
         network.set_faults(cfg.faults).expect("invalid fault configuration");
-        let recorder = if cfg.anomaly.is_enabled() {
-            // The flight-recorder event ring is a plain TraceSink on
-            // the existing sink seam; an explicitly configured trace
-            // keeps priority (the recorder then reads that ring).
-            if cfg.anomaly.ring_capacity > 0 && cfg.telemetry.trace_capacity == 0 {
-                network.install_sink(Box::new(TraceSink::new(cfg.anomaly.ring_capacity)));
-            }
-            Some(Box::new(FlightRecorder::new(cfg.anomaly)))
-        } else {
-            None
-        };
+        let recorder = cfg.anomaly.is_enabled().then(|| Box::new(FlightRecorder::new(cfg.anomaly)));
         let chaos_stall = chaos_stall_from_env(network.topology().num_nodes());
         Simulator {
             network,
@@ -327,12 +334,6 @@ impl Simulator {
     /// Access to the underlying network (e.g. for counters).
     pub fn network(&self) -> &Network {
         &self.network
-    }
-
-    /// Mutable access to the underlying network (e.g. to install a
-    /// custom event sink before running).
-    pub fn network_mut(&mut self) -> &mut Network {
-        &mut self.network
     }
 
     /// The recorded event trace as Chrome trace-event JSON, when the run
@@ -391,9 +392,7 @@ impl Simulator {
     fn inject(&mut self, spec: PacketSpec, cycle: u64, measured: bool) {
         let id = PacketId(self.next_packet);
         self.next_packet += 1;
-        if let Some(j) = self.network.journeys_mut() {
-            j.on_created(id, cycle, spec.class, measured);
-        }
+        self.network.telemetry_mut().packet_created(id, cycle, spec.class, measured);
         self.in_flight.insert(
             id,
             PacketMeta {
@@ -450,9 +449,7 @@ impl Simulator {
         self.network.drain_ejected(&mut ejected_flits);
         for e in &ejected_flits {
             if e.flit.is_tail() {
-                if let Some(j) = self.network.journeys_mut() {
-                    j.on_ejected(e.flit.packet, e.cycle);
-                }
+                self.network.telemetry_mut().packet_ejected(e.flit.packet, e.cycle);
             }
         }
         for e in &ejected_flits {
@@ -674,6 +671,7 @@ impl Simulator {
 mod tests {
     use super::*;
     use crate::config::PipelineConfig;
+    use crate::telemetry::TraceSink;
     use crate::topology::{ExpressMesh2D, Mesh2D};
     use crate::traffic::UniformRandom;
 
@@ -747,6 +745,25 @@ mod tests {
     fn throughput_tracks_offered_load_below_saturation() {
         let r = run_ur(0.1, false);
         assert!((r.throughput - 0.1).abs() < 0.02, "accepted {} vs offered 0.1", r.throughput);
+    }
+
+    /// The run's one trace ring: an explicit trace capacity wins over an
+    /// armed recorder's ring, the recorder's ring is the fallback, and
+    /// neither leaves no ring at all.
+    #[test]
+    fn one_trace_ring_capacity() {
+        let ring = |telemetry: TelemetryConfig, anomaly: AnomalyConfig| {
+            let cfg = SimConfig::short().with_telemetry(telemetry).with_anomaly(anomaly);
+            let sim = Simulator::new(Box::new(Mesh2D::new(4, 4)), NetworkConfig::default(), cfg);
+            sim.network().trace_sink().map(TraceSink::capacity)
+        };
+        let armed = AnomalyConfig::detect().with_ring(512);
+        let explicit = TelemetryConfig { trace_capacity: 64, ..TelemetryConfig::disabled() };
+        assert_eq!(ring(TelemetryConfig::disabled(), armed), Some(512), "recorder's ring");
+        assert_eq!(ring(explicit, armed), Some(64), "explicit capacity wins");
+        assert_eq!(ring(explicit, AnomalyConfig::disabled()), Some(64));
+        assert_eq!(ring(TelemetryConfig::disabled(), AnomalyConfig::disabled()), None);
+        assert_eq!(ring(TelemetryConfig::windows(100), armed.with_ring(0)), None, "no ring asked");
     }
 
     #[test]

@@ -12,9 +12,7 @@ use proptest::prelude::*;
 
 use mira_noc::config::{NetworkConfig, PipelineConfig, PipelineDepth};
 use mira_noc::sim::{SimConfig, SimReport, Simulator};
-use mira_noc::telemetry::{
-    EventSink, StallCounters, TelemetryConfig, TraceEvent, TraceEventKind, TraceSink,
-};
+use mira_noc::telemetry::{StallCounters, TelemetryConfig, TraceEvent, TraceEventKind, TraceSink};
 use mira_noc::topology::Mesh2D;
 use mira_noc::traffic::{PayloadProfile, UniformRandom};
 use mira_noc::{NodeId, PortId, VcId};

@@ -19,6 +19,7 @@ use mira_noc::ids::NodeId;
 use mira_noc::network::Network;
 use mira_noc::packet::{Packet, PacketClass, PacketId};
 use mira_noc::recorder::FlightRecorder;
+use mira_noc::telemetry::TelemetryConfig;
 use mira_noc::topology::{ExpressMesh2D, Mesh2D, Mesh3D, Topology};
 
 /// Pass-through allocator that counts allocations while armed. With
@@ -77,17 +78,19 @@ const MEASURED_CYCLES: u64 = 1_000;
 /// traffic to stay busy through warmup + measurement, then counts heap
 /// allocations across the measured window. With a `recorder` the armed
 /// detectors are evaluated every cycle, the way the simulator drives
-/// them.
+/// them; `telemetry` configures the network's telemetry consumers.
 fn allocations_during_steady_state(
     topo: Box<dyn Topology>,
     combined: bool,
     mut recorder: Option<&mut FlightRecorder>,
+    telemetry: TelemetryConfig,
 ) -> (u64, usize) {
     let nodes = topo.num_nodes();
     let pipeline =
         if combined { PipelineConfig::combined_st_lt() } else { PipelineConfig::separate_lt() };
     let cfg = NetworkConfig::builder().pipeline(pipeline).build();
     let mut net = Network::new(topo, cfg);
+    net.set_telemetry(telemetry);
 
     // Enough flits per node to keep every source queue non-empty for the
     // whole run, so the measured window is genuinely steady-state (the
@@ -124,6 +127,9 @@ fn allocations_during_steady_state(
         net.drain_ejected(&mut ejected);
         ejected.clear();
     }
+    if let Some(ring) = net.trace_sink() {
+        assert!(ring.dropped() > 0, "the trace ring wraps during warmup");
+    }
 
     ALLOCS.store(0, Ordering::SeqCst);
     ARMED.store(true, Ordering::SeqCst);
@@ -150,7 +156,8 @@ fn steady_state_stepping_never_allocates() {
         ("3DM-E", Box::new(ExpressMesh2D::new(6, 6)), true),
     ];
     for (name, topo, combined) in archs {
-        let (allocs, ejected) = allocations_during_steady_state(topo, combined, None);
+        let (allocs, ejected) =
+            allocations_during_steady_state(topo, combined, None, TelemetryConfig::disabled());
         assert!(ejected > 0, "{name}: scenario must actually move traffic");
         assert_eq!(
             allocs, 0,
@@ -164,8 +171,12 @@ fn steady_state_stepping_never_allocates() {
     // loop never touches the metrics registry (first-touch registration
     // allocates, so registry updates are confined to per-batch code).
     mira_obs::set_enabled(true);
-    let (allocs, ejected) =
-        allocations_during_steady_state(Box::new(Mesh2D::new(4, 4)), false, None);
+    let (allocs, ejected) = allocations_during_steady_state(
+        Box::new(Mesh2D::new(4, 4)),
+        false,
+        None,
+        TelemetryConfig::disabled(),
+    );
     mira_obs::set_enabled(false);
     assert!(ejected > 0, "obs-enabled scenario must actually move traffic");
     assert_eq!(
@@ -178,13 +189,30 @@ fn steady_state_stepping_never_allocates() {
     // a non-firing `evaluate()` is pure reads over the SoA state, so
     // always-on anomaly detection costs zero allocations per cycle.
     let mut rec = FlightRecorder::new(AnomalyConfig::detect());
-    let (allocs, ejected) =
-        allocations_during_steady_state(Box::new(Mesh2D::new(4, 4)), false, Some(&mut rec));
+    let (allocs, ejected) = allocations_during_steady_state(
+        Box::new(Mesh2D::new(4, 4)),
+        false,
+        Some(&mut rec),
+        TelemetryConfig::disabled(),
+    );
     assert!(ejected > 0, "recorder-armed scenario must actually move traffic");
     assert_eq!(rec.counts().total(), 0, "no detector fires on the healthy scenario");
     assert_eq!(
         allocs, 0,
         "recorder-armed steady-state stepping performed {allocs} heap allocations \
          across {MEASURED_CYCLES} cycles — a non-firing detector sweep must be allocation-free"
+    );
+
+    // Tracing on: the ring is allocated once at its capacity and
+    // overwrites in place once full, so a wrapped ring records every
+    // event of the steady state without allocating.
+    let traced = TelemetryConfig { trace_capacity: 256, ..TelemetryConfig::disabled() };
+    let (allocs, ejected) =
+        allocations_during_steady_state(Box::new(Mesh2D::new(4, 4)), false, None, traced);
+    assert!(ejected > 0, "traced scenario must actually move traffic");
+    assert_eq!(
+        allocs, 0,
+        "traced steady-state stepping performed {allocs} heap allocations \
+         across {MEASURED_CYCLES} cycles — recording into a full trace ring must not allocate"
     );
 }

@@ -1,11 +1,13 @@
-//! Golden determinism guard for the telemetry PR (DESIGN.md §11).
+//! Golden determinism guard for the telemetry seam (DESIGN.md §11).
 //!
-//! The telemetry subsystem is purely observational: with the default
-//! `NullSink` the simulator must produce bit-identical results to the
-//! pre-telemetry build. The `EXPECTED` bits below were captured on the
-//! commit immediately before telemetry landed, with the exact recipe in
-//! [`run_point`]; any drift means an instrumentation hook leaked into
-//! the simulated behaviour.
+//! The telemetry subsystem is purely observational: with every
+//! consumer off (the default) the simulator must produce bit-identical
+//! results to the pre-telemetry build. The `EXPECTED` bits below were
+//! captured on the commit immediately before telemetry landed, with the
+//! exact recipe in [`run_point`]; any drift means an instrumentation
+//! hook leaked into the simulated behaviour. With the consumers on, the
+//! trace ring's event stream and the windows and journeys fed alongside
+//! it are pinned too ([`trace_stream_is_pinned`]).
 
 use mira::arch::Arch;
 use mira::experiments::common::{run_arch, EXPERIMENT_SEED};
@@ -104,7 +106,7 @@ fn check(g: &Golden, r: &mira::experiments::common::RunResult, label: &str) {
     );
 }
 
-/// Default path (NullSink, no metrics windows) reproduces the
+/// Default path (telemetry off, no metrics windows) reproduces the
 /// pre-telemetry golden bits exactly.
 #[test]
 fn null_sink_is_bit_identical_to_pre_telemetry_build() {
@@ -184,5 +186,126 @@ fn journey_sampling_is_bit_identical_to_disabled() {
             "{}: journeys were recorded",
             g.name
         );
+    }
+}
+
+/// One pinned trace stream: the ring's retained length, its overwrite
+/// count, the FNV-1a of the Chrome JSON export (journey flows
+/// included), and the FNV-1a of the report's windows and journey
+/// attribution fed alongside it.
+struct TracePin {
+    name: &'static str,
+    arch: Arch,
+    rate: f64,
+    short: f64,
+    faults: Option<mira::noc::fault::FaultConfig>,
+    capacity: usize,
+    len: usize,
+    dropped: u64,
+    json_fnv: u64,
+    windows_fnv: u64,
+    /// Event names the retained window must contain.
+    kinds: &'static [&'static str],
+}
+
+/// 64-bit FNV-1a over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+fn trace_pins() -> [TracePin; 3] {
+    // `golden_core`'s fault recipe: transients with a retry budget, a
+    // killed link and rerouting (fault and retransmit events, the
+    // `LinkFault` stall). Its kill severs nothing, so a harsher variant
+    // (exhausted retries, random kills) pins the drop events too.
+    let faults = mira::noc::fault::FaultConfig::disabled()
+        .with_transient(2_000)
+        .with_kill(14, 1, 400)
+        .with_max_retries(4)
+        .with_reroute(true)
+        .with_seed(EXPERIMENT_SEED);
+    [
+        TracePin {
+            name: "3DM_ur030_short",
+            arch: Arch::ThreeDM,
+            rate: 0.30,
+            short: 0.5,
+            faults: None,
+            // Wraps: pins the ring's drop-oldest order.
+            capacity: 1 << 15,
+            len: 32_768,
+            dropped: 425_847,
+            json_fnv: 0xd3c7_1415_a4ce_648e,
+            windows_fnv: 0x079a_2082_43b4_ff3b,
+            kinds: &["\"layer_gate\""],
+        },
+        TracePin {
+            name: "2DB_ur010_faults",
+            arch: Arch::TwoDB,
+            rate: 0.10,
+            short: 0.0,
+            faults: Some(faults),
+            // Holds the whole run: every fault event is retained.
+            capacity: 1 << 18,
+            len: 140_575,
+            dropped: 0,
+            json_fnv: 0xd707_8b3b_2cdd_a811,
+            windows_fnv: 0x0161_3f79_65db_f0d1,
+            kinds: &["\"fault\"", "\"retransmit\""],
+        },
+        TracePin {
+            name: "2DB_ur010_drops",
+            arch: Arch::TwoDB,
+            rate: 0.10,
+            short: 0.0,
+            faults: Some(
+                faults.with_transient(50_000).with_max_retries(1).with_random_kills(2, 800),
+            ),
+            capacity: 1 << 18,
+            len: 143_375,
+            dropped: 0,
+            json_fnv: 0x901d_b543_e3b0_e658,
+            windows_fnv: 0x802c_04f0_7e14_53bf,
+            kinds: &["\"fault\"", "\"retransmit\"", "\"drop\""],
+        },
+    ]
+}
+
+/// The event trace itself is pinned, not just the simulated behaviour:
+/// with windows, journeys and a wrapping trace ring all on, every
+/// retained event (and the journey flows drawn over them) reproduces
+/// exactly.
+#[test]
+fn trace_stream_is_pinned() {
+    for p in &trace_pins() {
+        let mut cfg = quick_sim_config().with_telemetry(TelemetryConfig {
+            metrics_window: 500,
+            trace_capacity: p.capacity,
+            journey_sample_ppm: 250_000,
+            journey_seed: 0,
+        });
+        if let Some(f) = p.faults {
+            cfg = cfg.with_faults(f);
+        }
+        let mut w = UniformRandom::new(p.rate, 5, EXPERIMENT_SEED);
+        if p.short > 0.0 {
+            w = w.with_payload(PayloadProfile::with_short_fraction(4, p.short));
+        }
+        let mut sim =
+            mira_noc::Simulator::new(p.arch.topology(), p.arch.network_config(p.short > 0.0), cfg);
+        let report = sim.run(Box::new(w));
+        assert!(!report.windows.is_empty() && !sim.journeys().is_empty(), "{}", p.name);
+        let sink = sim.network().trace_sink().expect("trace ring installed");
+        let json = sim.trace_chrome_json().expect("trace exported");
+        let observed = serde_json::to_string(&(&report.windows, &report.journeys)).unwrap();
+        let got = (sink.len(), sink.dropped(), fnv1a(json.as_bytes()), fnv1a(observed.as_bytes()));
+        for kind in p.kinds {
+            assert!(json.contains(&format!("\"name\":{kind}")), "{}: no {kind} event", p.name);
+        }
+        assert!(json.contains("\"cat\":\"journey\""), "{}: journey flows drawn", p.name);
+        let want = (p.len, p.dropped, p.json_fnv, p.windows_fnv);
+        assert_eq!(got, want, "{}: trace stream drifted", p.name);
     }
 }
