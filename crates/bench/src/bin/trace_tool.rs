@@ -268,17 +268,6 @@ fn obs_view(snap: &mira_obs::ObsSnapshot) -> String {
         )),
         None => out.push_str("step coverage: no profiled steps\n"),
     }
-    if !snap.metrics.is_empty() {
-        out.push_str("metrics:\n");
-        for m in &snap.metrics {
-            match m.kind.as_str() {
-                "histogram" => {
-                    out.push_str(&format!("  {:<32} count {} sum {}\n", m.name, m.value, m.sum))
-                }
-                _ => out.push_str(&format!("  {:<32} {}\n", m.name, m.value)),
-            }
-        }
-    }
     out
 }
 

@@ -12,6 +12,12 @@
 //! -compatible event trace and a metrics dump from one representative
 //! traced run.
 //!
+//! [`Cli`] is the one run configuration: every run switch is a flag,
+//! parsed by [`Cli::parse_from`] into [`HostError::Flag`] on bad input;
+//! the environment contributes only the pool size (`MIRA_JOBS`). The
+//! result-shaping flags render as [`Cli::options`], which names each
+//! batch's results-store file and its batch line (DESIGN.md §16).
+//!
 //! Criterion benches covering the simulator engine and each experiment
 //! group live under `benches/`.
 
@@ -22,6 +28,7 @@ use serde::Serialize;
 use mira::arch::Arch;
 use mira::error::HostError;
 use mira::experiments::common::EXPERIMENT_SEED;
+use mira::noc::ids::{NodeId, PortId};
 use mira::noc::sim::Simulator;
 use mira::noc::telemetry::TelemetryConfig;
 use mira::noc::traffic::{PayloadProfile, UniformRandom};
@@ -59,21 +66,23 @@ pub struct Cli {
     pub span_sample_ppm: Option<u32>,
     /// Write the representative run's sampled packet journeys as JSON
     /// (`--journeys-out`); implies span sampling at rate 1 unless
-    /// `--span-sample-rate` narrows it.
+    /// `--span-sample-rate` narrows it (to a rate above 0).
     pub journeys_out: Option<&'static str>,
     /// Transient link-fault rate in ppm of flit deliveries, parsed from
     /// the `--fault-rate <fraction>` flag (`0.001` → 1000 ppm).
     pub fault_rate_ppm: Option<u32>,
     /// Permanent link kill as `(node, out-port, cycle)`, from
-    /// `--kill-link node:port[@cycle]` (cycle defaults to 0).
+    /// `--kill-link node:port[@cycle]` (cycle defaults to 0). The link
+    /// must exist on every architecture.
     pub kill_link: Option<(usize, usize, u64)>,
-    /// Seed for the fault plan (`--fault-seed`); defaults to the fault
-    /// subsystem's own default when unset.
+    /// Seed for the fault plan (`--fault-seed`; only with `--fault-rate`
+    /// or `--kill-link`); defaults to the fault subsystem's own default
+    /// when unset.
     pub fault_seed: Option<u64>,
     /// Write the host-observability snapshot as JSON (`--obs-out`); a
     /// Prometheus text rendering lands next to it with a `.prom`
     /// extension. Giving the flag also enables observability for the
-    /// process (phase timers, metrics, the session summary list).
+    /// process (phase timers, the session summary list).
     pub obs_out: Option<&'static str>,
     /// Emit one machine-readable JSON line per completed runner point on
     /// stderr (`--progress-json`).
@@ -105,137 +114,209 @@ fn parse_kill_link(spec: &str) -> Option<(usize, usize, u64)> {
     Some((node.parse().ok()?, port.parse().ok()?, cycle))
 }
 
+/// Whether a link leaves `node` through `port` on `arch` — the rule
+/// `FaultPlan::compile` resolves a kill by: the network wires one link
+/// per non-local port that has a neighbour.
+fn has_link(arch: Arch, node: usize, port: usize) -> bool {
+    let topo = arch.topology();
+    node < topo.num_nodes()
+        && (1..topo.radix()).contains(&port)
+        && topo.neighbor(NodeId(node), PortId(port)).is_some()
+}
+
 /// Leaks a flag value so [`Cli`] can stay `Copy` (flags are parsed once
 /// per process; the leak is bounded and deliberate).
 fn leak(value: String) -> &'static str {
     Box::leak(value.into_boxed_str())
 }
 
-fn usage_error(message: &str) -> ! {
-    eprintln!("{message}; {USAGE}");
-    std::process::exit(2);
+fn flag_error(flag: &'static str, detail: impl Into<String>) -> HostError {
+    HostError::Flag { flag, detail: detail.into() }
+}
+
+/// Parses a flag value, or names the flag and what it expects.
+fn parse_value<T: std::str::FromStr>(
+    (flag, value): (&'static str, String),
+    valid: impl Fn(&T) -> bool,
+    expects: &str,
+) -> Result<T, HostError> {
+    match value.parse::<T>() {
+        Ok(v) if valid(&v) => Ok(v),
+        _ => Err(flag_error(flag, format!("expects {expects}, got {value:?}"))),
+    }
+}
+
+/// A fraction in ppm (`0.01` → 10000).
+fn ppm(fraction: f64) -> u32 {
+    (fraction * 1_000_000.0).round() as u32
+}
+
+/// A path value; a blank one would write into the working directory.
+fn parse_path((flag, value): (&'static str, String)) -> Result<&'static str, HostError> {
+    if value.trim().is_empty() {
+        return Err(flag_error(flag, "expects a path, got a blank value"));
+    }
+    Ok(leak(value))
 }
 
 impl Cli {
-    /// Parses the process arguments (unknown flags abort with usage).
-    /// Also initialises host observability from the environment
-    /// (`MIRA_OBS=1`), so every bench binary honours it without code,
-    /// and installs the process runner: the runner flags layered over
-    /// their environment-variable equivalents, which every batch then
-    /// runs on (see [`Cli::runner`]).
+    /// Parses the process arguments, then installs the process runner
+    /// those flags describe, which every batch then runs on (see
+    /// [`Cli::runner`]). `--help` prints the usage line and exits 0; a
+    /// malformed flag prints its error and the usage line and exits 2.
     pub fn parse() -> Cli {
-        mira_obs::init_from_env();
-        let mut cli = Cli::default();
-        let mut args = std::env::args().skip(1);
-        while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--quick" => cli.quick = true,
-                "--json" => cli.json = true,
-                "--metrics-window" => {
-                    let v = args
-                        .next()
-                        .unwrap_or_else(|| usage_error("--metrics-window needs a cycle count"));
-                    match v.parse::<u64>() {
-                        Ok(cycles) if cycles > 0 => cli.metrics_window = Some(cycles),
-                        _ => usage_error(&format!("invalid --metrics-window value {v:?}")),
-                    }
-                }
-                "--trace-out" => {
-                    let v = args.next().unwrap_or_else(|| usage_error("--trace-out needs a path"));
-                    cli.trace_out = Some(leak(v));
-                }
-                "--metrics-out" => {
-                    let v =
-                        args.next().unwrap_or_else(|| usage_error("--metrics-out needs a path"));
-                    cli.metrics_out = Some(leak(v));
-                }
-                "--span-sample-rate" => {
-                    let v = args
-                        .next()
-                        .unwrap_or_else(|| usage_error("--span-sample-rate needs a fraction"));
-                    match v.parse::<f64>() {
-                        Ok(f) if (0.0..=1.0).contains(&f) => {
-                            cli.span_sample_ppm = Some((f * 1_000_000.0).round() as u32);
-                        }
-                        _ => usage_error(&format!("invalid --span-sample-rate value {v:?}")),
-                    }
-                }
-                "--journeys-out" => {
-                    let v =
-                        args.next().unwrap_or_else(|| usage_error("--journeys-out needs a path"));
-                    cli.journeys_out = Some(leak(v));
-                }
-                "--fault-rate" => {
-                    let v =
-                        args.next().unwrap_or_else(|| usage_error("--fault-rate needs a fraction"));
-                    match v.parse::<f64>() {
-                        Ok(f) if (0.0..1.0).contains(&f) => {
-                            cli.fault_rate_ppm = Some((f * 1_000_000.0).round() as u32);
-                        }
-                        _ => usage_error(&format!("invalid --fault-rate value {v:?}")),
-                    }
-                }
-                "--kill-link" => {
-                    let v = args
-                        .next()
-                        .unwrap_or_else(|| usage_error("--kill-link needs node:port[@cycle]"));
-                    match parse_kill_link(&v) {
-                        Some(kill) => cli.kill_link = Some(kill),
-                        None => usage_error(&format!("invalid --kill-link spec {v:?}")),
-                    }
-                }
-                "--obs-out" => {
-                    let v = args.next().unwrap_or_else(|| usage_error("--obs-out needs a path"));
-                    cli.obs_out = Some(leak(v));
-                    mira_obs::set_enabled(true);
-                }
-                "--progress-json" => cli.progress_json = true,
-                "--resume" => cli.resume = true,
-                "--checkpoint-dir" => {
-                    let v = args
-                        .next()
-                        .unwrap_or_else(|| usage_error("--checkpoint-dir needs a directory"));
-                    cli.checkpoint_dir = Some(leak(v));
-                }
-                "--fail-fast" => cli.fail_fast = true,
-                "--anomaly" => cli.anomaly = true,
-                "--blackbox-out" => {
-                    let v =
-                        args.next().unwrap_or_else(|| usage_error("--blackbox-out needs a dir"));
-                    cli.blackbox_out = Some(leak(v));
-                }
-                "--fault-seed" => {
-                    let v = args.next().unwrap_or_else(|| usage_error("--fault-seed needs a seed"));
-                    match v.parse::<u64>() {
-                        Ok(seed) => cli.fault_seed = Some(seed),
-                        _ => usage_error(&format!("invalid --fault-seed value {v:?}")),
-                    }
-                }
-                "--help" | "-h" => {
-                    eprintln!("{USAGE}");
-                    std::process::exit(0);
-                }
-                other => usage_error(&format!("unknown flag {other}")),
-            }
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        if args.iter().any(|a| a == "--help" || a == "-h") {
+            eprintln!("{USAGE}");
+            std::process::exit(0);
+        }
+        let cli = Cli::parse_from(args).unwrap_or_else(|e| {
+            eprintln!("{e}; {USAGE}");
+            std::process::exit(2);
+        });
+        if cli.obs_out.is_some() {
+            mira_obs::set_enabled(true);
         }
         cli.install_runner();
         cli
     }
 
-    /// Installs [`Runner::from_env`] with the runner flags
-    /// (`--progress-json`, `--fail-fast`, `--checkpoint-dir`,
-    /// `--resume`, `--blackbox-out`) layered on top, so library
-    /// exhibits that build their own runner honour them too.
-    fn install_runner(&self) {
-        let mut runner = Runner::from_env().progress_json(self.progress_json);
-        if self.fail_fast {
-            runner = runner.fail_fast(true);
+    /// Parses flags (without the program name). Every malformed value,
+    /// unknown flag or inconsistent combination is a
+    /// [`HostError::Flag`] naming the flag.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HostError::Flag`] on the first bad flag.
+    pub fn parse_from<I>(args: I) -> Result<Cli, HostError>
+    where
+        I: IntoIterator,
+        I::Item: Into<String>,
+    {
+        let mut cli = Cli::default();
+        let mut args = args.into_iter().map(Into::into);
+        while let Some(arg) = args.next() {
+            let mut value = |flag: &'static str| match args.next() {
+                Some(v) => Ok((flag, v)),
+                None => Err(flag_error(flag, "needs a value")),
+            };
+            match arg.as_str() {
+                "--quick" => cli.quick = true,
+                "--json" => cli.json = true,
+                "--progress-json" => cli.progress_json = true,
+                "--resume" => cli.resume = true,
+                "--fail-fast" => cli.fail_fast = true,
+                "--anomaly" => cli.anomaly = true,
+                "--metrics-window" => {
+                    cli.metrics_window = Some(parse_value(
+                        value("--metrics-window")?,
+                        |&c: &u64| c > 0,
+                        "a positive cycle count",
+                    )?);
+                }
+                "--span-sample-rate" => {
+                    let rate = parse_value(
+                        value("--span-sample-rate")?,
+                        |f: &f64| (0.0..=1.0).contains(f),
+                        "a fraction in 0..=1",
+                    )?;
+                    cli.span_sample_ppm = Some(ppm(rate));
+                }
+                "--fault-rate" => {
+                    let rate = parse_value(
+                        value("--fault-rate")?,
+                        |f: &f64| (0.0..1.0).contains(f),
+                        "a fraction in 0..1",
+                    )?;
+                    cli.fault_rate_ppm = Some(ppm(rate));
+                }
+                "--kill-link" => {
+                    let (flag, spec) = value("--kill-link")?;
+                    cli.kill_link = Some(parse_kill_link(&spec).ok_or_else(|| {
+                        flag_error(flag, format!("expects node:port[@cycle], got {spec:?}"))
+                    })?);
+                }
+                "--fault-seed" => {
+                    cli.fault_seed =
+                        Some(parse_value(value("--fault-seed")?, |_: &u64| true, "a seed")?);
+                }
+                "--trace-out" => cli.trace_out = Some(parse_path(value("--trace-out")?)?),
+                "--metrics-out" => cli.metrics_out = Some(parse_path(value("--metrics-out")?)?),
+                "--journeys-out" => cli.journeys_out = Some(parse_path(value("--journeys-out")?)?),
+                "--obs-out" => cli.obs_out = Some(parse_path(value("--obs-out")?)?),
+                "--checkpoint-dir" => {
+                    cli.checkpoint_dir = Some(parse_path(value("--checkpoint-dir")?)?);
+                }
+                "--blackbox-out" => cli.blackbox_out = Some(parse_path(value("--blackbox-out")?)?),
+                _ => return Err(flag_error(leak(arg), "unknown flag")),
+            }
         }
+        cli.check_combinations()?;
+        Ok(cli)
+    }
+
+    /// Rejects flag combinations that would panic or be silently
+    /// ignored later.
+    fn check_combinations(&self) -> Result<(), HostError> {
+        if self.journeys_out.is_some() && self.span_sample_ppm == Some(0) {
+            return Err(flag_error("--journeys-out", "records no journey at --span-sample-rate 0"));
+        }
+        if self.fault_seed.is_some() && self.fault_rate_ppm.is_none() && self.kill_link.is_none() {
+            return Err(flag_error("--fault-seed", "needs --fault-rate or --kill-link to seed"));
+        }
+        if let Some((node, port, _)) = self.kill_link {
+            // Exhibits run several architectures; the kill must resolve
+            // on each, or every point on the others panics.
+            if let Some(arch) = Arch::ALL.into_iter().find(|&a| !has_link(a, node, port)) {
+                return Err(flag_error(
+                    "--kill-link",
+                    format!("no link leaves node {node} through port {port} on {}", arch.name()),
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// The canonical rendering of every field that shapes results —
+    /// everything [`Cli::sim_config`], [`Cli::trace_cycles`],
+    /// [`rates_ur`] and [`rates_nuca`] read — in a fixed order with
+    /// parsed values (so `--fault-rate 0.0010` and `--fault-rate 0.001`
+    /// render alike). Output-only flags (`--json`, the `--*-out` paths,
+    /// `--progress-json`, `--resume`, `--checkpoint-dir`,
+    /// `--fail-fast`) are left out. The installed runner hashes it
+    /// into each batch's store identity and echoes it on the batch
+    /// line.
+    pub fn options(&self) -> String {
+        fn or_none<T: std::fmt::Display>(v: Option<T>) -> String {
+            v.map_or_else(|| "none".to_string(), |v| v.to_string())
+        }
+        let kill = self.kill_link.map(|(node, port, cycle)| format!("{node}:{port}@{cycle}"));
+        format!(
+            "quick={} metrics_window={} span_sample_ppm={} fault_rate_ppm={} kill_link={} \
+             fault_seed={} anomaly={}",
+            self.quick,
+            or_none(self.metrics_window),
+            or_none(self.span_sample_ppm),
+            or_none(self.fault_rate_ppm),
+            or_none(kill),
+            or_none(self.fault_seed),
+            self.anomaly,
+        )
+    }
+
+    /// Installs the runner the flags describe: [`Runner::from_env`]'s
+    /// pool with the runner flags (`--progress-json`, `--fail-fast`,
+    /// `--checkpoint-dir`, `--resume`, `--blackbox-out`) and the
+    /// [`Cli::options`] echo, so library exhibits that build their own
+    /// runner honour them too.
+    fn install_runner(&self) {
+        let mut runner = Runner::from_env()
+            .progress_json(self.progress_json)
+            .fail_fast(self.fail_fast)
+            .resume(self.resume)
+            .options(self.options());
         if let Some(dir) = self.checkpoint_dir {
             runner = runner.checkpoint_dir(dir);
-        }
-        if self.resume {
-            runner = runner.resume(true);
         }
         if let Some(dir) = self.blackbox_out {
             runner = runner.blackbox_out(dir);
@@ -316,8 +397,8 @@ impl Cli {
     /// The worker pool for this invocation: the runner [`Cli::parse`]
     /// installed (sized by `available_parallelism`, overridable with
     /// `MIRA_JOBS`; the progress line shows whenever stderr is a
-    /// terminal; the runner flags layered over their
-    /// environment-variable equivalents).
+    /// terminal; the runner flags and the [`Cli::options`] echo
+    /// applied).
     pub fn runner(&self) -> Runner {
         Runner::from_env()
     }
@@ -496,5 +577,126 @@ pub fn rates_nuca(cli: Cli) -> Vec<f64> {
         vec![0.05, 0.15]
     } else {
         vec![0.02, 0.05, 0.10, 0.15, 0.20, 0.30]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Cli, HostError> {
+        Cli::parse_from(args.iter().copied())
+    }
+
+    fn rejected_flag(args: &[&str]) -> &'static str {
+        match parse(args) {
+            Err(HostError::Flag { flag, .. }) => flag,
+            other => panic!("{args:?} must be a flag error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn flags_parse_into_the_cli() {
+        let cli = parse(&[
+            "--quick",
+            "--metrics-window",
+            "500",
+            "--span-sample-rate",
+            "0.25",
+            "--fault-rate",
+            "0.002",
+            "--kill-link",
+            "0:1@100",
+            "--fault-seed",
+            "7",
+            "--checkpoint-dir",
+            "st",
+        ])
+        .expect("valid flags");
+        assert!(cli.quick && !cli.json);
+        assert_eq!(cli.metrics_window, Some(500));
+        assert_eq!(cli.span_sample_ppm, Some(250_000));
+        assert_eq!(cli.fault_rate_ppm, Some(2_000));
+        assert_eq!(cli.kill_link, Some((0, 1, 100)));
+        assert_eq!(cli.fault_seed, Some(7));
+        assert_eq!(cli.checkpoint_dir, Some("st"));
+        assert_eq!(parse(&[]).expect("no flags"), Cli::default());
+    }
+
+    #[test]
+    fn malformed_flags_name_the_flag() {
+        assert_eq!(rejected_flag(&["--bogus"]), "--bogus");
+        assert_eq!(rejected_flag(&["--metrics-window"]), "--metrics-window", "missing value");
+        assert_eq!(rejected_flag(&["--metrics-window", "0"]), "--metrics-window");
+        assert_eq!(rejected_flag(&["--span-sample-rate", "1.5"]), "--span-sample-rate");
+        assert_eq!(rejected_flag(&["--fault-rate", "1"]), "--fault-rate");
+        assert_eq!(rejected_flag(&["--kill-link", "7-3"]), "--kill-link");
+        let err = parse(&["--fault-seed", "x", "--fault-rate", "0.1"]).expect_err("bad seed");
+        assert!(err.to_string().contains("--fault-seed") && err.to_string().contains("\"x\""));
+    }
+
+    #[test]
+    fn blank_paths_are_rejected() {
+        // A blank path would write into the working directory.
+        for flag in ["--checkpoint-dir", "--blackbox-out", "--trace-out"] {
+            assert_eq!(rejected_flag(&[flag, ""]), flag);
+            assert_eq!(rejected_flag(&[flag, "  "]), flag);
+        }
+        assert_eq!(parse(&["--blackbox-out", "bb"]).expect("a directory").blackbox_out, Some("bb"));
+    }
+
+    #[test]
+    fn journeys_out_needs_a_positive_sample_rate() {
+        let args = ["--span-sample-rate", "0", "--journeys-out", "j.json"];
+        assert_eq!(rejected_flag(&args), "--journeys-out");
+        assert!(parse(&["--journeys-out", "j.json"]).is_ok(), "no rate samples every packet");
+        assert!(parse(&["--span-sample-rate", "0.1", "--journeys-out", "j.json"]).is_ok());
+        assert!(parse(&["--span-sample-rate", "0"]).is_ok(), "rate 0 alone is the default path");
+    }
+
+    #[test]
+    fn fault_seed_needs_a_fault_to_seed() {
+        assert_eq!(rejected_flag(&["--fault-seed", "7"]), "--fault-seed");
+        assert!(parse(&["--fault-seed", "7", "--fault-rate", "0.001"]).is_ok());
+        assert!(parse(&["--kill-link", "0:1", "--fault-seed", "7"]).is_ok());
+    }
+
+    #[test]
+    fn kill_link_must_name_a_link_on_every_architecture() {
+        let cli = parse(&["--kill-link", "0:1@250"]).expect("east out of node 0 exists everywhere");
+        assert!(cli.fault_config().is_some());
+        for spec in ["999:1", "0:0", "0:9", "35:1"] {
+            assert_eq!(rejected_flag(&["--kill-link", spec]), "--kill-link", "{spec}");
+        }
+    }
+
+    #[test]
+    fn options_echo_covers_exactly_the_result_shaping_flags() {
+        let echo = |args: &[&str]| parse(args).expect("valid flags").options();
+        let base = echo(&[]);
+        assert_ne!(echo(&["--quick"]), base, "--quick shapes results");
+        assert!(echo(&["--quick"]).contains("quick=true"));
+        for shaping in [
+            &["--metrics-window", "500"][..],
+            &["--span-sample-rate", "0.5"],
+            &["--fault-rate", "0.001"],
+            &["--kill-link", "0:1"],
+            &["--anomaly"],
+        ] {
+            assert_ne!(echo(shaping), base, "{shaping:?} shapes results");
+        }
+        for output_only in [
+            &["--json"][..],
+            &["--resume"],
+            &["--checkpoint-dir", "d"],
+            &["--progress-json"],
+            &["--trace-out", "t"],
+            &["--fail-fast"],
+            &["--obs-out", "o.json"],
+        ] {
+            assert_eq!(echo(output_only), base, "{output_only:?} is output-only");
+        }
+        // The echo renders parsed values, so spellings of one value agree.
+        assert_eq!(echo(&["--fault-rate", "0.0010"]), echo(&["--fault-rate", "0.001"]));
     }
 }

@@ -167,9 +167,7 @@ fn steady_state_stepping_never_allocates() {
     }
 
     // With host observability collecting, the contract still holds: the
-    // phase guards are an `Instant` read plus atomic adds, and the hot
-    // loop never touches the metrics registry (first-touch registration
-    // allocates, so registry updates are confined to per-batch code).
+    // phase guards are an `Instant` read plus atomic adds.
     mira_obs::set_enabled(true);
     let (allocs, ejected) = allocations_during_steady_state(
         Box::new(Mesh2D::new(4, 4)),

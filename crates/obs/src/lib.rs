@@ -3,24 +3,21 @@
 //!
 //! Where `mira-noc`'s telemetry observes the *simulated* network, this
 //! crate observes the *simulator itself*: where host wall time goes
-//! (phase profiler), how large the core data structures grow (watermark
-//! gauges), how the worker pool behaves (runner metrics), and what every
-//! run produced (results store). See DESIGN.md §15.
+//! (phase profiler), which build produced a number (provenance), and
+//! what every run produced (results store). See DESIGN.md §15.
 //!
-//! Everything hangs off one global switch:
+//! Collection hangs off one global switch:
 //!
 //! * [`enabled`] — a single relaxed atomic load. Observability is **off
 //!   by default**; simulated results are identical either way (the
 //!   instrumentation is host-side only), which `tests/golden_core.rs`
-//!   pins bit-for-bit.
+//!   pins bit-for-bit. The bench binaries turn it on with `--obs-out`.
 //! * Built without the default `runtime` feature, [`enabled`] is a
-//!   `const false` and the optimiser deletes every scope and metric
-//!   update outright — the compile-out form of the zero-overhead path.
+//!   `const false` and the optimiser deletes every phase scope outright
+//!   — the compile-out form of the zero-overhead path.
 //!
 //! The pieces:
 //!
-//! * [`registry`] — static-registration atomic counters, max-gauges and
-//!   log₂ histograms, rendered as a JSON snapshot or Prometheus text.
 //! * [`phase`] — wall-time attribution for the hot loop (a
 //!   [`phase::StepTimer`] tiling `Network::step`'s sections, and
 //!   [`phase::scope`] guards around the router pipeline stages).
@@ -30,12 +27,11 @@
 //!   `results/checkpoints/<exhibit>-<hash>.jsonl` file per batch, with a
 //!   line per completed point (the replay substrate of the runner's
 //!   `--resume`, DESIGN.md §16) and a line per finished run (its
-//!   summary). It is written whenever a store directory is set,
-//!   independent of [`enabled`].
+//!   options and summary). It is written whenever a store directory is
+//!   set, independent of [`enabled`].
 
 pub mod phase;
 pub mod provenance;
-pub mod registry;
 pub mod store;
 
 use serde::{Deserialize, Serialize};
@@ -72,17 +68,8 @@ pub fn set_enabled(on: bool) {
     let _ = on;
 }
 
-/// Enables collection when the `MIRA_OBS` environment variable is set
-/// to `1` or `true` (the env-var form of `--obs-out`, for binaries and
-/// tests that have no flag plumbing).
-pub fn init_from_env() {
-    if matches!(std::env::var("MIRA_OBS").as_deref(), Ok("1") | Ok("true")) {
-        set_enabled(true);
-    }
-}
-
 /// A complete point-in-time capture of the observability state: build
-/// provenance, the phase profile, and every registered metric. This is
+/// provenance and the phase profile. This is
 /// what `--obs-out` writes (JSON plus Prometheus text) and what
 /// `trace_tool obs` pretty-prints.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -95,8 +82,6 @@ pub struct ObsSnapshot {
     /// section, or `None` when no step was profiled. The profiler's
     /// accounting claim is `coverage >= 0.95`.
     pub coverage: Option<f64>,
-    /// Every metric touched so far, in registration order.
-    pub metrics: Vec<registry::MetricSample>,
 }
 
 /// Captures the current observability state.
@@ -105,7 +90,6 @@ pub fn snapshot() -> ObsSnapshot {
         build: provenance::Provenance::current(),
         phases: phase::snapshot(),
         coverage: phase::coverage(),
-        metrics: registry::samples(),
     }
 }
 
@@ -117,9 +101,9 @@ impl ObsSnapshot {
         s
     }
 
-    /// Prometheus text exposition format: the metrics plus the phase
-    /// profile as `mira_phase_nanos_total` / `mira_phase_calls_total`
-    /// families labelled by phase.
+    /// Prometheus text exposition format: the phase profile as
+    /// `mira_phase_nanos_total` / `mira_phase_calls_total` families
+    /// labelled by phase, plus the coverage ratio.
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
@@ -137,9 +121,6 @@ impl ObsSnapshot {
         if let Some(cov) = self.coverage {
             out.push_str("# TYPE mira_phase_coverage_ratio gauge\n");
             out.push_str(&format!("mira_phase_coverage_ratio {cov}\n"));
-        }
-        for m in &self.metrics {
-            out.push_str(&m.to_prometheus());
         }
         out
     }

@@ -1,13 +1,15 @@
 //! The results store: one JSON-lines file per runner batch,
 //! `<dir>/<exhibit>-<hash16>.jsonl` (default dir `results/checkpoints`),
-//! keyed by the FNV-1a [`config_hash`] over the batch's `(label, seed)`
-//! pairs. A file holds two kinds of line:
+//! keyed by the FNV-1a [`config_hash`] over the exhibit name, the
+//! options that shaped the batch and its `(label, seed)` pairs. A file
+//! holds two kinds of line:
 //!
 //! * **point lines** ([`PointLine`]), one per completed point:
 //!   `{config_hash, git_rev, label, seed, result}`. They are the replay
 //!   substrate of the runner's `--resume` (DESIGN.md §16);
 //! * **batch lines** ([`BatchLine`]), one per finished run, appended
-//!   after the pool joins: `{config_hash, exhibit, ts_ms, batch}`, where
+//!   after the pool joins: `{config_hash, exhibit, options, ts_ms,
+//!   batch}`, where `options` echoes the hashed options rendering and
 //!   `batch` is the run's summary (provenance, throughput, failures,
 //!   resumes, anomalies). They are a record, never replayed.
 //!
@@ -32,13 +34,20 @@ use serde::{Deserialize, Serialize, Value};
 use crate::provenance::Provenance;
 
 /// Default store directory, relative to the working directory (override
-/// per runner or with `MIRA_CHECKPOINT_DIR`).
+/// per runner; the bench binaries' `--checkpoint-dir` sets it).
 pub const DEFAULT_DIR: &str = "results/checkpoints";
 
-/// FNV-1a 64-bit over the exhibit name and every `(label, seed)` pair —
-/// a stable, dependency-free fingerprint of what a batch simulated.
-/// Identical batches hash identically across runs and platforms.
-pub fn config_hash<'a>(exhibit: &str, points: impl Iterator<Item = (&'a str, u64)>) -> u64 {
+/// FNV-1a 64-bit over the exhibit name, the canonical rendering of the
+/// options that shaped the batch's results (simulation window, grids,
+/// fault and recorder settings) and every `(label, seed)` pair — a
+/// stable, dependency-free fingerprint of what a batch simulated.
+/// Identical batches hash identically across runs and platforms; the
+/// same points under other options do not.
+pub fn config_hash<'a>(
+    exhibit: &str,
+    options: &str,
+    points: impl Iterator<Item = (&'a str, u64)>,
+) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h = OFFSET;
@@ -49,6 +58,8 @@ pub fn config_hash<'a>(exhibit: &str, points: impl Iterator<Item = (&'a str, u64
         }
     };
     eat(exhibit.as_bytes());
+    eat(&[0xff]);
+    eat(options.as_bytes());
     for (label, seed) in points {
         eat(&[0xff]); // field separator, not valid UTF-8 inside labels
         eat(label.as_bytes());
@@ -91,6 +102,9 @@ pub struct BatchLine {
     pub config_hash: String,
     /// Producing exhibit (the runner's exhibit name).
     pub exhibit: String,
+    /// The options rendering hashed into `config_hash`: what shaped the
+    /// results, so the record names its configuration.
+    pub options: String,
     /// Unix timestamp of the append, milliseconds.
     pub ts_ms: u64,
     /// The run's summary, as the experiment layer serialized it.
@@ -152,15 +166,22 @@ impl StoreWriter {
         self.append(&line)
     }
 
-    /// Appends the batch line: `batch` is the run's serialized summary.
+    /// Appends the batch line: `options` is the rendering the batch was
+    /// hashed with, `batch` the run's serialized summary.
     ///
     /// # Errors
     ///
     /// Propagates serialization and filesystem errors.
-    pub fn append_batch(&mut self, exhibit: &str, batch: Value) -> std::io::Result<()> {
+    pub fn append_batch(
+        &mut self,
+        exhibit: &str,
+        options: &str,
+        batch: Value,
+    ) -> std::io::Result<()> {
         let line = BatchLine {
             config_hash: self.config_hash.clone(),
             exhibit: exhibit.to_string(),
+            options: options.to_string(),
             ts_ms: unix_millis(),
             batch,
         };
@@ -254,12 +275,15 @@ mod tests {
 
     #[test]
     fn config_hash_is_stable_and_sensitive() {
-        let a = config_hash("fig11a", [("x", 1u64), ("y", 2)].into_iter());
-        let b = config_hash("fig11a", [("x", 1u64), ("y", 2)].into_iter());
-        assert_eq!(a, b, "same batch, same hash");
-        assert_ne!(a, config_hash("fig11a", [("x", 1u64), ("y", 3)].into_iter()), "seed change");
-        assert_ne!(a, config_hash("fig11a", [("x", 1u64), ("z", 2)].into_iter()), "label change");
-        assert_ne!(a, config_hash("fig12a", [("x", 1u64), ("y", 2)].into_iter()), "exhibit change");
+        let hash = |exhibit: &str, options: &str, points: [(&'static str, u64); 2]| {
+            config_hash(exhibit, options, points.into_iter())
+        };
+        let a = hash("fig11a", "quick=true", [("x", 1), ("y", 2)]);
+        assert_eq!(a, hash("fig11a", "quick=true", [("x", 1), ("y", 2)]), "same batch, same hash");
+        assert_ne!(a, hash("fig11a", "quick=true", [("x", 1), ("y", 3)]), "seed change");
+        assert_ne!(a, hash("fig11a", "quick=true", [("x", 1), ("z", 2)]), "label change");
+        assert_ne!(a, hash("fig12a", "quick=true", [("x", 1), ("y", 2)]), "exhibit change");
+        assert_ne!(a, hash("fig11a", "quick=false", [("x", 1), ("y", 2)]), "options change");
         assert_eq!(hash_hex(a).len(), 16);
     }
 
@@ -267,12 +291,12 @@ mod tests {
     fn points_and_batch_round_trip() {
         let path = scratch("roundtrip");
         let _ = std::fs::remove_file(&path);
-        let hash = config_hash("t", [("a", 1u64), ("b", 2)].into_iter());
+        let hash = config_hash("t", "", [("a", 1u64), ("b", 2)].into_iter());
         {
             let mut w = StoreWriter::open(&path, hash).expect("open");
             w.append_point("a", 1, result()).expect("append a");
             w.append_point("b", 2, result()).expect("append b");
-            w.append_batch("t", summary()).expect("append batch");
+            w.append_batch("t", "quick=true", summary()).expect("append batch");
         }
         let loaded = load(&path, hash).expect("load");
         assert_eq!((loaded.stale_lines, loaded.torn_lines), (0, 0));
@@ -284,6 +308,7 @@ mod tests {
         assert_eq!(loaded.batches.len(), 1);
         let batch = &loaded.batches[0];
         assert_eq!((batch.config_hash.as_str(), batch.exhibit.as_str()), (&*hash_hex(hash), "t"));
+        assert_eq!(batch.options, "quick=true");
         assert!(batch.ts_ms > 0);
         assert_eq!(batch.batch, summary());
         std::fs::remove_file(&path).expect("cleanup");
@@ -293,18 +318,18 @@ mod tests {
     fn other_batches_and_builds_are_stale_but_batch_lines_are_not() {
         let path = scratch("stale");
         let _ = std::fs::remove_file(&path);
-        let hash = config_hash("t", [("a", 1u64)].into_iter());
-        let other = config_hash("t", [("x", 9u64)].into_iter());
+        let hash = config_hash("t", "", [("a", 1u64)].into_iter());
+        let other = config_hash("t", "", [("x", 9u64)].into_iter());
         {
             let mut w = StoreWriter::open(&path, other).expect("open other");
             w.append_point("x", 9, result()).expect("other batch's point");
-            w.append_batch("t", summary()).expect("other batch's batch line");
+            w.append_batch("t", "quick=true", summary()).expect("other batch's batch line");
             let mut w = StoreWriter::open(&path, hash).expect("open");
             w.git_rev = "another-build".into();
             w.append_point("a", 1, result()).expect("another build's point");
             w.git_rev = Provenance::current().git_rev;
             w.append_point("a", 1, result()).expect("this build's point");
-            w.append_batch("t", summary()).expect("batch line");
+            w.append_batch("t", "quick=true", summary()).expect("batch line");
         }
         // A line from before points carried their build revision.
         let mut text = std::fs::read_to_string(&path).expect("read");
@@ -324,7 +349,7 @@ mod tests {
 
     #[test]
     fn torn_final_line_of_either_kind_is_skipped() {
-        let hash = config_hash("t", [("a", 1u64)].into_iter());
+        let hash = config_hash("t", "", [("a", 1u64)].into_iter());
         let hex = hash_hex(hash);
         let torn_point = format!("{{\"config_hash\":\"{hex}\",\"git_rev\":\"ab");
         let torn_batch = format!("{{\"config_hash\":\"{hex}\",\"exhibit\":\"t\",\"batch\":{{\"jo");

@@ -35,11 +35,11 @@ pub enum HostError {
         /// Why it failed.
         detail: String,
     },
-    /// A command-line flag or `MIRA_*` environment variable was
-    /// malformed or missing its value.
+    /// A command-line flag or the `MIRA_JOBS` environment variable was
+    /// malformed, missing its value or inconsistent with another flag.
     Flag {
         /// The flag or environment variable, as typed (e.g.
-        /// `"--metrics-window"` or `"MIRA_RESUME"`).
+        /// `"--metrics-window"` or `"MIRA_JOBS"`).
         flag: &'static str,
         /// What was wrong with it.
         detail: String,

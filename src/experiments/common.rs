@@ -30,8 +30,6 @@ pub struct RunResult {
     /// part of [`SimReport`], which is pinned bit-for-bit by the golden
     /// suites).
     pub arena_peak_flits: u64,
-    /// Peak single-router buffer occupancy, flits.
-    pub buffer_peak_flits: u64,
 }
 
 /// Runs one architecture against a workload.
@@ -60,14 +58,7 @@ pub fn run_custom(
     let avg_power_w = pricing.average_power_w(&report.counters);
     let pdp = pricing.power_delay_product(&report.counters, report.avg_latency);
     let wm = sim.network().watermarks();
-    RunResult {
-        arch,
-        report,
-        avg_power_w,
-        pdp,
-        arena_peak_flits: wm.arena_live_peak as u64,
-        buffer_peak_flits: wm.router_buffer_peak as u64,
-    }
+    RunResult { arch, report, avg_power_w, pdp, arena_peak_flits: wm.arena_live_peak as u64 }
 }
 
 /// The default measurement windows for the full experiments.

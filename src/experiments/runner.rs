@@ -29,12 +29,14 @@
 //!   outcome, and an in-simulator hang is caught by the cycle-based
 //!   anomaly detectors, not a wall clock (DESIGN.md §16).
 //! - **Checkpointed resume**: with a store directory configured
-//!   (`MIRA_CHECKPOINT_DIR`), every completed point is flushed to the
-//!   batch's results-store file `<dir>/<exhibit>-<hash>.jsonl` as it
-//!   finishes, and the batch summary follows once the pool joins
-//!   ([`mira_obs::store`]). A resumed batch (`MIRA_RESUME=1`) replays
-//!   the points this build stored and runs only the rest,
-//!   bit-identical to an uninterrupted run.
+//!   ([`Runner::checkpoint_dir`]), every completed point is flushed to
+//!   the batch's results-store file `<dir>/<exhibit>-<hash>.jsonl` as
+//!   it finishes, and the batch line (the runner's options echo and the
+//!   batch summary) follows once the pool joins ([`mira_obs::store`]).
+//!   The hash covers the options echo, so the same points run under
+//!   other options land in another file. A resumed batch
+//!   ([`Runner::resume`]) replays the points this build stored and runs
+//!   only the rest, bit-identical to an uninterrupted run.
 //! - **Observability**: per-point wall-clock and cycle counts, an
 //!   optional progress line (done/total, ETA) on stderr, and a
 //!   machine-readable [`RunSummary`] for the benches' `--json` output,
@@ -53,43 +55,11 @@ use mira_noc::anomaly::AnomalyAbort;
 use mira_noc::stats::{LatencyHistogram, LatencyStats};
 use mira_noc::telemetry::StallCounters;
 use mira_obs::provenance::Provenance;
-use mira_obs::registry::{Counter, Histogram, ARENA_LIVE_PEAK, ROUTER_BUFFER_PEAK};
 use mira_obs::store::{self, StoreWriter};
 use serde::{Deserialize, Serialize};
 
 use crate::error::HostError;
 use crate::experiments::common::{RunResult, EXPERIMENT_SEED};
-
-/// Points completed by runner batches in this process.
-static POINTS_TOTAL: Counter =
-    Counter::new("mira_runner_points_total", "Simulation points completed by the runner");
-/// Simulated cycles completed by runner batches in this process.
-static CYCLES_TOTAL: Counter =
-    Counter::new("mira_runner_cycles_total", "Simulated cycles completed by the runner");
-/// Per-point wall-time distribution.
-static POINT_WALL_MS: Histogram =
-    Histogram::new("mira_runner_point_wall_ms", "Per-point wall time on its worker, ms");
-/// Per-point queue-wait distribution (batch start to claim).
-static QUEUE_WAIT_MS: Histogram = Histogram::new(
-    "mira_runner_queue_wait_ms",
-    "Per-point wait from batch start until a worker claimed it, ms",
-);
-/// Points recorded as failed.
-static POINT_FAILURES_TOTAL: Counter = Counter::new(
-    "mira_runner_point_failures_total",
-    "Points recorded as failed (panic, anomaly or fail-fast skip)",
-);
-/// Points replayed from sweep checkpoints instead of simulated.
-static POINTS_RESUMED_TOTAL: Counter = Counter::new(
-    "mira_runner_points_resumed_total",
-    "Points replayed from a sweep checkpoint on resume",
-);
-/// Anomaly-detector firings across runner points (windowed detections
-/// on completed points plus triggered black-box halts).
-static ANOMALIES_TOTAL: Counter = Counter::new(
-    "mira_runner_anomalies_total",
-    "Anomaly-detector firings observed across runner points",
-);
 
 /// Derives a per-point RNG seed from a base seed and a point index
 /// (SplitMix64-style finalizer: well-spread seeds even for consecutive
@@ -824,39 +794,19 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Parses one setting from its raw environment value. Unset or blank
-/// means "not configured"; a value that does not parse (or fails
-/// `valid`) is a [`HostError::Flag`] naming the variable — a typo in
-/// `MIRA_JOBS` must not silently run the sweep on another pool size.
-fn parse_setting<T: std::str::FromStr>(
-    key: &'static str,
-    raw: Option<&str>,
-    expects: &str,
-    valid: impl Fn(&T) -> bool,
-) -> Result<Option<T>, HostError> {
+/// Parses a raw `MIRA_JOBS` value. Unset or blank means "not
+/// configured"; anything but a positive integer is a
+/// [`HostError::Flag`] naming the variable — a typo must not silently
+/// run the sweep on another pool size.
+fn parse_jobs(raw: Option<&str>) -> Result<Option<usize>, HostError> {
     let Some(value) = raw.map(str::trim).filter(|v| !v.is_empty()) else {
         return Ok(None);
     };
-    match value.parse::<T>() {
-        Ok(v) if valid(&v) => Ok(Some(v)),
-        _ => {
-            Err(HostError::Flag { flag: key, detail: format!("expects {expects}, got {value:?}") })
-        }
-    }
-}
-
-/// Parses an on/off setting: `1`/`true`/`yes` is on; `0`/`false`/`no`,
-/// blank or unset is off; anything else is a [`HostError::Flag`] — an
-/// unrecognised `MIRA_RESUME` must not be read as a fresh run, which
-/// resets the checkpoint it meant to resume from.
-fn parse_switch(key: &'static str, raw: Option<&str>) -> Result<bool, HostError> {
-    let value = raw.map_or("", str::trim);
-    match value.to_ascii_lowercase().as_str() {
-        "1" | "true" | "yes" => Ok(true),
-        "" | "0" | "false" | "no" => Ok(false),
+    match value.parse::<usize>() {
+        Ok(n) if n > 0 => Ok(Some(n)),
         _ => Err(HostError::Flag {
-            flag: key,
-            detail: format!("expects 1/true/yes or 0/false/no, got {value:?}"),
+            flag: "MIRA_JOBS",
+            detail: format!("expects a positive worker count, got {value:?}"),
         }),
     }
 }
@@ -944,31 +894,14 @@ impl BatchState<'_> {
         }
     }
 
-    /// Records point `index`'s outcome: metrics, point-line append,
-    /// the fail-fast abort flag and the progress line, then its slot.
+    /// Records point `index`'s outcome: point-line append, the
+    /// fail-fast abort flag and the progress line, then its slot.
     fn finalize(&self, index: usize, value: Outcome) {
         match &value {
-            Ok(o) => {
-                if mira_obs::enabled() {
-                    POINTS_TOTAL.inc(1);
-                    CYCLES_TOTAL.inc(o.result.report.cycles_simulated);
-                    POINT_WALL_MS.observe(o.wall.as_millis() as u64);
-                    QUEUE_WAIT_MS.observe(o.queue_wait.as_millis() as u64);
-                    ARENA_LIVE_PEAK.set_max(o.result.arena_peak_flits);
-                    ROUTER_BUFFER_PEAK.set_max(o.result.buffer_peak_flits);
-                    ANOMALIES_TOTAL.inc(o.result.report.anomalies.total());
-                }
-                // Flush the point line *before* the point counts as
-                // finalized: once reported done, it is durable.
-                self.store_point(o);
-            }
+            // Flush the point line *before* the point counts as
+            // finalized: once reported done, it is durable.
+            Ok(o) => self.store_point(o),
             Err(f) => {
-                if mira_obs::enabled() {
-                    POINT_FAILURES_TOTAL.inc(1);
-                    if matches!(f.kind, FailureKind::Anomaly { .. }) {
-                        ANOMALIES_TOTAL.inc(1);
-                    }
-                }
                 if self.runner.fail_fast && !matches!(f.kind, FailureKind::Skipped) {
                     self.abort.store(true, Ordering::Relaxed);
                 }
@@ -1132,6 +1065,7 @@ pub struct Runner {
     checkpoint_dir: Option<PathBuf>,
     resume: bool,
     blackbox_dir: Option<PathBuf>,
+    options: String,
 }
 
 /// Default directory for anomaly black-box dumps.
@@ -1153,61 +1087,28 @@ pub fn session_summaries() -> Vec<RunSummary> {
 
 impl Runner {
     /// The process's runner: the one [`Runner::install`]ed, if any
-    /// (the bench binaries install their flag-over-env runner at
+    /// (the bench binaries install the runner their flags describe at
     /// startup, so library exhibits that cannot take a `&Runner` still
     /// honour the flags). Otherwise the pool is sized from the
     /// environment: `MIRA_JOBS` if set to a positive integer, else
-    /// [`std::thread::available_parallelism`]. Progress reporting
-    /// defaults to on when stderr is a terminal.
-    ///
-    /// Crash-safety policy also comes from the environment (each knob
-    /// has a matching builder method and, in the benches, a CLI flag):
-    ///
-    /// - `MIRA_FAIL_FAST` — skip remaining points after the first
-    ///   failure,
-    /// - `MIRA_CHECKPOINT_DIR` — write each batch's results-store file
-    ///   under this directory,
-    /// - `MIRA_RESUME` — replay this build's stored points before
-    ///   running the rest.
-    ///
-    /// Switches take `1`/`true`/`yes` or `0`/`false`/`no`; a blank
-    /// value counts as unset. Any other value exits non-zero naming
-    /// the variable.
+    /// [`std::thread::available_parallelism`]; a blank `MIRA_JOBS`
+    /// counts as unset, any other value exits non-zero naming the
+    /// variable. Progress reporting defaults to on when stderr is a
+    /// terminal; every other policy is off (see the builder methods).
     pub fn from_env() -> Self {
         if let Some(runner) = INSTALLED.get() {
             return runner.clone();
         }
-        Self::from_settings(|key| std::env::var(key).ok()).unwrap_or_else(|e| e.exit())
+        let jobs = parse_jobs(std::env::var("MIRA_JOBS").ok().as_deref())
+            .unwrap_or_else(|e| e.exit())
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+        Runner { progress: std::io::stderr().is_terminal(), ..Runner::with_jobs(jobs) }
     }
 
     /// Makes this runner the one every later [`Runner::from_env`] call
     /// in the process returns. The first installed runner wins.
     pub fn install(self) {
         let _ = INSTALLED.set(self);
-    }
-
-    /// [`Runner::from_env`] over any variable lookup, so the parsing is
-    /// testable on plain strings.
-    fn from_settings(var: impl Fn(&str) -> Option<String>) -> Result<Self, HostError> {
-        let jobs = parse_setting(
-            "MIRA_JOBS",
-            var("MIRA_JOBS").as_deref(),
-            "a positive worker count",
-            |&n: &usize| n > 0,
-        )?
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-        Ok(Runner {
-            progress: std::io::stderr().is_terminal(),
-            fail_fast: parse_switch("MIRA_FAIL_FAST", var("MIRA_FAIL_FAST").as_deref())?,
-            checkpoint_dir: parse_setting(
-                "MIRA_CHECKPOINT_DIR",
-                var("MIRA_CHECKPOINT_DIR").as_deref(),
-                "a directory",
-                |_: &PathBuf| true,
-            )?,
-            resume: parse_switch("MIRA_RESUME", var("MIRA_RESUME").as_deref())?,
-            ..Runner::with_jobs(jobs)
-        })
     }
 
     /// Pool with an explicit worker count (progress off, no store —
@@ -1222,6 +1123,7 @@ impl Runner {
             checkpoint_dir: None,
             resume: false,
             blackbox_dir: None,
+            options: String::new(),
         }
     }
 
@@ -1273,6 +1175,17 @@ impl Runner {
         self
     }
 
+    /// Sets the options echo: the canonical rendering of whatever
+    /// shaped this runner's results beyond the points themselves (the
+    /// bench binaries pass `Cli::options`). It is hashed into each
+    /// batch's store identity and echoed on its batch line, so a store
+    /// file names its configuration and batches run under other options
+    /// never share one. Default: empty.
+    pub fn options(mut self, rendering: impl Into<String>) -> Self {
+        self.options = rendering.into();
+        self
+    }
+
     /// The configured worker count.
     pub fn jobs(&self) -> usize {
         self.jobs
@@ -1305,8 +1218,11 @@ impl Runner {
         let exhibit = self.exhibit_name();
         // Hashed before the run so a crashing point can't change the
         // batch's identity in the store.
-        let config_hash =
-            store::config_hash(&exhibit, points.iter().map(|p| (p.label(), p.seed())));
+        let config_hash = store::config_hash(
+            &exhibit,
+            &self.options,
+            points.iter().map(|p| (p.label(), p.seed())),
+        );
 
         let store_path = self
             .checkpoint_dir
@@ -1326,9 +1242,6 @@ impl Runner {
                     eprintln!("[runner] warning: cannot reset store {}: {e}", path.display());
                 }
             }
-        }
-        if resumed > 0 && mira_obs::enabled() {
-            POINTS_RESUMED_TOTAL.inc(resumed as u64);
         }
         let writer =
             store_path.as_ref().and_then(|path| match StoreWriter::open(path, config_hash) {
@@ -1384,7 +1297,7 @@ impl Runner {
             .map(|slot| slot.into_inner().expect("every point is finalized before the pool joins"))
             .collect();
         let summary = RunSummary::new(workers.max(1), started.elapsed(), &outcomes, &worker_stats);
-        store_append(&mut writer, |w| w.append_batch(&exhibit, summary.to_value()));
+        store_append(&mut writer, |w| w.append_batch(&exhibit, &self.options, summary.to_value()));
         if mira_obs::enabled() && total > 0 {
             SESSION.lock().expect("session list").push(summary.clone());
         }
@@ -1511,40 +1424,16 @@ mod tests {
 
     #[test]
     fn switch_settings_parse_or_name_the_variable() {
-        for on in ["1", "true", "YES", " yes "] {
-            assert_eq!(parse_switch("MIRA_RESUME", Some(on)), Ok(true), "{on:?}");
+        // `MIRA_JOBS` is the one setting the runner still reads from the
+        // environment; its raw values go through the parser directly.
+        assert_eq!(parse_jobs(Some(" 3 ")), Ok(Some(3)));
+        assert_eq!(parse_jobs(None), Ok(None));
+        assert_eq!(parse_jobs(Some("  ")), Ok(None), "blank means unset");
+        for bad in ["0", "-2", "four"] {
+            let err = parse_jobs(Some(bad)).expect_err("not a positive worker count");
+            assert!(matches!(err, HostError::Flag { flag: "MIRA_JOBS", .. }), "{bad:?}: {err}");
+            assert!(err.to_string().contains(&format!("{bad:?}")), "{err}");
         }
-        for off in [None, Some(""), Some("  "), Some("0"), Some("false"), Some("No")] {
-            assert_eq!(parse_switch("MIRA_RESUME", off), Ok(false), "{off:?}");
-        }
-        // An unrecognised value must not read as "fresh run" (which
-        // resets the checkpoint the user meant to resume from).
-        let err = parse_switch("MIRA_RESUME", Some("on")).expect_err("`on` is not a switch value");
-        assert!(matches!(err, HostError::Flag { flag: "MIRA_RESUME", .. }), "{err}");
-        assert!(err.to_string().contains("\"on\""), "{err}");
-        let settings = |key: &'static str, value: &'static str| {
-            Runner::from_settings(move |k| (k == key).then(|| value.to_string()))
-        };
-        assert!(settings("MIRA_FAIL_FAST", "yes").expect("valid").fail_fast);
-        assert!(settings("MIRA_RESUME", "1").expect("valid").resume);
-        let err = settings("MIRA_FAIL_FAST", "maybe").expect_err("invalid switch");
-        assert!(err.to_string().contains("MIRA_FAIL_FAST"), "{err}");
-        let err = settings("MIRA_JOBS", "0").expect_err("zero workers");
-        assert!(err.to_string().contains("MIRA_JOBS"), "{err}");
-        assert_eq!(settings("MIRA_JOBS", " 3 ").expect("valid").jobs(), 3);
-    }
-
-    #[test]
-    fn blank_checkpoint_dir_means_not_configured() {
-        let dir = |value: &'static str| {
-            Runner::from_settings(|k| (k == "MIRA_CHECKPOINT_DIR").then(|| value.to_string()))
-                .expect("any directory parses")
-                .checkpoint_dir
-        };
-        assert_eq!(dir(""), None, "blank must not checkpoint into the working directory");
-        assert_eq!(dir("   "), None);
-        assert_eq!(dir("ckpt"), Some(PathBuf::from("ckpt")));
-        assert_eq!(Runner::from_settings(|_| None).expect("unset").checkpoint_dir, None);
     }
 
     #[test]
@@ -1692,6 +1581,50 @@ mod tests {
             assert_eq!(a.result.report.packets_ejected, b.result.report.packets_ejected);
             assert_eq!(a.result.pdp.to_bits(), b.result.pdp.to_bits());
             assert_eq!(a.result.arena_peak_flits, b.result.arena_peak_flits);
+        }
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn options_echo_keys_the_store_file() {
+        let dir = scratch_dir("options_unit");
+        let _ = std::fs::remove_dir_all(&dir);
+        let points = || vec![ur_point("p0", Arch::TwoDB, 0.05, 41)];
+        let runner = |options: &str| {
+            Runner::with_jobs(1).exhibit("options_unit").checkpoint_dir(&dir).options(options)
+        };
+        let quick = runner("quick=true").run(points());
+        let hash = |options: &str| {
+            store::config_hash(
+                "options_unit",
+                options,
+                points().iter().map(|p| (p.label(), p.seed())),
+            )
+        };
+        let (quick_path, full_path) = (
+            store::path_for(&dir, "options_unit", hash("quick=true")),
+            store::path_for(&dir, "options_unit", hash("quick=false")),
+        );
+        assert_ne!(quick_path, full_path, "the options echo is part of the store identity");
+        assert!(quick_path.exists() && !full_path.exists());
+        // Resuming under the other echo finds nothing to replay.
+        let full = runner("quick=false").resume(true).run(points());
+        assert_eq!(full.summary.resumed_points, 0, "no point crosses configurations");
+        assert!(!full.outcomes[0].resumed);
+        // Under the same echo every point replays.
+        let again = runner("quick=true").resume(true).run(points());
+        assert_eq!(again.summary.resumed_points, 1);
+        assert_eq!(
+            again.outcomes[0].result.report.avg_latency.to_bits(),
+            quick.outcomes[0].result.report.avg_latency.to_bits()
+        );
+        // Each file's batch lines echo the options they were keyed by.
+        for (path, options, runs) in
+            [(&quick_path, "quick=true", 2), (&full_path, "quick=false", 1)]
+        {
+            let loaded = store::load(path, hash(options)).expect("store readable");
+            assert_eq!(loaded.batches.len(), runs, "{options}");
+            assert!(loaded.batches.iter().all(|b| b.options == options), "{options}");
         }
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }

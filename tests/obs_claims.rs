@@ -99,7 +99,7 @@ fn progress_event_line_parses() {
 /// 2. a runner batch with a store directory writes one point line per
 ///    point plus one batch line carrying its summary, which the session
 ///    list also holds;
-/// 3. the snapshot renders those phases and metrics in both formats.
+/// 3. the snapshot renders those phases in both formats.
 #[test]
 fn obs_enabled_end_to_end() {
     mira_obs::set_enabled(true);
@@ -132,8 +132,11 @@ fn obs_enabled_end_to_end() {
     let _ = std::fs::remove_dir_all(&dir);
     let seed = derive_seed(EXPERIMENT_SEED, 1);
     let points = vec![ur_point("p0", 0.05, seed), ur_point("p1", 0.10, seed)];
-    let hash =
-        mira_obs::store::config_hash("obs_claims", points.iter().map(|p| (p.label(), p.seed())));
+    let hash = mira_obs::store::config_hash(
+        "obs_claims",
+        "",
+        points.iter().map(|p| (p.label(), p.seed())),
+    );
     let batch = Runner::with_jobs(2).checkpoint_dir(&dir).exhibit("obs_claims").run(points);
     let path = mira_obs::store::path_for(&dir, "obs_claims", hash);
     let stored = mira_obs::store::load(&path, hash).expect("store written");
@@ -144,6 +147,7 @@ fn obs_enabled_end_to_end() {
     let s = &batch.summary;
     assert_eq!(line.exhibit, "obs_claims");
     assert_eq!(line.config_hash, mira_obs::store::hash_hex(hash), "hash covers labels and seeds");
+    assert_eq!(line.options, "", "a runner built in code echoes no options");
     assert!(line.ts_ms > 0);
     let field = |name: &str| line.batch.field(name).as_u64().expect(name);
     assert_eq!(field("cycles_simulated"), s.cycles_simulated);
@@ -162,11 +166,8 @@ fn obs_enabled_end_to_end() {
     // Claim 3: the snapshot renders everything in both formats.
     let snap = mira_obs::snapshot();
     assert!(snap.coverage.is_some());
-    assert!(snap.metrics.iter().any(|m| m.name == "mira_runner_points_total"));
-    assert!(snap.metrics.iter().any(|m| m.name == "mira_arena_live_peak_flits"));
     let prom = snap.to_prometheus();
     assert!(prom.contains("mira_phase_nanos_total{phase=\"router_pipeline\"}"));
-    assert!(prom.contains("mira_runner_point_wall_ms_count"));
     let back: mira_obs::ObsSnapshot =
         serde_json::from_str(&snap.to_json()).expect("snapshot round-trips");
     assert_eq!(back.phases.len(), snap.phases.len());

@@ -57,7 +57,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 /// The canonical batch's config hash.
 fn batch_hash() -> u64 {
     let pts = sim_points();
-    mira_obs::store::config_hash(EXHIBIT, pts.iter().map(|p| (p.label(), p.seed())))
+    mira_obs::store::config_hash(EXHIBIT, "", pts.iter().map(|p| (p.label(), p.seed())))
 }
 
 /// The store file the canonical batch writes under `dir`.
