@@ -60,31 +60,34 @@ impl RoundRobinArbiter {
     pub fn arbitrate_among(&mut self, lines: &[usize]) -> Option<usize> {
         self.arbitrate(|i| lines.contains(&i))
     }
+}
 
-    /// Arbitrates among the request lines set in `mask` (bit `i` = line
-    /// `i`). Produces exactly the same grant sequence as
-    /// `arbitrate(|i| mask & (1 << i) != 0)` — the first requesting line
-    /// at or after the priority pointer, wrapping — but in O(1) via
-    /// count-trailing-zeros, which is what the per-cycle hot path uses.
-    ///
-    /// Only valid for arbiters of up to 64 lines; bits at or above
-    /// `size` are ignored.
-    #[inline]
-    pub fn arbitrate_mask(&mut self, mask: u64) -> Option<usize> {
-        debug_assert!(self.size <= 64, "mask arbitration supports at most 64 lines");
-        let mask = if self.size < 64 { mask & ((1u64 << self.size) - 1) } else { mask };
-        if mask == 0 {
-            return None;
-        }
-        let shifted = mask >> self.next_priority;
-        let line = if shifted != 0 {
-            self.next_priority + shifted.trailing_zeros() as usize
-        } else {
-            mask.trailing_zeros() as usize
-        };
-        self.next_priority = (line + 1) % self.size;
-        Some(line)
+/// Round-robin arbitration over the request lines set in `mask` (bit `i`
+/// = line `i`) for an arbiter of `size` lines whose priority pointer is
+/// `next`: grants the first requesting line at or after the pointer,
+/// wrapping, and advances the pointer past it — the grant sequence of
+/// [`RoundRobinArbiter::arbitrate`], in O(1) via count-trailing-zeros.
+/// The router core stores each arbiter as this one-byte pointer (the
+/// size follows from the arbiter's role), which is what the per-cycle
+/// hot path uses.
+///
+/// Only valid for arbiters of up to 64 lines; bits at or above `size`
+/// are ignored. Returns `None` if no line requests.
+#[inline]
+pub(crate) fn arbitrate_mask(next: &mut u8, size: usize, mask: u64) -> Option<usize> {
+    debug_assert!(size <= 64, "mask arbitration supports at most 64 lines");
+    let mask = if size < 64 { mask & ((1u64 << size) - 1) } else { mask };
+    if mask == 0 {
+        return None;
     }
+    let shifted = mask >> *next;
+    let line = if shifted != 0 {
+        usize::from(*next) + shifted.trailing_zeros() as usize
+    } else {
+        mask.trailing_zeros() as usize
+    };
+    *next = ((line + 1) % size) as u8;
+    Some(line)
 }
 
 #[cfg(test)]
@@ -133,6 +136,22 @@ mod tests {
         assert_eq!(a.arbitrate_among(&[]), None);
         // out-of-range indices ignored
         assert_eq!(a.arbitrate_among(&[9]), None);
+    }
+
+    #[test]
+    fn mask_arbitration_matches_the_closure_form() {
+        for size in [1usize, 2, 5, 10, 64] {
+            let mut reference = RoundRobinArbiter::new(size);
+            let mut next = 0u8;
+            let mut x = 0x9e37_79b9_7f4a_7c15u64;
+            for _ in 0..200 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let expect = reference.arbitrate(|i| x & (1 << i) != 0);
+                assert_eq!(arbitrate_mask(&mut next, size, x), expect, "size {size}");
+            }
+        }
     }
 
     #[test]

@@ -1,12 +1,16 @@
 //! Flat flit storage for the data-oriented core (DESIGN.md §14).
 //!
 //! Every flit in the fabric lives in one [`FlitArena`] owned by the
-//! network; routers and links hold 4-byte [`FlitRef`] indices instead of
+//! network; the network-wide router buffers and link wires hold 4-byte
+//! [`FlitRef`] indices (inside 16-byte buffer and wire slots) instead of
 //! by-value [`Flit`]s. A flit enters the arena when the NIC injects it
 //! into the local input buffer and leaves it at ejection, so the live
 //! count is bounded by the fabric's buffer slots, not by the source
 //! backlog. Payloads are inline, so a slot holds the whole flit and
-//! every hop moves only an index.
+//! every hop moves only an index. Per hop the router reads the header
+//! when the flit is buffered and bumps the hop count at switch traversal
+//! (reading the payload's active words too when short-flit shutdown is
+//! on); the allocation stages work from the buffer slots alone.
 //!
 //! The arena is a slot map with a free list. `alloc` reuses the
 //! lowest-water free slot when one exists, so steady-state simulation
@@ -22,7 +26,7 @@ use crate::flit::Flit;
 /// Refs are plain `u32` indices; they are invalidated by
 /// [`FlitArena::free`]/[`FlitArena::take`] and must not be dereferenced
 /// afterwards (debug builds panic on a dangling deref).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct FlitRef(pub u32);
 
 /// Slot-map arena holding every flit currently in the fabric.

@@ -4,6 +4,17 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::NocError;
 
+/// Most `(port, vc)` pairs a router may have: each is one bit of the
+/// router core's 64-bit work-list masks.
+pub const MAX_PORT_VCS: usize = 64;
+
+/// Deepest VC buffer: the router core stores credits in a `u8`.
+pub const MAX_BUFFER_DEPTH: usize = u8::MAX as usize;
+
+/// Most nodes a network may have: buffered flits carry their destination
+/// as a `u16`.
+pub const MAX_NODES: usize = u16::MAX as usize + 1;
+
 /// Router pipeline depth (paper Fig. 8(a)–(c)).
 ///
 /// The MIRA evaluation uses the conservative four-stage organisation;
@@ -149,8 +160,9 @@ impl NetworkConfig {
     /// # Errors
     ///
     /// Returns [`NocError::InvalidConfig`] when a parameter is zero, when
-    /// the flit width is not a whole number of 32-bit words, or when the
-    /// layer count does not divide the word count.
+    /// the flit width is not a whole number of 32-bit words, when the
+    /// layer count does not divide the word count, or when the buffer is
+    /// deeper than [`MAX_BUFFER_DEPTH`].
     pub fn validate(&self) -> Result<(), NocError> {
         if self.flit_bits == 0 || !self.flit_bits.is_multiple_of(crate::flit::WORD_BITS) {
             return Err(NocError::InvalidConfig {
@@ -178,10 +190,42 @@ impl NetworkConfig {
                 reason: "must be at least 1".into(),
             });
         }
-        if self.router.buffer_depth == 0 {
+        if self.router.buffer_depth == 0 || self.router.buffer_depth > MAX_BUFFER_DEPTH {
             return Err(NocError::InvalidConfig {
                 parameter: "buffer_depth",
-                reason: "must be at least 1".into(),
+                reason: format!(
+                    "must be between 1 and {MAX_BUFFER_DEPTH} flits (got {})",
+                    self.router.buffer_depth
+                ),
+            });
+        }
+        Ok(())
+    }
+
+    /// Validates the configuration for a network of `nodes` routers with
+    /// `ports` ports each (local port included): [`Self::validate`] plus
+    /// the widths the router core packs its state into.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NocError::InvalidConfig`] when [`Self::validate`] fails,
+    /// when `ports * vcs_per_port` exceeds [`MAX_PORT_VCS`], or when
+    /// `nodes` exceeds [`MAX_NODES`].
+    pub fn validate_for(&self, nodes: usize, ports: usize) -> Result<(), NocError> {
+        self.validate()?;
+        let vcs = self.router.vcs_per_port;
+        if ports.saturating_mul(vcs) > MAX_PORT_VCS {
+            return Err(NocError::InvalidConfig {
+                parameter: "vcs_per_port",
+                reason: format!(
+                    "{ports} ports x {vcs} VCs exceed the router's {MAX_PORT_VCS} (port, vc) pairs"
+                ),
+            });
+        }
+        if nodes > MAX_NODES {
+            return Err(NocError::InvalidConfig {
+                parameter: "topology",
+                reason: format!("{nodes} nodes exceed the limit of {MAX_NODES}"),
             });
         }
         Ok(())
@@ -331,6 +375,40 @@ mod tests {
     #[test]
     fn zero_depth_rejected() {
         let err = NetworkConfig::builder().buffer_depth(0).try_build().unwrap_err();
+        assert!(matches!(err, NocError::InvalidConfig { parameter: "buffer_depth", .. }));
+    }
+
+    #[test]
+    fn buffer_depth_fits_a_credit_byte() {
+        assert!(NetworkConfig::builder().buffer_depth(MAX_BUFFER_DEPTH).try_build().is_ok());
+        let err = NetworkConfig::builder().buffer_depth(MAX_BUFFER_DEPTH + 1).try_build();
+        assert!(matches!(err, Err(NocError::InvalidConfig { parameter: "buffer_depth", .. })));
+    }
+
+    #[test]
+    fn port_vc_pairs_fit_the_work_list_masks() {
+        let vcs = |v| NetworkConfig::builder().vcs_per_port(v).build();
+        // A 7-port 3D mesh router: 7 x 9 = 63 pairs fit, 7 x 10 = 70 do not.
+        assert!(vcs(9).validate_for(27, 7).is_ok());
+        let err = vcs(10).validate_for(27, 7).unwrap_err();
+        assert!(matches!(err, NocError::InvalidConfig { parameter: "vcs_per_port", .. }));
+        assert!(vcs(8).validate_for(27, 8).is_ok(), "8 x 8 = 64 is the edge");
+        assert!(vcs(8).validate_for(27, 9).is_err());
+    }
+
+    #[test]
+    fn node_count_fits_a_slot_destination() {
+        let cfg = NetworkConfig::default();
+        assert!(cfg.validate_for(MAX_NODES, 5).is_ok());
+        let err = cfg.validate_for(MAX_NODES + 1, 5).unwrap_err();
+        assert!(matches!(err, NocError::InvalidConfig { parameter: "topology", .. }));
+    }
+
+    #[test]
+    fn validate_for_includes_validate() {
+        let mut cfg = NetworkConfig::default();
+        cfg.router.buffer_depth = 0;
+        let err = cfg.validate_for(16, 5).unwrap_err();
         assert!(matches!(err, NocError::InvalidConfig { parameter: "buffer_depth", .. }));
     }
 }

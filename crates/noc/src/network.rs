@@ -1,7 +1,9 @@
 //! The network: routers wired by a topology, plus the network interfaces.
 //!
-//! [`Network`] owns the routers, the links, and per-node network
-//! interfaces (NICs) with unbounded source queues. Packets enter through
+//! [`Network`] owns the routers (`Routers`), the links (`Links`), and
+//! per-node network interfaces (NICs) with unbounded source queues, each
+//! in dense arrays indexed by router, link and `router * vcs + vc` (see
+//! DESIGN.md §14). Packets enter through
 //! [`Network::enqueue_packet`]; each cycle the NIC builds the next flits
 //! of its queued packets into the local input buffers as space permits,
 //! routers advance one cycle, and ejected flits accumulate for the
@@ -17,9 +19,9 @@ use crate::error::NocError;
 use crate::fault::{FaultConfig, FaultCounters, FaultPlan, Verdict};
 use crate::ids::{NodeId, PortId, VcId};
 use crate::journey::JourneyRecorder;
-use crate::link::{FlitInFlight, Link};
+use crate::link::{delivery_cycle, nominal_latency, FlitInFlight, Links};
 use crate::packet::{Packet, PacketId};
-use crate::router::{EjectedFlit, Router, StepScratch};
+use crate::router::{EjectedFlit, Routers, StepScratch};
 use crate::stats::{ActivityCounters, RouterActivity};
 use crate::telemetry::{
     MetricsCollector, MetricsWindow, StallCounters, Telemetry, TelemetryConfig, TraceEvent,
@@ -105,10 +107,10 @@ pub struct FabricWatermarks {
 pub struct Network {
     topo: Box<dyn Topology>,
     cfg: NetworkConfig,
-    routers: Vec<Router>,
-    links: Vec<Link>,
-    /// Per node, the NIC's source queue for each VC.
-    nics: Vec<Vec<SourceQueue>>,
+    routers: Routers,
+    links: Links,
+    /// The NICs' source queues, one per VC, keyed `node * vcs + vc`.
+    nics: Vec<SourceQueue>,
     /// Flits not yet injected, over every source queue.
     queued_flits: usize,
     /// The single flit store: every flit in the fabric (router buffers,
@@ -144,51 +146,64 @@ impl Network {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg` is invalid (see [`NetworkConfig::validate`]).
+    /// Panics if `cfg` is invalid for `topo` (see [`Network::try_new`]).
     pub fn new(topo: Box<dyn Topology>, cfg: NetworkConfig) -> Self {
-        cfg.validate().expect("invalid network configuration");
+        Network::try_new(topo, cfg).expect("invalid network configuration")
+    }
+
+    /// Builds the network for `topo` under `cfg`. Construction makes the
+    /// same number of heap allocations whatever the topology's size.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NocError::InvalidConfig`] when `cfg` fails
+    /// [`NetworkConfig::validate_for`] on the topology's node count and
+    /// radix.
+    pub fn try_new(topo: Box<dyn Topology>, cfg: NetworkConfig) -> Result<Self, NocError> {
         let n = topo.num_nodes();
         let radix = topo.radix();
-        let mut routers: Vec<Router> =
-            (0..n).map(|i| Router::new(NodeId(i), radix, &cfg)).collect();
+        cfg.validate_for(n, radix)?;
+        let mut routers = Routers::new(n, radix, &cfg);
 
         // Wire every existing (node, out-port) pair with a unidirectional
-        // link to the neighbour's opposite input port.
-        let mut links = Vec::new();
+        // link to the neighbour's opposite input port. Link ids ascend in
+        // (node, port) order, which is what the routers derive their
+        // outgoing link ids from.
+        let mut wiring = Vec::with_capacity(n * (radix - 1));
         for node in 0..n {
             for p in 1..radix {
                 let out_port = PortId(p);
                 if let Some(dst) = topo.neighbor(NodeId(node), out_port) {
                     let in_port = topo.opposite_port(out_port);
                     let length = topo.link_length_mm(NodeId(node), out_port);
-                    let li = links.len();
-                    links.push(Link::new((NodeId(node), out_port), (dst, in_port), length));
-                    routers[node].set_out_link(out_port, li);
-                    routers[dst.index()].set_in_link(in_port, li);
+                    routers.set_out_link(node, out_port, wiring.len());
+                    routers.set_in_link(dst.index(), in_port, wiring.len());
+                    wiring.push(((NodeId(node), out_port), (dst, in_port), length));
                 }
             }
         }
+        let links = Links::new(&wiring, cfg.router.pipeline.link_extra_cycles());
 
         let vcs = cfg.router.vcs_per_port;
         // Pre-size the arena for the fabric's worst case: credit flow
         // control bounds the live flits by the buffer slots (a flit on a
         // wire holds its downstream slot), so the slot table never grows.
         let fabric_slots = n * radix * vcs * cfg.router.buffer_depth;
-        Network {
+        Ok(Network {
             scratch: StepScratch::new(radix, vcs),
             arena: FlitArena::with_capacity(fabric_slots),
             topo,
             cfg,
             routers,
             links,
-            nics: (0..n).map(|_| (0..vcs).map(|_| SourceQueue::default()).collect()).collect(),
+            nics: (0..n * vcs).map(|_| SourceQueue::default()).collect(),
             queued_flits: 0,
             ejected: Vec::new(),
             counters: ActivityCounters::new(),
             activity: vec![RouterActivity::default(); n],
             telemetry: Telemetry::default(),
             faults: None,
-        }
+        })
     }
 
     /// Engages fault injection per `cfg`: compiles the fault plan
@@ -208,18 +223,19 @@ impl Network {
         if !cfg.enabled() {
             return Ok(());
         }
-        let endpoints: Vec<(usize, usize)> =
-            self.links.iter().map(|l| (l.from.0.index(), l.from.1.index())).collect();
+        let endpoints: Vec<(usize, usize)> = (0..self.links.len())
+            .map(|li| {
+                let (node, port) = self.links.from(li);
+                (node.index(), port.index())
+            })
+            .collect();
         let words = (self.cfg.flit_bits / 32).max(1);
         let plan = FaultPlan::compile(cfg, &endpoints, words)?;
         let latency = 1 + self.cfg.router.pipeline.link_extra_cycles();
-        for l in &mut self.links {
-            l.enable_arq(latency);
-        }
+        let window = self.cfg.router.vcs_per_port * self.cfg.router.buffer_depth;
+        self.links.enable_arq(latency, window);
         if cfg.reroute {
-            for r in &mut self.routers {
-                r.set_fault_routing(true);
-            }
+            self.routers.set_fault_routing(true);
         }
         self.faults = Some(Box::new(FaultRuntime {
             dead: vec![false; self.links.len()],
@@ -252,7 +268,7 @@ impl Network {
     /// injection is off), with reroutes summed over the routers.
     pub fn fault_counters(&self) -> FaultCounters {
         let mut c = self.faults.as_ref().map_or_else(FaultCounters::new, |f| f.counters);
-        c.reroutes = self.routers.iter().map(Router::reroutes).sum();
+        c.reroutes = (0..self.routers.len()).map(|r| self.routers.reroutes(r)).sum();
         c
     }
 
@@ -275,7 +291,7 @@ impl Network {
             .collect();
         // Nominal fault-free link latency: send at ST, deliver
         // `1 + LT cycles` later (the same latency ARQ replays at).
-        let nominal = Link::nominal_latency(self.cfg.router.pipeline.link_extra_cycles());
+        let nominal = nominal_latency(self.cfg.router.pipeline.link_extra_cycles());
         self.telemetry = Telemetry::new(cfg, coords, self.topo.radix(), self.cfg.layers, nominal);
     }
 
@@ -303,15 +319,15 @@ impl Network {
     /// Cumulative stall-cause counters summed over every router.
     pub fn stall_totals(&self) -> StallCounters {
         let mut t = StallCounters::new();
-        for r in &self.routers {
-            t.merge(r.stall_counters());
+        for r in 0..self.routers.len() {
+            t.merge(self.routers.stall_counters(r));
         }
         t
     }
 
     /// Per-router cumulative stall-cause counters.
     pub fn router_stalls(&self) -> Vec<StallCounters> {
-        self.routers.iter().map(|r| *r.stall_counters()).collect()
+        (0..self.routers.len()).map(|r| *self.routers.stall_counters(r)).collect()
     }
 
     /// The topology driving this network.
@@ -348,7 +364,7 @@ impl Network {
         assert!(packet.dst.index() < self.routers.len(), "unknown destination {}", packet.dst);
         let vc = packet.class.vc_index().min(self.cfg.router.vcs_per_port - 1);
         self.queued_flits += packet.len_flits();
-        self.nics[packet.src.index()][vc].packets.push_back(packet);
+        self.nics[packet.src.index() * self.cfg.router.vcs_per_port + vc].packets.push_back(packet);
     }
 
     /// Advances the whole network by one cycle.
@@ -371,7 +387,7 @@ impl Network {
             self.faults = Some(fr);
         } else {
             for li in 0..self.links.len() {
-                self.drain_link(li, cycle, |_, _| Arrival::Accept);
+                self.drain_link(li, cycle, |_, _, _| Arrival::Accept);
             }
         }
 
@@ -380,18 +396,19 @@ impl Network {
         // trace, or arbiter state can change — so the active-set skip
         // costs nothing in fidelity and most of the fabric at low load.
         sections.next(ObsPhase::RouterPipeline);
-        for (i, r) in self.routers.iter_mut().enumerate() {
-            if r.is_quiescent() {
+        for r in 0..self.routers.len() {
+            if self.routers.is_quiescent(r) {
                 continue;
             }
-            r.step(
+            self.routers.step(
+                r,
                 cycle,
                 &*self.topo,
                 &mut self.arena,
                 &mut self.links,
                 &mut self.scratch,
                 &mut self.counters,
-                &mut self.activity[i],
+                &mut self.activity[r],
                 &mut self.ejected,
                 &mut self.telemetry,
             );
@@ -401,10 +418,10 @@ impl Network {
         // for the energy model, per router for the metrics windows).
         sections.next(ObsPhase::Occupancy);
         let mut occupancy_total = 0u64;
-        for (i, r) in self.routers.iter().enumerate() {
-            let buffered = r.buffered_flits() as u64;
+        for r in 0..self.routers.len() {
+            let buffered = self.routers.buffered_flits(r) as u64;
             occupancy_total += buffered;
-            self.telemetry.occupancy(i, buffered);
+            self.telemetry.occupancy(r, buffered);
         }
         self.counters.buffer_occupancy_flit_cycles += occupancy_total;
 
@@ -415,9 +432,10 @@ impl Network {
         // the role of an upstream pipeline latch, keeping wormhole
         // streaming gapless.
         sections.next(ObsPhase::NicInject);
-        for node in 0..self.nics.len() {
-            for vc in 0..self.cfg.router.vcs_per_port {
-                let queue = &mut self.nics[node][vc];
+        let vcs = self.cfg.router.vcs_per_port;
+        for node in 0..self.routers.len() {
+            for vc in 0..vcs {
+                let queue = &mut self.nics[node * vcs + vc];
                 while let Some(front) = queue.packets.front() {
                     let next = queue.next;
                     let packet = front.id;
@@ -432,7 +450,7 @@ impl Network {
                             continue;
                         }
                     }
-                    if self.routers[node].local_free_slots(VcId(vc)) == 0 {
+                    if self.routers.local_free_slots(node, VcId(vc)) == 0 {
                         break;
                     }
                     let fref = self.arena.alloc(front.flit(next));
@@ -447,7 +465,8 @@ impl Network {
                         packet,
                         next == 0,
                     );
-                    self.routers[node].receive_flit(
+                    self.routers.receive_flit(
+                        node,
                         PortId::LOCAL,
                         VcId(vc),
                         fref,
@@ -475,20 +494,21 @@ impl Network {
         &mut self,
         li: usize,
         cycle: u64,
-        mut arrive: impl FnMut(&mut Self, &FlitInFlight) -> Arrival,
+        mut arrive: impl FnMut(&mut Self, &FlitInFlight, u64) -> Arrival,
     ) {
-        while let Some(f) = self.links[li].take_due_flit(cycle) {
-            match arrive(self, &f) {
+        while let Some((f, seq)) = self.links.take_due_flit(li, cycle) {
+            match arrive(self, &f, seq) {
                 Arrival::Accept => {}
                 Arrival::Swallowed => continue,
                 Arrival::Purged => break,
             }
-            let (dst, port) = self.links[li].to;
+            let (dst, port) = self.links.to(li);
             let flit = self.arena.get(f.flit);
-            self.telemetry.buffer_write(cycle, dst, port, f.vc, flit.packet, flit.is_head());
-            self.routers[dst.index()].receive_flit(
+            self.telemetry.buffer_write(cycle, dst, port, f.vc(), flit.packet, flit.is_head());
+            self.routers.receive_flit(
+                dst.index(),
                 port,
-                f.vc,
+                f.vc(),
                 f.flit,
                 &self.arena,
                 cycle,
@@ -496,18 +516,18 @@ impl Network {
                 &mut self.activity[dst.index()],
             );
         }
-        while let Some(c) = self.links[li].take_due_credit(cycle) {
-            let (src, port) = self.links[li].from;
+        while let Some(c) = self.links.take_due_credit(li, cycle) {
+            let (src, port) = self.links.from(li);
             self.telemetry.trace_event(TraceEvent {
                 cycle,
                 router: src,
                 port,
-                vc: c.vc,
+                vc: c.vc(),
                 kind: TraceEventKind::CreditReturn,
                 packet: 0,
                 detail: 0,
             });
-            self.routers[src.index()].receive_credit(port, c.vc);
+            self.routers.receive_credit(src.index(), port, c.vc());
         }
     }
 
@@ -518,7 +538,10 @@ impl Network {
         FabricWatermarks {
             arena_live_peak: self.arena.live_peak(),
             arena_slots: self.arena.capacity_slots(),
-            router_buffer_peak: self.routers.iter().map(Router::buffer_peak).max().unwrap_or(0),
+            router_buffer_peak: (0..self.routers.len())
+                .map(|r| self.routers.buffer_peak(r))
+                .max()
+                .unwrap_or(0),
         }
     }
 
@@ -560,13 +583,13 @@ impl Network {
             }
             fr.dead[li] = true;
             fr.counters.links_killed += 1;
-            let (node, port) = self.links[li].from;
-            for (pid, vc) in self.links[li].kill(&mut self.arena) {
+            let (node, port) = self.links.from(li);
+            for (pid, vc) in self.links.kill(li, &mut self.arena) {
                 fr.counters.flits_dropped += 1;
-                self.links[li].send_credit(vc, Link::delivery_cycle(cycle, 0));
+                self.links.send_credit(li, vc, delivery_cycle(cycle, 0));
                 self.sever(fr, pid, (node, port), cycle);
             }
-            self.routers[node.index()].on_port_death(port);
+            self.routers.on_port_death(node.index(), port);
             self.telemetry.trace_event(TraceEvent {
                 cycle,
                 router: node,
@@ -581,19 +604,24 @@ impl Network {
         // (b) Reap buffered stubs of severed packets (skipping VCs with
         // a pending switch grant; they purge next cycle).
         if !fr.severed.is_empty() {
-            for r in &mut self.routers {
-                fr.counters.flits_dropped +=
-                    r.purge_severed(&fr.severed, cycle, &mut self.arena, &mut self.links);
+            for r in 0..self.routers.len() {
+                fr.counters.flits_dropped += self.routers.purge_severed(
+                    r,
+                    &fr.severed,
+                    cycle,
+                    &mut self.arena,
+                    &mut self.links,
+                );
             }
         }
 
         // (c) Per link: execute due retransmissions, then deliver what
         // survives the fault plan.
         for li in 0..self.links.len() {
-            let resent = self.links[li].arq_service(cycle, &mut self.arena);
+            let resent = self.links.arq_service(li, cycle, &mut self.arena);
             if resent > 0 {
                 fr.counters.retransmissions += resent;
-                let (node, port) = self.links[li].from;
+                let (node, port) = self.links.from(li);
                 self.telemetry.trace_event(TraceEvent {
                     cycle,
                     router: node,
@@ -604,7 +632,7 @@ impl Network {
                     detail: resent as u32,
                 });
             }
-            self.drain_link(li, cycle, |net, f| net.fault_arrival(fr, li, f, cycle));
+            self.drain_link(li, cycle, |net, f, seq| net.fault_arrival(fr, li, f, seq, cycle));
         }
 
         // (d) Refresh the per-router pause flags: a link replaying its
@@ -612,13 +640,14 @@ impl Network {
         // upstream VCs already streaming must keep draining into the
         // black hole to free themselves.
         for li in 0..self.links.len() {
-            let (node, port) = self.links[li].from;
-            let paused = !fr.dead[li] && self.links[li].arq_resend_pending();
-            self.routers[node.index()].set_link_paused(port, paused);
+            let (node, port) = self.links.from(li);
+            let paused = !fr.dead[li] && self.links.arq_resend_pending(li);
+            self.routers.set_link_paused(node.index(), port, paused);
         }
     }
 
-    /// Applies the fault plan to flit `f` arriving off link `li`: a dead
+    /// Applies the fault plan to flit `f` (link-level sequence number
+    /// `seq`) arriving off link `li`: a dead
     /// link or a severed packet swallows it, a detected corruption
     /// NACKs it (purging the wire, and severing the packet once the
     /// retry budget is spent), and anything else is acknowledged and
@@ -628,18 +657,19 @@ impl Network {
         fr: &mut FaultRuntime,
         li: usize,
         f: &FlitInFlight,
+        seq: u64,
         cycle: u64,
     ) -> Arrival {
-        let (dst, port) = self.links[li].to;
-        let upstream = self.links[li].from;
+        let (dst, port) = self.links.to(li);
+        let upstream = self.links.from(li);
         let pid = self.arena.get(f.flit).packet;
         if fr.dead[li] || fr.severed.contains(&pid) {
             // Black hole (the link died under the flit) or a stub of an
             // already-dropped packet: swallow it, acknowledge so the
             // window drains, and credit the reserved slot back.
-            self.links[li].arq_ack(f.seq);
+            self.links.arq_ack(li, seq);
             fr.counters.flits_dropped += 1;
-            self.links[li].send_credit(f.vc, Link::delivery_cycle(cycle, 0));
+            self.links.send_credit(li, f.vc(), delivery_cycle(cycle, 0));
             self.arena.free(f.flit);
             if fr.dead[li] {
                 self.sever(fr, pid, upstream, cycle);
@@ -651,31 +681,31 @@ impl Network {
             (data.num_words(), data.active_words())
         };
         let verdict =
-            fr.plan.verdict(li, f.seq, cycle, num_words, active_words, self.cfg.layer_shutdown);
+            fr.plan.verdict(li, seq, cycle, num_words, active_words, self.cfg.layer_shutdown);
         let fault_event = TraceEvent {
             cycle,
             router: dst,
             port,
-            vc: f.vc,
+            vc: f.vc(),
             kind: TraceEventKind::FaultInject,
             packet: pid.0,
             detail: li as u32,
         };
         match verdict {
-            Verdict::Clean => self.links[li].arq_ack(f.seq),
+            Verdict::Clean => self.links.arq_ack(li, seq),
             Verdict::Masked => {
                 // The flip landed on a slice the short-flit shutdown
                 // gated off: never transported, so the flit arrives
                 // pristine.
                 fr.counters.transient_faults += 1;
                 fr.counters.masked += 1;
-                self.links[li].arq_ack(f.seq);
+                self.links.arq_ack(li, seq);
             }
             Verdict::Escaped { word, mask } => {
                 fr.counters.transient_faults += 1;
                 fr.counters.escaped += 1;
                 self.arena.get_mut(f.flit).data.flip_bits(word, mask);
-                self.links[li].arq_ack(f.seq);
+                self.links.arq_ack(li, seq);
                 self.telemetry.trace_event(fault_event);
             }
             Verdict::Detected => {
@@ -693,13 +723,13 @@ impl Network {
                 // The popped copy is discarded (the pristine window
                 // clone replays later); its slot dies here.
                 self.arena.free(f.flit);
-                let retries = self.links[li].arq_nack(cycle, &mut self.arena);
+                let retries = self.links.arq_nack(li, cycle, &mut self.arena);
                 let budget = fr.plan.config().max_retries;
                 if budget > 0 && retries > budget {
-                    if let Some((pid, vcs)) = self.links[li].arq_drop_front_packet() {
+                    if let Some((pid, vcs)) = self.links.arq_drop_front_packet(li) {
                         fr.counters.flits_dropped += vcs.len() as u64;
                         for vc in vcs {
-                            self.links[li].send_credit(vc, Link::delivery_cycle(cycle, 0));
+                            self.links.send_credit(li, vc, delivery_cycle(cycle, 0));
                         }
                         self.sever(fr, pid, upstream, cycle);
                         if fr.errors.len() < MAX_FAULT_ERRORS {
@@ -739,8 +769,8 @@ impl Network {
     /// Flits inside the network fabric (router buffers + links), excluding
     /// source queues.
     pub fn flits_in_fabric(&self) -> usize {
-        self.routers.iter().map(Router::buffered_flits).sum::<usize>()
-            + self.links.iter().map(Link::flits_in_flight).sum::<usize>()
+        (0..self.routers.len()).map(|r| self.routers.buffered_flits(r)).sum::<usize>()
+            + (0..self.links.len()).map(|li| self.links.flits_in_flight(li)).sum::<usize>()
     }
 
     /// Flits waiting in source queues.
@@ -748,12 +778,12 @@ impl Network {
         self.queued_flits
     }
 
-    /// Runs [`Router::assert_worklists_consistent`] on every router —
+    /// Runs `Routers::assert_worklists_consistent` on every router —
     /// the active-set invariant check the property-test suite applies
     /// after every simulated cycle.
     pub fn assert_worklists_consistent(&self) {
-        for r in &self.routers {
-            r.assert_worklists_consistent();
+        for r in 0..self.routers.len() {
+            self.routers.assert_worklists_consistent(r);
         }
     }
 
@@ -761,22 +791,22 @@ impl Network {
     pub fn is_drained(&self) -> bool {
         self.flits_in_fabric() == 0
             && self.flits_in_source_queues() == 0
-            && self.links.iter().all(Link::is_quiescent)
-            && self.routers.iter().all(Router::is_quiescent)
+            && (0..self.links.len()).all(|li| self.links.is_quiescent(li))
+            && (0..self.routers.len()).all(|r| self.routers.is_quiescent(r))
     }
 
     /// Read access to the routers (black-box dumps and tests).
-    pub(crate) fn routers(&self) -> &[Router] {
+    pub(crate) fn routers(&self) -> &Routers {
         &self.routers
     }
 
     /// Read access to the links (black-box dumps and tests).
-    pub(crate) fn links(&self) -> &[Link] {
+    pub(crate) fn links(&self) -> &Links {
         &self.links
     }
 
     /// The fabric's structural state as a word sequence: every router's
-    /// [`Router::progress_word`] (work-list masks, buffer occupancy,
+    /// progress word (work-list masks, buffer occupancy,
     /// pending switch grants), then every link's flits and credits in
     /// flight. Any flit movement or pipeline-state transition changes a
     /// word; a truly wedged fabric (deadlock, frozen allocator) keeps
@@ -785,11 +815,10 @@ impl Network {
     /// excluded: continued injection into a deadlocked fabric must not
     /// read as progress. The length is fixed for a network's lifetime.
     pub(crate) fn progress_words(&self) -> impl Iterator<Item = u64> + '_ {
-        let links = self
-            .links
-            .iter()
-            .flat_map(|l| [l.flits_in_flight() as u64, l.credits_in_flight() as u64]);
-        self.routers.iter().flat_map(Router::progress_word).chain(links)
+        let links = (0..self.links.len()).flat_map(|li| {
+            [self.links.flits_in_flight(li) as u64, self.links.credits_in_flight(li) as u64]
+        });
+        (0..self.routers.len()).flat_map(|r| self.routers.progress_word(r)).chain(links)
     }
 
     /// An FNV-1a hash over the fabric's progress words (each router's
@@ -816,20 +845,20 @@ impl Network {
     ///
     /// Panics when `node` is out of range.
     pub fn freeze_router_sa(&mut self, node: usize) {
-        self.routers[node].freeze_sa();
+        self.routers.freeze_sa(node);
     }
 
     /// Age in cycles of the oldest head-of-FIFO flit anywhere in the
     /// fabric (0 when empty) — the starvation detector's subject.
     pub fn max_head_age(&self, cycle: u64) -> u64 {
-        self.routers.iter().map(|r| r.max_head_age(cycle)).max().unwrap_or(0)
+        (0..self.routers.len()).map(|r| self.routers.max_head_age(r, cycle)).max().unwrap_or(0)
     }
 
     /// Total output VCs across the fabric holding more downstream
     /// credits than the buffer depth they track. Always 0 unless credit
     /// conservation is broken.
     pub fn credit_overflows(&self) -> u64 {
-        self.routers.iter().map(Router::credit_overflows).sum()
+        (0..self.routers.len()).map(|r| self.routers.credit_overflows(r)).sum()
     }
 }
 
@@ -865,6 +894,17 @@ mod tests {
             }
         }
         panic!("network did not drain within {max_cycles} cycles");
+    }
+
+    #[test]
+    fn router_widths_are_checked_at_construction() {
+        // A 7-port 3D mesh router: 7 x 9 = 63 (port, vc) pairs fit the
+        // work-list masks, 7 x 10 = 70 do not.
+        let vcs = |v| NetworkConfig::builder().vcs_per_port(v).build();
+        let mesh = || Box::new(crate::topology::Mesh3D::new(2, 2, 2));
+        assert!(Network::try_new(mesh(), vcs(9)).is_ok());
+        let err = Network::try_new(mesh(), vcs(10)).unwrap_err();
+        assert!(matches!(err, NocError::InvalidConfig { parameter: "vcs_per_port", .. }));
     }
 
     #[test]

@@ -209,26 +209,25 @@ pub fn capture(
     stuck_packets: Vec<StuckPacket>,
 ) -> BlackBox {
     let topo = net.topology();
-    let routers = net
-        .routers()
-        .iter()
-        .enumerate()
-        .map(|(i, r)| {
-            let c = topo.coords(crate::ids::NodeId(i));
-            r.dump(cycle, c.x as u64, c.y as u64)
+    let routers = (0..net.routers().len())
+        .map(|r| {
+            let c = topo.coords(crate::ids::NodeId(r));
+            net.routers().dump(r, cycle, c.x as u64, c.y as u64)
         })
         .collect();
-    let links = net
-        .links()
-        .iter()
-        .filter(|l| l.flits_in_flight() > 0 || l.credits_in_flight() > 0)
-        .map(|l| LinkDump {
-            from_node: l.from.0.index() as u64,
-            from_port: l.from.1.index() as u64,
-            to_node: l.to.0.index() as u64,
-            to_port: l.to.1.index() as u64,
-            flits: l.flits_in_flight() as u64,
-            credits: l.credits_in_flight() as u64,
+    let l = net.links();
+    let links = (0..l.len())
+        .filter(|&li| l.flits_in_flight(li) > 0 || l.credits_in_flight(li) > 0)
+        .map(|li| {
+            let (from, to) = (l.from(li), l.to(li));
+            LinkDump {
+                from_node: from.0.index() as u64,
+                from_port: from.1.index() as u64,
+                to_node: to.0.index() as u64,
+                to_port: to.1.index() as u64,
+                flits: l.flits_in_flight(li) as u64,
+                credits: l.credits_in_flight(li) as u64,
+            }
         })
         .collect();
     let arena = net

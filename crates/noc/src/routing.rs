@@ -76,15 +76,16 @@ pub fn dim_hops_with_express(dist: usize, span: usize) -> usize {
     }
 }
 
-/// Removes route candidates whose output port is dead (`dead_out[p]`).
+/// Removes route candidates whose output port is dead (bit `p` of the
+/// `dead_out` port mask).
 ///
 /// Returns `true` when the mask removed at least one candidate — the
 /// router counts these as reroutes and, when the set empties, engages
 /// its detour fallback. Candidate order (the model's preference order)
 /// is preserved.
-pub fn apply_fault_mask(candidates: &mut Vec<crate::ids::PortId>, dead_out: &[bool]) -> bool {
+pub fn apply_fault_mask(candidates: &mut Vec<crate::ids::PortId>, dead_out: u64) -> bool {
     let before = candidates.len();
-    candidates.retain(|p| !dead_out[p.index()]);
+    candidates.retain(|p| dead_out & (1 << p.index()) == 0);
     candidates.len() != before
 }
 
@@ -119,15 +120,15 @@ mod tests {
     #[test]
     fn fault_mask_strips_dead_ports_in_order() {
         use crate::ids::PortId;
-        let dead = vec![false, true, false, false, true];
+        let dead = 0b10010; // ports 1 and 4
         let mut c = vec![PortId(1), PortId(3), PortId(4)];
-        assert!(apply_fault_mask(&mut c, &dead));
+        assert!(apply_fault_mask(&mut c, dead));
         assert_eq!(c, vec![PortId(3)], "dead ports removed, order preserved");
         let mut c = vec![PortId(2), PortId(3)];
-        assert!(!apply_fault_mask(&mut c, &dead), "no live candidate removed");
+        assert!(!apply_fault_mask(&mut c, dead), "no live candidate removed");
         assert_eq!(c.len(), 2);
         let mut c = vec![PortId(1)];
-        assert!(apply_fault_mask(&mut c, &dead));
+        assert!(apply_fault_mask(&mut c, dead));
         assert!(c.is_empty(), "a fully dead set empties — the detour case");
     }
 

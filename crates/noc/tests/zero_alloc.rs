@@ -3,6 +3,10 @@
 //! steady-state capacity, stepping the network must perform **zero**
 //! heap allocations — the data-oriented core's contract.
 //!
+//! The same allocator also pins construction: the router, link and NIC
+//! state live in network-wide arrays (DESIGN.md §14), so building a
+//! 32×32 mesh makes exactly as many heap allocations as a 6×6 one.
+//!
 //! A counting global allocator observes every `alloc`/`realloc`;
 //! deallocation is not counted (dropping ejected flits is free anyway:
 //! flit payloads are inline). The whole scenario lives in a single
@@ -147,9 +151,28 @@ fn allocations_during_steady_state(
     (ALLOCS.load(Ordering::SeqCst), ejected_total)
 }
 
+/// Heap allocations made by `Network::new` for a 2DB mesh of `side`
+/// × `side` nodes (the topology itself is built before counting).
+fn allocations_during_construction(side: usize) -> u64 {
+    let topo: Box<dyn Topology> = Box::new(Mesh2D::new(side, side));
+    let cfg = NetworkConfig::builder().pipeline(PipelineConfig::separate_lt()).build();
+    ALLOCS.store(0, Ordering::SeqCst);
+    ARMED.store(true, Ordering::SeqCst);
+    let net = Network::new(topo, cfg);
+    ARMED.store(false, Ordering::SeqCst);
+    drop(net);
+    ALLOCS.load(Ordering::SeqCst)
+}
+
 #[test]
 fn steady_state_stepping_never_allocates() {
+    // Construction does not scale per router: no router, link or NIC
+    // owns a heap block.
+    let (small, large) = (allocations_during_construction(6), allocations_during_construction(32));
+    assert_eq!(small, large, "Network::new made {small} allocations for 6x6 but {large} for 32x32");
+
     PANIC_ON_ALLOC.store(std::env::var_os("ZERO_ALLOC_PANIC").is_some(), Ordering::SeqCst);
+
     let archs: [(&str, Box<dyn Topology>, bool); 3] = [
         ("2DB", Box::new(Mesh2D::new(4, 4)), false),
         ("3DM", Box::new(Mesh3D::new(3, 3, 3)), true),
