@@ -4,7 +4,7 @@
 //! configuration is what EXPERIMENTS.md records.
 use std::time::Instant;
 
-use mira::experiments::common::sweep_ur;
+use mira::experiments::common::sweep_ur_on;
 use mira::experiments::{
     ablations, energy, faults, latency, patterns, power, scorecard, tables, thermal,
 };
@@ -17,6 +17,7 @@ fn main() {
     let sim = cli.sim_config();
     let cycles = if cli.quick { 4_000 } else { 20_000 };
     let trace_cycles = cli.trace_cycles();
+    let runner = cli.runner();
 
     println!("{}", tables::table1().to_text());
     println!("{}", tables::table2().to_text());
@@ -27,19 +28,23 @@ fn main() {
     println!("{}", patterns::fig13a(&Application::ALL, cycles).to_text());
 
     eprintln!("[static exhibits done at {:.1?}; starting UR sweep]", t0.elapsed());
-    let sweep = sweep_ur(&rates_ur(cli), 0.0, sim);
+    let (sweep, _) = sweep_ur_on(&runner, &rates_ur(cli), 0.0, sim);
     println!("{}", latency::fig11a(&sweep).to_text());
     println!("{}", power::fig12a(&sweep).to_text());
     println!("{}", power::fig12d(&sweep).to_text());
 
     eprintln!("[UR done at {:.1?}; starting NUCA-UR]", t0.elapsed());
-    println!("{}", latency::fig11b(&rates_nuca(cli), sim).to_text());
-    println!("{}", power::fig12b(&rates_nuca(cli), sim).to_text());
+    let (nuca, _) = latency::nuca_sweep_on(&runner, &rates_nuca(cli), sim);
+    println!("{}", latency::fig11b(&nuca).to_text());
+    println!("{}", power::fig12b(&nuca).to_text());
 
     eprintln!("[NUCA-UR done at {:.1?}; starting traces]", t0.elapsed());
-    println!("{}", latency::fig11c(&Application::PRESENTED, trace_cycles, sim).to_text());
-    println!("{}", power::fig12c(&Application::PRESENTED, trace_cycles, sim).to_text());
-    println!("{}", latency::fig11d(&sweep, 0.05, Application::Apache, trace_cycles, sim).to_text());
+    let apps = &Application::PRESENTED;
+    println!("{}", latency::fig11c_on(&runner, apps, trace_cycles, sim).0.to_text());
+    println!("{}", power::fig12c_on(&runner, apps, trace_cycles, sim).0.to_text());
+    let (fig11d, _) =
+        latency::fig11d_on(&runner, &sweep, 0.05, Application::Apache, trace_cycles, sim);
+    println!("{}", fig11d.to_text());
 
     eprintln!("[traces done at {:.1?}; starting shutdown/thermal]", t0.elapsed());
     println!("{}", power::fig13b(0.10, sim).to_text());
@@ -52,7 +57,9 @@ fn main() {
     println!("{}", ablations::ablate_buffers(0.15, sim).to_text());
     println!("{}", ablations::ablate_routing(0.15, sim).to_text());
     println!("{}", latency::tail_latency(0.15, sim).to_text());
-    println!("{}", faults::fault_sweep(&faults::fault_rates_ppm(cli.quick), sim).to_text());
+    let (fault_sweep, _) =
+        faults::fault_sweep_on(&runner, &faults::fault_rates_ppm(cli.quick), sim);
+    println!("{}", fault_sweep.to_text());
 
     let claims = scorecard::run_scorecard(sim, trace_cycles);
     println!("{}", scorecard::scorecard_table(&claims).to_text());

@@ -4,16 +4,20 @@
 use std::time::Instant;
 
 use mira::arch::Arch;
-use mira::experiments::thermal::{chip_model, network_power_at};
+use mira::experiments::common::ur_point;
+use mira::experiments::thermal::chip_model;
 use mira_bench::Cli;
 
 fn main() {
     let cli = Cli::parse();
     let t0 = Instant::now();
     let rate = 0.10;
+    let points = [Arch::TwoDB, Arch::ThreeDB, Arch::ThreeDM]
+        .map(|a| ur_point(a, rate, 0.0, cli.sim_config()));
+    let runs = cli.runner().run(points.into()).into_results();
     println!("vertical temperature profile at {rate} flits/node/cycle (UR)\n");
-    for arch in [Arch::TwoDB, Arch::ThreeDB, Arch::ThreeDM] {
-        let p = network_power_at(arch, rate, 0.0, cli.sim_config());
+    for run in &runs {
+        let (arch, p) = (run.arch, run.avg_power_w);
         let t = chip_model(arch, p).solve();
         let layers = match arch {
             Arch::TwoDB => 1,

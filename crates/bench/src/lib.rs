@@ -18,8 +18,8 @@
 //! result-shaping flags render as [`Cli::options`], which names each
 //! batch's results-store file and its batch line (DESIGN.md §16).
 //!
-//! Criterion benches covering the simulator engine and each experiment
-//! group live under `benches/`.
+//! Performance is measured by the standalone `mira-benchmark` package
+//! at the repository root, not by benches in this crate.
 
 use std::time::Instant;
 
@@ -330,12 +330,7 @@ impl Cli {
         let base = if self.quick {
             mira::experiments::quick_sim_config()
         } else {
-            mira::noc::sim::SimConfig {
-                warmup_cycles: 2_000,
-                measure_cycles: 10_000,
-                drain_cycles: 30_000,
-                ..mira::noc::sim::SimConfig::default()
-            }
+            mira::experiments::common::default_sim_config()
         };
         let mut telemetry = match self.metrics_window {
             Some(w) => TelemetryConfig::windows(w),

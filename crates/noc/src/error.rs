@@ -4,12 +4,11 @@ use std::error::Error;
 use std::fmt;
 
 use crate::ids::{NodeId, PortId, VcId};
-use crate::packet::PacketId;
 
 /// Errors produced while configuring or running a simulation.
 ///
 /// The enum is `#[non_exhaustive]`: downstream matches must carry a
-/// wildcard arm, so future error growth (as with the fault variants
+/// wildcard arm, so future error growth (as with the fault variant
 /// below) is not a breaking change.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -53,16 +52,6 @@ pub enum NocError {
         /// What went wrong.
         reason: &'static str,
     },
-    /// A corrupted flit exhausted its retransmission budget; the owning
-    /// packet was dropped.
-    RetryExhausted {
-        /// Upstream router of the link on which retries exhausted.
-        node: NodeId,
-        /// Output port of that link.
-        port: PortId,
-        /// The dropped packet.
-        packet: PacketId,
-    },
 }
 
 impl fmt::Display for NocError {
@@ -81,13 +70,6 @@ impl fmt::Display for NocError {
             }
             NocError::LinkFault { node, port, reason } => {
                 write!(f, "link fault at {node} {port}: {reason}")
-            }
-            NocError::RetryExhausted { node, port, packet } => {
-                write!(
-                    f,
-                    "retry budget exhausted on link at {node} {port}; dropped packet {}",
-                    packet.0
-                )
             }
         }
     }
@@ -113,10 +95,6 @@ mod tests {
         let e = NocError::LinkFault { node: NodeId(2), port: PortId(1), reason: "via sheared" };
         let s = e.to_string();
         assert!(s.contains("n2") && s.contains("p1") && s.contains("via sheared"), "{s}");
-
-        let e = NocError::RetryExhausted { node: NodeId(4), port: PortId(3), packet: PacketId(99) };
-        let s = e.to_string();
-        assert!(s.contains("n4") && s.contains("p3") && s.contains("99"), "{s}");
     }
 
     #[test]

@@ -389,11 +389,6 @@ impl JourneyRecorder {
         &self.finished
     }
 
-    /// Removes and returns the closed journeys.
-    pub fn take_finished(&mut self) -> Vec<PacketJourney> {
-        std::mem::take(&mut self.finished)
-    }
-
     /// Sampled packets still open (in flight or dropped).
     pub fn pending(&self) -> usize {
         self.active.len()

@@ -52,11 +52,6 @@ impl SourceQueue {
     }
 }
 
-/// Cap on [`NocError`] records retained by the fault machinery (the
-/// first few diagnose a run; unbounded growth would leak under long
-/// fault storms).
-const MAX_FAULT_ERRORS: usize = 64;
-
 /// Live fault-injection state: the compiled plan plus everything the
 /// network mutates while executing it. Boxed and absent unless
 /// [`Network::set_faults`] engaged it — the default path only ever
@@ -74,8 +69,6 @@ struct FaultRuntime {
     /// Drop notifications not yet collected by the simulator.
     dropped: Vec<PacketId>,
     counters: FaultCounters,
-    /// Retry-exhaustion errors, capped at [`MAX_FAULT_ERRORS`].
-    errors: Vec<NocError>,
 }
 
 /// The fault layer's decision for one flit due off a link.
@@ -243,7 +236,6 @@ impl Network {
             severed: HashSet::new(),
             dropped: Vec::new(),
             counters: FaultCounters::new(),
-            errors: Vec::new(),
             plan,
         }));
         Ok(())
@@ -270,12 +262,6 @@ impl Network {
         let mut c = self.faults.as_ref().map_or_else(FaultCounters::new, |f| f.counters);
         c.reroutes = (0..self.routers.len()).map(|r| self.routers.reroutes(r)).sum();
         c
-    }
-
-    /// Errors recorded by the fault machinery (retry exhaustion),
-    /// capped at the first `MAX_FAULT_ERRORS` (64).
-    pub fn fault_errors(&self) -> &[NocError] {
-        self.faults.as_ref().map_or(&[], |f| &f.errors)
     }
 
     /// Applies a telemetry configuration, replacing the network's
@@ -732,13 +718,6 @@ impl Network {
                             self.links.send_credit(li, vc, delivery_cycle(cycle, 0));
                         }
                         self.sever(fr, pid, upstream, cycle);
-                        if fr.errors.len() < MAX_FAULT_ERRORS {
-                            fr.errors.push(NocError::RetryExhausted {
-                                node: upstream.0,
-                                port: upstream.1,
-                                packet: pid,
-                            });
-                        }
                     }
                 }
                 // The NACK purged the wire; nothing further is due on

@@ -191,23 +191,6 @@ impl PacketSpec {
     pub fn control(src: NodeId, dst: NodeId, class: PacketClass, num_words: usize) -> Self {
         PacketSpec { src, dst, class, payload: vec![FlitData::with_active_words(num_words, 1)] }
     }
-
-    /// Convenience constructor for a data packet of `len_flits` flits whose
-    /// payloads all use the full datapath width.
-    pub fn data_dense(
-        src: NodeId,
-        dst: NodeId,
-        class: PacketClass,
-        len_flits: usize,
-        num_words: usize,
-    ) -> Self {
-        PacketSpec {
-            src,
-            dst,
-            class,
-            payload: (0..len_flits).map(|_| FlitData::dense(num_words)).collect(),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -357,11 +357,6 @@ impl Simulator {
         self.network.journeys().map_or(&[], |j| j.finished())
     }
 
-    /// Packets injected but not yet fully ejected.
-    pub fn in_flight_packets(&self) -> usize {
-        self.in_flight.len()
-    }
-
     /// In-flight packets that belong to the measurement window. After
     /// [`Simulator::run`] this is non-zero exactly when the report says
     /// `saturated` — the drain failed to empty the measured population.

@@ -99,13 +99,13 @@ impl PayloadProfile {
 
 /// Open-loop uniform-random traffic: every cycle each node starts a new
 /// packet with probability `rate / len_flits` towards a uniformly chosen
-/// other node, so the offered load is `rate` flits/node/cycle.
+/// other node, so the offered load is `rate` flits/node/cycle. Every
+/// packet is a [`PacketClass::DataResponse`].
 #[derive(Debug)]
 pub struct UniformRandom {
     rate_flits_per_node_cycle: f64,
     len_flits: usize,
     payload: PayloadProfile,
-    class: PacketClass,
     rng: SmallRng,
     num_nodes: usize,
 }
@@ -124,7 +124,6 @@ impl UniformRandom {
             rate_flits_per_node_cycle: rate,
             len_flits,
             payload: PayloadProfile::dense(4),
-            class: PacketClass::DataResponse,
             rng: SmallRng::seed_from_u64(seed),
             num_nodes: 0,
         }
@@ -134,13 +133,6 @@ impl UniformRandom {
     #[must_use]
     pub fn with_payload(mut self, payload: PayloadProfile) -> Self {
         self.payload = payload;
-        self
-    }
-
-    /// Replaces the packet class (default: [`PacketClass::DataResponse`]).
-    #[must_use]
-    pub fn with_class(mut self, class: PacketClass) -> Self {
-        self.class = class;
         self
     }
 
@@ -170,7 +162,7 @@ impl Workload for UniformRandom {
                 specs.push(PacketSpec {
                     src: NodeId(src),
                     dst: NodeId(dst),
-                    class: self.class,
+                    class: PacketClass::DataResponse,
                     payload,
                 });
             }

@@ -12,9 +12,6 @@
 //!   by default**; simulated results are identical either way (the
 //!   instrumentation is host-side only), which `tests/golden_core.rs`
 //!   pins bit-for-bit. The bench binaries turn it on with `--obs-out`.
-//! * Built without the default `runtime` feature, [`enabled`] is a
-//!   `const false` and the optimiser deletes every phase scope outright
-//!   — the compile-out form of the zero-overhead path.
 //!
 //! The pieces:
 //!
@@ -36,36 +33,21 @@ pub mod store;
 
 use serde::{Deserialize, Serialize};
 
-#[cfg(feature = "runtime")]
 use std::sync::atomic::{AtomicBool, Ordering};
 
-#[cfg(feature = "runtime")]
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Whether observability is currently collecting. One relaxed atomic
 /// load — this is the only cost the instrumented hot paths pay when
 /// observability is off.
-#[cfg(feature = "runtime")]
 #[inline(always)]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Compile-out form: observability can never be on, and every guard is
-/// dead code.
-#[cfg(not(feature = "runtime"))]
-#[inline(always)]
-pub const fn enabled() -> bool {
-    false
-}
-
-/// Turns collection on or off at runtime (a no-op without the `runtime`
-/// feature).
+/// Turns collection on or off at runtime.
 pub fn set_enabled(on: bool) {
-    #[cfg(feature = "runtime")]
     ENABLED.store(on, Ordering::Relaxed);
-    #[cfg(not(feature = "runtime"))]
-    let _ = on;
 }
 
 /// A complete point-in-time capture of the observability state: build

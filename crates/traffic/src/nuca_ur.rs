@@ -22,6 +22,9 @@ use mira_noc::traffic::{EjectedPacket, Workload};
 
 use crate::patterns::PatternMix;
 
+/// L2 bank access latency in cycles (paper Table 4).
+const BANK_LATENCY: u64 = 4;
+
 /// Bimodal CPU↔cache request/response workload.
 ///
 /// ```
@@ -43,7 +46,6 @@ pub struct NucaBimodal {
     cpus: Vec<NodeId>,
     caches: Vec<NodeId>,
     request_rate_per_cpu: f64,
-    bank_latency: u64,
     response_len_flits: usize,
     words_per_flit: usize,
     patterns: PatternMix,
@@ -72,7 +74,6 @@ impl NucaBimodal {
             cpus,
             caches,
             request_rate_per_cpu,
-            bank_latency: 4,
             response_len_flits: 5,
             words_per_flit: 4,
             patterns: PatternMix::dense(),
@@ -88,13 +89,6 @@ impl NucaBimodal {
         assert!((0.0..=1.0).contains(&short_flit_fraction), "fraction in [0,1]");
         self.patterns = patterns;
         self.short_flit_fraction = short_flit_fraction;
-        self
-    }
-
-    /// Sets the bank access latency in cycles (default 4, paper Table 4).
-    #[must_use]
-    pub fn with_bank_latency(mut self, cycles: u64) -> Self {
-        self.bank_latency = cycles;
         self
     }
 
@@ -157,7 +151,7 @@ impl Workload for NucaBimodal {
         // The bank answers after its access latency.
         let payload = self.response_payload();
         vec![(
-            self.bank_latency,
+            BANK_LATENCY,
             PacketSpec {
                 src: packet.dst,
                 dst: packet.src,

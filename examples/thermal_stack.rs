@@ -4,14 +4,16 @@
 //! Run with: `cargo run --release --example thermal_stack`
 
 use mira::arch::Arch;
-use mira::experiments::quick_sim_config;
-use mira::experiments::thermal::{chip_model, network_power_at};
+use mira::experiments::common::ur_point;
+use mira::experiments::thermal::chip_model;
+use mira::experiments::{quick_sim_config, Runner};
 
 fn main() {
     let arch = Arch::ThreeDM;
     let rate = 0.20;
-    let p_dense = network_power_at(arch, rate, 0.0, quick_sim_config());
-    let p_short = network_power_at(arch, rate, 0.5, quick_sim_config());
+    let points = [0.0, 0.5].map(|frac| ur_point(arch, rate, frac, quick_sim_config()));
+    let runs = Runner::from_env().run(points.into()).into_results();
+    let (p_dense, p_short) = (runs[0].avg_power_w, runs[1].avg_power_w);
     println!(
         "network power at {rate} flits/node/cycle: {:.2} W dense, {:.2} W with 50% short flits + shutdown",
         p_dense, p_short

@@ -6,6 +6,7 @@ use mira_noc::traffic::{PayloadProfile, UniformRandom, Workload};
 
 use crate::arch::Arch;
 use crate::experiments::runner::{derive_seed, RunSummary, Runner, SimPoint};
+use crate::report::{CurvePoint, Series};
 
 /// The seed used by every experiment (results are deterministic).
 pub const EXPERIMENT_SEED: u64 = 20080621; // ISCA 2008 week
@@ -114,6 +115,19 @@ pub fn sweep_ur_points(rates: &[f64], short_fraction: f64, sim_cfg: SimConfig) -
     points
 }
 
+/// One uniform-random point: `arch` at `rate` flits/node/cycle with the
+/// given short-flit fraction (layer shutdown on iff the fraction is
+/// non-zero). The point pins [`EXPERIMENT_SEED`], so runs that differ
+/// only in payload or shutdown see the same packet arrival stream.
+pub fn ur_point(arch: Arch, rate: f64, short_fraction: f64, sim_cfg: SimConfig) -> SimPoint {
+    let label = format!("{arch} @ {rate}, {:.0}% short", short_fraction * 100.0);
+    SimPoint::new(label, EXPERIMENT_SEED, move |s| {
+        let payload = PayloadProfile::with_short_fraction(4, short_fraction);
+        let workload = UniformRandom::new(rate, 5, s).with_payload(payload);
+        run_arch(arch, short_fraction > 0.0, Box::new(workload), sim_cfg)
+    })
+}
+
 /// Sweeps uniform-random traffic over `rates` for every architecture on
 /// an explicit runner (the shared substrate of Figs. 11(a), 12(a) and
 /// 12(d)); returns the points plus the batch summary for `--json`.
@@ -127,23 +141,41 @@ pub fn sweep_ur_on(
     short_fraction: f64,
     sim_cfg: SimConfig,
 ) -> (Vec<SweepPoint>, RunSummary) {
-    let batch = runner.run(sweep_ur_points(rates, short_fraction, sim_cfg));
-    let summary = batch.summary;
-    let mut outcomes = batch.outcomes.into_iter();
-    let mut out = Vec::with_capacity(rates.len() * Arch::ALL.len());
-    for &rate in rates {
-        for arch in Arch::ALL {
-            let o = outcomes.next().expect("one outcome per point");
-            out.push(SweepPoint { arch, rate, result: o.result });
-        }
-    }
-    (out, summary)
+    run_sweep(runner, rates, sweep_ur_points(rates, short_fraction, sim_cfg))
 }
 
-/// [`sweep_ur_on`] with an environment-sized runner, discarding the
-/// summary (the convenience form tests and figures use).
-pub fn sweep_ur(rates: &[f64], short_fraction: f64, sim_cfg: SimConfig) -> Vec<SweepPoint> {
-    sweep_ur_on(&Runner::from_env(), rates, short_fraction, sim_cfg).0
+/// Runs a rate-major sweep batch (one point per `(rate, arch)` pair
+/// over [`Arch::ALL`]) and pairs each result with its rate.
+pub(crate) fn run_sweep(
+    runner: &Runner,
+    rates: &[f64],
+    points: Vec<SimPoint>,
+) -> (Vec<SweepPoint>, RunSummary) {
+    let batch = runner.run(points);
+    let rate_arch = rates.iter().flat_map(|&rate| Arch::ALL.map(|arch| (rate, arch)));
+    let sweep = rate_arch
+        .zip(batch.outcomes)
+        .map(|((rate, arch), o)| SweepPoint { arch, rate, result: o.result })
+        .collect();
+    (sweep, batch.summary)
+}
+
+/// One curve per architecture over a sweep, in [`Arch::ALL`] order:
+/// the series every rate-swept figure (latency, power, PDP) plots.
+pub(crate) fn arch_series(sweep: &[SweepPoint], y: impl Fn(&SweepPoint) -> f64) -> Vec<Series> {
+    Arch::ALL
+        .iter()
+        .map(|&arch| {
+            Series::new(
+                arch.name(),
+                sweep
+                    .iter()
+                    .filter(|p| p.arch == arch)
+                    .map(|p| CurvePoint { x: p.rate, y: y(p) })
+                    .collect(),
+            )
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -162,7 +194,7 @@ mod tests {
 
     #[test]
     fn sweep_covers_all_archs_and_rates() {
-        let pts = sweep_ur(&[0.02, 0.05], 0.0, quick_sim_config());
+        let pts = sweep_ur_on(&Runner::from_env(), &[0.02, 0.05], 0.0, quick_sim_config()).0;
         assert_eq!(pts.len(), 2 * Arch::ALL.len());
         for p in &pts {
             assert!(p.result.report.packets_ejected > 0, "{} @ {}", p.arch, p.rate);
@@ -173,7 +205,7 @@ mod tests {
     /// 3DB sits between 3DM-E and 2DB for UR (fewer hops than 2DB).
     #[test]
     fn low_load_latency_ordering() {
-        let pts = sweep_ur(&[0.05], 0.0, quick_sim_config());
+        let pts = sweep_ur_on(&Runner::from_env(), &[0.05], 0.0, quick_sim_config()).0;
         let lat = |a: Arch| {
             pts.iter().find(|p| p.arch == a).expect("arch present").result.report.avg_latency
         };

@@ -143,12 +143,6 @@ pub fn fault_sweep_on(
     (fault_sweep_figures(&points), summary)
 }
 
-/// [`fault_sweep_on`] with an environment-sized runner, discarding the
-/// summary.
-pub fn fault_sweep(rates_ppm: &[u32], sim_cfg: SimConfig) -> FaultSweep {
-    fault_sweep_on(&Runner::from_env(), rates_ppm, sim_cfg).0
-}
-
 /// Builds the two figures from a rate-major point list.
 pub fn fault_sweep_figures(points: &[FaultPoint]) -> FaultSweep {
     let series_for = |y: &dyn Fn(&FaultPoint) -> f64| -> Vec<Series> {
@@ -192,7 +186,7 @@ mod tests {
     #[test]
     fn sweep_degrades_monotonically() {
         let rates = [0u32, 150_000];
-        let sweep = fault_sweep(&rates, quick_sim_config());
+        let sweep = fault_sweep_on(&Runner::from_env(), &rates, quick_sim_config()).0;
         for arch in FAULT_ARCHS {
             let name = arch.name();
             let d = sweep.delivered.series.iter().find(|s| s.label == name).expect("series");

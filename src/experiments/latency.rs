@@ -7,117 +7,87 @@ use mira_traffic::trace::TraceReplay;
 use mira_traffic::workloads::Application;
 
 use crate::arch::Arch;
-use crate::experiments::common::{run_arch, RunResult, SweepPoint, EXPERIMENT_SEED};
+use crate::experiments::common::{
+    arch_series, run_arch, run_sweep, RunResult, SweepPoint, EXPERIMENT_SEED,
+};
 use crate::experiments::runner::{derive_seed, RunSummary, Runner, SimPoint};
-use crate::report::{BarFigure, CurvePoint, Figure, Series};
+use crate::report::{BarFigure, Figure};
 
 /// Fig. 11(a): average latency vs injection rate, uniform random.
 ///
 /// Takes the shared UR sweep (see
-/// [`sweep_ur`](crate::experiments::common::sweep_ur)) so the same runs
-/// also feed Figs. 12(a) and 12(d).
+/// [`sweep_ur_on`](crate::experiments::common::sweep_ur_on)) so the
+/// same runs also feed Figs. 12(a) and 12(d).
 pub fn fig11a(sweep: &[SweepPoint]) -> Figure {
+    latency_figure("fig11a", "Average latency, uniform random traffic", "inj-rate", sweep)
+}
+
+/// Fig. 11(b): average latency under NUCA-UR request/response traffic,
+/// over the per-CPU request rates of the shared NUCA-UR sweep (see
+/// [`nuca_sweep_on`]), whose runs also feed Fig. 12(b).
+pub fn fig11b(sweep: &[SweepPoint]) -> Figure {
+    latency_figure("fig11b", "Average latency, NUCA-UR bimodal traffic", "req-rate", sweep)
+}
+
+/// The average-latency curves of a rate sweep, one series per
+/// architecture.
+fn latency_figure(id: &str, title: &str, x_label: &str, sweep: &[SweepPoint]) -> Figure {
     Figure {
-        id: "fig11a".into(),
-        title: "Average latency, uniform random traffic".into(),
-        x_label: "inj-rate".into(),
+        id: id.into(),
+        title: title.into(),
+        x_label: x_label.into(),
         y_label: "cycles".into(),
-        series: Arch::ALL
-            .iter()
-            .map(|&arch| {
-                Series::new(
-                    arch.name(),
-                    sweep
-                        .iter()
-                        .filter(|p| p.arch == arch)
-                        .map(|p| CurvePoint { x: p.rate, y: p.result.report.avg_latency })
-                        .collect(),
-                )
-            })
-            .collect(),
+        series: arch_series(sweep, |p| p.result.report.avg_latency),
     }
 }
 
 /// Runs the NUCA-UR bimodal workload for one architecture at a per-CPU
 /// request rate with an explicit seed.
-pub fn run_nuca_ur_seeded(
-    arch: Arch,
-    request_rate: f64,
-    seed: u64,
-    sim_cfg: SimConfig,
-) -> RunResult {
+pub fn run_nuca_ur(arch: Arch, request_rate: f64, seed: u64, sim_cfg: SimConfig) -> RunResult {
     let workload = NucaBimodal::new(arch.cpu_nodes(), arch.cache_nodes(), request_rate, seed);
     run_arch(arch, false, Box::new(workload), sim_cfg)
 }
 
-/// [`run_nuca_ur_seeded`] at the canonical [`EXPERIMENT_SEED`].
-pub fn run_nuca_ur(arch: Arch, request_rate: f64, sim_cfg: SimConfig) -> RunResult {
-    run_nuca_ur_seeded(arch, request_rate, EXPERIMENT_SEED, sim_cfg)
+/// One NUCA-UR point ([`run_nuca_ur`]) at a given seed.
+pub(crate) fn nuca_point(arch: Arch, request_rate: f64, seed: u64, sim_cfg: SimConfig) -> SimPoint {
+    SimPoint::new(format!("nuca {arch} @ {request_rate}"), seed, move |s| {
+        run_nuca_ur(arch, request_rate, s, sim_cfg)
+    })
 }
 
-/// The NUCA-UR sweep as runner points, rate-major like
+/// Sweeps the NUCA-UR workload over per-CPU `request_rates` for every
+/// architecture on an explicit runner (the shared substrate of Figs.
+/// 11(b) and 12(b)); returns the points plus the batch summary.
+///
+/// Rate-major like
 /// [`sweep_ur_points`](crate::experiments::common::sweep_ur_points):
 /// seeds derive per rate and are shared across architectures (paired
 /// comparisons).
-pub(crate) fn nuca_sweep_points(request_rates: &[f64], sim_cfg: SimConfig) -> Vec<SimPoint> {
-    let mut points = Vec::new();
-    for (ri, &rate) in request_rates.iter().enumerate() {
-        let seed = derive_seed(EXPERIMENT_SEED, ri as u64);
-        for arch in Arch::ALL {
-            points.push(SimPoint::new(format!("nuca {arch} @ {rate}"), seed, move |s| {
-                run_nuca_ur_seeded(arch, rate, s, sim_cfg)
-            }));
-        }
-    }
-    points
-}
-
-/// Rebuilds per-architecture latency/power curves from a rate-major
-/// NUCA sweep batch.
-pub(crate) fn nuca_series(
+pub fn nuca_sweep_on(
+    runner: &Runner,
     request_rates: &[f64],
-    results: &[RunResult],
-    y: impl Fn(&RunResult) -> f64,
-) -> Vec<Series> {
-    Arch::ALL
+    sim_cfg: SimConfig,
+) -> (Vec<SweepPoint>, RunSummary) {
+    let points = request_rates
         .iter()
         .enumerate()
-        .map(|(ai, &arch)| {
-            Series::new(
-                arch.name(),
-                request_rates
-                    .iter()
-                    .enumerate()
-                    .map(|(ri, &r)| CurvePoint { x: r, y: y(&results[ri * Arch::ALL.len() + ai]) })
-                    .collect(),
-            )
+        .flat_map(|(ri, &rate)| {
+            let seed = derive_seed(EXPERIMENT_SEED, ri as u64);
+            Arch::ALL.map(|arch| nuca_point(arch, rate, seed, sim_cfg))
         })
-        .collect()
+        .collect();
+    run_sweep(runner, request_rates, points)
 }
 
-/// Fig. 11(b) on an explicit runner; returns the batch summary too.
+/// Fig. 11(b) on an explicit runner: the NUCA-UR sweep, then
+/// [`fig11b`]; returns the batch summary too.
 pub fn fig11b_on(
     runner: &Runner,
     request_rates: &[f64],
     sim_cfg: SimConfig,
 ) -> (Figure, RunSummary) {
-    let batch = runner.run(nuca_sweep_points(request_rates, sim_cfg));
-    let summary = batch.summary;
-    let results = batch.outcomes.into_iter().map(|o| o.result).collect::<Vec<_>>();
-    let fig = Figure {
-        id: "fig11b".into(),
-        title: "Average latency, NUCA-UR bimodal traffic".into(),
-        x_label: "req-rate".into(),
-        y_label: "cycles".into(),
-        series: nuca_series(request_rates, &results, |r| r.report.avg_latency),
-    };
-    (fig, summary)
-}
-
-/// Fig. 11(b): average latency under NUCA-UR request/response traffic,
-/// swept over per-CPU request rates.
-pub fn fig11b(request_rates: &[f64], sim_cfg: SimConfig) -> Figure {
-    fig11b_on(&Runner::from_env(), request_rates, sim_cfg).0
+    let (sweep, summary) = nuca_sweep_on(runner, request_rates, sim_cfg);
+    (fig11b(&sweep), summary)
 }
 
 /// Generates (and rate-calibrates) an application trace mapped onto one
@@ -151,7 +121,7 @@ pub fn run_trace(
     run_arch(arch, shutdown, Box::new(TraceReplay::new(trace)), sim_cfg)
 }
 
-/// The MP-trace batch as runner points, app-major over `Arch::ALL`.
+/// One trace-replay point ([`run_trace`]).
 ///
 /// Trace points pin [`EXPERIMENT_SEED`] rather than deriving per-point
 /// seeds: every architecture must replay the *same logical trace* for
@@ -159,6 +129,22 @@ pub fn run_trace(
 /// methodology; see [`app_trace`]). Labels name the shutdown setting,
 /// so the Fig. 11(c) and Fig. 12(c) batches never share a results-store
 /// identity.
+pub(crate) fn trace_point(
+    app: Application,
+    arch: Arch,
+    shutdown: bool,
+    cycles: u64,
+    sim_cfg: SimConfig,
+) -> SimPoint {
+    let gated = if shutdown { " (shutdown)" } else { "" };
+    SimPoint::new(format!("trace {} on {arch}{gated}", app.name()), EXPERIMENT_SEED, move |_| {
+        run_trace(app, arch, shutdown, cycles, sim_cfg)
+    })
+}
+
+/// The MP-trace batch as runner points, app-major over `Arch::ALL`;
+/// with `shutdown_multilayer`, layer shutdown is on for the
+/// multi-layered designs.
 pub(crate) fn trace_points(
     apps: &[Application],
     shutdown_multilayer: bool,
@@ -169,12 +155,7 @@ pub(crate) fn trace_points(
     for &app in apps {
         for arch in Arch::ALL {
             let shutdown = shutdown_multilayer && arch.paper_arch().is_multilayer();
-            let gated = if shutdown { " (shutdown)" } else { "" };
-            points.push(SimPoint::new(
-                format!("trace {} on {arch}{gated}", app.name()),
-                EXPERIMENT_SEED,
-                move |_| run_trace(app, arch, shutdown, cycles, sim_cfg),
-            ));
+            points.push(trace_point(app, arch, shutdown, cycles, sim_cfg));
         }
     }
     points
@@ -220,11 +201,6 @@ pub fn fig11c_on(
     (fig, summary)
 }
 
-/// Fig. 11(c): latency on the MP traces, normalised to 2DB.
-pub fn fig11c(apps: &[Application], cycles: u64, sim_cfg: SimConfig) -> BarFigure {
-    fig11c_on(&Runner::from_env(), apps, cycles, sim_cfg).0
-}
-
 /// Fig. 11(d) on an explicit runner: the NUCA and trace columns are
 /// fresh simulation points (one per hardware architecture), fanned out
 /// as a single batch; the UR column reuses the shared sweep.
@@ -258,16 +234,10 @@ pub fn fig11d_on(
     // every layout).
     let mut points = Vec::new();
     for &a in &archs {
-        points.push(SimPoint::new(format!("nuca {a} @ {nuca_rate}"), EXPERIMENT_SEED, move |s| {
-            run_nuca_ur_seeded(a, nuca_rate, s, sim_cfg)
-        }));
+        points.push(nuca_point(a, nuca_rate, EXPERIMENT_SEED, sim_cfg));
     }
     for &a in &archs {
-        points.push(SimPoint::new(
-            format!("trace {} on {a}", trace_app.name()),
-            EXPERIMENT_SEED,
-            move |_| run_trace(trace_app, a, false, cycles, sim_cfg),
-        ));
+        points.push(trace_point(trace_app, a, false, cycles, sim_cfg));
     }
     let batch = runner.run(points);
     let summary = batch.summary;
@@ -286,26 +256,14 @@ pub fn fig11d_on(
     (fig, summary)
 }
 
-/// Fig. 11(d): average hop count per architecture for the three traffic
-/// kinds (UR, NUCA-UR, MP traces).
-pub fn fig11d(
-    sweep: &[SweepPoint],
-    nuca_rate: f64,
-    trace_app: Application,
-    cycles: u64,
-    sim_cfg: SimConfig,
-) -> BarFigure {
-    fig11d_on(&Runner::from_env(), sweep, nuca_rate, trace_app, cycles, sim_cfg).0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::common::{quick_sim_config, sweep_ur};
+    use crate::experiments::common::{quick_sim_config, sweep_ur_on};
 
     #[test]
     fn fig11a_has_six_series() {
-        let sweep = sweep_ur(&[0.05], 0.0, quick_sim_config());
+        let sweep = sweep_ur_on(&Runner::from_env(), &[0.05], 0.0, quick_sim_config()).0;
         let fig = fig11a(&sweep);
         assert_eq!(fig.series.len(), 6);
         for s in &fig.series {
@@ -320,8 +278,8 @@ mod tests {
         // (CPUs on the top layer) raises the hop count above its UR
         // value, while the 6×6 layouts stay put.
         let cfg = quick_sim_config();
-        let r3db = run_nuca_ur(Arch::ThreeDB, 0.05, cfg);
-        let r2db = run_nuca_ur(Arch::TwoDB, 0.05, cfg);
+        let r3db = run_nuca_ur(Arch::ThreeDB, 0.05, EXPERIMENT_SEED, cfg);
+        let r2db = run_nuca_ur(Arch::TwoDB, 0.05, EXPERIMENT_SEED, cfg);
         assert!(
             r3db.report.avg_hops > 3.0,
             "3DB NUCA hops {} must exceed its UR average ≈3.1",
@@ -342,13 +300,28 @@ mod tests {
 
     #[test]
     fn fig11d_hop_ordering() {
-        let sweep = sweep_ur(&[0.03], 0.0, quick_sim_config());
-        let fig = fig11d(&sweep, 0.04, Application::Multimedia, 3_000, quick_sim_config());
+        let runner = Runner::from_env();
+        let sweep = sweep_ur_on(&runner, &[0.03], 0.0, quick_sim_config()).0;
+        let fig =
+            fig11d_on(&runner, &sweep, 0.04, Application::Multimedia, 3_000, quick_sim_config()).0;
         // UR hop counts: 3DM-E < 3DB < 2DB ≈ 3DM (paper Fig. 11(d)).
         let ur = |a: &str| fig.value("UR", a).expect("bar exists");
         assert!(ur("3DM-E") < ur("3DB"));
         assert!(ur("3DB") < ur("2DB"));
         assert!((ur("2DB") - ur("3DM")).abs() < 0.2);
+    }
+
+    /// Figs. 11(b) and 12(b) render one NUCA-UR batch: each renderer
+    /// over the shared sweep prints what its own sweep-then-render
+    /// entry point prints.
+    #[test]
+    fn nuca_figures_share_one_sweep() {
+        use crate::experiments::power::{fig12b, fig12b_on};
+        let (runner, cfg) = (Runner::with_jobs(2), quick_sim_config());
+        let (sweep, summary) = nuca_sweep_on(&runner, &[0.05], cfg);
+        assert_eq!(summary.points, Arch::ALL.len());
+        assert_eq!(fig11b(&sweep).to_text(), fig11b_on(&runner, &[0.05], cfg).0.to_text());
+        assert_eq!(fig12b(&sweep).to_text(), fig12b_on(&runner, &[0.05], cfg).0.to_text());
     }
 }
 

@@ -18,5 +18,5 @@ pub mod scorecard;
 pub mod tables;
 pub mod thermal;
 
-pub use common::{quick_sim_config, run_arch, sweep_ur, RunResult, SweepPoint, EXPERIMENT_SEED};
+pub use common::{quick_sim_config, run_arch, RunResult, SweepPoint, EXPERIMENT_SEED};
 pub use runner::{derive_seed, PointOutcome, RunBatch, RunSummary, Runner, SimPoint};

@@ -1,75 +1,62 @@
 //! Power experiments (paper Figs. 12 and 13(a)-(b)).
 
 use mira_noc::sim::SimConfig;
-use mira_noc::traffic::{PayloadProfile, UniformRandom};
 use mira_traffic::workloads::Application;
 
 use crate::arch::Arch;
-use crate::experiments::common::{run_arch, RunResult, SweepPoint, EXPERIMENT_SEED};
-use crate::experiments::latency::{nuca_series, nuca_sweep_points, trace_groups, trace_points};
-use crate::experiments::runner::{RunSummary, Runner, SimPoint};
-use crate::report::{BarFigure, CurvePoint, Figure, Series};
+use crate::experiments::common::{arch_series, ur_point, RunResult, SweepPoint};
+use crate::experiments::latency::{nuca_sweep_on, trace_groups, trace_points};
+use crate::experiments::runner::{RunSummary, Runner};
+use crate::report::{BarFigure, Figure};
 
 /// Fig. 12(a): average network power vs injection rate, uniform random,
 /// 0 % short flits (pure structural comparison).
 pub fn fig12a(sweep: &[SweepPoint]) -> Figure {
+    power_figure(
+        "fig12a",
+        "Average power, uniform random traffic (0% short flits)",
+        "inj-rate",
+        sweep,
+    )
+}
+
+/// Fig. 12(b): average network power under NUCA-UR traffic, over the
+/// shared NUCA-UR sweep (see [`nuca_sweep_on`]), whose runs also feed
+/// Fig. 11(b).
+pub fn fig12b(sweep: &[SweepPoint]) -> Figure {
+    power_figure("fig12b", "Average power, NUCA-UR bimodal traffic", "req-rate", sweep)
+}
+
+/// The average-power curves of a rate sweep, one series per
+/// architecture.
+fn power_figure(id: &str, title: &str, x_label: &str, sweep: &[SweepPoint]) -> Figure {
     Figure {
-        id: "fig12a".into(),
-        title: "Average power, uniform random traffic (0% short flits)".into(),
-        x_label: "inj-rate".into(),
+        id: id.into(),
+        title: title.into(),
+        x_label: x_label.into(),
         y_label: "watts".into(),
-        series: Arch::ALL
-            .iter()
-            .map(|&arch| {
-                Series::new(
-                    arch.name(),
-                    sweep
-                        .iter()
-                        .filter(|p| p.arch == arch)
-                        .map(|p| CurvePoint { x: p.rate, y: p.result.avg_power_w })
-                        .collect(),
-                )
-            })
-            .collect(),
+        series: arch_series(sweep, |p| p.result.avg_power_w),
     }
 }
 
-/// Fig. 12(b) on an explicit runner; returns the batch summary too.
+/// Fig. 12(b) on an explicit runner: the NUCA-UR sweep, then
+/// [`fig12b`]; returns the batch summary too.
 pub fn fig12b_on(
     runner: &Runner,
     request_rates: &[f64],
     sim_cfg: SimConfig,
 ) -> (Figure, RunSummary) {
-    let batch = runner.run(nuca_sweep_points(request_rates, sim_cfg));
-    let summary = batch.summary;
-    let results: Vec<RunResult> = batch.outcomes.into_iter().map(|o| o.result).collect();
-    let fig = Figure {
-        id: "fig12b".into(),
-        title: "Average power, NUCA-UR bimodal traffic".into(),
-        x_label: "req-rate".into(),
-        y_label: "watts".into(),
-        series: nuca_series(request_rates, &results, |r| r.avg_power_w),
-    };
-    (fig, summary)
+    let (sweep, summary) = nuca_sweep_on(runner, request_rates, sim_cfg);
+    (fig12b(&sweep), summary)
 }
 
-/// Fig. 12(b): average network power under NUCA-UR traffic.
-pub fn fig12b(request_rates: &[f64], sim_cfg: SimConfig) -> Figure {
-    fig12b_on(&Runner::from_env(), request_rates, sim_cfg).0
-}
-
-/// Fig. 12(c): network power on the MP traces normalised to 2DB.
+/// Fig. 12(c): network power on the MP traces normalised to 2DB, on an
+/// explicit runner: one point per (app, architecture), the 2DB run as
+/// the normalisation base.
 ///
 /// Layer shutdown is enabled for the multi-layered designs and **off for
 /// the 2DB/3DB base cases**, matching the paper ("with no layer shut
 /// down in the base cases").
-pub fn fig12c(apps: &[Application], cycles: u64, sim_cfg: SimConfig) -> BarFigure {
-    fig12c_on(&Runner::from_env(), apps, cycles, sim_cfg).0
-}
-
-/// Fig. 12(c) on an explicit runner: one point per (app, architecture),
-/// shutdown enabled on the multi-layered designs, the 2DB run (shutdown
-/// off) as the normalisation base.
 pub fn fig12c_on(
     runner: &Runner,
     apps: &[Application],
@@ -103,19 +90,7 @@ pub fn fig12d(sweep: &[SweepPoint]) -> Figure {
         title: "Power-delay product normalised to 2DB (uniform random)".into(),
         x_label: "inj-rate".into(),
         y_label: "normalised PDP".into(),
-        series: Arch::ALL
-            .iter()
-            .map(|&arch| {
-                Series::new(
-                    arch.name(),
-                    sweep
-                        .iter()
-                        .filter(|p| p.arch == arch)
-                        .map(|p| CurvePoint { x: p.rate, y: p.result.pdp / base_at(p.rate) })
-                        .collect(),
-                )
-            })
-            .collect(),
+        series: arch_series(sweep, |p| p.result.pdp / base_at(p.rate)),
     }
 }
 
@@ -131,26 +106,11 @@ pub fn fig13b(rate: f64, sim_cfg: SimConfig) -> BarFigure {
     // the gated runs, fraction-major. All points pin the experiment
     // seed: base and gated must see the same packet arrival stream for
     // the saving to isolate the shutdown effect.
-    let mut points = Vec::new();
-    for &arch in &archs {
-        points.push(SimPoint::new(format!("base {arch} @ {rate}"), EXPERIMENT_SEED, move |s| {
-            let w = UniformRandom::new(rate, 5, s).with_payload(PayloadProfile::dense(4));
-            run_arch(arch, false, Box::new(w), sim_cfg)
-        }));
-    }
-    for &frac in &fractions {
-        for &arch in &archs {
-            points.push(SimPoint::new(
-                format!("gated {arch} @ {rate} ({:.0}% short)", frac * 100.0),
-                EXPERIMENT_SEED,
-                move |s| {
-                    let w = UniformRandom::new(rate, 5, s)
-                        .with_payload(PayloadProfile::with_short_fraction(4, frac));
-                    run_arch(arch, true, Box::new(w), sim_cfg)
-                },
-            ));
-        }
-    }
+    let points = [0.0]
+        .iter()
+        .chain(&fractions)
+        .flat_map(|&frac| archs.map(|arch| ur_point(arch, rate, frac, sim_cfg)))
+        .collect();
     let batch = Runner::from_env().run(points);
     let power: Vec<f64> = batch.outcomes.iter().map(|o| o.result.avg_power_w).collect();
     let (bases, gated) = power.split_at(archs.len());
@@ -175,14 +135,14 @@ pub fn fig13b(rate: f64, sim_cfg: SimConfig) -> BarFigure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::common::{quick_sim_config, sweep_ur};
+    use crate::experiments::common::{quick_sim_config, sweep_ur_on};
 
     /// Headline power ordering at UR (paper §4.2.2): 3DM-E and 3DM are
     /// the cheapest; 3DB is cheaper than 2DB per network (fewer hops)
     /// but worse per flit.
     #[test]
     fn fig12a_power_ordering() {
-        let sweep = sweep_ur(&[0.10], 0.0, quick_sim_config());
+        let sweep = sweep_ur_on(&Runner::from_env(), &[0.10], 0.0, quick_sim_config()).0;
         let fig = fig12a(&sweep);
         let p = |a: &str| fig.series.iter().find(|s| s.label == a).unwrap().points[0].y;
         assert!(p("3DM") < p("2DB"), "3DM {} vs 2DB {}", p("3DM"), p("2DB"));
@@ -196,7 +156,7 @@ mod tests {
     /// Fig. 12(d): 3DM-E has the best PDP, 2DB the worst.
     #[test]
     fn fig12d_pdp_extremes() {
-        let sweep = sweep_ur(&[0.10], 0.0, quick_sim_config());
+        let sweep = sweep_ur_on(&Runner::from_env(), &[0.10], 0.0, quick_sim_config()).0;
         let fig = fig12d(&sweep);
         let v = |a: &str| fig.series.iter().find(|s| s.label == a).unwrap().points[0].y;
         assert!((v("2DB") - 1.0).abs() < 1e-9, "2DB is the normalisation base");

@@ -10,8 +10,9 @@ use mira_noc::sim::SimConfig;
 use mira_traffic::workloads::Application;
 
 use crate::arch::Arch;
-use crate::experiments::common::{run_arch, sweep_ur, EXPERIMENT_SEED};
-use crate::experiments::latency::{run_nuca_ur, run_trace};
+use crate::experiments::common::{sweep_ur_points, ur_point, EXPERIMENT_SEED};
+use crate::experiments::latency::{nuca_point, trace_point};
+use crate::experiments::runner::{Runner, SimPoint};
 use crate::report::TextTable;
 
 /// One checked claim.
@@ -38,13 +39,35 @@ impl Claim {
 
 /// Runs every claim check. `sim_cfg` controls the run length; the bands
 /// are sized for `quick_sim_config` and up.
+///
+/// Every simulation the claims read is one runner batch: three one-rate
+/// UR sweeps (each at seed index 0), the 3DB NUCA-UR point, the three
+/// Tpcw trace replays and the 3DM shutdown pair.
 pub fn run_scorecard(sim_cfg: SimConfig, trace_cycles: u64) -> Vec<Claim> {
+    let app = Application::Tpcw;
+    let mut points: Vec<SimPoint> = [0.15, 0.05, 0.10]
+        .into_iter()
+        .flat_map(|rate| sweep_ur_points(&[rate], 0.0, sim_cfg))
+        .collect();
+    points.push(nuca_point(Arch::ThreeDB, 0.05, EXPERIMENT_SEED, sim_cfg));
+    for (arch, shutdown) in [(Arch::TwoDB, false), (Arch::ThreeDME, false), (Arch::ThreeDME, true)]
+    {
+        points.push(trace_point(app, arch, shutdown, trace_cycles, sim_cfg));
+    }
+    points.extend([0.0, 0.5].map(|frac| ur_point(Arch::ThreeDM, 0.10, frac, sim_cfg)));
+    let results = Runner::from_env().run(points).into_results();
+    let n = Arch::ALL.len();
+    let (sweep, rest) = results.split_at(3 * n);
+    let [n3db, base_lat, e_lat, e_pwr, base, gated] = rest else {
+        unreachable!("six single points follow the sweeps")
+    };
+    let in_sweep = |block: usize, a: Arch| {
+        sweep[block * n..(block + 1) * n].iter().find(|r| r.arch == a).expect("swept")
+    };
     let mut claims = Vec::new();
 
     // --- UR latency (Fig. 11(a), §4.2.1) at a pre-saturation load. ---
-    let sweep = sweep_ur(&[0.15], 0.0, sim_cfg);
-    let lat =
-        |a: Arch| sweep.iter().find(|p| p.arch == a).expect("swept").result.report.avg_latency;
+    let lat = |a: Arch| in_sweep(0, a).report.avg_latency;
     claims.push(Claim {
         source: "abstract / §4.2.1",
         what: "3DM-E latency saving vs 2DB, UR (%)",
@@ -68,9 +91,7 @@ pub fn run_scorecard(sim_cfg: SimConfig, trace_cycles: u64) -> Vec<Claim> {
     });
 
     // --- Pipeline combining (§4.2.1). ---
-    let sweep_low = sweep_ur(&[0.05], 0.0, sim_cfg);
-    let lat_low =
-        |a: Arch| sweep_low.iter().find(|p| p.arch == a).expect("swept").result.report.avg_latency;
+    let lat_low = |a: Arch| in_sweep(1, a).report.avg_latency;
     claims.push(Claim {
         source: "§4.2.1",
         what: "combining gain, 3DM vs 3DM(NC) (%)",
@@ -87,8 +108,7 @@ pub fn run_scorecard(sim_cfg: SimConfig, trace_cycles: u64) -> Vec<Claim> {
     });
 
     // --- UR power (Fig. 12(a), §4.2.2). ---
-    let sweep_p = sweep_ur(&[0.10], 0.0, sim_cfg);
-    let pwr = |a: Arch| sweep_p.iter().find(|p| p.arch == a).expect("swept").result.avg_power_w;
+    let pwr = |a: Arch| in_sweep(2, a).avg_power_w;
     claims.push(Claim {
         source: "abstract / §4.2.2",
         what: "3DM-E power saving vs 2DB, UR (%)",
@@ -123,21 +143,15 @@ pub fn run_scorecard(sim_cfg: SimConfig, trace_cycles: u64) -> Vec<Claim> {
     });
 
     // --- NUCA-UR (Fig. 11(b)/(d)). ---
-    let n3db = run_nuca_ur(Arch::ThreeDB, 0.05, sim_cfg);
-    let ur3db =
-        sweep_low.iter().find(|p| p.arch == Arch::ThreeDB).expect("swept").result.report.avg_hops;
     claims.push(Claim {
         source: "§4.2.1 / Fig. 11(d)",
         what: "3DB hop inflation under NUCA-UR (hops over UR)",
         paper: "positive".into(),
-        measured: n3db.report.avg_hops - ur3db,
+        measured: n3db.report.avg_hops - in_sweep(1, Arch::ThreeDB).report.avg_hops,
         band: (0.1, 2.0),
     });
 
     // --- Traces (Figs. 11(c), 12(c)). ---
-    let app = Application::Tpcw;
-    let base_lat = run_trace(app, Arch::TwoDB, false, trace_cycles, sim_cfg);
-    let e_lat = run_trace(app, Arch::ThreeDME, false, trace_cycles, sim_cfg);
     claims.push(Claim {
         source: "abstract / §4.2.1",
         what: "3DM-E trace-latency saving vs 2DB (%)",
@@ -145,7 +159,6 @@ pub fn run_scorecard(sim_cfg: SimConfig, trace_cycles: u64) -> Vec<Claim> {
         measured: (1.0 - e_lat.report.avg_latency / base_lat.report.avg_latency) * 100.0,
         band: (28.0, 50.0),
     });
-    let e_pwr = run_trace(app, Arch::ThreeDME, true, trace_cycles, sim_cfg);
     claims.push(Claim {
         source: "abstract / §4.2.2",
         what: "3DM-E trace-power saving vs 2DB, shutdown on (%)",
@@ -155,25 +168,13 @@ pub fn run_scorecard(sim_cfg: SimConfig, trace_cycles: u64) -> Vec<Claim> {
     });
 
     // --- Shutdown (Fig. 13(b)). ---
-    {
-        use mira_noc::traffic::{PayloadProfile, UniformRandom};
-        let base = {
-            let w = UniformRandom::new(0.10, 5, EXPERIMENT_SEED);
-            run_arch(Arch::ThreeDM, false, Box::new(w), sim_cfg).avg_power_w
-        };
-        let gated = {
-            let w = UniformRandom::new(0.10, 5, EXPERIMENT_SEED)
-                .with_payload(PayloadProfile::with_short_fraction(4, 0.5));
-            run_arch(Arch::ThreeDM, true, Box::new(w), sim_cfg).avg_power_w
-        };
-        claims.push(Claim {
-            source: "§4.2.2 / Fig. 13(b)",
-            what: "shutdown saving at 50% short flits, 3DM (%)",
-            paper: "up to 36".into(),
-            measured: (1.0 - gated / base) * 100.0,
-            band: (18.0, 40.0),
-        });
-    }
+    claims.push(Claim {
+        source: "§4.2.2 / Fig. 13(b)",
+        what: "shutdown saving at 50% short flits, 3DM (%)",
+        paper: "up to 36".into(),
+        measured: (1.0 - gated.avg_power_w / base.avg_power_w) * 100.0,
+        band: (18.0, 40.0),
+    });
 
     // --- Workload statistics (Fig. 13(a)). ---
     {

@@ -10,11 +10,11 @@
 //! injection rates.
 
 use mira_noc::sim::SimConfig;
-use mira_noc::traffic::{PayloadProfile, UniformRandom};
 use mira_thermal::{ChipModel, StackConfig};
 
 use crate::arch::Arch;
-use crate::experiments::common::{run_arch, EXPERIMENT_SEED};
+use crate::experiments::common::{ur_point, RunResult};
+use crate::experiments::runner::{Runner, SimPoint};
 use crate::report::BarFigure;
 
 /// CPU core power, W (Sun Niagara core at 90 nm, paper §4.2.3).
@@ -81,44 +81,38 @@ pub fn chip_model_weighted(arch: Arch, network_power_w: f64, weights: &[f64]) ->
     chip
 }
 
-/// Runs `arch` under UR traffic with the given short-flit fraction
-/// (shutdown active iff the fraction is non-zero) and returns the full
-/// run (power + spatial activity).
-pub fn network_run_at(
-    arch: Arch,
-    rate: f64,
-    short_fraction: f64,
-    sim_cfg: SimConfig,
-) -> crate::experiments::common::RunResult {
-    let payload = PayloadProfile::with_short_fraction(4, short_fraction);
-    let w = UniformRandom::new(rate, 5, EXPERIMENT_SEED).with_payload(payload);
-    run_arch(arch, short_fraction > 0.0, Box::new(w), sim_cfg)
-}
-
-/// Measures the network power of `arch` under UR traffic with the given
-/// short-flit fraction (shutdown active iff the fraction is non-zero).
-pub fn network_power_at(arch: Arch, rate: f64, short_fraction: f64, sim_cfg: SimConfig) -> f64 {
-    network_run_at(arch, rate, short_fraction, sim_cfg).avg_power_w
+/// Fig. 13(c)'s network runs as runner points: for each rate, 3DM with
+/// 0 % short flits, then with 50 % short flits and shutdown on.
+pub fn fig13c_points(rates: &[f64], sim_cfg: SimConfig) -> Vec<SimPoint> {
+    rates
+        .iter()
+        .flat_map(|&rate| [0.0, 0.5].map(|frac| ur_point(Arch::ThreeDM, rate, frac, sim_cfg)))
+        .collect()
 }
 
 /// Fig. 13(c): mean-temperature reduction of the 3DM chip when 50 % of
 /// the flits are short (and shutdown is on) versus 0 %, at several
 /// injection rates.
+///
+/// The network runs are one runner batch ([`fig13c_points`]); the
+/// thermal solves run over their results.
 pub fn fig13c(rates: &[f64], sim_cfg: SimConfig) -> BarFigure {
     let arch = Arch::ThreeDM;
-    let mut groups = Vec::new();
-    for &rate in rates {
-        let run_base = network_run_at(arch, rate, 0.0, sim_cfg);
-        let run_shut = network_run_at(arch, rate, 0.5, sim_cfg);
-        let pricing = arch.network_power();
-        let w_base = pricing.router_power_weights(&run_base.report.per_router);
-        let w_shut = pricing.router_power_weights(&run_shut.report.per_router);
-        let t_base = chip_model_weighted(arch, run_base.avg_power_w, &w_base).solve();
-        let t_shut = chip_model_weighted(arch, run_shut.avg_power_w, &w_shut).solve();
-        let reduction_mean = t_base.mean_k() - t_shut.mean_k();
-        let reduction_max = t_base.max_k() - t_shut.max_k();
-        groups.push((format!("{:.0}%", rate * 100.0), vec![reduction_mean, reduction_max]));
-    }
+    let results = Runner::from_env().run(fig13c_points(rates, sim_cfg)).into_results();
+    let pricing = arch.network_power();
+    let mean_max_k = |run: &RunResult| {
+        let weights = pricing.router_power_weights(&run.report.per_router);
+        let t = chip_model_weighted(arch, run.avg_power_w, &weights).solve();
+        (t.mean_k(), t.max_k())
+    };
+    let groups = rates
+        .iter()
+        .zip(results.chunks(2))
+        .map(|(rate, runs)| {
+            let (base, shut) = (mean_max_k(&runs[0]), mean_max_k(&runs[1]));
+            (format!("{:.0}%", rate * 100.0), vec![base.0 - shut.0, base.1 - shut.1])
+        })
+        .collect();
     BarFigure {
         id: "fig13c".into(),
         title: "Temperature reduction, 3DM with 50% short flits vs none".into(),
@@ -197,12 +191,15 @@ pub struct CoSimResult {
 /// power only but names the leakage feedback as a 3D-stacking risk,
 /// §2.2).
 ///
+/// `run` is the measured network run (for instance a [`ur_point`]
+/// result): its architecture and average power seed the loop.
+///
 /// Converges quickly because the loop gain (∂leakage/∂T × thermal
 /// resistance) is far below 1 at these power levels.
-pub fn co_simulate(arch: Arch, rate: f64, short_fraction: f64, sim_cfg: SimConfig) -> CoSimResult {
+pub fn co_simulate(run: &RunResult) -> CoSimResult {
     use mira_power::leakage::LeakageModel;
 
-    let dynamic_w = network_power_at(arch, rate, short_fraction, sim_cfg);
+    let (arch, dynamic_w) = (run.arch, run.avg_power_w);
     let leak = LeakageModel::NM90;
     let routers = arch.topology().num_nodes();
 
@@ -232,9 +229,19 @@ mod cosim_tests {
     use super::*;
     use crate::experiments::common::quick_sim_config;
 
+    /// The measured UR runs of `(arch, rate, short fraction)`, as one
+    /// batch.
+    fn measured(runs: &[(Arch, f64, f64)]) -> Vec<RunResult> {
+        let points = runs
+            .iter()
+            .map(|&(arch, rate, frac)| ur_point(arch, rate, frac, quick_sim_config()))
+            .collect();
+        Runner::from_env().run(points).into_results()
+    }
+
     #[test]
     fn co_simulation_converges() {
-        let r = co_simulate(Arch::ThreeDM, 0.10, 0.0, quick_sim_config());
+        let r = co_simulate(&measured(&[(Arch::ThreeDM, 0.10, 0.0)])[0]);
         assert!(r.iterations < 20, "iterations {}", r.iterations);
         assert!(r.mean_k > mira_thermal::AMBIENT_K);
         assert!(r.max_k >= r.mean_k);
@@ -245,8 +252,7 @@ mod cosim_tests {
 
     #[test]
     fn leakage_feedback_raises_temperature() {
-        let sim = quick_sim_config();
-        let with = co_simulate(Arch::ThreeDB, 0.10, 0.0, sim);
+        let with = co_simulate(&measured(&[(Arch::ThreeDB, 0.10, 0.0)])[0]);
         // Without leakage: single thermal solve on dynamic power only.
         let without = chip_model(Arch::ThreeDB, with.dynamic_w).solve().mean_k();
         assert!(with.mean_k > without, "{} vs {}", with.mean_k, without);
@@ -255,9 +261,8 @@ mod cosim_tests {
 
     #[test]
     fn shutdown_also_cuts_leakage_via_temperature() {
-        let sim = quick_sim_config();
-        let dense = co_simulate(Arch::ThreeDM, 0.20, 0.0, sim);
-        let gated = co_simulate(Arch::ThreeDM, 0.20, 0.5, sim);
+        let runs = measured(&[(Arch::ThreeDM, 0.20, 0.0), (Arch::ThreeDM, 0.20, 0.5)]);
+        let (dense, gated) = (co_simulate(&runs[0]), co_simulate(&runs[1]));
         assert!(gated.mean_k < dense.mean_k);
         assert!(gated.leakage_w <= dense.leakage_w);
     }

@@ -10,7 +10,8 @@
 
 use mira::arch::Arch;
 use mira::experiments::common::{quick_sim_config, run_arch, RunResult, EXPERIMENT_SEED};
-use mira::experiments::faults::{fault_rates_ppm, fault_sweep, FAULT_ARCHS};
+use mira::experiments::faults::{fault_rates_ppm, fault_sweep_on, FAULT_ARCHS};
+use mira::experiments::runner::Runner;
 use mira::noc::fault::FaultConfig;
 use mira::noc::ids::NodeId;
 use mira::noc::topology::port;
@@ -65,7 +66,7 @@ fn dead_express_link_degrades_to_mesh_routing() {
 #[test]
 fn fault_sweep_degrades_monotonically_without_wedging() {
     let rates = fault_rates_ppm(true);
-    let sweep = fault_sweep(&rates, quick_sim_config());
+    let sweep = fault_sweep_on(&Runner::from_env(), &rates, quick_sim_config()).0;
     for arch in FAULT_ARCHS {
         let name = arch.name();
         let d = sweep.delivered.series.iter().find(|s| s.label == name).expect("series");

@@ -11,7 +11,9 @@
 //! bit-identical to the old serial loops.
 
 use mira::arch::Arch;
-use mira::experiments::common::{quick_sim_config, run_arch, sweep_ur, RunResult, EXPERIMENT_SEED};
+use mira::experiments::common::{
+    quick_sim_config, run_arch, sweep_ur_on, RunResult, SweepPoint, EXPERIMENT_SEED,
+};
 use mira::experiments::latency::{run_nuca_ur, run_trace};
 use mira::experiments::runner::{Runner, SimPoint};
 use mira::noc::traffic::UniformRandom;
@@ -33,6 +35,11 @@ fn latencies_of(points: &[(Arch, f64)]) -> Vec<f64> {
         })
         .collect();
     Runner::from_env().run(sim_points).into_results().iter().map(|r| r.report.avg_latency).collect()
+}
+
+/// The shared UR sweep at one rate (seed index 0).
+fn ur_sweep_at(rate: f64) -> Vec<SweepPoint> {
+    sweep_ur_on(&Runner::from_env(), &[rate], 0.0, quick_sim_config()).0
 }
 
 /// One batch of trace replays; results in input order.
@@ -98,7 +105,7 @@ fn threedm_nc_equals_2db_logically() {
 /// for UR; 3DB degrades under NUCA-constrained traffic.
 #[test]
 fn hop_count_shapes() {
-    let sweep = sweep_ur(&[0.05], 0.0, quick_sim_config());
+    let sweep = ur_sweep_at(0.05);
     let hops = |arch: Arch| sweep.iter().find(|p| p.arch == arch).unwrap().result.report.avg_hops;
     assert!((hops(Arch::TwoDB) - 4.0).abs() < 0.25, "2DB UR ≈ 4 hops, got {}", hops(Arch::TwoDB));
     assert!((hops(Arch::ThreeDM) - hops(Arch::TwoDB)).abs() < 0.1, "2DB and 3DM share the layout");
@@ -110,7 +117,8 @@ fn hop_count_shapes() {
     assert!(hops(Arch::ThreeDB) < hops(Arch::TwoDB));
 
     // NUCA-UR penalises the 3DB layout.
-    let n3db = run_nuca_ur(Arch::ThreeDB, 0.05, quick_sim_config()).report.avg_hops;
+    let n3db =
+        run_nuca_ur(Arch::ThreeDB, 0.05, EXPERIMENT_SEED, quick_sim_config()).report.avg_hops;
     assert!(n3db > hops(Arch::ThreeDB), "NUCA raises 3DB hops: {n3db}");
 }
 
@@ -118,7 +126,7 @@ fn hop_count_shapes() {
 /// beat both baselines; 2DB is the hungriest.
 #[test]
 fn ur_power_orderings() {
-    let sweep = sweep_ur(&[0.10], 0.0, quick_sim_config());
+    let sweep = ur_sweep_at(0.10);
     let p = |arch: Arch| sweep.iter().find(|x| x.arch == arch).unwrap().result.avg_power_w;
     assert!(p(Arch::ThreeDME) < p(Arch::TwoDB));
     assert!(p(Arch::ThreeDM) < p(Arch::ThreeDB));

@@ -7,6 +7,7 @@
 
 use mira::experiments::common::sweep_ur_points;
 use mira::experiments::runner::{derive_seed, PointOutcome, Runner};
+use mira::experiments::thermal::fig13c_points;
 use mira::experiments::{quick_sim_config, EXPERIMENT_SEED};
 
 fn run_with(jobs: usize) -> Vec<PointOutcome> {
@@ -94,6 +95,21 @@ fn sampled_journey_set_is_identical_across_worker_counts() {
         assert_eq!(jx.sampled, jy.sampled, "sampled count differs at {}", x.label);
         assert_eq!(jx.packets_hash, jy.packets_hash, "sampled packet set differs at {}", x.label);
         assert_eq!(jx, jy, "attribution report differs at {}", x.label);
+    }
+}
+
+/// The batch `thermal::fig13c` submits: every value its thermal solves
+/// read (power and the per-router activity that weights it) is
+/// bit-identical on 1 worker and on 4, so the figure is too.
+#[test]
+fn thermal_batch_is_identical_across_worker_counts() {
+    let run = |jobs: usize| {
+        Runner::with_jobs(jobs).run(fig13c_points(&[0.05, 0.20], quick_sim_config())).outcomes
+    };
+    let (serial, four) = (run(1), run(4));
+    assert_outcomes_identical(&serial, &four);
+    for (x, y) in serial.iter().zip(&four) {
+        assert_eq!(x.result.report.per_router, y.result.report.per_router, "at {}", x.label);
     }
 }
 
