@@ -86,7 +86,7 @@ pub(crate) fn arbitrate_mask(next: &mut u8, size: usize, mask: u64) -> Option<us
     } else {
         mask.trailing_zeros() as usize
     };
-    *next = ((line + 1) % size) as u8;
+    *next = if line + 1 == size { 0 } else { line as u8 + 1 };
     Some(line)
 }
 

@@ -39,6 +39,18 @@ pub enum FlitKind {
 }
 
 impl FlitKind {
+    /// The kind of flit `seq` (0 = head) of a `len`-flit packet: the one
+    /// place the head/body/tail rule lives.
+    #[inline]
+    pub(crate) fn at(seq: usize, len: usize) -> Self {
+        match (len, seq) {
+            (1, _) => FlitKind::HeadTail,
+            (_, 0) => FlitKind::Head,
+            (_, i) if i == len - 1 => FlitKind::Tail,
+            _ => FlitKind::Body,
+        }
+    }
+
     /// Returns `true` for flits that carry the packet header (route/VC
     /// decisions happen on these).
     #[inline]

@@ -362,6 +362,7 @@ pub struct JourneyRecorder {
     /// Full sender-to-receiver nominal link latency (`1 + LT cycles`);
     /// wire time beyond it is attributed to ARQ replay.
     nominal_link_cycles: u64,
+    /// Open journeys, of sampled packets only.
     active: HashMap<u64, PacketJourney>,
     finished: Vec<PacketJourney>,
 }
@@ -400,6 +401,16 @@ impl JourneyRecorder {
         self.active.get(&packet.0)
     }
 
+    /// The open journey of `packet`, asking the sampler first so that an
+    /// unsampled packet (most of them) costs no map lookup.
+    #[inline]
+    fn open_mut(&mut self, packet: PacketId) -> Option<&mut PacketJourney> {
+        if !self.sampler.sampled(packet) {
+            return None;
+        }
+        self.active.get_mut(&packet.0)
+    }
+
     /// A packet was created: opens a journey if it is sampled.
     pub fn on_created(&mut self, packet: PacketId, cycle: u64, class: PacketClass, measured: bool) {
         if !self.sampler.sampled(packet) {
@@ -423,7 +434,7 @@ impl JourneyRecorder {
     /// The head flit entered the injection router's buffer: the source
     /// queue span closes and the first hop opens.
     pub fn on_nic_inject(&mut self, packet: PacketId, router: NodeId, cycle: u64) {
-        if let Some(j) = self.active.get_mut(&packet.0) {
+        if let Some(j) = self.open_mut(packet) {
             j.source_queue = cycle - j.created_at;
             j.hops.push(HopSpan {
                 router: router.index(),
@@ -443,10 +454,11 @@ impl JourneyRecorder {
     /// the wire span closes (split into nominal link time and ARQ
     /// excess) and the next hop opens.
     pub fn on_link_arrival(&mut self, packet: PacketId, router: NodeId, port: PortId, cycle: u64) {
-        if let Some(j) = self.active.get_mut(&packet.0) {
+        let nominal = self.nominal_link_cycles;
+        if let Some(j) = self.open_mut(packet) {
             let Some(prev) = j.hops.last() else { return };
             let wire = cycle - prev.departed;
-            let link = wire.min(self.nominal_link_cycles);
+            let link = wire.min(nominal);
             j.hops.push(HopSpan {
                 router: router.index(),
                 in_port: port.index(),
@@ -467,7 +479,7 @@ impl JourneyRecorder {
     /// progress downstream).
     #[inline]
     pub fn on_stall(&mut self, packet: PacketId, router: NodeId, cause: StallCause, is_head: bool) {
-        if let Some(j) = self.active.get_mut(&packet.0) {
+        if let Some(j) = self.open_mut(packet) {
             if is_head {
                 if let Some(h) = j.hops.last_mut() {
                     debug_assert_eq!(h.router, router.index(), "head stalls land on the open hop");
@@ -482,7 +494,7 @@ impl JourneyRecorder {
     /// The head flit traversed the switch at its current router: the
     /// hop's residency closes.
     pub fn on_st(&mut self, packet: PacketId, out_port: PortId, cycle: u64) {
-        if let Some(j) = self.active.get_mut(&packet.0) {
+        if let Some(j) = self.open_mut(packet) {
             if let Some(h) = j.hops.last_mut() {
                 h.departed = cycle;
                 h.out_port = out_port.index();
@@ -493,6 +505,9 @@ impl JourneyRecorder {
     /// The tail flit ejected: closes the journey (serialization is the
     /// gap between head and tail ejection).
     pub fn on_ejected(&mut self, packet: PacketId, cycle: u64) {
+        if !self.sampler.sampled(packet) {
+            return;
+        }
         if let Some(mut j) = self.active.remove(&packet.0) {
             j.ejected_at = cycle;
             j.serialization = cycle - j.hops.last().map_or(cycle, |h| h.departed);

@@ -67,6 +67,7 @@ pub mod telemetry;
 pub mod topology;
 pub mod traffic;
 pub mod vc;
+mod worklist;
 
 pub use adaptive::{AdaptiveMesh2D, TurnModel};
 pub use anomaly::{AnomalyAbort, AnomalyConfig, AnomalyCounts, AnomalyKind, FiredDetector};

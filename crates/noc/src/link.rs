@@ -21,7 +21,9 @@
 //! No link owns a heap block: a fault-free wire holds at most one flit
 //! per cycle of link latency and one credit, so the rings are sized to
 //! exactly that. The wire carries [`FlitRef`] arena indices, not owned
-//! flits — sending a flit moves a 4-byte index.
+//! flits — sending a flit moves a 4-byte index. A `busy` work-list marks
+//! the links whose wire may hold a flit or credit, so the fault-free
+//! delivery scan visits only those.
 //!
 //! Link-level retransmission (ARQ) keeps its sequence numbers and its
 //! retransmit window in a side table that stays empty unless fault
@@ -39,6 +41,7 @@ use crate::buffer::Rings;
 use crate::flit::Flit;
 use crate::ids::{NodeId, PortId, VcId};
 use crate::packet::PacketId;
+use crate::worklist::WorkList;
 
 /// A flit in flight on a link.
 ///
@@ -173,6 +176,10 @@ pub(crate) struct Links {
     /// Retransmission state per link; empty unless fault injection
     /// enabled it, so the default path carries nothing.
     arq: Vec<LinkArq>,
+    /// Links whose wire may hold a flit or a credit: every send adds
+    /// its link, and the fault-free delivery scan, which visits only
+    /// these, retires the links it leaves idle.
+    busy: WorkList,
 }
 
 impl Links {
@@ -198,6 +205,7 @@ impl Links {
             flits: Rings::new(wiring.len(), wire),
             credits: Rings::new(wiring.len(), 1),
             arq: Vec::new(),
+            busy: WorkList::new(wiring.len()),
         }
     }
 
@@ -261,6 +269,7 @@ impl Links {
         vc: VcId,
         deliver_at: u64,
     ) {
+        self.busy.insert(li);
         if let Some(a) = self.arq.get_mut(li) {
             let seq = a.next_seq;
             a.next_seq += 1;
@@ -350,6 +359,7 @@ impl Links {
         a.resend_at = None;
         debug_assert!(self.flits.is_empty(li), "wire must be purged before a resend");
         let deliver_at = delivery_cycle(cycle, a.latency - 1);
+        self.busy.insert(li);
         for e in &a.window {
             let flit = arena.alloc(e.flit.clone());
             self.flits.push(li, FlitInFlight { deliver_at, flit, vc: vc_byte(e.vc) });
@@ -391,7 +401,31 @@ impl Links {
     /// Sends a credit up link `li`, to be delivered at `deliver_at`.
     #[inline]
     pub(crate) fn send_credit(&mut self, li: usize, vc: VcId, deliver_at: u64) {
+        self.busy.insert(li);
         self.credits.push(li, CreditInFlight { deliver_at, vc: vc_byte(vc) });
+    }
+
+    /// The links whose wire may hold a flit or a credit (a superset of
+    /// the non-idle wires; see [`WorkList`]).
+    #[inline]
+    pub(crate) fn busy(&self) -> &WorkList {
+        &self.busy
+    }
+
+    /// Takes link `li` off the busy list when its wire holds neither a
+    /// flit nor a credit.
+    #[inline]
+    pub(crate) fn retire_if_idle(&mut self, li: usize) {
+        if self.wire_idle(li) {
+            self.busy.remove(li);
+        }
+    }
+
+    /// `true` when link `li`'s wire holds neither a flit nor a credit
+    /// (an ARQ window may still hold flits awaiting a resend).
+    #[inline]
+    pub(crate) fn wire_idle(&self, li: usize) -> bool {
+        self.flits.is_empty(li) && self.credits.is_empty(li)
     }
 
     /// Removes and returns the next flit due on link `li` at or before
@@ -439,8 +473,7 @@ impl Links {
     /// Returns `true` if no flits or credits are in flight on link `li`
     /// and (with ARQ) no flit awaits acknowledgement or resend.
     pub(crate) fn is_quiescent(&self, li: usize) -> bool {
-        self.flits.is_empty(li)
-            && self.credits.is_empty(li)
+        self.wire_idle(li)
             && self.arq.get(li).is_none_or(|a| a.window.is_empty() && a.resend_at.is_none())
     }
 }

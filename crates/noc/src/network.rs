@@ -17,10 +17,11 @@ use crate::arena::FlitArena;
 use crate::config::NetworkConfig;
 use crate::error::NocError;
 use crate::fault::{FaultConfig, FaultCounters, FaultPlan, Verdict};
+use crate::flit::{Flit, FlitData, FlitKind, MAX_FLIT_WORDS};
 use crate::ids::{NodeId, PortId, VcId};
 use crate::journey::JourneyRecorder;
 use crate::link::{delivery_cycle, nominal_latency, FlitInFlight, Links};
-use crate::packet::{Packet, PacketId};
+use crate::packet::{Packet, PacketClass, PacketId};
 use crate::router::{EjectedFlit, Routers, StepScratch};
 use crate::stats::{ActivityCounters, RouterActivity};
 use crate::telemetry::{
@@ -28,24 +29,103 @@ use crate::telemetry::{
     TraceEventKind, TraceSink,
 };
 use crate::topology::Topology;
+use crate::worklist::WorkList;
 
-/// One VC's unbounded source queue at a network interface (NIC): whole
-/// [`Packet`]s. A flit enters the arena only when the NIC writes it into
-/// the local input buffer, so the arena holds fabric flits and nothing
-/// else, however long the queues grow.
+/// A queued packet's header: everything [`Packet::flit`] reads besides
+/// the payload (the source is the queue's own node). 24 bytes.
+#[derive(Debug, Clone, Copy)]
+struct QueuedPacket {
+    id: PacketId,
+    created_at: u64,
+    /// Packet length in flits.
+    flits: u32,
+    /// Destination node (a network has at most
+    /// [`MAX_NODES`](crate::config::MAX_NODES) nodes).
+    dst: u16,
+    class: PacketClass,
+}
+
+/// One VC's unbounded source queue at a network interface (NIC).
+///
+/// Packets are stored compactly: a 24-byte [`QueuedPacket`] header per
+/// packet and, per flit, a one-byte word count plus only the payload
+/// words the flit uses, appended back to back with bulk copies. A flit
+/// is rebuilt — exactly as [`Packet::flit`] builds it — and enters the
+/// arena only when the NIC writes it into the local input buffer, so the
+/// arena holds fabric flits and nothing else, however long the queues
+/// grow.
 #[derive(Debug, Default)]
 struct SourceQueue {
-    packets: VecDeque<Packet>,
+    packets: VecDeque<QueuedPacket>,
+    /// Payload word count of every queued flit, front to back.
+    lens: VecDeque<u8>,
+    /// Payload words of every queued flit, front to back.
+    words: VecDeque<u32>,
     /// Index of the front packet's next flit to inject.
-    next: usize,
+    next: u32,
 }
 
 impl SourceQueue {
+    /// Appends `packet`: its header, then its flits' word counts and
+    /// words.
+    fn push(&mut self, packet: &Packet) {
+        self.packets.push_back(QueuedPacket {
+            id: packet.id,
+            created_at: packet.created_at,
+            flits: u32::try_from(packet.len_flits()).expect("packet length exceeds u32"),
+            dst: packet.dst.index() as u16,
+            class: packet.class,
+        });
+        self.lens.extend(packet.payload.iter().map(|d| d.num_words() as u8));
+        for d in &packet.payload {
+            self.words.extend(d.words());
+        }
+    }
+
+    /// `true` when no packet is queued.
+    fn is_empty(&self) -> bool {
+        self.packets.is_empty()
+    }
+
+    /// Removes the front packet's next flit and builds it, as
+    /// [`Packet::flit`] would, for injection at node `src`.
+    fn pop_flit(&mut self, src: NodeId) -> Flit {
+        let p = *self.packets.front().expect("pop from an empty source queue");
+        let seq = self.next;
+        let n = usize::from(self.lens.pop_front().expect("every queued flit has a word count"));
+        let mut words = [0u32; MAX_FLIT_WORDS];
+        for (w, queued) in words.iter_mut().zip(self.words.drain(..n)) {
+            *w = queued;
+        }
+        self.advance(1);
+        Flit {
+            packet: p.id,
+            seq,
+            kind: FlitKind::at(seq as usize, p.flits as usize),
+            src,
+            dst: NodeId(usize::from(p.dst)),
+            class: p.class,
+            data: FlitData::from_words(&words[..n]),
+            created_at: p.created_at,
+            hops: 0,
+        }
+    }
+
+    /// Drops the rest of the front packet, its words included; returns
+    /// the number of flits dropped.
+    fn drop_front(&mut self) -> usize {
+        let rest = self.packets[0].flits - self.next;
+        let words: usize = self.lens.drain(..rest as usize).map(usize::from).sum();
+        self.words.drain(..words);
+        self.advance(rest);
+        rest as usize
+    }
+
     /// Retires `flits` flits of the front packet, popping the packet
     /// once its tail has gone.
-    fn advance(&mut self, flits: usize) {
+    fn advance(&mut self, flits: u32) {
         self.next += flits;
-        if self.next == self.packets[0].len_flits() {
+        if self.next == self.packets[0].flits {
             self.packets.pop_front();
             self.next = 0;
         }
@@ -104,6 +184,9 @@ pub struct Network {
     links: Links,
     /// The NICs' source queues, one per VC, keyed `node * vcs + vc`.
     nics: Vec<SourceQueue>,
+    /// Source queues that may hold a packet (a superset; see
+    /// [`WorkList`]): NIC injection visits only these.
+    backlogged: WorkList,
     /// Flits not yet injected, over every source queue.
     queued_flits: usize,
     /// The single flit store: every flit in the fabric (router buffers,
@@ -190,6 +273,7 @@ impl Network {
             routers,
             links,
             nics: (0..n * vcs).map(|_| SourceQueue::default()).collect(),
+            backlogged: WorkList::new(n * vcs),
             queued_flits: 0,
             ejected: Vec::new(),
             counters: ActivityCounters::new(),
@@ -349,8 +433,10 @@ impl Network {
         assert!(packet.src.index() < self.routers.len(), "unknown source {}", packet.src);
         assert!(packet.dst.index() < self.routers.len(), "unknown destination {}", packet.dst);
         let vc = packet.class.vc_index().min(self.cfg.router.vcs_per_port - 1);
+        let q = packet.src.index() * self.cfg.router.vcs_per_port + vc;
         self.queued_flits += packet.len_flits();
-        self.nics[packet.src.index() * self.cfg.router.vcs_per_port + vc].packets.push_back(packet);
+        self.nics[q].push(&packet);
+        self.backlogged.insert(q);
     }
 
     /// Advances the whole network by one cycle.
@@ -362,6 +448,12 @@ impl Network {
     /// [`Phase::StepTotal`](mira_obs::phase::Phase) by construction. With
     /// observability off (the default) the timer costs one relaxed
     /// atomic load per step.
+    ///
+    /// The fault-free link delivery, the router loop and NIC injection
+    /// walk work-lists (links with something on the wire, routers that
+    /// may be busy, non-empty source queues) in ascending order, so they
+    /// cost what the traffic costs and visit the working elements in the
+    /// order a full scan would (DESIGN.md §14).
     pub fn step(&mut self, cycle: u64) {
         // 1. Deliver due flits and credits from the links — through the
         // fault layer when fault injection is engaged.
@@ -372,8 +464,11 @@ impl Network {
             self.fault_link_phase(cycle, &mut fr);
             self.faults = Some(fr);
         } else {
-            for li in 0..self.links.len() {
+            let mut from = 0;
+            while let Some(li) = self.links.busy().next_from(from) {
+                from = li + 1;
                 self.drain_link(li, cycle, |_, _, _| Arrival::Accept);
+                self.links.retire_if_idle(li);
             }
         }
 
@@ -382,8 +477,10 @@ impl Network {
         // trace, or arbiter state can change — so the active-set skip
         // costs nothing in fidelity and most of the fabric at low load.
         sections.next(ObsPhase::RouterPipeline);
-        for r in 0..self.routers.len() {
-            if self.routers.is_quiescent(r) {
+        let mut from = 0;
+        while let Some(r) = self.routers.awake().next_from(from) {
+            from = r + 1;
+            if self.routers.retire_if_quiescent(r) {
                 continue;
             }
             self.routers.step(
@@ -401,15 +498,15 @@ impl Network {
         }
 
         // 3. Occupancy accounting: buffered flits this cycle (globally
-        // for the energy model, per router for the metrics windows).
+        // for the energy model from the running total, per router only
+        // for the metrics windows).
         sections.next(ObsPhase::Occupancy);
-        let mut occupancy_total = 0u64;
-        for r in 0..self.routers.len() {
-            let buffered = self.routers.buffered_flits(r) as u64;
-            occupancy_total += buffered;
-            self.telemetry.occupancy(r, buffered);
+        self.counters.buffer_occupancy_flit_cycles += self.routers.buffered_total() as u64;
+        if self.telemetry.metrics.is_some() {
+            for r in 0..self.routers.len() {
+                self.telemetry.occupancy(r, self.routers.buffered_flits(r) as u64);
+            }
         }
-        self.counters.buffer_occupancy_flit_cycles += occupancy_total;
 
         // 4. NIC injection: build the next flits of the queued packets
         // into the local input buffers, allocating each flit's arena slot
@@ -419,49 +516,48 @@ impl Network {
         // streaming gapless.
         sections.next(ObsPhase::NicInject);
         let vcs = self.cfg.router.vcs_per_port;
-        for node in 0..self.routers.len() {
-            for vc in 0..vcs {
-                let queue = &mut self.nics[node * vcs + vc];
-                while let Some(front) = queue.packets.front() {
-                    let next = queue.next;
-                    let packet = front.id;
-                    // The rest of a severed packet dies at the source: the
-                    // packet can no longer be delivered whole.
-                    if let Some(fr) = &mut self.faults {
-                        if fr.severed.contains(&packet) {
-                            let rest = front.len_flits() - next;
-                            fr.counters.flits_dropped += rest as u64;
-                            self.queued_flits -= rest;
-                            queue.advance(rest);
-                            continue;
-                        }
+        let mut from = 0;
+        while let Some(q) = self.backlogged.next_from(from) {
+            from = q + 1;
+            let (node, vc) = (q / vcs, VcId(q % vcs));
+            let queue = &mut self.nics[q];
+            loop {
+                // The rest of a severed packet dies at the source: the
+                // packet can no longer be delivered whole.
+                if let Some(fr) = &mut self.faults {
+                    while queue.packets.front().is_some_and(|p| fr.severed.contains(&p.id)) {
+                        let rest = queue.drop_front();
+                        fr.counters.flits_dropped += rest as u64;
+                        self.queued_flits -= rest;
                     }
-                    if self.routers.local_free_slots(node, VcId(vc)) == 0 {
-                        break;
-                    }
-                    let fref = self.arena.alloc(front.flit(next));
-                    self.queued_flits -= 1;
-                    queue.advance(1);
-                    self.counters.flits_injected += 1;
-                    self.telemetry.buffer_write(
-                        cycle,
-                        NodeId(node),
-                        PortId::LOCAL,
-                        VcId(vc),
-                        packet,
-                        next == 0,
-                    );
-                    self.routers.receive_flit(
-                        node,
-                        PortId::LOCAL,
-                        VcId(vc),
-                        fref,
-                        &self.arena,
-                        cycle,
-                        &mut self.counters,
-                        &mut self.activity[node],
-                    );
                 }
+                // A full local buffer is checked before the queue is read:
+                // past saturation most queues wait on one. An emptied
+                // queue left on the list meanwhile is retired on a later
+                // visit.
+                if self.routers.local_free_slots(node, vc) == 0 {
+                    break;
+                }
+                if queue.is_empty() {
+                    self.backlogged.remove(q);
+                    break;
+                }
+                let flit = queue.pop_flit(NodeId(node));
+                let (packet, head) = (flit.packet, flit.is_head());
+                let fref = self.arena.alloc(flit);
+                self.queued_flits -= 1;
+                self.counters.flits_injected += 1;
+                self.telemetry.buffer_write(cycle, NodeId(node), PortId::LOCAL, vc, packet, head);
+                self.routers.receive_flit(
+                    node,
+                    PortId::LOCAL,
+                    vc,
+                    fref,
+                    &self.arena,
+                    cycle,
+                    &mut self.counters,
+                    &mut self.activity[node],
+                );
             }
         }
 
@@ -748,7 +844,7 @@ impl Network {
     /// Flits inside the network fabric (router buffers + links), excluding
     /// source queues.
     pub fn flits_in_fabric(&self) -> usize {
-        (0..self.routers.len()).map(|r| self.routers.buffered_flits(r)).sum::<usize>()
+        self.routers.buffered_total()
             + (0..self.links.len()).map(|li| self.links.flits_in_flight(li)).sum::<usize>()
     }
 
@@ -757,12 +853,39 @@ impl Network {
         self.queued_flits
     }
 
-    /// Runs `Routers::assert_worklists_consistent` on every router —
-    /// the active-set invariant check the property-test suite applies
-    /// after every simulated cycle.
+    /// Checks every work-list invariant, panicking on the first
+    /// violation — the check the property-test suite applies after every
+    /// simulated cycle:
+    ///
+    /// * each router's stage masks agree with its VC states
+    ///   (`Routers::assert_worklists_consistent`);
+    /// * every non-quiescent router is on the awake list, every link
+    ///   with a flit or credit on its wire is on the busy list, and
+    ///   every non-empty source queue is on the backlog list (the lists
+    ///   may over-include, never miss);
+    /// * the running buffer occupancy equals the sum over the routers.
     pub fn assert_worklists_consistent(&self) {
+        let mut buffered = 0;
         for r in 0..self.routers.len() {
             self.routers.assert_worklists_consistent(r);
+            buffered += self.routers.buffered_flits(r);
+            assert!(
+                self.routers.is_quiescent(r) || self.routers.awake().contains(r),
+                "router {r} is busy but off the awake list"
+            );
+        }
+        assert_eq!(self.routers.buffered_total(), buffered, "running occupancy drifted");
+        for li in 0..self.links.len() {
+            assert!(
+                self.links.wire_idle(li) || self.links.busy().contains(li),
+                "link {li} holds a flit or credit but is off the busy list"
+            );
+        }
+        for (q, queue) in self.nics.iter().enumerate() {
+            assert!(
+                queue.is_empty() || self.backlogged.contains(q),
+                "source queue {q} holds packets but is off the backlog list"
+            );
         }
     }
 
@@ -873,6 +996,60 @@ mod tests {
             }
         }
         panic!("network did not drain within {max_cycles} cycles");
+    }
+
+    #[test]
+    fn queued_flits_rebuild_as_packet_flit_and_a_drop_skips_the_packet() {
+        // Payloads of every width 1..=MAX_FLIT_WORDS, dense and short
+        // (one live word, the rest zero or all ones).
+        let payload = |width: usize| {
+            let mut all_ones = vec![0x55u32; width];
+            all_ones[1..].fill(u32::MAX);
+            vec![
+                FlitData::dense(width),
+                FlitData::with_active_words(width, 1),
+                FlitData::from_words(&all_ones),
+            ]
+        };
+        let packet = |id: u64, payload: Vec<FlitData>| Packet {
+            id: PacketId(id),
+            src: NodeId(3),
+            dst: NodeId(9),
+            class: PacketClass::DataResponse,
+            payload,
+            created_at: 40 + id,
+        };
+        let mut q = SourceQueue::default();
+        let packets: Vec<Packet> =
+            (1..=MAX_FLIT_WORDS).map(|w| packet(w as u64, payload(w))).collect();
+        let single = packet(100, vec![FlitData::zeroed(4)]);
+        let severed = packet(101, (1..=5).flat_map(payload).collect());
+        let last = packet(102, payload(4));
+        for p in packets.iter().chain([&single, &severed, &last]) {
+            q.push(p);
+        }
+        for p in packets.iter().chain([&single]) {
+            for i in 0..p.len_flits() {
+                assert_eq!(q.pop_flit(NodeId(3)), p.flit(i), "packet {} flit {i}", p.id);
+            }
+        }
+        // Two flits of the severed packet go out; the drop takes the
+        // rest, and the next packet's flits still rebuild word for word.
+        assert_eq!(q.pop_flit(NodeId(3)), severed.flit(0));
+        assert_eq!(q.pop_flit(NodeId(3)), severed.flit(1));
+        assert_eq!(q.drop_front(), severed.len_flits() - 2);
+        let words: usize = last.payload.iter().map(FlitData::num_words).sum();
+        assert_eq!(q.words.len(), words, "the drop skipped exactly its packet's words");
+        assert_eq!(q.lens.len(), last.len_flits());
+        for i in 0..last.len_flits() {
+            assert_eq!(q.pop_flit(NodeId(3)), last.flit(i));
+        }
+        assert!(q.is_empty() && q.lens.is_empty() && q.words.is_empty());
+    }
+
+    #[test]
+    fn queued_packet_header_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<QueuedPacket>(), 24);
     }
 
     #[test]

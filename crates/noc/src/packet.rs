@@ -135,9 +135,9 @@ impl Packet {
         self.payload.len()
     }
 
-    /// Builds flit `i` of the packet (0 = head): the one place the
-    /// head/body/tail [`FlitKind`] rule lives. The NIC materialises each
-    /// flit this way only when the local input buffer has room for it.
+    /// Builds flit `i` of the packet (0 = head). The NIC builds each
+    /// queued flit the same way, from the packet's compact source-queue
+    /// copy, only when the local input buffer has room for it.
     ///
     /// # Panics
     ///
@@ -145,16 +145,10 @@ impl Packet {
     pub fn flit(&self, i: usize) -> Flit {
         let n = self.payload.len();
         assert!(i < n, "flit {i} of a {n}-flit packet");
-        let kind = match (n, i) {
-            (1, _) => FlitKind::HeadTail,
-            (_, 0) => FlitKind::Head,
-            (_, i) if i == n - 1 => FlitKind::Tail,
-            _ => FlitKind::Body,
-        };
         Flit {
             packet: self.id,
             seq: i as u32,
-            kind,
+            kind: FlitKind::at(i, n),
             src: self.src,
             dst: self.dst,
             class: self.class,

@@ -368,10 +368,24 @@ impl FlightRecorder {
             self.last_words.extend(net.progress_words());
             return true;
         }
+        // The words of `Network::progress_words`, in its order, read
+        // straight from the routers and links.
+        let (routers, links) = (net.routers(), net.links());
+        let mut last = self.last_words.iter_mut();
         let mut moved = false;
-        for (last, word) in self.last_words.iter_mut().zip(net.progress_words()) {
+        let mut compare = |word: u64| {
+            let last = last.next().expect("progress words have a fixed length");
             moved |= *last != word;
             *last = word;
+        };
+        for r in 0..routers.len() {
+            for word in routers.progress_word(r) {
+                compare(word);
+            }
+        }
+        for li in 0..links.len() {
+            compare(links.flits_in_flight(li) as u64);
+            compare(links.credits_in_flight(li) as u64);
         }
         moved
     }

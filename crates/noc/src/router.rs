@@ -38,7 +38,10 @@
 //!   link, SA1/SA2 arbiter pointers, one slot of the switch-grant list);
 //! * per router, keyed `r`: a `RouterCell` with the stage work-list
 //!   bitmasks, the dead/paused output-port bitmasks, the outgoing-link
-//!   wiring, occupancy, and stall counters.
+//!   wiring, occupancy, and stall counters;
+//! * network-wide: the `awake` work-list of routers that may be busy
+//!   (the network's router loop visits only those) and the running
+//!   total of buffered flits.
 //!
 //! No router owns a heap block, so a 32×32 mesh costs the same number of
 //! allocations as a 6×6 one, and a 2DB router's per-cycle state,
@@ -67,6 +70,7 @@ use crate::stats::{ActivityCounters, RouterActivity};
 use crate::telemetry::{StallCause, StallCounters, Telemetry, TraceEvent, TraceEventKind};
 use crate::topology::Topology;
 use crate::vc::VcState;
+use crate::worklist::WorkList;
 
 /// A flit that reached its destination, with arrival metadata.
 #[derive(Debug, Clone)]
@@ -238,6 +242,13 @@ pub(crate) struct Routers {
     buf: FlitSlab,
     port: Vec<PortCell>,
     router: Vec<RouterCell>,
+    /// Routers that may be non-quiescent: a buffer write adds its
+    /// router, and the network's router loop, which visits only these,
+    /// retires the quiescent ones.
+    awake: WorkList,
+    /// Flits buffered over every router (the running sum of the
+    /// routers' `occupied`).
+    buffered: usize,
 }
 
 impl Routers {
@@ -267,6 +278,8 @@ impl Routers {
             buf: FlitSlab::new(nodes * ports * vcs, depth),
             port: vec![port; nodes * ports],
             router: vec![RouterCell::default(); nodes],
+            awake: WorkList::new(nodes),
+            buffered: 0,
         }
     }
 
@@ -365,6 +378,8 @@ impl Routers {
         let cell = &mut self.router[r];
         cell.occupied += 1;
         cell.occupied_peak = cell.occupied_peak.max(cell.occupied);
+        self.buffered += 1;
+        self.awake.insert(r);
     }
 
     /// Removes the front flit of router `r`'s FIFO `pv`.
@@ -372,6 +387,7 @@ impl Routers {
     fn pop(&mut self, r: usize, pv: usize) -> Option<BufSlot> {
         let slot = self.buf.pop(self.vi(r, pv))?;
         self.router[r].occupied -= 1;
+        self.buffered -= 1;
         Some(slot)
     }
 
@@ -463,6 +479,12 @@ impl Routers {
         usize::from(self.router[r].occupied)
     }
 
+    /// Total flits buffered over every router (O(1): a running sum).
+    #[inline]
+    pub(crate) fn buffered_total(&self) -> usize {
+        self.buffered
+    }
+
     /// Highest total buffer occupancy router `r` ever reached
     /// (host-side watermark; see `mira-obs`).
     pub(crate) fn buffer_peak(&self, r: usize) -> usize {
@@ -478,6 +500,24 @@ impl Routers {
     pub(crate) fn is_quiescent(&self, r: usize) -> bool {
         let cell = &self.router[r];
         cell.occupied == 0 && cell.grants == 0
+    }
+
+    /// The routers that may be non-quiescent (a superset; see
+    /// [`WorkList`]).
+    #[inline]
+    pub(crate) fn awake(&self) -> &WorkList {
+        &self.awake
+    }
+
+    /// Takes router `r` off the awake list if it is quiescent; returns
+    /// whether it was.
+    #[inline]
+    pub(crate) fn retire_if_quiescent(&mut self, r: usize) -> bool {
+        let quiescent = self.is_quiescent(r);
+        if quiescent {
+            self.awake.remove(r);
+        }
+        quiescent
     }
 
     /// Verifies router `r`'s work-list invariants, panicking with a
@@ -901,15 +941,17 @@ impl Routers {
         }
         let (ports, vcs) = (self.ports, self.vcs);
         let (vb, pb) = (self.vi(r, 0), r * ports);
-        // SA1: one candidate VC per input port. Only ports with an
-        // `Active` VC (a set bit in the work-list mask) do any work.
+        // SA1: one candidate VC per input port, visiting only the ports
+        // with an `Active` VC (set bits in the work-list mask), in
+        // ascending order.
+        let port_vcs = u64::MAX >> (64 - vcs);
         let mut eligible: u64 = 0;
         let mut sa2_used: u64 = 0;
-        for ip in 0..ports {
-            let port_active = (active >> (ip * vcs)) & (u64::MAX >> (64 - vcs));
-            if port_active == 0 {
-                continue;
-            }
+        let mut pending = active;
+        while pending != 0 {
+            let ip = pending.trailing_zeros() as usize / vcs;
+            pending &= !(port_vcs << (ip * vcs));
+            let port_active = (active >> (ip * vcs)) & port_vcs;
             let mut elig_mask: u64 = 0;
             for_each_bit(port_active, |iv| {
                 let pv = ip * vcs + iv;

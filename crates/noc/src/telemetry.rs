@@ -186,7 +186,10 @@ impl TraceSink {
             self.ring.push(event);
         } else {
             self.ring[self.head] = event;
-            self.head = (self.head + 1) % self.capacity;
+            self.head += 1;
+            if self.head == self.capacity {
+                self.head = 0;
+            }
             self.dropped += 1;
         }
     }

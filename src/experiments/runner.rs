@@ -48,7 +48,7 @@ use std::io::IsTerminal;
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, Once, OnceLock};
 use std::time::{Duration, Instant};
 
 use mira_noc::anomaly::AnomalyAbort;
@@ -794,6 +794,22 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// Installs, once per process, a panic hook that stays silent for an
+/// [`AnomalyAbort`] unwind — the runner turns it into a typed failure
+/// with a black-box dump — and hands every other panic to the hook it
+/// replaced.
+fn silence_anomaly_aborts() {
+    static INSTALL: Once = Once::new();
+    INSTALL.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !info.payload().is::<AnomalyAbort>() {
+                previous(info);
+            }
+        }));
+    });
+}
+
 /// Parses a raw `MIRA_JOBS` value. Unset or blank means "not
 /// configured"; anything but a positive integer is a
 /// [`HostError::Flag`] naming the variable — a typo must not silently
@@ -1213,6 +1229,7 @@ impl Runner {
     /// stored (and replayed on resume) and the summary is appended once
     /// the pool joins, before this returns.
     pub fn try_run(&self, points: Vec<SimPoint>) -> TryRunBatch {
+        silence_anomaly_aborts();
         let started = Instant::now();
         let total = points.len();
         let exhibit = self.exhibit_name();
@@ -1505,6 +1522,43 @@ mod tests {
                 assert_eq!(s.failed_points.len(), 3);
             }
         }
+    }
+
+    /// An anomaly halt unwinds without the default hook's `panicked at`
+    /// block on stderr, while any other panic still reports. The check
+    /// re-runs this test in a child process (marked by an environment
+    /// variable) and reads the child's stderr.
+    #[test]
+    fn anomaly_abort_unwinds_silently() {
+        const CHILD: &str = "RUNNER_SILENT_ABORT_CHILD";
+        let name = "experiments::runner::tests::anomaly_abort_unwinds_silently";
+        if std::env::var_os(CHILD).is_some() {
+            let dir = scratch_dir("silent_abort");
+            let points = vec![
+                SimPoint::new("wedged", 1, |_| {
+                    std::panic::panic_any(AnomalyAbort {
+                        kind: mira_noc::anomaly::AnomalyKind::NoProgress,
+                        cycle: 7,
+                        dump: "{}".to_string(),
+                    })
+                }),
+                SimPoint::new("broken", 2, |_| panic!("an ordinary point panic")),
+            ];
+            let batch =
+                Runner::with_jobs(1).exhibit("silent_abort").blackbox_out(&dir).try_run(points);
+            assert!(batch.outcomes.iter().all(Result::is_err));
+            std::fs::remove_dir_all(&dir).expect("cleanup");
+            return;
+        }
+        let out = std::process::Command::new(std::env::current_exe().expect("test binary"))
+            .args([name, "--exact", "--nocapture", "--test-threads=1"])
+            .env(CHILD, "1")
+            .output()
+            .expect("child test runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "child failed: {stderr}");
+        assert!(stderr.contains("an ordinary point panic"), "other panics still report: {stderr}");
+        assert_eq!(stderr.matches("panicked at").count(), 1, "only the ordinary panic: {stderr}");
     }
 
     #[test]
