@@ -42,7 +42,7 @@ const USAGE: &str = "usage: <bin> [--quick] [--json] [--metrics-window <cycles>]
                      [--fault-seed <seed>] \
                      [--obs-out <path>] [--progress-json] \
                      [--resume] [--checkpoint-dir <dir>] [--fail-fast] \
-                     [--anomaly] [--blackbox-out <dir>]";
+                     [--anomaly] [--blackbox-out <dir>] [--chaos-stall-at <cycle[:router]>]";
 
 /// Shared CLI handling for the experiment binaries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -102,6 +102,11 @@ pub struct Cli {
     /// Directory anomaly black-box dumps are written under
     /// (`--blackbox-out`; default `results/blackbox`).
     pub blackbox_out: Option<&'static str>,
+    /// Chaos hook as `(cycle, router)`, from `--chaos-stall-at
+    /// cycle[:router]`: every simulation freezes that router's switch
+    /// allocator at that cycle (the router defaults to the central node
+    /// `nodes / 2`; a given one must exist on every architecture).
+    pub chaos_stall: Option<(u64, Option<usize>)>,
 }
 
 /// Parses `node:port[@cycle]` (e.g. `7:3@250`) for `--kill-link`.
@@ -112,6 +117,14 @@ fn parse_kill_link(spec: &str) -> Option<(usize, usize, u64)> {
     };
     let (node, port) = link.split_once(':')?;
     Some((node.parse().ok()?, port.parse().ok()?, cycle))
+}
+
+/// Parses `cycle[:router]` (e.g. `400` or `400:5`) for `--chaos-stall-at`.
+fn parse_chaos_stall(spec: &str) -> Option<(u64, Option<usize>)> {
+    match spec.split_once(':') {
+        Some((cycle, router)) => Some((cycle.parse().ok()?, Some(router.parse().ok()?))),
+        None => Some((spec.parse().ok()?, None)),
+    }
 }
 
 /// Whether a link leaves `node` through `port` on `arch` — the rule
@@ -236,6 +249,12 @@ impl Cli {
                         flag_error(flag, format!("expects node:port[@cycle], got {spec:?}"))
                     })?);
                 }
+                "--chaos-stall-at" => {
+                    let (flag, spec) = value("--chaos-stall-at")?;
+                    cli.chaos_stall = Some(parse_chaos_stall(&spec).ok_or_else(|| {
+                        flag_error(flag, format!("expects cycle[:router], got {spec:?}"))
+                    })?);
+                }
                 "--fault-seed" => {
                     cli.fault_seed =
                         Some(parse_value(value("--fault-seed")?, |_: &u64| true, "a seed")?);
@@ -274,6 +293,15 @@ impl Cli {
                 ));
             }
         }
+        if let Some((_, Some(router))) = self.chaos_stall {
+            if let Some(arch) = Arch::ALL.into_iter().find(|&a| router >= a.topology().num_nodes())
+            {
+                return Err(flag_error(
+                    "--chaos-stall-at",
+                    format!("no router {router} on {}", arch.name()),
+                ));
+            }
+        }
         Ok(())
     }
 
@@ -291,9 +319,10 @@ impl Cli {
             v.map_or_else(|| "none".to_string(), |v| v.to_string())
         }
         let kill = self.kill_link.map(|(node, port, cycle)| format!("{node}:{port}@{cycle}"));
+        let stall = self.chaos_stall.map(|(cycle, router)| format!("{cycle}:{}", or_none(router)));
         format!(
             "quick={} metrics_window={} span_sample_ppm={} fault_rate_ppm={} kill_link={} \
-             fault_seed={} anomaly={}",
+             fault_seed={} anomaly={} chaos_stall={}",
             self.quick,
             or_none(self.metrics_window),
             or_none(self.span_sample_ppm),
@@ -301,6 +330,7 @@ impl Cli {
             or_none(kill),
             or_none(self.fault_seed),
             self.anomaly,
+            or_none(stall),
         )
     }
 
@@ -324,8 +354,8 @@ impl Cli {
         runner.install();
     }
 
-    /// The simulation window for this invocation (metrics windows wired
-    /// in when `--metrics-window` was given).
+    /// The simulation window for this invocation, with the telemetry,
+    /// fault, anomaly and chaos-stall flags wired in.
     pub fn sim_config(&self) -> mira::noc::sim::SimConfig {
         let base = if self.quick {
             mira::experiments::quick_sim_config()
@@ -339,7 +369,7 @@ impl Cli {
         if let Some(ppm) = self.span_sample_ppm {
             telemetry = telemetry.with_journeys(ppm);
         }
-        let base = base.with_telemetry(telemetry);
+        let base = mira::noc::sim::SimConfig { telemetry, chaos_stall: self.chaos_stall, ..base };
         let base = match self.fault_config() {
             Some(faults) => base.with_faults(faults),
             None => base,
@@ -578,6 +608,7 @@ pub fn rates_nuca(cli: Cli) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn parse(args: &[&str]) -> Result<Cli, HostError> {
         Cli::parse_from(args.iter().copied())
@@ -666,6 +697,18 @@ mod tests {
     }
 
     #[test]
+    fn chaos_stall_must_name_a_router_on_every_architecture() {
+        let cli = parse(&["--chaos-stall-at", "400:35"]).expect("every architecture has 36 nodes");
+        assert_eq!(cli.sim_config().chaos_stall, Some((400, Some(35))));
+        let central = parse(&["--chaos-stall-at", "400"]).expect("the default router");
+        assert_eq!(central.sim_config().chaos_stall, Some((400, None)));
+        assert_eq!(Cli::default().sim_config().chaos_stall, None);
+        for spec in ["", ":", "400:", ":5", "400:36", "400:99999", "-1", "18446744073709551616"] {
+            assert_eq!(rejected_flag(&["--chaos-stall-at", spec]), "--chaos-stall-at", "{spec:?}");
+        }
+    }
+
+    #[test]
     fn options_echo_covers_exactly_the_result_shaping_flags() {
         let echo = |args: &[&str]| parse(args).expect("valid flags").options();
         let base = echo(&[]);
@@ -677,6 +720,7 @@ mod tests {
             &["--fault-rate", "0.001"],
             &["--kill-link", "0:1"],
             &["--anomaly"],
+            &["--chaos-stall-at", "400"],
         ] {
             assert_ne!(echo(shaping), base, "{shaping:?} shapes results");
         }
@@ -693,5 +737,82 @@ mod tests {
         }
         // The echo renders parsed values, so spellings of one value agree.
         assert_eq!(echo(&["--fault-rate", "0.0010"]), echo(&["--fault-rate", "0.001"]));
+        assert_ne!(echo(&["--chaos-stall-at", "400"]), echo(&["--chaos-stall-at", "400:5"]));
+    }
+
+    /// Every flag the parser knows, then two it does not.
+    const FLAGS: [&str; 20] = [
+        "--quick",
+        "--json",
+        "--progress-json",
+        "--resume",
+        "--fail-fast",
+        "--anomaly",
+        "--metrics-window",
+        "--span-sample-rate",
+        "--fault-rate",
+        "--kill-link",
+        "--chaos-stall-at",
+        "--fault-seed",
+        "--trace-out",
+        "--metrics-out",
+        "--journeys-out",
+        "--obs-out",
+        "--checkpoint-dir",
+        "--blackbox-out",
+        "--bogus",
+        "",
+    ];
+
+    /// Well-formed values, the `--chaos-stall-at` edge cases and near
+    /// misses.
+    const VALUES: [&str; 16] = [
+        "",
+        ":",
+        "400",
+        "400:",
+        "400:5",
+        "400:99999",
+        "-1",
+        "18446744073709551616",
+        "0:1@100",
+        "7-3",
+        "0.5",
+        "1.5",
+        "NaN",
+        "inf",
+        " ",
+        "d",
+    ];
+
+    /// One argument drawn from `(pick, a, b)`: a flag name, a listed
+    /// value, a number, a `cycle:router` pair, or garbage bytes.
+    fn token((pick, a, b): (u8, u64, u32)) -> String {
+        match pick % 6 {
+            0 | 1 => FLAGS[a as usize % FLAGS.len()].to_string(),
+            2 => VALUES[a as usize % VALUES.len()].to_string(),
+            3 => a.to_string(),
+            4 => format!("{}:{b}", a % 1_000),
+            _ => String::from_utf8_lossy(&a.to_le_bytes()[..b as usize % 9]).into_owned(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_048))]
+
+        /// The parser never panics: any argument vector is a `Cli` or a
+        /// `HostError::Flag`.
+        #[test]
+        fn parse_from_returns_a_cli_or_a_flag_error(
+            args in proptest::collection::vec(
+                (any::<u8>(), any::<u64>(), any::<u32>()).prop_map(token),
+                0..8,
+            ),
+        ) {
+            match Cli::parse_from(args.clone()) {
+                Ok(_) | Err(HostError::Flag { .. }) => {}
+                Err(other) => prop_assert!(false, "{args:?} gave {other:?}"),
+            }
+        }
     }
 }

@@ -95,9 +95,6 @@ pub struct AnomalyConfig {
     /// Evaluation cadence in cycles for the windowed detectors
     /// (starvation, credit, fault-storm, latency-spike).
     pub window: u64,
-    /// Capacity of the flight-recorder event ring (recent compact
-    /// events kept for the black-box dump). 0 keeps the ring off.
-    pub ring_capacity: usize,
     /// Whether a no-progress trigger halts the run by unwinding with an
     /// [`AnomalyAbort`] (the runner converts it into a typed anomaly
     /// failure). Off, the trigger only counts and snapshots.
@@ -114,7 +111,6 @@ impl AnomalyConfig {
             latency_spike_pct: 0,
             latency_spike_min_samples: 0,
             window: 1_000,
-            ring_capacity: 0,
             halt_on_no_progress: false,
         }
     }
@@ -129,7 +125,6 @@ impl AnomalyConfig {
             latency_spike_pct: 400,
             latency_spike_min_samples: 200,
             window: 1_000,
-            ring_capacity: 4_096,
             halt_on_no_progress: true,
         }
     }
@@ -176,13 +171,6 @@ impl AnomalyConfig {
     #[must_use]
     pub fn with_window(mut self, cycles: u64) -> Self {
         self.window = cycles.max(1);
-        self
-    }
-
-    /// The same thresholds with a different event-ring capacity.
-    #[must_use]
-    pub fn with_ring(mut self, capacity: usize) -> Self {
-        self.ring_capacity = capacity;
         self
     }
 

@@ -81,9 +81,6 @@ pub struct FaultConfig {
     /// Retransmission budget per corrupted flit before the owning
     /// packet is dropped; 0 means retry forever.
     pub max_retries: u32,
-    /// Enables fault-aware route masks: traffic reroutes around dead
-    /// links (3DM-E express channels fall back to the baseline mesh).
-    pub reroute: bool,
     /// Seed for every randomised fault decision.
     pub seed: u64,
 }
@@ -105,7 +102,6 @@ impl FaultConfig {
             kill_window: 0,
             stuck_gates: 0,
             max_retries: 8,
-            reroute: true,
             seed: 0,
         }
     }
@@ -165,13 +161,6 @@ impl FaultConfig {
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Enables or disables fault-aware rerouting.
-    #[must_use]
-    pub fn with_reroute(mut self, reroute: bool) -> Self {
-        self.reroute = reroute;
         self
     }
 }

@@ -285,8 +285,9 @@ impl Network {
 
     /// Engages fault injection per `cfg`: compiles the fault plan
     /// against this network's link table, arms link-level
-    /// retransmission on every link, and (when `cfg.reroute`) switches
-    /// the routers to fault-aware route computation.
+    /// retransmission on every link, and switches the routers to
+    /// fault-aware route computation: traffic reroutes around dead links
+    /// (3DM-E express channels fall back to the baseline mesh).
     ///
     /// A disabled config ([`FaultConfig::enabled`] is `false`) is a
     /// no-op: the network stays on the fault-free fast path, which is
@@ -311,9 +312,7 @@ impl Network {
         let latency = 1 + self.cfg.router.pipeline.link_extra_cycles();
         let window = self.cfg.router.vcs_per_port * self.cfg.router.buffer_depth;
         self.links.enable_arq(latency, window);
-        if cfg.reroute {
-            self.routers.set_fault_routing(true);
-        }
+        self.routers.enable_fault_routing();
         self.faults = Some(Box::new(FaultRuntime {
             dead: vec![false; self.links.len()],
             next_kill: 0,
@@ -907,20 +906,27 @@ impl Network {
         &self.links
     }
 
-    /// The fabric's structural state as a word sequence: every router's
-    /// progress word (work-list masks, buffer occupancy,
-    /// pending switch grants), then every link's flits and credits in
-    /// flight. Any flit movement or pipeline-state transition changes a
-    /// word; a truly wedged fabric (deadlock, frozen allocator) keeps
-    /// every word constant cycle after cycle — which is exactly what the
-    /// no-progress watchdog compares. Source queues are deliberately
-    /// excluded: continued injection into a deadlocked fabric must not
-    /// read as progress. The length is fixed for a network's lifetime.
-    pub(crate) fn progress_words(&self) -> impl Iterator<Item = u64> + '_ {
-        let links = (0..self.links.len()).flat_map(|li| {
-            [self.links.flits_in_flight(li) as u64, self.links.credits_in_flight(li) as u64]
-        });
-        (0..self.routers.len()).flat_map(|r| self.routers.progress_word(r)).chain(links)
+    /// Walks the fabric's structural state as a word sequence, calling
+    /// `visit` on each word: every router's progress word (work-list
+    /// masks, buffer occupancy, pending switch grants), then every
+    /// link's flits and credits in flight. Any flit movement or
+    /// pipeline-state transition changes a word; a truly wedged fabric
+    /// (deadlock, frozen allocator) keeps every word constant cycle
+    /// after cycle — which is exactly what the no-progress watchdog
+    /// compares. Source queues are deliberately excluded: continued
+    /// injection into a deadlocked fabric must not read as progress.
+    /// The length is fixed for a network's lifetime.
+    #[inline]
+    pub(crate) fn walk_progress_words(&self, mut visit: impl FnMut(u64)) {
+        for r in 0..self.routers.len() {
+            for word in self.routers.progress_word(r) {
+                visit(word);
+            }
+        }
+        for li in 0..self.links.len() {
+            visit(self.links.flits_in_flight(li) as u64);
+            visit(self.links.credits_in_flight(li) as u64);
+        }
     }
 
     /// An FNV-1a hash over the fabric's progress words (each router's
@@ -933,34 +939,25 @@ impl Network {
     pub fn progress_signature(&self) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        self.progress_words()
-            .flat_map(u64::to_le_bytes)
-            .fold(FNV_OFFSET, |h, byte| (h ^ u64::from(byte)).wrapping_mul(FNV_PRIME))
+        let mut hash = FNV_OFFSET;
+        self.walk_progress_words(|word| {
+            for byte in word.to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+            }
+        });
+        hash
     }
 
     /// Chaos hook: permanently freezes `node`'s switch allocator (see
     /// [`crate::recorder`]). Flits keep arriving and buffering at the
     /// frozen router but never leave it — the deterministic stall
-    /// behind `MIRA_CHAOS_STALL_AT`.
+    /// behind [`SimConfig::chaos_stall`](crate::sim::SimConfig::chaos_stall).
     ///
     /// # Panics
     ///
     /// Panics when `node` is out of range.
     pub fn freeze_router_sa(&mut self, node: usize) {
         self.routers.freeze_sa(node);
-    }
-
-    /// Age in cycles of the oldest head-of-FIFO flit anywhere in the
-    /// fabric (0 when empty) — the starvation detector's subject.
-    pub fn max_head_age(&self, cycle: u64) -> u64 {
-        (0..self.routers.len()).map(|r| self.routers.max_head_age(r, cycle)).max().unwrap_or(0)
-    }
-
-    /// Total output VCs across the fabric holding more downstream
-    /// credits than the buffer depth they track. Always 0 unless credit
-    /// conservation is broken.
-    pub fn credit_overflows(&self) -> u64 {
-        (0..self.routers.len()).map(|r| self.routers.credit_overflows(r)).sum()
     }
 }
 

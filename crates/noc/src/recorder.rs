@@ -7,10 +7,10 @@
 //! 1. keeps a fixed-size ring of recent compact events — this is just
 //!    the network's [`TraceSink`](crate::telemetry::TraceSink) ring on
 //!    the one [`Telemetry`](crate::telemetry::Telemetry) seam (sized by
-//!    the recorder's `ring_capacity` unless an explicit trace capacity
-//!    is set), so an armed ring obeys the same observational-purity
-//!    contract as every other telemetry consumer: a run with the ring
-//!    on is bit-identical to a run without it;
+//!    [`RING_CAPACITY`] unless an explicit trace capacity is set), so
+//!    an armed ring obeys the same observational-purity contract as
+//!    every other telemetry consumer: a run with the ring on is
+//!    bit-identical to a run without it;
 //! 2. evaluates the deterministic detectors configured in
 //!    [`AnomalyConfig`]: a per-cycle no-progress watchdog — an exact
 //!    comparison of the fabric's progress words (router work-list masks,
@@ -44,6 +44,12 @@ use crate::telemetry::TraceEvent;
 /// Schema version stamped into every dump (`docs/blackbox.schema.json`
 /// tracks the same number).
 pub const BLACKBOX_VERSION: u64 = 1;
+
+/// Events an armed recorder's trace ring keeps for the black-box dump
+/// when no explicit [`TelemetryConfig::trace_capacity`] sizes the ring.
+///
+/// [`TelemetryConfig::trace_capacity`]: crate::telemetry::TelemetryConfig::trace_capacity
+pub const RING_CAPACITY: usize = 4_096;
 
 /// One non-idle input VC in a router dump.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -279,8 +285,9 @@ pub struct FlightRecorder {
     /// Consecutive cycles without ejection progress or a fabric-state
     /// transition.
     stall_cycles: u64,
-    /// The previous cycle's [`Network::progress_words`], compared word
-    /// for word each cycle. Empty until the first check, which sizes it;
+    /// The previous cycle's progress words
+    /// ([`Network::walk_progress_words`]), compared word for word each
+    /// cycle. Empty until the first check, which sizes it;
     /// later checks overwrite it in place and allocate nothing.
     last_words: Vec<u64>,
     /// Cumulative ejected-flit count of the previous cycle.
@@ -358,35 +365,23 @@ impl FlightRecorder {
         halting
     }
 
-    /// Whether any of the fabric's progress words (every router's
-    /// work-list masks, buffer occupancy and pending switch grants, plus
-    /// every link's wire state) differs from the previous call's, which
-    /// it then overwrites — one pass, exact equality. The first call
-    /// only records the words and reports a change.
+    /// Whether any of the fabric's progress words
+    /// ([`Network::walk_progress_words`]) differs from the previous
+    /// call's, which it then overwrites — one pass, exact equality. The
+    /// first call only records the words and reports a change.
     fn fabric_moved(&mut self, net: &Network) -> bool {
-        if self.last_words.is_empty() {
-            self.last_words.extend(net.progress_words());
+        let last_words = &mut self.last_words;
+        if last_words.is_empty() {
+            net.walk_progress_words(|word| last_words.push(word));
             return true;
         }
-        // The words of `Network::progress_words`, in its order, read
-        // straight from the routers and links.
-        let (routers, links) = (net.routers(), net.links());
-        let mut last = self.last_words.iter_mut();
+        let mut last = last_words.iter_mut();
         let mut moved = false;
-        let mut compare = |word: u64| {
+        net.walk_progress_words(|word| {
             let last = last.next().expect("progress words have a fixed length");
             moved |= *last != word;
             *last = word;
-        };
-        for r in 0..routers.len() {
-            for word in routers.progress_word(r) {
-                compare(word);
-            }
-        }
-        for li in 0..links.len() {
-            compare(links.flits_in_flight(li) as u64);
-            compare(links.credits_in_flight(li) as u64);
-        }
+        });
         moved
     }
 
@@ -432,8 +427,9 @@ impl FlightRecorder {
 
     /// The windowed detectors, evaluated on the window cadence.
     fn end_window(&mut self, net: &Network, cycle: u64) {
+        let routers = net.routers();
         if self.cfg.starvation_age > 0 {
-            let age = net.max_head_age(cycle);
+            let age = (0..routers.len()).map(|r| routers.max_head_age(r, cycle)).max().unwrap_or(0);
             if age > self.cfg.starvation_age {
                 let stats =
                     WindowStats { observed: age, threshold: self.cfg.starvation_age, samples: 0 };
@@ -443,7 +439,7 @@ impl FlightRecorder {
         }
         // Credit conservation is an invariant, not a tuning question:
         // it is armed whenever the recorder exists.
-        let overflows = net.credit_overflows();
+        let overflows: u64 = (0..routers.len()).map(|r| routers.credit_overflows(r)).sum();
         if overflows > 0 {
             let stats = WindowStats { observed: overflows, threshold: 0, samples: 0 };
             let detail = format!(

@@ -234,8 +234,8 @@ pub(crate) struct Routers {
     /// Number of physical datapath layers.
     layers: usize,
     /// Fault-aware routing enabled: RC masks dead output ports and
-    /// detours around them. Off (and free) unless fault injection with
-    /// rerouting is configured.
+    /// detours around them. Off (and free) unless fault injection is
+    /// engaged.
     fault_routing: bool,
     vc: Vec<VcCell>,
     /// Every input-VC FIFO, keyed like `vc`.
@@ -581,8 +581,8 @@ impl Routers {
     /// Enables fault-aware route computation on every router: dead
     /// output ports are masked out of the candidate set and detoured
     /// around.
-    pub(crate) fn set_fault_routing(&mut self, enabled: bool) {
-        self.fault_routing = enabled;
+    pub(crate) fn enable_fault_routing(&mut self) {
+        self.fault_routing = true;
     }
 
     /// Marks router `r`'s output `port` as permanently dead. Any VC whose
@@ -1407,7 +1407,7 @@ mod tests {
         c.links = Links::new(&[link_out(1), link_out(3)], 1);
         c.r.set_out_link(0, PortId(1), 0);
         c.r.set_out_link(0, PortId(3), 1);
-        c.r.set_fault_routing(true);
+        c.r.enable_fault_routing();
         c.r.on_port_death(0, PortId(1));
 
         // Destination east of us: the deterministic route is through the

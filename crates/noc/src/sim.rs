@@ -15,8 +15,7 @@
 //! matching how latency-vs-injection curves in the paper blow up at
 //! saturation.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeMap, HashMap};
 
 use serde::{Deserialize, Serialize};
 
@@ -53,6 +52,12 @@ pub struct SimConfig {
     /// zero-overhead path: no recorder is constructed and the run is
     /// bit-identical to a build without the anomaly subsystem).
     pub anomaly: AnomalyConfig,
+    /// Chaos hook: `(cycle, router)` at which to freeze one router's
+    /// switch allocator, so the no-progress watchdog is deterministically
+    /// testable (`--chaos-stall-at`). A `None` router is the roughly
+    /// central node `nodes / 2`, which uniform traffic is guaranteed to
+    /// cross. Off (`None`) by default.
+    pub chaos_stall: Option<(u64, Option<usize>)>,
     /// Ignored: stepping is always sequential (DESIGN.md §18). Kept only
     /// so existing callers that set it compile.
     pub shards: usize,
@@ -67,6 +72,7 @@ impl Default for SimConfig {
             telemetry: TelemetryConfig::disabled(),
             faults: FaultConfig::disabled(),
             anomaly: AnomalyConfig::disabled(),
+            chaos_stall: None,
             shards: 1,
         }
     }
@@ -230,39 +236,15 @@ struct PacketMeta {
     measured: bool,
 }
 
-/// Pending closed-loop reply, ordered by due cycle (min-heap via
-/// `Reverse`). The sequence number breaks ties deterministically.
-type PendingReply = Reverse<(u64, u64)>;
-
-/// Parses `MIRA_CHAOS_STALL_AT=<cycle>[:router]` — the chaos hook that
-/// freezes one router's switch allocator at the given cycle, making
-/// the no-progress watchdog deterministically testable. The router
-/// defaults to the (roughly central) node `nodes / 2`, which uniform
-/// traffic is guaranteed to cross. Malformed values are ignored: a
-/// chaos hook must never turn a production run into a parse error.
-fn chaos_stall_from_env(nodes: usize) -> Option<(u64, usize)> {
-    let raw = std::env::var("MIRA_CHAOS_STALL_AT").ok()?;
-    let (cycle_part, router_part) = match raw.split_once(':') {
-        Some((c, r)) => (c, Some(r)),
-        None => (raw.as_str(), None),
-    };
-    let cycle: u64 = cycle_part.trim().parse().ok()?;
-    let router = match router_part {
-        Some(r) => r.trim().parse().ok().filter(|&n: &usize| n < nodes)?,
-        None => nodes / 2,
-    };
-    Some((cycle, router))
-}
-
 /// The capacity of the run's one trace ring: an explicit
 /// [`TelemetryConfig::trace_capacity`] wins; otherwise an armed flight
-/// recorder's event ring (its `ring_capacity`), which the recorder then
+/// recorder's [`recorder::RING_CAPACITY`], whose ring the recorder then
 /// reads; otherwise 0, no ring.
 fn trace_capacity(cfg: &SimConfig) -> usize {
     if cfg.telemetry.trace_capacity > 0 {
         cfg.telemetry.trace_capacity
     } else if cfg.anomaly.is_enabled() {
-        cfg.anomaly.ring_capacity
+        recorder::RING_CAPACITY
     } else {
         0
     }
@@ -274,8 +256,9 @@ pub struct Simulator {
     cfg: SimConfig,
     next_packet: u64,
     in_flight: HashMap<PacketId, PacketMeta>,
-    pending_heap: BinaryHeap<PendingReply>,
-    pending_specs: HashMap<(u64, u64), PacketSpec>,
+    /// Closed-loop replies keyed by `(due cycle, sequence)`; the
+    /// sequence number breaks ties deterministically.
+    pending: BTreeMap<(u64, u64), PacketSpec>,
     next_reply_seq: u64,
     /// Reused per-cycle ejection buffer (keeps the hot loop free of
     /// per-cycle `Vec` churn).
@@ -283,10 +266,6 @@ pub struct Simulator {
     /// The flight recorder, present only when `SimConfig::anomaly`
     /// arms a detector (the disabled path allocates nothing).
     recorder: Option<Box<FlightRecorder>>,
-    /// Chaos hook: `(cycle, router)` at which to freeze one router's
-    /// switch allocator (`MIRA_CHAOS_STALL_AT` or
-    /// [`Simulator::set_chaos_stall`]).
-    chaos_stall: Option<(u64, usize)>,
 }
 
 impl std::fmt::Debug for Simulator {
@@ -309,26 +288,16 @@ impl Simulator {
         });
         network.set_faults(cfg.faults).expect("invalid fault configuration");
         let recorder = cfg.anomaly.is_enabled().then(|| Box::new(FlightRecorder::new(cfg.anomaly)));
-        let chaos_stall = chaos_stall_from_env(network.topology().num_nodes());
         Simulator {
             network,
             cfg,
             next_packet: 0,
             in_flight: HashMap::new(),
-            pending_heap: BinaryHeap::new(),
-            pending_specs: HashMap::new(),
+            pending: BTreeMap::new(),
             next_reply_seq: 0,
             eject_buf: Vec::new(),
             recorder,
-            chaos_stall,
         }
-    }
-
-    /// Chaos hook: freezes `router`'s switch allocator at `cycle`
-    /// (the programmatic twin of `MIRA_CHAOS_STALL_AT`, usable from
-    /// parallel tests where env vars would race).
-    pub fn set_chaos_stall(&mut self, cycle: u64, router: usize) {
-        self.chaos_stall = Some((cycle, router));
     }
 
     /// Access to the underlying network (e.g. for counters).
@@ -414,18 +383,16 @@ impl Simulator {
             let due = cycle + delay.max(1);
             let seq = self.next_reply_seq;
             self.next_reply_seq += 1;
-            self.pending_heap.push(Reverse((due, seq)));
-            self.pending_specs.insert((due, seq), spec);
+            self.pending.insert((due, seq), spec);
         }
     }
 
     fn inject_due_replies(&mut self, cycle: u64, measuring: bool) {
-        while let Some(&Reverse((due, seq))) = self.pending_heap.peek() {
-            if due > cycle {
+        while let Some(entry) = self.pending.first_entry() {
+            if entry.key().0 > cycle {
                 break;
             }
-            self.pending_heap.pop();
-            let spec = self.pending_specs.remove(&(due, seq)).expect("spec for pending reply");
+            let spec = entry.remove();
             self.inject(spec, cycle, measuring);
         }
     }
@@ -583,9 +550,10 @@ impl Simulator {
                 self.inject_due_replies(cycle, measuring);
             }
 
-            if let Some((at, node)) = self.chaos_stall {
+            if let Some((at, router)) = self.cfg.chaos_stall {
                 if cycle == at {
-                    self.network.freeze_router_sa(node);
+                    let router = router.unwrap_or(self.network.topology().num_nodes() / 2);
+                    self.network.freeze_router_sa(router);
                 }
             }
 
@@ -743,8 +711,8 @@ mod tests {
     }
 
     /// The run's one trace ring: an explicit trace capacity wins over an
-    /// armed recorder's ring, the recorder's ring is the fallback, and
-    /// neither leaves no ring at all.
+    /// armed recorder's ring, the recorder's constant ring is the
+    /// fallback, and neither leaves no ring at all.
     #[test]
     fn one_trace_ring_capacity() {
         let ring = |telemetry: TelemetryConfig, anomaly: AnomalyConfig| {
@@ -752,13 +720,14 @@ mod tests {
             let sim = Simulator::new(Box::new(Mesh2D::new(4, 4)), NetworkConfig::default(), cfg);
             sim.network().trace_sink().map(TraceSink::capacity)
         };
-        let armed = AnomalyConfig::detect().with_ring(512);
+        let (armed, off) = (AnomalyConfig::detect(), AnomalyConfig::disabled());
         let explicit = TelemetryConfig { trace_capacity: 64, ..TelemetryConfig::disabled() };
-        assert_eq!(ring(TelemetryConfig::disabled(), armed), Some(512), "recorder's ring");
+        let recorders = Some(recorder::RING_CAPACITY);
+        assert_eq!(ring(TelemetryConfig::disabled(), armed), recorders, "recorder's ring");
         assert_eq!(ring(explicit, armed), Some(64), "explicit capacity wins");
-        assert_eq!(ring(explicit, AnomalyConfig::disabled()), Some(64));
-        assert_eq!(ring(TelemetryConfig::disabled(), AnomalyConfig::disabled()), None);
-        assert_eq!(ring(TelemetryConfig::windows(100), armed.with_ring(0)), None, "no ring asked");
+        assert_eq!(ring(explicit, off), Some(64));
+        assert_eq!(ring(TelemetryConfig::disabled(), off), None);
+        assert_eq!(ring(TelemetryConfig::windows(100), off), None, "no ring asked");
     }
 
     #[test]

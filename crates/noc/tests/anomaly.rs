@@ -7,6 +7,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use mira_noc::anomaly::{AnomalyAbort, AnomalyConfig, AnomalyKind};
 use mira_noc::config::NetworkConfig;
+use mira_noc::fault::FaultConfig;
 use mira_noc::recorder::{BlackBox, BLACKBOX_VERSION};
 use mira_noc::sim::{SimConfig, SimReport, Simulator};
 use mira_noc::telemetry::TelemetryConfig;
@@ -55,9 +56,8 @@ fn stalled_sim(anomaly: AnomalyConfig) -> Simulator {
         // Sample every packet so stuck packets carry their journeys.
         .with_telemetry(TelemetryConfig::disabled().with_journeys(1_000_000))
         .with_anomaly(anomaly.with_no_progress(250));
-    let mut sim = Simulator::new(Box::new(Mesh2D::new(4, 4)), NetworkConfig::default(), cfg);
-    sim.set_chaos_stall(400, 5);
-    sim
+    let cfg = SimConfig { chaos_stall: Some((400, Some(5))), ..cfg };
+    Simulator::new(Box::new(Mesh2D::new(4, 4)), NetworkConfig::default(), cfg)
 }
 
 /// Runs the chaos scenario to its halting trigger and returns the
@@ -134,6 +134,7 @@ fn non_halting_recorder_counts_the_same_deadlock() {
     assert!(report.saturated, "stranded packets never drain");
     assert!(report.anomalies.no_progress >= 1, "the watchdog fired: {:?}", report.anomalies);
     assert_eq!(report.anomalies.no_progress, 20, "one firing per stalled period");
+    assert!(report.anomalies.starvation > 0, "heads parked behind the frozen router starve");
     assert!(!sim.anomalies_fired().is_empty());
 
     let dumped: Vec<u64> = bb.stuck_packets.iter().map(|s| s.packet).collect();
@@ -142,4 +143,20 @@ fn non_halting_recorder_counts_the_same_deadlock() {
         sim.in_flight_ids(),
         "the dump's stuck set matches the non-halting twin's final in-flight set"
     );
+}
+
+/// Transient link faults at 5% of deliveries overrun a budget of ten
+/// fault events per window: the fault-storm detector fires through
+/// `Simulator::run`, with the window's event count above the budget.
+#[test]
+fn fault_storm_fires_through_the_run() {
+    let cfg = SimConfig::short()
+        .with_faults(FaultConfig::disabled().with_transient(50_000))
+        .with_anomaly(AnomalyConfig::disabled().with_fault_storm(10));
+    let mut sim = Simulator::new(Box::new(Mesh2D::new(4, 4)), NetworkConfig::default(), cfg);
+    let report = sim.run(Box::new(UniformRandom::new(0.10, 5, 42)));
+    assert!(report.anomalies.fault_storm > 0, "{:?}", report.anomalies);
+    let storm = sim.anomalies_fired().iter().find(|f| f.kind == "fault_storm").expect("a storm");
+    assert!(storm.stats.observed > storm.stats.threshold, "{:?}", storm.stats);
+    assert_eq!(storm.stats.threshold, 10);
 }

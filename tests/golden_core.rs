@@ -105,7 +105,6 @@ fn points() -> Vec<Point> {
         .with_transient(2_000)
         .with_kill(14, 1, 400)
         .with_max_retries(4)
-        .with_reroute(true)
         .with_seed(EXPERIMENT_SEED);
     pts.push(Point {
         name: "2DB_ur010_faults",

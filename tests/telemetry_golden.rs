@@ -224,7 +224,6 @@ fn trace_pins() -> [TracePin; 3] {
         .with_transient(2_000)
         .with_kill(14, 1, 400)
         .with_max_retries(4)
-        .with_reroute(true)
         .with_seed(EXPERIMENT_SEED);
     [
         TracePin {
