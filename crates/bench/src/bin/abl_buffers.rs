@@ -1,13 +1,7 @@
 //! Ablation: VC count and buffer depth around the paper's V=2, k=4
 //! operating point.
-use std::time::Instant;
-
-use mira::experiments::ablations::ablate_buffers;
-use mira_bench::{emit, Cli};
+use mira_bench::{named, run, Cli};
 
 fn main() {
-    let cli = Cli::parse();
-    let t0 = Instant::now();
-    let fig = ablate_buffers(0.15, cli.sim_config());
-    emit(cli, &fig.to_text(), &fig, t0);
+    run(Cli::parse(), [named("abl_buffers")]);
 }

@@ -1,12 +1,6 @@
 //! Ablation: express-channel span on the 6×6 multi-layer mesh.
-use std::time::Instant;
-
-use mira::experiments::ablations::ablate_express_span;
-use mira_bench::{emit, Cli};
+use mira_bench::{named, run, Cli};
 
 fn main() {
-    let cli = Cli::parse();
-    let t0 = Instant::now();
-    let fig = ablate_express_span(0.10, cli.sim_config());
-    emit(cli, &fig.to_text(), &fig, t0);
+    run(Cli::parse(), [named("abl_express_span")]);
 }

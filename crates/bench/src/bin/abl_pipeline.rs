@@ -1,13 +1,7 @@
 //! Ablation: router pipeline depth (Fig. 8(a)-(c) organisations) on the
 //! 3DM substrate.
-use std::time::Instant;
-
-use mira::experiments::ablations::ablate_pipeline;
-use mira_bench::{emit, Cli};
+use mira_bench::{named, run, Cli};
 
 fn main() {
-    let cli = Cli::parse();
-    let t0 = Instant::now();
-    let fig = ablate_pipeline(0.10, cli.sim_config());
-    emit(cli, &fig.to_text(), &fig, t0);
+    run(Cli::parse(), [named("abl_pipeline")]);
 }

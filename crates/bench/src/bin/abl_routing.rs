@@ -1,12 +1,6 @@
 //! Ablation: X-Y vs turn-model adaptive routing on adversarial traffic.
-use std::time::Instant;
-
-use mira::experiments::ablations::ablate_routing;
-use mira_bench::{emit, Cli};
+use mira_bench::{named, run, Cli};
 
 fn main() {
-    let cli = Cli::parse();
-    let t0 = Instant::now();
-    let fig = ablate_routing(0.15, cli.sim_config());
-    emit(cli, &fig.to_text(), &fig, t0);
+    run(Cli::parse(), [named("abl_routing")]);
 }

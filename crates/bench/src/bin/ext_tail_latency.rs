@@ -2,40 +2,13 @@
 //! UR, plus — when `--span-sample-rate` enables journey sampling — the
 //! attribution mode: a per-bucket breakdown of where tail packets spend
 //! their cycles (source queue, stall causes, pipeline, link, ARQ).
-use std::time::Instant;
-
-use mira::experiments::latency::{tail_attribution, tail_latency};
-use mira_bench::{emit, write_telemetry_artifacts, Cli};
+use mira_bench::{named, run, Cli};
 
 fn main() {
     let cli = Cli::parse();
-    let t0 = Instant::now();
-    let fig = tail_latency(0.15, cli.sim_config());
-    match cli.span_sample_ppm.filter(|&ppm| ppm > 0) {
-        // Attribution mode: the percentile bars plus the journey-based
-        // breakdown, as `{"figure": ..., "attribution": ...}` in JSON.
-        Some(ppm) => {
-            // The attribution runs install their own telemetry; strip the
-            // sweep-level journey flag so the two modes stay independent.
-            let mut base = cli;
-            base.span_sample_ppm = None;
-            let attr = tail_attribution(0.15, ppm, base.sim_config());
-            if cli.json {
-                let wrapped = serde::Value::Object(vec![
-                    ("figure".to_string(), serde::Serialize::to_value(&fig)),
-                    ("attribution".to_string(), serde::Serialize::to_value(&attr)),
-                ]);
-                println!(
-                    "{}",
-                    serde_json::to_string_pretty(&wrapped).expect("serialisable exhibit")
-                );
-            } else {
-                println!("{}", fig.to_text());
-                println!("{}", attr.to_text());
-            }
-            write_telemetry_artifacts(cli);
-            eprintln!("[done in {:.1?}]", t0.elapsed());
-        }
-        None => emit(cli, &fig.to_text(), &fig, t0),
+    let mut exhibits = vec![named("ext_tail_latency")];
+    if cli.span_sample_ppm.is_some_and(|ppm| ppm > 0) {
+        exhibits.push(named("ext_tail_attribution"));
     }
+    run(cli, exhibits);
 }

@@ -3,15 +3,8 @@
 //!
 //! Composes with the shared fault flags: `--kill-link` adds a permanent
 //! kill on top of every sweep point, `--fault-seed` reseeds the plans.
-use std::time::Instant;
-
-use mira::experiments::faults::{fault_rates_ppm, fault_sweep_on};
-use mira_bench::{emit_with_runner, Cli};
+use mira_bench::{named, run, Cli};
 
 fn main() {
-    let cli = Cli::parse();
-    let t0 = Instant::now();
-    let rates = fault_rates_ppm(cli.quick);
-    let (sweep, summary) = fault_sweep_on(&cli.runner(), &rates, cli.sim_config());
-    emit_with_runner(cli, &sweep.to_text(), &sweep, &summary, t0);
+    run(Cli::parse(), [named("fault_sweep")]);
 }

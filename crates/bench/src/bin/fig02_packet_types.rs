@@ -1,14 +1,6 @@
 //! Fig. 2: packet-type distribution per application.
-use std::time::Instant;
-
-use mira::experiments::patterns::fig2;
-use mira::traffic::workloads::Application;
-use mira_bench::{emit, Cli};
+use mira_bench::{named, run, Cli};
 
 fn main() {
-    let cli = Cli::parse();
-    let t0 = Instant::now();
-    let cycles = if cli.quick { 4_000 } else { 20_000 };
-    let fig = fig2(&Application::ALL, cycles);
-    emit(cli, &fig.to_text(), &fig, t0);
+    run(Cli::parse(), [named("fig02_packet_types")]);
 }

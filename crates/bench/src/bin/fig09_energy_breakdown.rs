@@ -1,12 +1,6 @@
 //! Fig. 9: per-flit energy breakdown per architecture.
-use std::time::Instant;
-
-use mira::experiments::energy::fig9;
-use mira_bench::{emit, Cli};
+use mira_bench::{named, run, Cli};
 
 fn main() {
-    let cli = Cli::parse();
-    let t0 = Instant::now();
-    let fig = fig9();
-    emit(cli, &fig.to_text(), &fig, t0);
+    run(Cli::parse(), [named("fig09_energy_breakdown")]);
 }

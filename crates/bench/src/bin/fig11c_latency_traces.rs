@@ -1,14 +1,6 @@
 //! Fig. 11(c): MP-trace latency normalised to 2DB.
-use std::time::Instant;
-
-use mira::experiments::latency::fig11c_on;
-use mira::traffic::workloads::Application;
-use mira_bench::{emit_with_runner, Cli};
+use mira_bench::{named, run, Cli};
 
 fn main() {
-    let cli = Cli::parse();
-    let t0 = Instant::now();
-    let (fig, summary) =
-        fig11c_on(&cli.runner(), &Application::PRESENTED, cli.trace_cycles(), cli.sim_config());
-    emit_with_runner(cli, &fig.to_text(), &fig, &summary, t0);
+    run(Cli::parse(), [named("fig11c_latency_traces")]);
 }

@@ -1,17 +1,6 @@
 //! Fig. 11(d): average hop counts for UR / NUCA-UR / MP-trace traffic.
-use std::time::Instant;
-
-use mira::experiments::common::sweep_ur_on;
-use mira::experiments::latency::fig11d_on;
-use mira::traffic::workloads::Application;
-use mira_bench::{emit_with_runner, Cli};
+use mira_bench::{named, run, Cli};
 
 fn main() {
-    let cli = Cli::parse();
-    let t0 = Instant::now();
-    let runner = cli.runner();
-    let (sweep, _) = sweep_ur_on(&runner, &[0.05], 0.0, cli.sim_config());
-    let (fig, summary) =
-        fig11d_on(&runner, &sweep, 0.05, Application::Apache, cli.trace_cycles(), cli.sim_config());
-    emit_with_runner(cli, &fig.to_text(), &fig, &summary, t0);
+    run(Cli::parse(), [named("fig11d_hops")]);
 }

@@ -1,14 +1,6 @@
 //! Fig. 12(a): average power vs injection rate, uniform random, 0% short.
-use std::time::Instant;
-
-use mira::experiments::common::sweep_ur_on;
-use mira::experiments::power::fig12a;
-use mira_bench::{emit_with_runner, rates_ur, Cli};
+use mira_bench::{named, run, Cli};
 
 fn main() {
-    let cli = Cli::parse();
-    let t0 = Instant::now();
-    let (sweep, summary) = sweep_ur_on(&cli.runner(), &rates_ur(cli), 0.0, cli.sim_config());
-    let fig = fig12a(&sweep);
-    emit_with_runner(cli, &fig.to_text(), &fig, &summary, t0);
+    run(Cli::parse(), [named("fig12a_power_ur")]);
 }

@@ -1,12 +1,6 @@
 //! Fig. 12(b): average power vs request rate, NUCA-UR bimodal.
-use std::time::Instant;
-
-use mira::experiments::power::fig12b_on;
-use mira_bench::{emit_with_runner, rates_nuca, Cli};
+use mira_bench::{named, run, Cli};
 
 fn main() {
-    let cli = Cli::parse();
-    let t0 = Instant::now();
-    let (fig, summary) = fig12b_on(&cli.runner(), &rates_nuca(cli), cli.sim_config());
-    emit_with_runner(cli, &fig.to_text(), &fig, &summary, t0);
+    run(Cli::parse(), [named("fig12b_power_nucaur")]);
 }

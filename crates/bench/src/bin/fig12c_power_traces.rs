@@ -1,14 +1,6 @@
 //! Fig. 12(c): MP-trace power normalised to 2DB (shutdown on 3DM/3DM-E).
-use std::time::Instant;
-
-use mira::experiments::power::fig12c_on;
-use mira::traffic::workloads::Application;
-use mira_bench::{emit_with_runner, Cli};
+use mira_bench::{named, run, Cli};
 
 fn main() {
-    let cli = Cli::parse();
-    let t0 = Instant::now();
-    let (fig, summary) =
-        fig12c_on(&cli.runner(), &Application::PRESENTED, cli.trace_cycles(), cli.sim_config());
-    emit_with_runner(cli, &fig.to_text(), &fig, &summary, t0);
+    run(Cli::parse(), [named("fig12c_power_traces")]);
 }

@@ -1,12 +1,6 @@
 //! Fig. 13(b): power saving from layer shutdown at 25% / 50% short flits.
-use std::time::Instant;
-
-use mira::experiments::power::fig13b;
-use mira_bench::{emit, Cli};
+use mira_bench::{named, run, Cli};
 
 fn main() {
-    let cli = Cli::parse();
-    let t0 = Instant::now();
-    let fig = fig13b(0.10, cli.sim_config());
-    emit(cli, &fig.to_text(), &fig, t0);
+    run(Cli::parse(), [named("fig13b_shutdown_savings")]);
 }

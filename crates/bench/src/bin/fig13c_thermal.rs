@@ -1,13 +1,6 @@
 //! Fig. 13(c): temperature reduction from layer shutdown (3DM).
-use std::time::Instant;
-
-use mira::experiments::thermal::fig13c;
-use mira_bench::{emit, Cli};
+use mira_bench::{named, run, Cli};
 
 fn main() {
-    let cli = Cli::parse();
-    let t0 = Instant::now();
-    let rates: &[f64] = if cli.quick { &[0.05, 0.20] } else { &[0.05, 0.15, 0.30] };
-    let fig = fig13c(rates, cli.sim_config());
-    emit(cli, &fig.to_text(), &fig, t0);
+    run(Cli::parse(), [named("fig13c_thermal")]);
 }

@@ -1,12 +1,6 @@
 //! Table 1: router component areas for 2DB / 3DB / 3DM / 3DM-E.
-use std::time::Instant;
-
-use mira::experiments::tables::table1;
-use mira_bench::{emit, Cli};
+use mira_bench::{named, run, Cli};
 
 fn main() {
-    let cli = Cli::parse();
-    let t0 = Instant::now();
-    let t = table1();
-    emit(cli, &t.to_text(), &t, t0);
+    run(Cli::parse(), [named("tab1_area")]);
 }

@@ -1,12 +1,6 @@
 //! Table 2: design parameters (wire delays, link lengths).
-use std::time::Instant;
-
-use mira::experiments::tables::table2;
-use mira_bench::{emit, Cli};
+use mira_bench::{named, run, Cli};
 
 fn main() {
-    let cli = Cli::parse();
-    let t0 = Instant::now();
-    let t = table2();
-    emit(cli, &t.to_text(), &t, t0);
+    run(Cli::parse(), [named("tab2_params")]);
 }

@@ -1,12 +1,6 @@
 //! Table 3: ST+LT pipeline-combining delay validation.
-use std::time::Instant;
-
-use mira::experiments::tables::table3;
-use mira_bench::{emit, Cli};
+use mira_bench::{named, run, Cli};
 
 fn main() {
-    let cli = Cli::parse();
-    let t0 = Instant::now();
-    let t = table3();
-    emit(cli, &t.to_text(), &t, t0);
+    run(Cli::parse(), [named("tab3_delay")]);
 }

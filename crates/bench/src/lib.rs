@@ -2,9 +2,11 @@
 //! # mira-bench — the benchmark harness
 //!
 //! One binary per table/figure of the paper (see DESIGN.md §5 for the
-//! index). Every binary accepts `--quick` to run a reduced configuration
-//! and prints the regenerated exhibit as text (plus `--json` for
-//! machine-readable output).
+//! index). Each names entries of [`EXHIBITS`] (or an extension outside
+//! the full pass) and hands them to [`run`], the one driver:
+//! `all_experiments` runs the whole list. Every binary accepts
+//! `--quick` to run a reduced configuration and prints the regenerated
+//! exhibits as text (plus `--json` for one machine-readable document).
 //!
 //! Telemetry flags (DESIGN.md §11): `--metrics-window <cycles>` turns on
 //! windowed per-router metrics for every simulation the binary runs;
@@ -23,17 +25,20 @@
 
 use std::time::Instant;
 
-use serde::Serialize;
+use serde::{Serialize, Value};
 
 use mira::arch::Arch;
 use mira::error::HostError;
 use mira::experiments::common::EXPERIMENT_SEED;
+use mira::experiments::exhibits::{Exhibit, Pass, PassConfig};
+use mira::experiments::faults::fault_rates_ppm;
+use mira::experiments::runner::{take_session, RunSummary, Runner};
 use mira::noc::ids::{NodeId, PortId};
 use mira::noc::sim::Simulator;
 use mira::noc::telemetry::TelemetryConfig;
 use mira::noc::traffic::{PayloadProfile, UniformRandom};
 
-pub use mira::experiments::runner::{RunSummary, Runner};
+pub use mira::experiments::exhibits::{named, EXHIBITS};
 
 const USAGE: &str = "usage: <bin> [--quick] [--json] [--metrics-window <cycles>] \
                      [--trace-out <path>] [--metrics-out <path>] \
@@ -174,9 +179,11 @@ fn parse_path((flag, value): (&'static str, String)) -> Result<&'static str, Hos
 
 impl Cli {
     /// Parses the process arguments, then installs the process runner
-    /// those flags describe, which every batch then runs on (see
-    /// [`Cli::runner`]). `--help` prints the usage line and exits 0; a
-    /// malformed flag prints its error and the usage line and exits 2.
+    /// those flags describe, which every batch then runs on (sized by
+    /// `available_parallelism`, overridable with `MIRA_JOBS`; the
+    /// progress line shows whenever stderr is a terminal). `--help`
+    /// prints the usage line and exits 0; a malformed flag prints its
+    /// error and the usage line and exits 2.
     pub fn parse() -> Cli {
         let args: Vec<String> = std::env::args().skip(1).collect();
         if args.iter().any(|a| a == "--help" || a == "-h") {
@@ -384,7 +391,7 @@ impl Cli {
     /// detector at its default threshold), or `None` without the flag
     /// (so the default path stays bit-identical to the recorder-free
     /// simulator).
-    pub fn anomaly_config(&self) -> Option<mira::noc::anomaly::AnomalyConfig> {
+    fn anomaly_config(&self) -> Option<mira::noc::anomaly::AnomalyConfig> {
         self.anomaly.then(mira::noc::anomaly::AnomalyConfig::detect)
     }
 
@@ -392,7 +399,7 @@ impl Cli {
     /// `--kill-link` / `--fault-seed`, or `None` when no fault flag was
     /// given (so the default path stays bit-identical to the fault-free
     /// simulator).
-    pub fn fault_config(&self) -> Option<mira::noc::fault::FaultConfig> {
+    fn fault_config(&self) -> Option<mira::noc::fault::FaultConfig> {
         use mira::noc::fault::FaultConfig;
         if self.fault_rate_ppm.is_none() && self.kill_link.is_none() {
             return None;
@@ -419,20 +426,24 @@ impl Cli {
         }
     }
 
-    /// The worker pool for this invocation: the runner [`Cli::parse`]
-    /// installed (sized by `available_parallelism`, overridable with
-    /// `MIRA_JOBS`; the progress line shows whenever stderr is a
-    /// terminal; the runner flags and the [`Cli::options`] echo
-    /// applied).
-    pub fn runner(&self) -> Runner {
-        Runner::from_env()
+    /// The settings of a pass under these flags.
+    fn pass_config(&self) -> PassConfig {
+        PassConfig {
+            sim: self.sim_config(),
+            rates_ur: rates_ur(*self),
+            rates_nuca: rates_nuca(*self),
+            pattern_cycles: if self.quick { 4_000 } else { 20_000 },
+            trace_cycles: self.trace_cycles(),
+            thermal_rates: if self.quick { vec![0.05, 0.20] } else { vec![0.05, 0.15, 0.30] },
+            fault_ppm: fault_rates_ppm(self.quick),
+        }
     }
 }
 
 /// The journeys dump written by `--journeys-out`: what the `journey`
 /// subcommand of `trace_tool` pretty-prints.
 #[derive(Debug, Clone, Serialize)]
-pub struct JourneysDump {
+struct JourneysDump {
     /// Architecture of the representative run.
     pub arch: String,
     /// Head-sampling rate in ppm.
@@ -446,7 +457,7 @@ pub struct JourneysDump {
 /// The metrics dump written by `--metrics-out`: what the `netview`
 /// subcommand of `trace_tool` renders.
 #[derive(Debug, Clone, Serialize)]
-pub struct MetricsDump {
+struct MetricsDump {
     /// Architecture of the representative run.
     pub arch: String,
     /// Metrics-window length in cycles.
@@ -461,7 +472,7 @@ pub struct MetricsDump {
 /// so enabling tracing never perturbs published numbers: 3DM at UR 0.15
 /// with 50% short flits and layer shutdown on — a load that exercises
 /// every pipeline stage, credit stalls, and layer gating.
-pub fn write_telemetry_artifacts(cli: Cli) {
+fn write_telemetry_artifacts(cli: Cli) {
     if cli.trace_out.is_none() && cli.metrics_out.is_none() && cli.journeys_out.is_none() {
         return;
     }
@@ -531,7 +542,7 @@ pub fn write_telemetry_artifacts(cli: Cli) {
 /// Writes the host-observability snapshot requested by `--obs-out`: the
 /// JSON snapshot at the given path plus a Prometheus text rendering next
 /// to it with a `.prom` extension. A no-op when the flag is off.
-pub fn write_obs_artifacts(cli: Cli) {
+fn write_obs_artifacts(cli: Cli) {
     let Some(path) = cli.obs_out else {
         return;
     };
@@ -549,42 +560,111 @@ pub fn write_obs_artifacts(cli: Cli) {
     );
 }
 
-/// Prints an exhibit in the requested format, with a timing footer.
-pub fn emit<T: serde::Serialize>(cli: Cli, text: &str, value: &T, started: Instant) {
-    if cli.json {
-        println!("{}", serde_json::to_string_pretty(value).expect("serialisable exhibit"));
-    } else {
-        println!("{text}");
-    }
-    write_telemetry_artifacts(cli);
-    write_obs_artifacts(cli);
-    eprintln!("[done in {:.1?}]", started.elapsed());
+/// The `"host"` section of the JSON document: the binary's batches
+/// summed (total wall time across batches, aggregate Kcycles/s, peak
+/// arena watermark, anomaly firings, build revision).
+#[derive(Debug, Serialize)]
+struct Host {
+    batches: usize,
+    wall_ms: f64,
+    cycles_simulated: u64,
+    kcycles_per_sec: f64,
+    peak_arena_flits: u64,
+    git_rev: String,
+    profile: String,
+    anomalies: Anomalies,
 }
 
-/// Like [`emit`], but includes the runner's machine-readable batch
-/// summary: in JSON mode the output becomes
-/// `{"exhibit": ..., "runner": ...}`; in text mode the summary is one
-/// stderr line.
-pub fn emit_with_runner<T: serde::Serialize>(
-    cli: Cli,
-    text: &str,
-    value: &T,
-    summary: &RunSummary,
-    started: Instant,
-) {
+/// Anomaly-detector firings over the batches: total count and the
+/// deduplicated, sorted kind names.
+#[derive(Debug, Serialize)]
+struct Anomalies {
+    count: u64,
+    kinds: Vec<String>,
+}
+
+impl Host {
+    fn of(batches: &[RunSummary]) -> Host {
+        let wall_ms: f64 = batches.iter().map(|b| b.wall_ms).sum();
+        let cycles_simulated: u64 = batches.iter().map(|b| b.cycles_simulated).sum();
+        let mut kinds: Vec<String> =
+            batches.iter().flat_map(|b| b.anomaly_kinds.iter().cloned()).collect();
+        kinds.sort_unstable();
+        kinds.dedup();
+        let build = mira_obs::provenance::Provenance::current();
+        Host {
+            batches: batches.len(),
+            wall_ms,
+            cycles_simulated,
+            kcycles_per_sec: if wall_ms > 0.0 { cycles_simulated as f64 / wall_ms } else { 0.0 },
+            peak_arena_flits: batches.iter().map(|b| b.peak_arena_flits).max().unwrap_or(0),
+            git_rev: build.git_rev,
+            profile: build.profile,
+            anomalies: Anomalies { count: batches.iter().map(|b| b.anomalies).sum(), kinds },
+        }
+    }
+}
+
+/// Runs `exhibits` as one [`Pass`] on the installed runner and owns all
+/// of the binary's output: each exhibit's text on stdout with one
+/// `[runner]` line per batch on stderr, or with `--json` one document
+/// `{"exhibits": [{"name", "value", "batches"}], "host"}`; then the
+/// `--trace-out`/`--metrics-out`/`--journeys-out` and `--obs-out`
+/// files, the `[host]` and `[done]` footer, and exit code 1 if a paper
+/// claim failed.
+pub fn run<'a>(cli: Cli, exhibits: impl IntoIterator<Item = &'a Exhibit>) {
+    let started = Instant::now();
+    let mut pass = Pass::new(cli.pass_config(), Runner::from_env());
+    let (mut shown, mut batches, mut passes) = (Vec::new(), Vec::new(), true);
+    for exhibit in exhibits {
+        let out = pass.show(exhibit);
+        let ran = take_session();
+        if cli.json {
+            shown.push(Value::Object(vec![
+                ("name".to_string(), exhibit.name.to_value()),
+                ("value".to_string(), out.value),
+                ("batches".to_string(), ran.to_value()),
+            ]));
+        } else {
+            println!("{}", out.text);
+            for summary in &ran {
+                eprintln!("[runner] {}: {}", exhibit.name, summary.one_line());
+            }
+        }
+        passes &= out.passes;
+        batches.extend(ran);
+    }
+    let host = Host::of(&batches);
     if cli.json {
-        let wrapped = serde::Value::Object(vec![
-            ("exhibit".to_string(), value.to_value()),
-            ("runner".to_string(), summary.to_value()),
+        let doc = Value::Object(vec![
+            ("exhibits".to_string(), Value::Array(shown)),
+            ("host".to_string(), host.to_value()),
         ]);
-        println!("{}", serde_json::to_string_pretty(&wrapped).expect("serialisable exhibit"));
-    } else {
-        println!("{text}");
-        eprintln!("[runner] {}", summary.one_line());
+        println!("{}", serde_json::to_string_pretty(&doc).expect("serialisable exhibits"));
     }
     write_telemetry_artifacts(cli);
     write_obs_artifacts(cli);
+    let anomalies = &host.anomalies;
+    if anomalies.count > 0 {
+        eprintln!(
+            "[host] WARNING: {} anomaly detector firing(s) ({}); inspect the dumps with \
+             `trace_tool blackbox`",
+            anomalies.count,
+            anomalies.kinds.join(", ")
+        );
+    }
+    eprintln!(
+        "[host] {} batches ({} points), {:.2} s sim wall, {} cycles, peak arena {} flits",
+        host.batches,
+        batches.iter().map(|b| b.points).sum::<usize>(),
+        host.wall_ms / 1e3,
+        host.cycles_simulated,
+        host.peak_arena_flits,
+    );
     eprintln!("[done in {:.1?}]", started.elapsed());
+    if !passes {
+        std::process::exit(1);
+    }
 }
 
 /// Injection-rate grid for the uniform-random sweeps (flits/node/cycle).
@@ -738,6 +818,22 @@ mod tests {
         // The echo renders parsed values, so spellings of one value agree.
         assert_eq!(echo(&["--fault-rate", "0.0010"]), echo(&["--fault-rate", "0.001"]));
         assert_ne!(echo(&["--chaos-stall-at", "400"]), echo(&["--chaos-stall-at", "400:5"]));
+    }
+
+    #[test]
+    fn every_exhibit_binary_names_a_listed_entry() {
+        let bins = std::fs::read_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/src/bin"));
+        for bin in bins.expect("the binaries") {
+            let path = bin.expect("a directory entry").path();
+            let stem = path.file_stem().and_then(|s| s.to_str()).expect("a UTF-8 name");
+            if !matches!(stem, "trace_tool" | "all_experiments") {
+                assert_eq!(named(stem).name, stem);
+            }
+        }
+        let mut names: Vec<&str> = EXHIBITS.iter().map(|e| e.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), EXHIBITS.len(), "entry names are unique");
     }
 
     /// Every flag the parser knows, then two it does not.

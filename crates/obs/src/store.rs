@@ -226,11 +226,14 @@ pub struct Loaded {
 ///
 /// Propagates read errors other than the file not existing.
 pub fn load(path: &Path, expected_hash: u64) -> std::io::Result<Loaded> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
+    // Bytes, not a string: a line of invalid UTF-8 is one torn line,
+    // not a reason to drop the whole file.
+    let bytes = match std::fs::read(path) {
+        Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Loaded::default()),
         Err(e) => return Err(e),
     };
+    let text = String::from_utf8_lossy(&bytes);
     let expected = hash_hex(expected_hash);
     let rev = Provenance::current().git_rev;
     let mut out = Loaded::default();

@@ -10,125 +10,146 @@
 //! * **VC count / buffer depth** — the paper fixes V=2, k=4 (§3.2.4) for
 //!   frequency and power; how much performance is on the table?
 
+use mira_noc::adaptive::{AdaptiveMesh2D, TurnModel};
 use mira_noc::config::{PipelineConfig, PipelineDepth};
 use mira_noc::sim::SimConfig;
 use mira_noc::topology::{ExpressMesh2D, Mesh2D};
 use mira_noc::traffic::UniformRandom;
+use mira_traffic::synthetic::{Pattern, PermutationTraffic};
 
 use crate::arch::Arch;
-use crate::experiments::common::{run_custom, EXPERIMENT_SEED};
+use crate::experiments::common::{run_custom, RunResult, EXPERIMENT_SEED};
 use crate::experiments::runner::{Runner, SimPoint};
 use crate::report::BarFigure;
 
-/// Pipeline-depth ablation on the 3DM substrate: average UR latency for
-/// the six (depth × LT) organisations at one injection rate.
+/// The router organisations of the pipeline-depth ablation.
+const DEPTHS: [(&str, PipelineDepth); 3] = [
+    ("4-stage", PipelineDepth::FourStage),
+    ("3-stage spec", PipelineDepth::ThreeStageSpeculative),
+    ("2-stage lookahead", PipelineDepth::TwoStageLookahead),
+];
+
+/// The pipeline-depth ablation's runs as runner points: UR on the 3DM
+/// substrate for each (depth × LT) organisation, depth-major.
 ///
 /// All ablation points pin [`EXPERIMENT_SEED`] so every configuration
 /// sees the identical packet stream — the comparison isolates the
 /// design parameter, and the batch fans out on the runner.
-pub fn ablate_pipeline(rate: f64, sim: SimConfig) -> BarFigure {
-    let depths = [
-        ("4-stage", PipelineDepth::FourStage),
-        ("3-stage spec", PipelineDepth::ThreeStageSpeculative),
-        ("2-stage lookahead", PipelineDepth::TwoStageLookahead),
-    ];
+pub fn ablate_pipeline_points(rate: f64, sim: SimConfig) -> Vec<SimPoint> {
     let mut points = Vec::new();
-    for (name, depth) in depths {
+    for (name, depth) in DEPTHS {
         for combined in [false, true] {
-            points.push(SimPoint::new(
-                format!("{name} combined={combined}"),
-                EXPERIMENT_SEED,
-                move |s| {
-                    let base = if combined {
-                        PipelineConfig::combined_st_lt()
-                    } else {
-                        PipelineConfig::separate_lt()
-                    };
-                    let mut cfg = Arch::ThreeDM.network_config(false);
-                    cfg.router.pipeline = base.with_depth(depth);
-                    let w = UniformRandom::new(rate, 5, s);
-                    run_custom(Arch::ThreeDM, Arch::ThreeDM.topology(), cfg, Box::new(w), sim)
-                },
-            ));
+            let label = format!("{name} combined={combined}");
+            points.push(SimPoint::new(label, EXPERIMENT_SEED, move |s| {
+                let base = if combined {
+                    PipelineConfig::combined_st_lt()
+                } else {
+                    PipelineConfig::separate_lt()
+                };
+                let mut cfg = Arch::ThreeDM.network_config(false);
+                cfg.router.pipeline = base.with_depth(depth);
+                let w = UniformRandom::new(rate, 5, s);
+                run_custom(Arch::ThreeDM, Arch::ThreeDM.topology(), cfg, Box::new(w), sim)
+            }));
         }
     }
-    let batch = Runner::from_env().run(points);
-    let latencies: Vec<f64> = batch.outcomes.iter().map(|o| o.result.report.avg_latency).collect();
-    let groups = depths
-        .iter()
-        .enumerate()
-        .map(|(di, (name, _))| (name.to_string(), latencies[di * 2..di * 2 + 2].to_vec()))
-        .collect();
+    points
+}
+
+/// Pipeline-depth ablation on the 3DM substrate: average UR latency for
+/// the six (depth × LT) organisations at one injection rate, over the
+/// results of [`ablate_pipeline_points`].
+pub fn ablate_pipeline_from(results: &[RunResult]) -> BarFigure {
+    let groups = DEPTHS.iter().zip(results.chunks(2)).map(|((name, _), runs)| {
+        (name.to_string(), runs.iter().map(|r| r.report.avg_latency).collect())
+    });
     BarFigure {
         id: "abl-pipeline".into(),
         title: "Router pipeline-depth ablation (3DM substrate, UR)".into(),
         group_label: "organisation".into(),
         bar_labels: vec!["separate LT".into(), "ST+LT combined".into()],
-        groups,
+        groups: groups.collect(),
         unit: "cycles".into(),
     }
 }
 
-/// Express-span ablation: UR latency and average hop count for spans 2–4
-/// on the 6×6 multi-layer mesh (span "1" = the plain 3DM mesh).
-pub fn ablate_express_span(rate: f64, sim: SimConfig) -> BarFigure {
-    // Span 1 is the plain mesh on the 3DM substrate; spans 2-4 are
-    // express meshes priced as 3DM-E. Hop counts are closed-form, the
-    // latencies come from one parallel batch.
-    let mut labels = vec!["span 1 (mesh)".to_string()];
-    let mut hops =
-        vec![mira_noc::topology::average_min_hops(&Mesh2D::with_pitch(6, 6, Mesh2D::PITCH_3DM_MM))];
-    let mut points = vec![SimPoint::new("span 1 (mesh)", EXPERIMENT_SEED, move |s| {
-        let topo = Box::new(Mesh2D::with_pitch(6, 6, Mesh2D::PITCH_3DM_MM));
-        let cfg = Arch::ThreeDM.network_config(false);
-        run_custom(Arch::ThreeDM, topo, cfg, Box::new(UniformRandom::new(rate, 5, s)), sim)
-    })];
-    for span in 2..=4usize {
-        labels.push(format!("span {span}"));
-        hops.push(mira_noc::topology::average_min_hops(&ExpressMesh2D::with_params(
-            6,
-            6,
-            Mesh2D::PITCH_3DM_MM,
-            span,
-        )));
-        points.push(SimPoint::new(format!("span {span}"), EXPERIMENT_SEED, move |s| {
-            let topo = Box::new(ExpressMesh2D::with_params(6, 6, Mesh2D::PITCH_3DM_MM, span));
-            let cfg = Arch::ThreeDME.network_config(false);
-            run_custom(Arch::ThreeDME, topo, cfg, Box::new(UniformRandom::new(rate, 5, s)), sim)
-        }));
+/// [`ablate_pipeline_points`] run on the process runner, then
+/// [`ablate_pipeline_from`].
+pub fn ablate_pipeline(rate: f64, sim: SimConfig) -> BarFigure {
+    ablate_pipeline_from(&Runner::from_env().run(ablate_pipeline_points(rate, sim)).into_results())
+}
+
+/// The express spans of the span ablation: span 1 is the plain 3DM
+/// mesh, spans 2–4 are express meshes priced as 3DM-E.
+const SPANS: [usize; 4] = [1, 2, 3, 4];
+
+/// One span's label.
+fn span_label(span: usize) -> String {
+    if span == 1 {
+        "span 1 (mesh)".to_string()
+    } else {
+        format!("span {span}")
     }
-    let batch = Runner::from_env().run(points);
-    let groups = batch
-        .outcomes
-        .iter()
-        .zip(labels.iter().zip(&hops))
-        .map(|(o, (label, &h))| (label.clone(), vec![o.result.report.avg_latency, h]))
-        .collect();
+}
+
+/// One span's topology on the 6×6 multi-layer mesh.
+fn span_topology(span: usize) -> Box<dyn mira_noc::topology::Topology> {
+    if span == 1 {
+        Box::new(Mesh2D::with_pitch(6, 6, Mesh2D::PITCH_3DM_MM))
+    } else {
+        Box::new(ExpressMesh2D::with_params(6, 6, Mesh2D::PITCH_3DM_MM, span))
+    }
+}
+
+/// The express-span ablation's runs as runner points, one UR run per
+/// span, 1 to 4.
+pub fn ablate_express_span_points(rate: f64, sim: SimConfig) -> Vec<SimPoint> {
+    let point = |span: usize| {
+        SimPoint::new(span_label(span), EXPERIMENT_SEED, move |s| {
+            let arch = if span == 1 { Arch::ThreeDM } else { Arch::ThreeDME };
+            let (topo, cfg) = (span_topology(span), arch.network_config(false));
+            run_custom(arch, topo, cfg, Box::new(UniformRandom::new(rate, 5, s)), sim)
+        })
+    };
+    SPANS.map(point).into()
+}
+
+/// Express-span ablation: UR latency (over the results of
+/// [`ablate_express_span_points`]) and closed-form average hop count for
+/// spans 2–4 on the 6×6 multi-layer mesh (span "1" = the plain 3DM
+/// mesh).
+pub fn ablate_express_span_from(results: &[RunResult]) -> BarFigure {
+    let groups = SPANS.iter().zip(results).map(|(&span, r)| {
+        let hops = mira_noc::topology::average_min_hops(span_topology(span).as_ref());
+        (span_label(span), vec![r.report.avg_latency, hops])
+    });
     BarFigure {
         id: "abl-express-span".into(),
         title: "Express-channel span ablation (6x6, UR)".into(),
         group_label: "span".into(),
         bar_labels: vec!["latency (cy)".into(), "avg min hops".into()],
-        groups,
+        groups: groups.collect(),
         unit: "cycles / hops".into(),
     }
 }
 
-/// VC/buffer sizing ablation on the 3DM router (the paper's V=2, k=4
-/// operating point in context).
-///
-/// Note the deliberate design consequence this exposes: VC assignment is
-/// by *traffic class* (paper §3.2.4 — one VC for control, one for data),
-/// so under single-class uniform-random traffic the extra VCs sit idle
-/// and latency depends on buffer depth only; V=2 buys protocol-class
-/// separation (and deadlock isolation), not raw throughput. Utilisation
-/// halves as the provisioned capacity doubles.
-pub fn ablate_buffers(rate: f64, sim: SimConfig) -> BarFigure {
-    let vcs_grid = [1usize, 2, 4];
-    let depth_grid = [2usize, 4, 8];
+/// [`ablate_express_span_points`] run on the process runner, then
+/// [`ablate_express_span_from`].
+pub fn ablate_express_span(rate: f64, sim: SimConfig) -> BarFigure {
+    let points = ablate_express_span_points(rate, sim);
+    ablate_express_span_from(&Runner::from_env().run(points).into_results())
+}
+
+/// The VC counts and buffer depths of the buffer ablation.
+const VCS_GRID: [usize; 3] = [1, 2, 4];
+const DEPTH_GRID: [usize; 3] = [2, 4, 8];
+
+/// The buffer ablation's runs as runner points: UR on the 3DM router
+/// for each (VC count × buffer depth), VC-major.
+pub fn ablate_buffers_points(rate: f64, sim: SimConfig) -> Vec<SimPoint> {
     let mut points = Vec::new();
-    for &vcs in &vcs_grid {
-        for &depth in &depth_grid {
+    for vcs in VCS_GRID {
+        for depth in DEPTH_GRID {
             points.push(SimPoint::new(format!("V={vcs} k={depth}"), EXPERIMENT_SEED, move |s| {
                 let mut cfg = Arch::ThreeDM.network_config(false);
                 cfg.router.vcs_per_port = vcs;
@@ -138,23 +159,33 @@ pub fn ablate_buffers(rate: f64, sim: SimConfig) -> BarFigure {
             }));
         }
     }
-    let batch = Runner::from_env().run(points);
+    points
+}
 
+/// VC/buffer sizing ablation on the 3DM router (the paper's V=2, k=4
+/// operating point in context), over the results of
+/// [`ablate_buffers_points`].
+///
+/// Note the deliberate design consequence this exposes: VC assignment is
+/// by *traffic class* (paper §3.2.4 — one VC for control, one for data),
+/// so under single-class uniform-random traffic the extra VCs sit idle
+/// and latency depends on buffer depth only; V=2 buys protocol-class
+/// separation (and deadlock isolation), not raw throughput. Utilisation
+/// halves as the provisioned capacity doubles.
+pub fn ablate_buffers_from(results: &[RunResult]) -> BarFigure {
     let topo = Arch::ThreeDM.topology();
     let (nodes, radix) = (topo.num_nodes(), topo.radix());
-    let mut outcomes = batch.outcomes.iter();
-    let mut groups = Vec::new();
-    for &vcs in &vcs_grid {
+    let groups = VCS_GRID.iter().zip(results.chunks(DEPTH_GRID.len())).map(|(&vcs, runs)| {
         let mut values = Vec::new();
-        for &depth in &depth_grid {
-            let report = &outcomes.next().expect("one outcome per grid cell").result.report;
+        for (&depth, run) in DEPTH_GRID.iter().zip(runs) {
+            let report = &run.report;
             let capacity = (nodes * radix * vcs * depth) as f64;
             let util = report.counters.mean_buffer_occupancy_flits() / capacity;
             values.push(if report.saturated { f64::NAN } else { report.avg_latency });
             values.push(util * 100.0);
         }
-        groups.push((format!("V={vcs}"), values));
-    }
+        (format!("V={vcs}"), values)
+    });
     BarFigure {
         id: "abl-buffers".into(),
         title: "VC count / buffer depth ablation (3DM, UR)".into(),
@@ -167,9 +198,15 @@ pub fn ablate_buffers(rate: f64, sim: SimConfig) -> BarFigure {
             "k=8 lat".into(),
             "k=8 util%".into(),
         ],
-        groups,
+        groups: groups.collect(),
         unit: "cycles / % buffer utilisation (NaN = saturated)".into(),
     }
+}
+
+/// [`ablate_buffers_points`] run on the process runner, then
+/// [`ablate_buffers_from`].
+pub fn ablate_buffers(rate: f64, sim: SimConfig) -> BarFigure {
+    ablate_buffers_from(&Runner::from_env().run(ablate_buffers_points(rate, sim)).into_results())
 }
 
 #[cfg(test)]
@@ -226,33 +263,28 @@ mod tests {
     }
 }
 
-/// Routing-algorithm ablation (extension): deterministic X-Y vs the
-/// turn-model adaptive routers on adversarial traffic (transpose and
-/// hotspot), on the 3DM substrate.
-pub fn ablate_routing(rate: f64, sim: SimConfig) -> BarFigure {
-    use mira_noc::adaptive::{AdaptiveMesh2D, TurnModel};
-    use mira_traffic::synthetic::{Pattern, PermutationTraffic};
+/// The routing ablation's routers: deterministic X-Y, then every turn
+/// model.
+fn routing_routers() -> Vec<(String, Option<TurnModel>)> {
+    let turn_models = TurnModel::ALL.iter().map(|m| (m.name().to_string(), Some(*m)));
+    std::iter::once(("x-y".to_string(), None)).chain(turn_models).collect()
+}
 
-    let routers: Vec<(String, Option<TurnModel>)> = std::iter::once(("x-y".to_string(), None))
-        .chain(TurnModel::ALL.iter().map(|m| (m.name().to_string(), Some(*m))))
-        .collect();
-
-    let patterns: Vec<(&str, Pattern)> = vec![
+/// The routing ablation's adversarial traffic patterns.
+fn routing_patterns() -> [(&'static str, Pattern); 2] {
+    let hotspots = vec![mira_noc::ids::NodeId(14), mira_noc::ids::NodeId(21)];
+    [
         ("transpose", Pattern::Transpose { side: 6 }),
-        (
-            "hotspot",
-            Pattern::Hotspot {
-                hotspots: vec![mira_noc::ids::NodeId(14), mira_noc::ids::NodeId(21)],
-                fraction: 0.3,
-            },
-        ),
-    ];
+        ("hotspot", Pattern::Hotspot { hotspots, fraction: 0.3 }),
+    ]
+}
 
+/// The routing ablation's runs as runner points: one per (router,
+/// pattern), router-major, on the 3DM substrate.
+pub fn ablate_routing_points(rate: f64, sim: SimConfig) -> Vec<SimPoint> {
     let mut points = Vec::new();
-    for (rname, model) in &routers {
-        for (pname, pattern) in &patterns {
-            let model = *model;
-            let pattern = pattern.clone();
+    for (rname, model) in routing_routers() {
+        for (pname, pattern) in routing_patterns() {
             points.push(SimPoint::new(format!("{rname} on {pname}"), EXPERIMENT_SEED, move |s| {
                 let mesh = Mesh2D::with_pitch(6, 6, Mesh2D::PITCH_3DM_MM);
                 let topo: Box<dyn mira_noc::topology::Topology> = match model {
@@ -265,33 +297,41 @@ pub fn ablate_routing(rate: f64, sim: SimConfig) -> BarFigure {
             }));
         }
     }
-    let batch = Runner::from_env().run(points);
-    let mut outcomes = batch.outcomes.iter();
-    let groups = routers
-        .iter()
-        .map(|(rname, _)| {
-            let values = patterns
-                .iter()
-                .map(|_| {
-                    let report = &outcomes.next().expect("outcome per cell").result.report;
-                    if report.saturated {
-                        f64::NAN
-                    } else {
-                        report.avg_latency
-                    }
-                })
-                .collect();
-            (rname.clone(), values)
-        })
-        .collect();
+    points
+}
+
+/// Routing-algorithm ablation (extension): deterministic X-Y vs the
+/// turn-model adaptive routers on adversarial traffic (transpose and
+/// hotspot), on the 3DM substrate, over the results of
+/// [`ablate_routing_points`].
+pub fn ablate_routing_from(results: &[RunResult]) -> BarFigure {
+    let patterns = routing_patterns();
+    let groups = routing_routers().into_iter().zip(results.chunks(patterns.len())).map(
+        |((rname, _), runs)| {
+            let lat = |r: &RunResult| {
+                if r.report.saturated {
+                    f64::NAN
+                } else {
+                    r.report.avg_latency
+                }
+            };
+            (rname, runs.iter().map(lat).collect())
+        },
+    );
     BarFigure {
         id: "abl-routing".into(),
         title: "Routing-algorithm ablation on adversarial traffic (3DM mesh)".into(),
         group_label: "router".into(),
         bar_labels: patterns.iter().map(|(n, _)| n.to_string()).collect(),
-        groups,
+        groups: groups.collect(),
         unit: "cycles (NaN = saturated)".into(),
     }
+}
+
+/// [`ablate_routing_points`] run on the process runner, then
+/// [`ablate_routing_from`].
+pub fn ablate_routing(rate: f64, sim: SimConfig) -> BarFigure {
+    ablate_routing_from(&Runner::from_env().run(ablate_routing_points(rate, sim)).into_results())
 }
 
 #[cfg(test)]

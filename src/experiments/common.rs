@@ -152,12 +152,14 @@ pub(crate) fn run_sweep(
     points: Vec<SimPoint>,
 ) -> (Vec<SweepPoint>, RunSummary) {
     let batch = runner.run(points);
+    (sweep_of(rates, batch.outcomes.into_iter().map(|o| o.result)), batch.summary)
+}
+
+/// Pairs the results of a rate-major sweep batch (one per `(rate,
+/// arch)` pair over [`Arch::ALL`]) with their rates.
+pub fn sweep_of(rates: &[f64], results: impl IntoIterator<Item = RunResult>) -> Vec<SweepPoint> {
     let rate_arch = rates.iter().flat_map(|&rate| Arch::ALL.map(|arch| (rate, arch)));
-    let sweep = rate_arch
-        .zip(batch.outcomes)
-        .map(|((rate, arch), o)| SweepPoint { arch, rate, result: o.result })
-        .collect();
-    (sweep, batch.summary)
+    rate_arch.zip(results).map(|((rate, arch), result)| SweepPoint { arch, rate, result }).collect()
 }
 
 /// One curve per architecture over a sweep, in [`Arch::ALL`] order:

@@ -1,14 +1,7 @@
 //! Per-flit energy breakdown (paper Fig. 9).
 
-use mira_power::energy::FlitEnergyBreakdown;
-
 use crate::arch::Arch;
 use crate::report::BarFigure;
-
-/// The Fig. 9 quantity for one architecture.
-pub fn flit_energy(arch: Arch) -> FlitEnergyBreakdown {
-    arch.energy_model().flit_hop_breakdown()
-}
 
 /// Fig. 9: flit energy breakdown per architecture (pJ per flit-hop,
 /// regular horizontal link).
@@ -17,7 +10,7 @@ pub fn fig9() -> BarFigure {
     let groups = archs
         .iter()
         .map(|&a| {
-            let b = flit_energy(a);
+            let b = a.energy_model().flit_hop_breakdown();
             (
                 a.name().to_string(),
                 vec![

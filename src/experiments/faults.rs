@@ -51,7 +51,7 @@ pub fn fault_rates_ppm(quick: bool) -> Vec<u32> {
 
 /// One sample of the fault sweep.
 #[derive(Debug, Clone)]
-pub struct FaultPoint {
+struct FaultPoint {
     /// Architecture.
     pub arch: Arch,
     /// Transient fault rate, ppm of flit deliveries.
@@ -62,7 +62,7 @@ pub struct FaultPoint {
 
 impl FaultPoint {
     /// Fraction of measured packets that made it out of the network.
-    pub fn delivered_fraction(&self) -> f64 {
+    fn delivered_fraction(&self) -> f64 {
         let r = &self.result.report;
         if r.packets_created == 0 {
             return 1.0;
@@ -75,7 +75,7 @@ impl FaultPoint {
 /// from `base_faults` so callers can compose the sweep with, say, a
 /// `--kill-link` from the CLI; the transient rate, retry budget, and
 /// seed are overridden per point.
-pub fn run_fault_point(
+fn run_fault_point(
     arch: Arch,
     ppm: u32,
     seed: u64,
@@ -130,21 +130,17 @@ pub fn fault_sweep_on(
     rates_ppm: &[u32],
     sim_cfg: SimConfig,
 ) -> (FaultSweep, RunSummary) {
-    let batch = runner.run(fault_sweep_points(rates_ppm, sim_cfg));
-    let summary = batch.summary;
-    let mut outcomes = batch.outcomes.into_iter();
-    let mut points = Vec::with_capacity(rates_ppm.len() * FAULT_ARCHS.len());
-    for &ppm in rates_ppm {
-        for arch in FAULT_ARCHS {
-            let o = outcomes.next().expect("one outcome per point");
-            points.push(FaultPoint { arch, ppm, result: o.result });
-        }
-    }
-    (fault_sweep_figures(&points), summary)
+    let (results, summary) = runner.run(fault_sweep_points(rates_ppm, sim_cfg)).into_parts();
+    (fault_sweep_from(rates_ppm, results), summary)
 }
 
-/// Builds the two figures from a rate-major point list.
-pub fn fault_sweep_figures(points: &[FaultPoint]) -> FaultSweep {
+/// Builds the two figures from the results of [`fault_sweep_points`].
+pub fn fault_sweep_from(rates_ppm: &[u32], results: Vec<RunResult>) -> FaultSweep {
+    let rate_arch = rates_ppm.iter().flat_map(|&ppm| FAULT_ARCHS.map(|arch| (ppm, arch)));
+    let points: Vec<FaultPoint> = rate_arch
+        .zip(results)
+        .map(|((ppm, arch), result)| FaultPoint { arch, ppm, result })
+        .collect();
     let series_for = |y: &dyn Fn(&FaultPoint) -> f64| -> Vec<Series> {
         FAULT_ARCHS
             .iter()

@@ -55,28 +55,29 @@ pub(crate) fn nuca_point(arch: Arch, request_rate: f64, seed: u64, sim_cfg: SimC
     })
 }
 
-/// Sweeps the NUCA-UR workload over per-CPU `request_rates` for every
-/// architecture on an explicit runner (the shared substrate of Figs.
-/// 11(b) and 12(b)); returns the points plus the batch summary.
+/// The NUCA-UR sweep over per-CPU `request_rates` as runner points, for
+/// every architecture (the shared substrate of Figs. 11(b) and 12(b)).
 ///
 /// Rate-major like
 /// [`sweep_ur_points`](crate::experiments::common::sweep_ur_points):
 /// seeds derive per rate and are shared across architectures (paired
 /// comparisons).
+pub fn nuca_sweep_points(request_rates: &[f64], sim_cfg: SimConfig) -> Vec<SimPoint> {
+    let points = request_rates.iter().enumerate().flat_map(|(ri, &rate)| {
+        let seed = derive_seed(EXPERIMENT_SEED, ri as u64);
+        Arch::ALL.map(|arch| nuca_point(arch, rate, seed, sim_cfg))
+    });
+    points.collect()
+}
+
+/// Runs [`nuca_sweep_points`] on an explicit runner; returns the sweep
+/// plus the batch summary.
 pub fn nuca_sweep_on(
     runner: &Runner,
     request_rates: &[f64],
     sim_cfg: SimConfig,
 ) -> (Vec<SweepPoint>, RunSummary) {
-    let points = request_rates
-        .iter()
-        .enumerate()
-        .flat_map(|(ri, &rate)| {
-            let seed = derive_seed(EXPERIMENT_SEED, ri as u64);
-            Arch::ALL.map(|arch| nuca_point(arch, rate, seed, sim_cfg))
-        })
-        .collect();
-    run_sweep(runner, request_rates, points)
+    run_sweep(runner, request_rates, nuca_sweep_points(request_rates, sim_cfg))
 }
 
 /// Fig. 11(b) on an explicit runner: the NUCA-UR sweep, then
@@ -180,6 +181,19 @@ pub(crate) fn trace_groups(
         .collect()
 }
 
+/// Fig. 11(c): MP-trace latency normalised to 2DB, over the results of
+/// `trace_points(apps, false, ..)`.
+pub fn fig11c_from(apps: &[Application], results: &[RunResult]) -> BarFigure {
+    BarFigure {
+        id: "fig11c".into(),
+        title: "MP-trace latency normalised to 2DB".into(),
+        group_label: "application".into(),
+        bar_labels: Arch::ALL.iter().map(|a| a.name().to_string()).collect(),
+        groups: trace_groups(apps, results, |r| r.report.avg_latency),
+        unit: "normalised latency".into(),
+    }
+}
+
 /// Fig. 11(c) on an explicit runner; returns the batch summary too.
 pub fn fig11c_on(
     runner: &Runner,
@@ -187,23 +201,52 @@ pub fn fig11c_on(
     cycles: u64,
     sim_cfg: SimConfig,
 ) -> (BarFigure, RunSummary) {
-    let batch = runner.run(trace_points(apps, false, cycles, sim_cfg));
-    let summary = batch.summary;
-    let results: Vec<RunResult> = batch.outcomes.into_iter().map(|o| o.result).collect();
-    let fig = BarFigure {
-        id: "fig11c".into(),
-        title: "MP-trace latency normalised to 2DB".into(),
-        group_label: "application".into(),
-        bar_labels: Arch::ALL.iter().map(|a| a.name().to_string()).collect(),
-        groups: trace_groups(apps, &results, |r| r.report.avg_latency),
-        unit: "normalised latency".into(),
-    };
-    (fig, summary)
+    let (results, summary) = runner.run(trace_points(apps, false, cycles, sim_cfg)).into_parts();
+    (fig11c_from(apps, &results), summary)
+}
+
+/// Fig. 11(d)'s NUCA-UR and MP-trace columns as runner points: one
+/// NUCA-UR point per hardware architecture, then one `trace_app`
+/// replay each. All share the experiment seed (one logical workload per
+/// column, replayed on every layout).
+pub fn fig11d_points(
+    nuca_rate: f64,
+    trace_app: Application,
+    cycles: u64,
+    sim_cfg: SimConfig,
+) -> Vec<SimPoint> {
+    let nuca = Arch::HARDWARE.map(|a| nuca_point(a, nuca_rate, EXPERIMENT_SEED, sim_cfg));
+    let trace = Arch::HARDWARE.map(|a| trace_point(trace_app, a, false, cycles, sim_cfg));
+    nuca.into_iter().chain(trace).collect()
+}
+
+/// Fig. 11(d): average hop counts, the UR column from `sweep` at its
+/// lowest rate, the other two from the results of [`fig11d_points`].
+pub fn fig11d_from(sweep: &[SweepPoint], results: &[RunResult]) -> BarFigure {
+    let archs = Arch::HARDWARE;
+    let min_rate = sweep.iter().map(|p| p.rate).fold(f64::INFINITY, f64::min);
+    let ur = archs.map(|a| {
+        let at_min = sweep.iter().find(|p| p.arch == a && (p.rate - min_rate).abs() < 1e-9);
+        at_min.map_or(f64::NAN, |p| p.result.report.avg_hops)
+    });
+    let hops: Vec<f64> = results.iter().map(|r| r.report.avg_hops).collect();
+    BarFigure {
+        id: "fig11d".into(),
+        title: "Average hop count".into(),
+        group_label: "traffic".into(),
+        bar_labels: archs.iter().map(|a| a.name().to_string()).collect(),
+        groups: vec![
+            ("UR".to_string(), ur.to_vec()),
+            ("NUCA-UR".to_string(), hops[..archs.len()].to_vec()),
+            ("MP-trace".to_string(), hops[archs.len()..].to_vec()),
+        ],
+        unit: "hops".into(),
+    }
 }
 
 /// Fig. 11(d) on an explicit runner: the NUCA and trace columns are
-/// fresh simulation points (one per hardware architecture), fanned out
-/// as a single batch; the UR column reuses the shared sweep.
+/// fresh simulation points ([`fig11d_points`]), fanned out as a single
+/// batch; the UR column reuses the shared sweep.
 pub fn fig11d_on(
     runner: &Runner,
     sweep: &[SweepPoint],
@@ -212,48 +255,9 @@ pub fn fig11d_on(
     cycles: u64,
     sim_cfg: SimConfig,
 ) -> (BarFigure, RunSummary) {
-    let archs = Arch::HARDWARE;
-    let mut groups = Vec::new();
-
-    // UR at the lowest sampled rate.
-    let min_rate = sweep.iter().map(|p| p.rate).fold(f64::INFINITY, f64::min);
-    let ur: Vec<f64> = archs
-        .iter()
-        .map(|&a| {
-            sweep
-                .iter()
-                .find(|p| p.arch == a && (p.rate - min_rate).abs() < 1e-9)
-                .map(|p| p.result.report.avg_hops)
-                .unwrap_or(f64::NAN)
-        })
-        .collect();
-    groups.push(("UR".to_string(), ur));
-
-    // NUCA and trace columns in one batch: all points share the
-    // experiment seed (one logical workload per column, replayed on
-    // every layout).
-    let mut points = Vec::new();
-    for &a in &archs {
-        points.push(nuca_point(a, nuca_rate, EXPERIMENT_SEED, sim_cfg));
-    }
-    for &a in &archs {
-        points.push(trace_point(trace_app, a, false, cycles, sim_cfg));
-    }
-    let batch = runner.run(points);
-    let summary = batch.summary;
-    let hops: Vec<f64> = batch.outcomes.iter().map(|o| o.result.report.avg_hops).collect();
-    groups.push(("NUCA-UR".to_string(), hops[..archs.len()].to_vec()));
-    groups.push(("MP-trace".to_string(), hops[archs.len()..].to_vec()));
-
-    let fig = BarFigure {
-        id: "fig11d".into(),
-        title: "Average hop count".into(),
-        group_label: "traffic".into(),
-        bar_labels: archs.iter().map(|a| a.name().to_string()).collect(),
-        groups,
-        unit: "hops".into(),
-    };
-    (fig, summary)
+    let points = fig11d_points(nuca_rate, trace_app, cycles, sim_cfg);
+    let (results, summary) = runner.run(points).into_parts();
+    (fig11d_from(sweep, &results), summary)
 }
 
 #[cfg(test)]
@@ -325,38 +329,37 @@ mod tests {
     }
 }
 
+/// The tail-latency runs as runner points: one UR point per
+/// architecture at `rate`, all on the experiment seed.
+pub fn tail_points(rate: f64, sim_cfg: SimConfig) -> Vec<SimPoint> {
+    ur_runs("tail", rate, sim_cfg)
+}
+
+/// One plain UR point per architecture at `rate` on the experiment
+/// seed, labelled `"{tag} {arch} @ {rate}"`.
+fn ur_runs(tag: &str, rate: f64, sim_cfg: SimConfig) -> Vec<SimPoint> {
+    use mira_noc::traffic::UniformRandom;
+    let point = |arch: Arch| {
+        SimPoint::new(format!("{tag} {arch} @ {rate}"), EXPERIMENT_SEED, move |s| {
+            run_arch(arch, false, Box::new(UniformRandom::new(rate, 5, s)), sim_cfg)
+        })
+    };
+    Arch::ALL.map(point).into()
+}
+
 /// Tail-latency extension: p50/p95/p99/p99.9 per architecture under UR
 /// traffic at one load (the mean the paper plots hides the tail the
-/// express channels flatten).
-pub fn tail_latency(rate: f64, sim_cfg: SimConfig) -> crate::report::BarFigure {
-    use mira_noc::traffic::UniformRandom;
-    let points = Arch::ALL
+/// express channels flatten), over the results of [`tail_points`].
+pub fn tail_latency_from(rate: f64, results: &[RunResult]) -> BarFigure {
+    let groups = results
         .iter()
-        .map(|&arch| {
-            SimPoint::new(format!("tail {arch} @ {rate}"), EXPERIMENT_SEED, move |s| {
-                let w = UniformRandom::new(rate, 5, s);
-                run_arch(arch, false, Box::new(w), sim_cfg)
-            })
+        .map(|r| {
+            let h = &r.report.histogram;
+            let bars = [h.p50(), h.p95(), h.p99(), h.p999()];
+            (r.arch.name().to_string(), bars.map(|p| p.unwrap_or(0) as f64).to_vec())
         })
         .collect();
-    let batch = Runner::from_env().run(points);
-    let groups = batch
-        .outcomes
-        .iter()
-        .map(|o| {
-            let h = &o.result.report.histogram;
-            (
-                o.result.arch.name().to_string(),
-                vec![
-                    h.p50().unwrap_or(0) as f64,
-                    h.p95().unwrap_or(0) as f64,
-                    h.p99().unwrap_or(0) as f64,
-                    h.p999().unwrap_or(0) as f64,
-                ],
-            )
-        })
-        .collect();
-    crate::report::BarFigure {
+    BarFigure {
         id: "ext-tail-latency".into(),
         title: format!("Tail latency, uniform random at {rate} flits/node/cycle"),
         group_label: "architecture".into(),
@@ -364,6 +367,12 @@ pub fn tail_latency(rate: f64, sim_cfg: SimConfig) -> crate::report::BarFigure {
         groups,
         unit: "cycles".into(),
     }
+}
+
+/// [`tail_points`] run on the process runner, then
+/// [`tail_latency_from`].
+pub fn tail_latency(rate: f64, sim_cfg: SimConfig) -> BarFigure {
+    tail_latency_from(rate, &Runner::from_env().run(tail_points(rate, sim_cfg)).into_results())
 }
 
 /// One architecture's journey-based tail attribution.
@@ -434,36 +443,23 @@ impl TailAttribution {
     }
 }
 
-/// Runs the UR tail sweep with journey sampling enabled and aggregates
-/// each architecture's journeys into its attribution report.
-///
-/// `sample_ppm` is the head-sampling rate in ppm (clamped to 1e6); the
-/// runs are separate from [`tail_latency`]'s so enabling sampling never
-/// perturbs the published percentile bars.
-pub fn tail_attribution(rate: f64, sample_ppm: u32, sim_cfg: SimConfig) -> TailAttribution {
-    use mira_noc::traffic::UniformRandom;
+/// The attribution runs as runner points: the UR tail runs with journey
+/// sampling at `sample_ppm` (clamped to 1..=1e6). They are separate
+/// from [`tail_points`] so enabling sampling never perturbs the
+/// published percentile bars.
+pub fn attribution_points(rate: f64, sample_ppm: u32, sim_cfg: SimConfig) -> Vec<SimPoint> {
     let sim_cfg = sim_cfg.with_telemetry(sim_cfg.telemetry.with_journeys(sample_ppm.max(1)));
-    let points = Arch::ALL
-        .iter()
-        .map(|&arch| {
-            SimPoint::new(format!("attr {arch} @ {rate}"), EXPERIMENT_SEED, move |s| {
-                let w = UniformRandom::new(rate, 5, s);
-                run_arch(arch, false, Box::new(w), sim_cfg)
-            })
-        })
-        .collect();
-    let batch = Runner::from_env().run(points);
-    TailAttribution {
-        rate,
-        archs: batch
-            .outcomes
-            .into_iter()
-            .map(|o| ArchAttribution {
-                arch: o.result.arch.name().to_string(),
-                report: o.result.report.journeys.expect("journey sampling enabled"),
-            })
-            .collect(),
-    }
+    ur_runs("attr", rate, sim_cfg)
+}
+
+/// Aggregates each architecture's sampled journeys from the results of
+/// [`attribution_points`] into its attribution report.
+pub fn tail_attribution_from(rate: f64, results: Vec<RunResult>) -> TailAttribution {
+    let archs = results.into_iter().map(|r| ArchAttribution {
+        arch: r.arch.name().to_string(),
+        report: r.report.journeys.expect("journey sampling enabled"),
+    });
+    TailAttribution { rate, archs: archs.collect() }
 }
 
 #[cfg(test)]
@@ -492,7 +488,8 @@ mod tail_tests {
 
     #[test]
     fn attribution_accounts_for_bucket_means() {
-        let attr = tail_attribution(0.10, 1_000_000, quick_sim_config());
+        let points = attribution_points(0.10, 1_000_000, quick_sim_config());
+        let attr = tail_attribution_from(0.10, Runner::from_env().run(points).into_results());
         assert_eq!(attr.archs.len(), Arch::ALL.len());
         for a in &attr.archs {
             assert_eq!(a.report.sample_ppm, 1_000_000);

@@ -9,6 +9,7 @@
 pub mod ablations;
 pub mod common;
 pub mod energy;
+pub mod exhibits;
 pub mod faults;
 pub mod latency;
 pub mod patterns;

@@ -6,7 +6,7 @@ use mira_traffic::workloads::Application;
 use crate::arch::Arch;
 use crate::experiments::common::{arch_series, ur_point, RunResult, SweepPoint};
 use crate::experiments::latency::{nuca_sweep_on, trace_groups, trace_points};
-use crate::experiments::runner::{RunSummary, Runner};
+use crate::experiments::runner::{RunSummary, Runner, SimPoint};
 use crate::report::{BarFigure, Figure};
 
 /// Fig. 12(a): average network power vs injection rate, uniform random,
@@ -50,31 +50,33 @@ pub fn fig12b_on(
     (fig12b(&sweep), summary)
 }
 
-/// Fig. 12(c): network power on the MP traces normalised to 2DB, on an
-/// explicit runner: one point per (app, architecture), the 2DB run as
-/// the normalisation base.
+/// Fig. 12(c): network power on the MP traces normalised to 2DB, over
+/// the results of `trace_points(apps, true, ..)`: one point per (app,
+/// architecture), the 2DB run as the normalisation base.
 ///
 /// Layer shutdown is enabled for the multi-layered designs and **off for
 /// the 2DB/3DB base cases**, matching the paper ("with no layer shut
 /// down in the base cases").
+pub fn fig12c_from(apps: &[Application], results: &[RunResult]) -> BarFigure {
+    BarFigure {
+        id: "fig12c".into(),
+        title: "MP-trace power normalised to 2DB (shutdown on 3DM/3DM-E)".into(),
+        group_label: "application".into(),
+        bar_labels: Arch::ALL.iter().map(|a| a.name().to_string()).collect(),
+        groups: trace_groups(apps, results, |r| r.avg_power_w),
+        unit: "normalised power".into(),
+    }
+}
+
+/// Fig. 12(c) on an explicit runner; returns the batch summary too.
 pub fn fig12c_on(
     runner: &Runner,
     apps: &[Application],
     cycles: u64,
     sim_cfg: SimConfig,
 ) -> (BarFigure, RunSummary) {
-    let batch = runner.run(trace_points(apps, true, cycles, sim_cfg));
-    let summary = batch.summary;
-    let results: Vec<RunResult> = batch.outcomes.into_iter().map(|o| o.result).collect();
-    let fig = BarFigure {
-        id: "fig12c".into(),
-        title: "MP-trace power normalised to 2DB (shutdown on 3DM/3DM-E)".into(),
-        group_label: "application".into(),
-        bar_labels: Arch::ALL.iter().map(|a| a.name().to_string()).collect(),
-        groups: trace_groups(apps, &results, |r| r.avg_power_w),
-        unit: "normalised power".into(),
-    };
-    (fig, summary)
+    let (results, summary) = runner.run(trace_points(apps, true, cycles, sim_cfg)).into_parts();
+    (fig12c_from(apps, &results), summary)
 }
 
 /// Fig. 12(d): power–delay product vs injection rate, normalised to 2DB
@@ -94,42 +96,47 @@ pub fn fig12d(sweep: &[SweepPoint]) -> Figure {
     }
 }
 
+/// The shutdown-capable designs Fig. 13(b) compares.
+const SHUTDOWN_ARCHS: [Arch; 3] = [Arch::TwoDB, Arch::ThreeDM, Arch::ThreeDME];
+/// Fig. 13(b)'s short-flit fractions.
+const SHORT_FRACTIONS: [f64; 2] = [0.25, 0.50];
+
+/// Fig. 13(b)'s runs as runner points: per-arch base runs (dense
+/// payload, shutdown off — the base is independent of the short
+/// fraction, so it runs once), then the gated runs, fraction-major. All
+/// points pin the experiment seed: base and gated must see the same
+/// packet arrival stream for the saving to isolate the shutdown effect.
+pub fn fig13b_points(rate: f64, sim_cfg: SimConfig) -> Vec<SimPoint> {
+    let fractions = [0.0].iter().chain(&SHORT_FRACTIONS);
+    fractions
+        .flat_map(|&frac| SHUTDOWN_ARCHS.map(|arch| ur_point(arch, rate, frac, sim_cfg)))
+        .collect()
+}
+
 /// Fig. 13(b): power saving from the layer-shutdown technique at 25 %
 /// and 50 % short flits, uniform random, for the shutdown-capable
-/// designs.
-pub fn fig13b(rate: f64, sim_cfg: SimConfig) -> BarFigure {
-    let archs = [Arch::TwoDB, Arch::ThreeDM, Arch::ThreeDME];
-    let fractions = [0.25, 0.50];
-
-    // One batch: per-arch base runs (dense payload, shutdown off — the
-    // base is independent of the short fraction, so it runs once), then
-    // the gated runs, fraction-major. All points pin the experiment
-    // seed: base and gated must see the same packet arrival stream for
-    // the saving to isolate the shutdown effect.
-    let points = [0.0]
-        .iter()
-        .chain(&fractions)
-        .flat_map(|&frac| archs.map(|arch| ur_point(arch, rate, frac, sim_cfg)))
-        .collect();
-    let batch = Runner::from_env().run(points);
-    let power: Vec<f64> = batch.outcomes.iter().map(|o| o.result.avg_power_w).collect();
-    let (bases, gated) = power.split_at(archs.len());
-
-    let mut groups = Vec::new();
-    for (fi, &frac) in fractions.iter().enumerate() {
-        let values = (0..archs.len())
-            .map(|ai| (1.0 - gated[fi * archs.len() + ai] / bases[ai]) * 100.0)
-            .collect();
-        groups.push((format!("{:.0}% short", frac * 100.0), values));
-    }
+/// designs, over the results of [`fig13b_points`].
+pub fn fig13b_from(results: &[RunResult]) -> BarFigure {
+    let n = SHUTDOWN_ARCHS.len();
+    let (bases, gated) = results.split_at(n);
+    let groups = SHORT_FRACTIONS.iter().zip(gated.chunks(n)).map(|(&frac, runs)| {
+        let saving =
+            runs.iter().zip(bases).map(|(g, b)| (1.0 - g.avg_power_w / b.avg_power_w) * 100.0);
+        (format!("{:.0}% short", frac * 100.0), saving.collect())
+    });
     BarFigure {
         id: "fig13b".into(),
         title: "Power saving from layer shutdown (uniform random)".into(),
         group_label: "short flits".into(),
-        bar_labels: archs.iter().map(|a| a.name().to_string()).collect(),
-        groups,
+        bar_labels: SHUTDOWN_ARCHS.iter().map(|a| a.name().to_string()).collect(),
+        groups: groups.collect(),
         unit: "% saving".into(),
     }
+}
+
+/// [`fig13b_points`] run on the process runner, then [`fig13b_from`].
+pub fn fig13b(rate: f64, sim_cfg: SimConfig) -> BarFigure {
+    fig13b_from(&Runner::from_env().run(fig13b_points(rate, sim_cfg)).into_results())
 }
 
 #[cfg(test)]

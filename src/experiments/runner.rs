@@ -40,9 +40,9 @@
 //! - **Observability**: per-point wall-clock and cycle counts, an
 //!   optional progress line (done/total, ETA) on stderr, and a
 //!   machine-readable [`RunSummary`] for the benches' `--json` output,
-//!   now including a `failed_points` itemization. While
-//!   [`mira_obs::enabled`], every summary is also kept in the
-//!   in-process [`session_summaries`] list.
+//!   now including a `failed_points` itemization. The
+//!   [`Runner::install`]ed runner also keeps every summary in the
+//!   in-process session list, which [`take_session`] drains.
 
 use std::io::IsTerminal;
 use std::panic::AssertUnwindSafe;
@@ -245,7 +245,12 @@ impl RunBatch {
     /// Strips timing and returns just the simulation results, in input
     /// order.
     pub fn into_results(self) -> Vec<RunResult> {
-        self.outcomes.into_iter().map(|o| o.result).collect()
+        self.into_parts().0
+    }
+
+    /// The simulation results in input order, and the summary.
+    pub fn into_parts(self) -> (Vec<RunResult>, RunSummary) {
+        (self.outcomes.into_iter().map(|o| o.result).collect(), self.summary)
     }
 }
 
@@ -270,11 +275,7 @@ impl TryRunBatch {
 
     /// Converts into the all-success [`RunBatch`], or a
     /// [`HostError::Batch`] itemizing every failed point.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HostError::Batch`] when any point failed.
-    pub fn into_complete(self) -> Result<RunBatch, HostError> {
+    fn into_complete(self) -> Result<RunBatch, HostError> {
         let points = self.outcomes.len();
         let failures: Vec<String> = self.failures().map(|f| f.to_string()).collect();
         if !failures.is_empty() {
@@ -1042,7 +1043,17 @@ fn prefill_from_store(
             continue;
         };
         let entry = pool.swap_remove(pos);
-        match RunResult::from_value(&entry.result) {
+        // The result must write back as stored: the reader fills a
+        // missing float with NaN, so a partial line would replay wrong.
+        let json = |v: &serde::Value| serde_json::to_string(v).unwrap_or_default();
+        let read = RunResult::from_value(&entry.result).and_then(|r| {
+            if json(&r.to_value()) == json(&entry.result) {
+                Ok(r)
+            } else {
+                Err(serde::Error::msg("fields missing or out of shape"))
+            }
+        });
+        match read {
             Ok(result) => {
                 let replayed = PointOutcome {
                     label: p.label.clone(),
@@ -1082,6 +1093,7 @@ pub struct Runner {
     resume: bool,
     blackbox_dir: Option<PathBuf>,
     options: String,
+    session: bool,
 }
 
 /// Default directory for anomaly black-box dumps.
@@ -1090,15 +1102,16 @@ const DEFAULT_BLACKBOX_DIR: &str = "results/blackbox";
 /// The process-wide runner set by [`Runner::install`].
 static INSTALLED: OnceLock<Runner> = OnceLock::new();
 
-/// Summaries of the batches this process ran while observability was on.
+/// Summaries of the batches the installed runner ran and nobody took yet.
 static SESSION: Mutex<Vec<RunSummary>> = Mutex::new(Vec::new());
 
-/// Every batch summary recorded while [`mira_obs::enabled`] was on, in
-/// completion order: what `scorecard --json` builds its `"host"`
-/// section from. Batches run with observability off are not kept, so a
-/// long-lived process does not grow with its batch count.
-pub fn session_summaries() -> Vec<RunSummary> {
-    SESSION.lock().expect("session list").clone()
+/// Takes every batch summary the [`Runner::install`]ed runner recorded
+/// since the last call, in completion order: what the bench driver
+/// reports per exhibit. Runners built in code record nothing, so a
+/// long-lived process that never installs one does not grow with its
+/// batch count.
+pub fn take_session() -> Vec<RunSummary> {
+    std::mem::take(&mut *SESSION.lock().expect("session list"))
 }
 
 impl Runner {
@@ -1122,9 +1135,10 @@ impl Runner {
     }
 
     /// Makes this runner the one every later [`Runner::from_env`] call
-    /// in the process returns. The first installed runner wins.
+    /// in the process returns, recording each batch summary for
+    /// [`take_session`]. The first installed runner wins.
     pub fn install(self) {
-        let _ = INSTALLED.set(self);
+        let _ = INSTALLED.set(Runner { session: true, ..self });
     }
 
     /// Pool with an explicit worker count (progress off, no store —
@@ -1140,6 +1154,7 @@ impl Runner {
             resume: false,
             blackbox_dir: None,
             options: String::new(),
+            session: false,
         }
     }
 
@@ -1315,7 +1330,7 @@ impl Runner {
             .collect();
         let summary = RunSummary::new(workers.max(1), started.elapsed(), &outcomes, &worker_stats);
         store_append(&mut writer, |w| w.append_batch(&exhibit, &self.options, summary.to_value()));
-        if mira_obs::enabled() && total > 0 {
+        if self.session && total > 0 {
             SESSION.lock().expect("session list").push(summary.clone());
         }
         TryRunBatch { exhibit, outcomes, summary }

@@ -10,7 +10,7 @@ use mira_noc::sim::SimConfig;
 use mira_traffic::workloads::Application;
 
 use crate::arch::Arch;
-use crate::experiments::common::{sweep_ur_points, ur_point, EXPERIMENT_SEED};
+use crate::experiments::common::{sweep_ur_points, ur_point, RunResult, EXPERIMENT_SEED};
 use crate::experiments::latency::{nuca_point, trace_point};
 use crate::experiments::runner::{Runner, SimPoint};
 use crate::report::TextTable;
@@ -37,13 +37,24 @@ impl Claim {
     }
 }
 
-/// Runs every claim check. `sim_cfg` controls the run length; the bands
-/// are sized for `quick_sim_config` and up.
-///
-/// Every simulation the claims read is one runner batch: three one-rate
+impl serde::Serialize for Claim {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Object(vec![
+            ("name".to_string(), self.what.to_value()),
+            ("source".to_string(), self.source.to_value()),
+            ("expected".to_string(), self.paper.to_value()),
+            ("actual".to_string(), self.measured.to_value()),
+            ("band".to_string(), self.band.to_value()),
+            ("passes".to_string(), self.passes().to_value()),
+        ])
+    }
+}
+
+/// Every simulation the claims read, as runner points: three one-rate
 /// UR sweeps (each at seed index 0), the 3DB NUCA-UR point, the three
-/// Tpcw trace replays and the 3DM shutdown pair.
-pub fn run_scorecard(sim_cfg: SimConfig, trace_cycles: u64) -> Vec<Claim> {
+/// Tpcw trace replays and the 3DM shutdown pair, each with the seed its
+/// figure uses.
+pub fn scorecard_points(sim_cfg: SimConfig, trace_cycles: u64) -> Vec<SimPoint> {
     let app = Application::Tpcw;
     let mut points: Vec<SimPoint> = [0.15, 0.05, 0.10]
         .into_iter()
@@ -55,7 +66,19 @@ pub fn run_scorecard(sim_cfg: SimConfig, trace_cycles: u64) -> Vec<Claim> {
         points.push(trace_point(app, arch, shutdown, trace_cycles, sim_cfg));
     }
     points.extend([0.0, 0.5].map(|frac| ur_point(Arch::ThreeDM, 0.10, frac, sim_cfg)));
-    let results = Runner::from_env().run(points).into_results();
+    points
+}
+
+/// Runs every claim check as one batch on the process runner. `sim_cfg`
+/// controls the run length; the bands are sized for `quick_sim_config`
+/// and up.
+pub fn run_scorecard(sim_cfg: SimConfig, trace_cycles: u64) -> Vec<Claim> {
+    let points = scorecard_points(sim_cfg, trace_cycles);
+    scorecard_from(&Runner::from_env().run(points).into_results())
+}
+
+/// Checks every claim against the results of [`scorecard_points`].
+pub fn scorecard_from(results: &[RunResult]) -> Vec<Claim> {
     let n = Arch::ALL.len();
     let (sweep, rest) = results.split_at(3 * n);
     let [n3db, base_lat, e_lat, e_pwr, base, gated] = rest else {
@@ -191,72 +214,6 @@ pub fn run_scorecard(sim_cfg: SimConfig, trace_cycles: u64) -> Vec<Claim> {
     claims
 }
 
-/// One architecture's journey-sourced tail row of the scorecard: the
-/// deep percentiles and which latency component dominates at p99.
-#[derive(Debug, Clone, serde::Serialize)]
-pub struct TailSummary {
-    /// Architecture name.
-    pub arch: String,
-    /// 99th-percentile packet latency, cycles.
-    pub p99: u64,
-    /// 99.9th-percentile packet latency, cycles.
-    pub p999: u64,
-    /// The component contributing the most cycles to the mean latency
-    /// of packets at or beyond p99 (see
-    /// [`AttributionShare`](mira_noc::AttributionShare)).
-    pub dominant_p99: String,
-    /// The dominant component's share of those packets' mean latency,
-    /// in [0, 1].
-    pub dominant_share: f64,
-}
-
-/// Builds the tail rows from journey-sampled UR runs at the scorecard's
-/// headline load (0.15): every packet is sampled, so the aggregates are
-/// exact, not estimates.
-pub fn tail_summaries(sim_cfg: SimConfig) -> Vec<TailSummary> {
-    let attr = crate::experiments::latency::tail_attribution(0.15, 1_000_000, sim_cfg);
-    attr.archs
-        .iter()
-        .map(|a| {
-            let p99 = a.report.bucket("p99").expect("p99 bucket present");
-            let p999 = a.report.bucket("p99.9").expect("p99.9 bucket present");
-            let (dominant, cycles) = p99.mean.dominant();
-            TailSummary {
-                arch: a.arch.clone(),
-                p99: p99.threshold,
-                p999: p999.threshold,
-                dominant_p99: dominant.to_string(),
-                dominant_share: cycles / p99.mean.total().max(f64::MIN_POSITIVE),
-            }
-        })
-        .collect()
-}
-
-/// Renders the tail rows as a table.
-pub fn tail_table(rows: &[TailSummary]) -> TextTable {
-    TextTable {
-        id: "scorecard-tail".into(),
-        title: "Tail latency at UR 0.15 (journey-sampled)".into(),
-        headers: vec![
-            "arch".into(),
-            "p99 (cycles)".into(),
-            "p99.9 (cycles)".into(),
-            "dominant @ p99".into(),
-        ],
-        rows: rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.arch.clone(),
-                    r.p99.to_string(),
-                    r.p999.to_string(),
-                    format!("{} ({:.0}%)", r.dominant_p99, r.dominant_share * 100.0),
-                ]
-            })
-            .collect(),
-    }
-}
-
 /// Renders the scorecard as a table.
 pub fn scorecard_table(claims: &[Claim]) -> TextTable {
     TextTable {
@@ -299,23 +256,5 @@ mod tests {
             .map(|c| format!("{}: measured {:.1} outside {:?}", c.what, c.measured, c.band))
             .collect();
         assert!(failures.is_empty(), "failing claims:\n{}", failures.join("\n"));
-    }
-
-    #[test]
-    fn tail_rows_cover_every_arch() {
-        let rows = tail_summaries(quick_sim_config());
-        assert_eq!(rows.len(), crate::arch::Arch::ALL.len());
-        for r in &rows {
-            assert!(r.p99 > 0 && r.p99 <= r.p999, "{}: {} vs {}", r.arch, r.p99, r.p999);
-            assert!(!r.dominant_p99.is_empty());
-            assert!(
-                r.dominant_share > 0.0 && r.dominant_share <= 1.0,
-                "{}: share {}",
-                r.arch,
-                r.dominant_share
-            );
-        }
-        let text = tail_table(&rows).to_text();
-        assert!(text.contains("p99.9"), "{text}");
     }
 }

@@ -41,7 +41,7 @@ pub fn chip_model(arch: Arch, network_power_w: f64) -> ChipModel {
 /// # Panics
 ///
 /// Panics if `weights` does not have one entry per node.
-pub fn chip_model_weighted(arch: Arch, network_power_w: f64, weights: &[f64]) -> ChipModel {
+fn chip_model_weighted(arch: Arch, network_power_w: f64, weights: &[f64]) -> ChipModel {
     let topo = arch.topology();
     assert_eq!(weights.len(), topo.num_nodes(), "one weight per node");
 
@@ -92,13 +92,10 @@ pub fn fig13c_points(rates: &[f64], sim_cfg: SimConfig) -> Vec<SimPoint> {
 
 /// Fig. 13(c): mean-temperature reduction of the 3DM chip when 50 % of
 /// the flits are short (and shutdown is on) versus 0 %, at several
-/// injection rates.
-///
-/// The network runs are one runner batch ([`fig13c_points`]); the
-/// thermal solves run over their results.
-pub fn fig13c(rates: &[f64], sim_cfg: SimConfig) -> BarFigure {
+/// injection rates, over the results of [`fig13c_points`]: the thermal
+/// solves run over the measured network runs.
+pub fn fig13c_from(rates: &[f64], results: &[RunResult]) -> BarFigure {
     let arch = Arch::ThreeDM;
-    let results = Runner::from_env().run(fig13c_points(rates, sim_cfg)).into_results();
     let pricing = arch.network_power();
     let mean_max_k = |run: &RunResult| {
         let weights = pricing.router_power_weights(&run.report.per_router);
@@ -121,6 +118,12 @@ pub fn fig13c(rates: &[f64], sim_cfg: SimConfig) -> BarFigure {
         groups,
         unit: "Kelvin".into(),
     }
+}
+
+/// [`fig13c_points`] run on the process runner as one batch, then
+/// [`fig13c_from`].
+pub fn fig13c(rates: &[f64], sim_cfg: SimConfig) -> BarFigure {
+    fig13c_from(rates, &Runner::from_env().run(fig13c_points(rates, sim_cfg)).into_results())
 }
 
 #[cfg(test)]
@@ -172,8 +175,10 @@ mod tests {
 }
 
 /// Result of a converged power–thermal co-simulation.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct CoSimResult {
+    /// The simulated architecture.
+    pub arch: Arch,
     /// Fixed-point iterations used.
     pub iterations: usize,
     /// Converged mean chip temperature, K.
@@ -212,6 +217,7 @@ pub fn co_simulate(run: &RunResult) -> CoSimResult {
         last = (t.mean_k(), t.max_k());
         if (last.0 - temp_k).abs() < 0.01 {
             return CoSimResult {
+                arch,
                 iterations: iteration,
                 mean_k: last.0,
                 max_k: last.1,
@@ -221,7 +227,7 @@ pub fn co_simulate(run: &RunResult) -> CoSimResult {
         }
         temp_k = last.0;
     }
-    CoSimResult { iterations: 50, mean_k: last.0, max_k: last.1, dynamic_w, leakage_w }
+    CoSimResult { arch, iterations: 50, mean_k: last.0, max_k: last.1, dynamic_w, leakage_w }
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 
 use mira::arch::Arch;
 use mira::experiments::common::{quick_sim_config, run_arch, EXPERIMENT_SEED};
-use mira::experiments::runner::{derive_seed, session_summaries, ProgressEvent, Runner, SimPoint};
+use mira::experiments::runner::{derive_seed, take_session, ProgressEvent, Runner, SimPoint};
 use mira_noc::anomaly::AnomalyConfig;
 use mira_noc::traffic::UniformRandom;
 use serde::Serialize;
@@ -98,7 +98,7 @@ fn progress_event_line_parses() {
 ///    attributes its anomaly detectors to their own driver phase;
 /// 2. a runner batch with a store directory writes one point line per
 ///    point plus one batch line carrying its summary, which the session
-///    list also holds;
+///    list of the installed runner also holds;
 /// 3. the snapshot renders those phases in both formats.
 #[test]
 fn obs_enabled_end_to_end() {
@@ -137,7 +137,8 @@ fn obs_enabled_end_to_end() {
         "",
         points.iter().map(|p| (p.label(), p.seed())),
     );
-    let batch = Runner::with_jobs(2).checkpoint_dir(&dir).exhibit("obs_claims").run(points);
+    Runner::with_jobs(2).checkpoint_dir(&dir).exhibit("obs_claims").install();
+    let batch = Runner::from_env().run(points);
     let path = mira_obs::store::path_for(&dir, "obs_claims", hash);
     let stored = mira_obs::store::load(&path, hash).expect("store written");
     assert_eq!(stored.points.len(), 2, "one point line per point");
@@ -158,7 +159,7 @@ fn obs_enabled_end_to_end() {
         serde_json::to_string(&s.to_value()).expect("summary serializes")
     };
     assert!(
-        session_summaries().iter().any(|e| json(e) == json(s)),
+        take_session().iter().any(|e| json(e) == json(s)),
         "the summary is also in the session list"
     );
     std::fs::remove_dir_all(&dir).expect("cleanup");

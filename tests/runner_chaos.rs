@@ -264,3 +264,77 @@ fn points_from_another_build_are_rerun() {
         assert_bit_identical(a, b);
     }
 }
+
+/// A point line with field `field` (mod the count) of its `result`
+/// retyped to `value`, or removed without one.
+fn edit_result(line: &str, field: usize, value: Option<serde::Value>) -> Vec<u8> {
+    let serde::Value::Object(mut fields) = serde_json::from_str(line).expect("line parses") else {
+        panic!("a point line is an object");
+    };
+    let Some((_, serde::Value::Object(result))) = fields.iter_mut().find(|(k, _)| k == "result")
+    else {
+        panic!("a point line has a result object");
+    };
+    let field = field % result.len();
+    match value {
+        Some(value) => result[field].1 = value,
+        None => drop(result.remove(field)),
+    }
+    serde_json::to_string(&serde::Value::Object(fields)).expect("line serializes").into_bytes()
+}
+
+/// One store line, damaged as `(kind, a, b)` picks: torn, replaced by
+/// garbage bytes, moved to another batch hash or build, with a field of
+/// its `result` removed or retyped, or (a third of the time) kept valid.
+fn damage(line: &str, (kind, a, b): (u8, u64, u32)) -> Vec<u8> {
+    match kind % 9 {
+        1 => line.as_bytes()[..a as usize % line.len()].to_vec(),
+        2 => {
+            let bytes = [a.to_le_bytes().as_slice(), b.to_le_bytes().as_slice()].concat();
+            bytes[..1 + b as usize % bytes.len()].to_vec()
+        }
+        3 => line.replacen(&mira_obs::store::hash_hex(batch_hash()), "00000000000000ff", 1).into(),
+        4 => with_rev(line, Some("another-build")).into_bytes(),
+        5 => edit_result(line, a as usize, None),
+        6 => edit_result(line, a as usize, Some(serde::Value::Str("retyped".into()))),
+        _ => line.as_bytes().to_vec(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// A results-store file of valid point lines mixed with torn
+    /// prefixes, garbage bytes, lines of another batch or build, and
+    /// lines whose result lost or retyped a field still loads, and a
+    /// `--resume` batch over it replays exactly the valid lines and
+    /// re-runs the rest, bit-identical to the clean run.
+    #[test]
+    fn damaged_store_lines_are_rerun(
+        damages in proptest::collection::vec((any::<u8>(), any::<u64>(), any::<u32>()), 6..7),
+    ) {
+        let (base, lines) = baseline();
+        let mut content = Vec::new();
+        for (line, &d) in lines.iter().zip(&damages) {
+            content.extend(damage(line, d));
+            content.push(b'\n');
+        }
+        let dir = temp_dir("fuzz");
+        std::fs::create_dir_all(&dir).expect("store dir");
+        std::fs::write(ckpt_path(&dir), content).expect("seed store");
+        let loaded = mira_obs::store::load(&ckpt_path(&dir), batch_hash());
+        let batch = Runner::with_jobs(2)
+            .exhibit(EXHIBIT)
+            .checkpoint_dir(&dir)
+            .resume(true)
+            .run(sim_points());
+        let _ = std::fs::remove_dir_all(&dir);
+
+        prop_assert!(loaded.is_ok(), "{:?}", loaded.err());
+        let valid = damages.iter().filter(|(kind, ..)| !(1..=6).contains(&(kind % 9))).count();
+        prop_assert_eq!(batch.summary.resumed_points, valid);
+        for (a, b) in base.iter().zip(&batch.outcomes) {
+            assert_bit_identical(a, b);
+        }
+    }
+}
