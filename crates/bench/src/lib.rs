@@ -32,7 +32,7 @@ use mira::error::HostError;
 use mira::experiments::common::EXPERIMENT_SEED;
 use mira::experiments::exhibits::{Exhibit, Pass, PassConfig};
 use mira::experiments::faults::fault_rates_ppm;
-use mira::experiments::runner::{take_session, RunSummary, Runner};
+use mira::experiments::runner::{RunSummary, Runner};
 use mira::noc::ids::{NodeId, PortId};
 use mira::noc::sim::Simulator;
 use mira::noc::telemetry::TelemetryConfig;
@@ -46,7 +46,7 @@ const USAGE: &str = "usage: <bin> [--quick] [--json] [--metrics-window <cycles>]
                      [--fault-rate <fraction>] [--kill-link <node:port[@cycle]>] \
                      [--fault-seed <seed>] \
                      [--obs-out <path>] [--progress-json] \
-                     [--resume] [--checkpoint-dir <dir>] [--fail-fast] \
+                     [--resume] [--checkpoint-dir <dir>] \
                      [--anomaly] [--blackbox-out <dir>] [--chaos-stall-at <cycle[:router]>]";
 
 /// Shared CLI handling for the experiment binaries.
@@ -84,10 +84,8 @@ pub struct Cli {
     /// or `--kill-link`); defaults to the fault subsystem's own default
     /// when unset.
     pub fault_seed: Option<u64>,
-    /// Write the host-observability snapshot as JSON (`--obs-out`); a
-    /// Prometheus text rendering lands next to it with a `.prom`
-    /// extension. Giving the flag also enables observability for the
-    /// process (phase timers, the session summary list).
+    /// Write the host-observability snapshot as JSON (`--obs-out`).
+    /// Giving the flag also enables the process's phase timers.
     pub obs_out: Option<&'static str>,
     /// Emit one machine-readable JSON line per completed runner point on
     /// stderr (`--progress-json`).
@@ -98,9 +96,6 @@ pub struct Cli {
     /// Directory for the results store (`--checkpoint-dir`); giving it
     /// enables store writing.
     pub checkpoint_dir: Option<&'static str>,
-    /// Abort the batch on the first point failure instead of running the
-    /// remaining points (`--fail-fast`).
-    pub fail_fast: bool,
     /// Arm the flight recorder with every detector at its default
     /// threshold (`--anomaly`).
     pub anomaly: bool,
@@ -178,12 +173,9 @@ fn parse_path((flag, value): (&'static str, String)) -> Result<&'static str, Hos
 }
 
 impl Cli {
-    /// Parses the process arguments, then installs the process runner
-    /// those flags describe, which every batch then runs on (sized by
-    /// `available_parallelism`, overridable with `MIRA_JOBS`; the
-    /// progress line shows whenever stderr is a terminal). `--help`
-    /// prints the usage line and exits 0; a malformed flag prints its
-    /// error and the usage line and exits 2.
+    /// Parses the process arguments. `--help` prints the usage line and
+    /// exits 0; a malformed flag prints its error and the usage line and
+    /// exits 2.
     pub fn parse() -> Cli {
         let args: Vec<String> = std::env::args().skip(1).collect();
         if args.iter().any(|a| a == "--help" || a == "-h") {
@@ -197,7 +189,6 @@ impl Cli {
         if cli.obs_out.is_some() {
             mira_obs::set_enabled(true);
         }
-        cli.install_runner();
         cli
     }
 
@@ -225,7 +216,6 @@ impl Cli {
                 "--json" => cli.json = true,
                 "--progress-json" => cli.progress_json = true,
                 "--resume" => cli.resume = true,
-                "--fail-fast" => cli.fail_fast = true,
                 "--anomaly" => cli.anomaly = true,
                 "--metrics-window" => {
                     cli.metrics_window = Some(parse_value(
@@ -317,10 +307,9 @@ impl Cli {
     /// [`rates_ur`] and [`rates_nuca`] read — in a fixed order with
     /// parsed values (so `--fault-rate 0.0010` and `--fault-rate 0.001`
     /// render alike). Output-only flags (`--json`, the `--*-out` paths,
-    /// `--progress-json`, `--resume`, `--checkpoint-dir`,
-    /// `--fail-fast`) are left out. The installed runner hashes it
-    /// into each batch's store identity and echoes it on the batch
-    /// line.
+    /// `--progress-json`, `--resume`, `--checkpoint-dir`) are left
+    /// out. [`Cli::runner`] hashes it into each batch's store identity
+    /// and echoes it on the batch line.
     pub fn options(&self) -> String {
         fn or_none<T: std::fmt::Display>(v: Option<T>) -> String {
             v.map_or_else(|| "none".to_string(), |v| v.to_string())
@@ -341,15 +330,14 @@ impl Cli {
         )
     }
 
-    /// Installs the runner the flags describe: [`Runner::from_env`]'s
-    /// pool with the runner flags (`--progress-json`, `--fail-fast`,
-    /// `--checkpoint-dir`, `--resume`, `--blackbox-out`) and the
-    /// [`Cli::options`] echo, so library exhibits that build their own
-    /// runner honour them too.
-    fn install_runner(&self) {
+    /// The runner the flags describe: [`Runner::from_env`]'s pool (sized
+    /// by `available_parallelism`, overridable with `MIRA_JOBS`; the
+    /// progress line shows whenever stderr is a terminal) with the
+    /// runner flags (`--progress-json`, `--checkpoint-dir`, `--resume`,
+    /// `--blackbox-out`) and the [`Cli::options`] echo.
+    pub fn runner(&self) -> Runner {
         let mut runner = Runner::from_env()
             .progress_json(self.progress_json)
-            .fail_fast(self.fail_fast)
             .resume(self.resume)
             .options(self.options());
         if let Some(dir) = self.checkpoint_dir {
@@ -358,7 +346,7 @@ impl Cli {
         if let Some(dir) = self.blackbox_out {
             runner = runner.blackbox_out(dir);
         }
-        runner.install();
+        runner
     }
 
     /// The simulation window for this invocation, with the telemetry,
@@ -539,25 +527,16 @@ fn write_telemetry_artifacts(cli: Cli) {
     }
 }
 
-/// Writes the host-observability snapshot requested by `--obs-out`: the
-/// JSON snapshot at the given path plus a Prometheus text rendering next
-/// to it with a `.prom` extension. A no-op when the flag is off.
+/// Writes the host-observability snapshot requested by `--obs-out` as
+/// JSON. A no-op when the flag is off.
 fn write_obs_artifacts(cli: Cli) {
     let Some(path) = cli.obs_out else {
         return;
     };
-    let snap = mira_obs::snapshot();
-    if let Err(e) = std::fs::write(path, snap.to_json()) {
+    if let Err(e) = std::fs::write(path, mira_obs::snapshot().to_json()) {
         HostError::io("write obs snapshot to", path, &e).exit();
     }
-    let prom_path = std::path::Path::new(path).with_extension("prom");
-    if let Err(e) = std::fs::write(&prom_path, snap.to_prometheus()) {
-        HostError::io("write obs exposition to", &prom_path, &e).exit();
-    }
-    eprintln!(
-        "[obs] snapshot written to {path} (+ {}; inspect with `trace_tool obs`)",
-        prom_path.display()
-    );
+    eprintln!("[obs] snapshot written to {path} (inspect with `trace_tool obs`)");
 }
 
 /// The `"host"` section of the JSON document: the binary's batches
@@ -605,7 +584,7 @@ impl Host {
     }
 }
 
-/// Runs `exhibits` as one [`Pass`] on the installed runner and owns all
+/// Runs `exhibits` as one [`Pass`] on [`Cli::runner`] and owns all
 /// of the binary's output: each exhibit's text on stdout with one
 /// `[runner]` line per batch on stderr, or with `--json` one document
 /// `{"exhibits": [{"name", "value", "batches"}], "host"}`; then the
@@ -614,11 +593,10 @@ impl Host {
 /// claim failed.
 pub fn run<'a>(cli: Cli, exhibits: impl IntoIterator<Item = &'a Exhibit>) {
     let started = Instant::now();
-    let mut pass = Pass::new(cli.pass_config(), Runner::from_env());
+    let mut pass = Pass::new(cli.pass_config(), cli.runner());
     let (mut shown, mut batches, mut passes) = (Vec::new(), Vec::new(), true);
     for exhibit in exhibits {
-        let out = pass.show(exhibit);
-        let ran = take_session();
+        let (out, ran) = pass.show(exhibit);
         if cli.json {
             shown.push(Value::Object(vec![
                 ("name".to_string(), exhibit.name.to_value()),
@@ -810,7 +788,6 @@ mod tests {
             &["--checkpoint-dir", "d"],
             &["--progress-json"],
             &["--trace-out", "t"],
-            &["--fail-fast"],
             &["--obs-out", "o.json"],
         ] {
             assert_eq!(echo(output_only), base, "{output_only:?} is output-only");
@@ -837,12 +814,11 @@ mod tests {
     }
 
     /// Every flag the parser knows, then two it does not.
-    const FLAGS: [&str; 20] = [
+    const FLAGS: [&str; 19] = [
         "--quick",
         "--json",
         "--progress-json",
         "--resume",
-        "--fail-fast",
         "--anomaly",
         "--metrics-window",
         "--span-sample-rate",

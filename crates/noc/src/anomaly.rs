@@ -144,13 +144,6 @@ impl AnomalyConfig {
         self
     }
 
-    /// The same thresholds with a different starvation age.
-    #[must_use]
-    pub fn with_starvation(mut self, age: u64) -> Self {
-        self.starvation_age = age;
-        self
-    }
-
     /// The same thresholds with a different fault-storm budget.
     #[must_use]
     pub fn with_fault_storm(mut self, budget: u64) -> Self {
@@ -319,7 +312,6 @@ mod tests {
     #[test]
     fn single_detector_configs_are_enabled() {
         assert!(AnomalyConfig::disabled().with_no_progress(500).is_enabled());
-        assert!(AnomalyConfig::disabled().with_starvation(100).is_enabled());
         assert!(AnomalyConfig::disabled().with_fault_storm(10).is_enabled());
         assert!(AnomalyConfig::disabled().with_latency_spike(300, 50).is_enabled());
     }

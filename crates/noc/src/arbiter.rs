@@ -52,14 +52,6 @@ impl RoundRobinArbiter {
         }
         None
     }
-
-    /// Arbitrates among an explicit list of requesting line indices.
-    ///
-    /// Returns `None` if the list is empty. Indices outside `0..size` are
-    /// ignored.
-    pub fn arbitrate_among(&mut self, lines: &[usize]) -> Option<usize> {
-        self.arbitrate(|i| lines.contains(&i))
-    }
 }
 
 /// Round-robin arbitration over the request lines set in `mask` (bit `i`
@@ -126,16 +118,6 @@ mod tests {
             counts[g] += 1;
         }
         assert!(counts.iter().all(|&c| c == 200), "{counts:?}");
-    }
-
-    #[test]
-    fn arbitrate_among_list() {
-        let mut a = RoundRobinArbiter::new(4);
-        assert_eq!(a.arbitrate_among(&[1, 3]), Some(1));
-        assert_eq!(a.arbitrate_among(&[1, 3]), Some(3));
-        assert_eq!(a.arbitrate_among(&[]), None);
-        // out-of-range indices ignored
-        assert_eq!(a.arbitrate_among(&[9]), None);
     }
 
     #[test]

@@ -252,20 +252,6 @@ impl FlitData {
         self.words().iter().map(|&w| WordPattern::of(w))
     }
 
-    /// Per-slice parity: one even-parity bit per payload word, packed
-    /// LSB-first (word `i` contributes bit `i % 8`). This is the
-    /// link-level error-detection code of the fault model
-    /// ([`crate::fault`]): a single bit-flip in any word changes its
-    /// parity bit, while a double flip in the same word cancels and
-    /// escapes detection.
-    pub fn slice_parity(&self) -> u8 {
-        let mut p = 0u8;
-        for (i, w) in self.words().iter().enumerate() {
-            p ^= ((w.count_ones() & 1) as u8) << (i & 7);
-        }
-        p
-    }
-
     /// XORs `mask` into word `word` (fault injection: models bit-flips
     /// on the link slice carrying that word).
     ///
@@ -377,29 +363,6 @@ mod tests {
         assert_eq!(FlitData::with_active_words(4, 0).active_words(), 1);
         assert_eq!(FlitData::with_active_words(4, 2).active_words(), 2);
         assert_eq!(FlitData::with_active_words(4, 9).active_words(), 4);
-    }
-
-    #[test]
-    fn slice_parity_detects_single_flips() {
-        let d = FlitData::new(vec![0b1011, 0, 7, u32::MAX]);
-        let before = d.slice_parity();
-        for word in 0..4 {
-            for bit in [0u32, 13, 31] {
-                let mut c = d;
-                c.flip_bits(word, 1 << bit);
-                assert_ne!(c.slice_parity(), before, "flip in word {word} bit {bit} must show");
-            }
-        }
-    }
-
-    #[test]
-    fn slice_parity_misses_double_flips_in_one_word() {
-        let d = FlitData::dense(4);
-        let before = d.slice_parity();
-        let mut c = d;
-        c.flip_bits(2, (1 << 5) | (1 << 19));
-        assert_eq!(c.slice_parity(), before, "double flip cancels: the escape path");
-        assert_ne!(c, d, "payload is still corrupted");
     }
 
     #[test]

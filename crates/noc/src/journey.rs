@@ -274,7 +274,7 @@ impl AttributionShare {
     }
 
     /// Mean attribution over `journeys` (zero when empty).
-    pub fn mean_over<'a>(journeys: impl Iterator<Item = &'a PacketJourney>) -> (u64, Self) {
+    fn mean_over<'a>(journeys: impl Iterator<Item = &'a PacketJourney>) -> (u64, Self) {
         let mut share = AttributionShare::default();
         let mut count = 0u64;
         for j in journeys {

@@ -30,18 +30,6 @@ impl LayerAssignment {
     pub const fn sink_layer(&self) -> usize {
         0
     }
-
-    /// Layers hosting VA stage-2 arbiters: all except the sink layer
-    /// (paper §3.2.7: "distributed evenly among the bottom 3 layers").
-    pub fn va2_layers(&self) -> impl Iterator<Item = usize> {
-        1..self.layers
-    }
-
-    /// Fraction of the crossbar/buffer datapath on each layer (an even
-    /// word slice).
-    pub fn datapath_fraction_per_layer(&self) -> f64 {
-        1.0 / self.layers as f64
-    }
 }
 
 impl Default for LayerAssignment {
@@ -64,23 +52,6 @@ pub fn via_count(ports: usize, vcs: usize, buffer_depth: usize) -> usize {
     2 * ports + ports * vcs + vcs * buffer_depth
 }
 
-/// Per-node wire bandwidth multiplier of the 3DM organisation relative to
-/// 3DB (paper §3.2.3 / Fig. 6).
-///
-/// With `layers` stacked layers, the 3DB design spreads `layers` nodes
-/// over the same footprint that 3DM covers with `layers / footprint_ratio`
-/// nodes; the total cross-section wiring `layers × W` is shared by half as
-/// many nodes in the 3DM case, doubling each node's available bandwidth
-/// when `layers = 4`.
-pub fn bandwidth_multiplier(layers: usize) -> f64 {
-    // 3DB: one node per layer over a full-size footprint → `layers` nodes
-    // share `layers·W` wires (1× each). 3DM: each node has a quarter-area
-    // footprint, so a full-size footprint column holds 2 nodes (not 4 —
-    // the other 2 quarter-footprints belong to neighbouring columns in
-    // the halved-pitch grid) sharing the same `layers·W` wires.
-    layers as f64 / (layers as f64 / 2.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,9 +61,6 @@ mod tests {
         let a = LayerAssignment::four_layer();
         assert_eq!(a.layers, 4);
         assert_eq!(a.sink_layer(), 0);
-        let va2: Vec<_> = a.va2_layers().collect();
-        assert_eq!(va2, vec![1, 2, 3]);
-        assert!((a.datapath_fraction_per_layer() - 0.25).abs() < 1e-12);
     }
 
     #[test]
@@ -101,10 +69,5 @@ mod tests {
         assert_eq!(via_count(5, 2, 4), 28);
         // 3DM-E: P=9, V=2, k=4 → 18 + 18 + 8 = 44 vias.
         assert_eq!(via_count(9, 2, 4), 44);
-    }
-
-    #[test]
-    fn bandwidth_doubles_for_four_layers() {
-        assert!((bandwidth_multiplier(4) - 2.0).abs() < 1e-12);
     }
 }

@@ -200,22 +200,22 @@ impl Serialize for SimReport {
 impl Deserialize for SimReport {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
         Ok(SimReport {
-            avg_latency: f64::from_value(v.field("avg_latency"))?,
-            avg_hops: f64::from_value(v.field("avg_hops"))?,
-            throughput: f64::from_value(v.field("throughput"))?,
-            packets_created: u64::from_value(v.field("packets_created"))?,
-            packets_ejected: u64::from_value(v.field("packets_ejected"))?,
-            packets_dropped: u64::from_value(v.field("packets_dropped"))?,
-            saturated: bool::from_value(v.field("saturated"))?,
-            faults: FaultCounters::from_value(v.field("faults"))?,
-            counters: ActivityCounters::from_value(v.field("counters"))?,
-            per_class: PerClassLatency::from_value(v.field("per_class"))?,
-            per_router: Vec::from_value(v.field("per_router"))?,
-            histogram: LatencyHistogram::from_value(v.field("histogram"))?,
-            cycles_simulated: u64::from_value(v.field("cycles_simulated"))?,
-            stalls: StallCounters::from_value(v.field("stalls"))?,
-            windows: Vec::from_value(v.field("windows"))?,
-            journeys: Option::from_value(v.field("journeys"))?,
+            avg_latency: f64::from_field(v, "avg_latency")?,
+            avg_hops: f64::from_field(v, "avg_hops")?,
+            throughput: f64::from_field(v, "throughput")?,
+            packets_created: u64::from_field(v, "packets_created")?,
+            packets_ejected: u64::from_field(v, "packets_ejected")?,
+            packets_dropped: u64::from_field(v, "packets_dropped")?,
+            saturated: bool::from_field(v, "saturated")?,
+            faults: FaultCounters::from_field(v, "faults")?,
+            counters: ActivityCounters::from_field(v, "counters")?,
+            per_class: PerClassLatency::from_field(v, "per_class")?,
+            per_router: Vec::from_field(v, "per_router")?,
+            histogram: LatencyHistogram::from_field(v, "histogram")?,
+            cycles_simulated: u64::from_field(v, "cycles_simulated")?,
+            stalls: StallCounters::from_field(v, "stalls")?,
+            windows: Vec::from_field(v, "windows")?,
+            journeys: Option::from_field(v, "journeys")?,
             // Absent in pre-anomaly reports (and omitted for clean
             // runs): default to all-zero counts.
             anomalies: match v.field("anomalies") {
@@ -343,7 +343,7 @@ impl Simulator {
 
     /// The flight recorder's per-kind firing counts (all zero when
     /// anomaly detection is off).
-    pub fn anomaly_counts(&self) -> AnomalyCounts {
+    fn anomaly_counts(&self) -> AnomalyCounts {
         self.recorder.as_ref().map(|r| r.counts()).unwrap_or_default()
     }
 

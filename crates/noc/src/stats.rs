@@ -131,16 +131,6 @@ impl ActivityCounters {
             self.buffer_occupancy_flit_cycles as f64 / self.cycles as f64
         }
     }
-
-    /// Average active-layer fraction observed on buffer writes (1.0 when
-    /// shutdown never gated anything).
-    pub fn mean_layer_fraction(&self) -> f64 {
-        if self.buffer_writes_raw == 0 {
-            1.0
-        } else {
-            self.buffer_writes / self.buffer_writes_raw as f64
-        }
-    }
 }
 
 /// Online latency statistics (mean, extrema, count) for one packet class
@@ -303,7 +293,6 @@ mod tests {
         c.record_buffer_write(0.25);
         assert_eq!(c.buffer_writes_raw, 2);
         assert!((c.buffer_writes - 1.25).abs() < 1e-12);
-        assert!((c.mean_layer_fraction() - 0.625).abs() < 1e-12);
     }
 
     #[test]
@@ -375,7 +364,7 @@ impl RouterActivity {
     /// A scalar proxy for this router's dynamic energy, used to compute
     /// relative power weights: component events priced with the given
     /// per-event energies.
-    pub fn energy_proxy_j(
+    fn energy_proxy_j(
         &self,
         buffer_j: f64,
         xbar_j: f64,

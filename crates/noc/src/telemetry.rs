@@ -551,13 +551,13 @@ impl MetricsCollector {
 
     /// Adds one router's buffered-flit count for the current cycle.
     #[inline]
-    pub fn record_occupancy(&mut self, router: usize, buffered: u64) {
+    fn record_occupancy(&mut self, router: usize, buffered: u64) {
         self.occupancy[router] += buffered;
     }
 
     /// Charges one stalled VC-cycle at `router` to `cause`.
     #[inline]
-    pub fn record_stall(&mut self, router: usize, cause: StallCause) {
+    fn record_stall(&mut self, router: usize, cause: StallCause) {
         self.stalls[router].record(cause);
     }
 
@@ -565,7 +565,7 @@ impl MetricsCollector {
     /// first `active_layers` datapath layers powered (flit words map onto
     /// layers MSB-down).
     #[inline]
-    pub fn record_traversal(&mut self, router: usize, out_port: usize, active_layers: usize) {
+    fn record_traversal(&mut self, router: usize, out_port: usize, active_layers: usize) {
         self.flits_out[router * self.ports + out_port] += 1;
         let base = router * self.layers;
         for l in &mut self.layer_active[base..base + active_layers] {

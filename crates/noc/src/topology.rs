@@ -183,7 +183,7 @@ impl Mesh2D {
     }
 
     /// Node id at coordinates (x, y).
-    pub fn node_at(&self, x: usize, y: usize) -> NodeId {
+    fn node_at(&self, x: usize, y: usize) -> NodeId {
         debug_assert!(x < self.width && y < self.height);
         NodeId(y * self.width + x)
     }
@@ -309,7 +309,7 @@ impl Mesh3D {
     }
 
     /// Node id at coordinates (x, y, z).
-    pub fn node_at(&self, x: usize, y: usize, z: usize) -> NodeId {
+    fn node_at(&self, x: usize, y: usize, z: usize) -> NodeId {
         debug_assert!(x < self.width && y < self.height && z < self.depth);
         NodeId((z * self.height + y) * self.width + x)
     }
@@ -447,7 +447,7 @@ impl ExpressMesh2D {
     }
 
     /// Node id at coordinates (x, y).
-    pub fn node_at(&self, x: usize, y: usize) -> NodeId {
+    fn node_at(&self, x: usize, y: usize) -> NodeId {
         debug_assert!(x < self.width && y < self.height);
         NodeId(y * self.width + x)
     }

@@ -71,16 +71,6 @@ impl CacheArray {
         self.ways
     }
 
-    /// Total capacity in lines.
-    pub fn capacity_lines(&self) -> usize {
-        self.sets.len() * self.ways
-    }
-
-    /// Currently resident lines.
-    pub fn occupied_lines(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
-    }
-
     /// Looks a line up without touching LRU.
     pub fn peek(&self, addr: LineAddr) -> Option<Mesi> {
         let set = &self.sets[addr.set_index(self.sets.len())];
@@ -168,7 +158,7 @@ mod tests {
         assert_eq!(l1.num_sets(), 128);
         assert_eq!(l1.ways(), 4);
         // 128 sets × 4 ways × 64 B = 32 KB.
-        assert_eq!(l1.capacity_lines() * 64, 32 * 1024);
+        assert_eq!(l1.num_sets() * l1.ways() * 64, 32 * 1024);
     }
 
     #[test]
@@ -224,15 +214,6 @@ mod tests {
         assert!(c.set_state(a, Mesi::Modified));
         assert_eq!(c.peek(a), Some(Mesi::Modified));
         assert!(!c.set_state(LineAddr::from_index(99), Mesi::Shared));
-    }
-
-    #[test]
-    fn occupancy_tracks_inserts() {
-        let mut c = CacheArray::new(2, 2);
-        assert_eq!(c.occupied_lines(), 0);
-        c.insert(LineAddr::from_index(0), Mesi::Shared);
-        c.insert(LineAddr::from_index(1), Mesi::Shared);
-        assert_eq!(c.occupied_lines(), 2);
     }
 
     #[test]

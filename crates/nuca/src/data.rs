@@ -81,7 +81,7 @@ fn header_flit<R: Rng>(rng: &mut R) -> FlitData {
 /// `p + (1 − p) · q³ = target`, where `q` is the i.i.d. redundant-word
 /// probability (a flit is short when all three upper words happen to be
 /// redundant). Clamped to `[0, 1]`.
-pub fn solve_short_prob(target: f64, mix: PatternMix) -> f64 {
+fn solve_short_prob(target: f64, mix: PatternMix) -> f64 {
     assert!((0.0..=1.0).contains(&target), "target in [0,1]");
     let q = mix.redundant_fraction();
     let base = q.powi((WORDS_PER_FLIT - 1) as i32);

@@ -21,7 +21,7 @@ pub struct DirEntry {
 
 impl DirEntry {
     /// Returns `true` if no L1 caches the line.
-    pub fn is_idle(&self) -> bool {
+    fn is_idle(&self) -> bool {
         self.sharers.is_empty() && self.owner.is_none()
     }
 }
@@ -41,11 +41,6 @@ impl Directory {
     /// The entry for a line (empty default if untracked).
     pub fn entry(&self, addr: LineAddr) -> DirEntry {
         self.entries.get(&addr).cloned().unwrap_or_default()
-    }
-
-    /// Number of tracked (non-idle) lines.
-    pub fn tracked_lines(&self) -> usize {
-        self.entries.len()
     }
 
     /// Records a read: `cpu` becomes a sharer (or the exclusive owner if
@@ -156,9 +151,8 @@ mod tests {
     fn drop_removes_idle_entries() {
         let mut d = Directory::new();
         d.record_read(a(1), 0);
-        assert_eq!(d.tracked_lines(), 1);
+        assert!(!d.entry(a(1)).is_idle());
         d.record_drop(a(1), 0);
-        assert_eq!(d.tracked_lines(), 0);
         assert!(d.entry(a(1)).is_idle());
     }
 

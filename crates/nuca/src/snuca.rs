@@ -26,11 +26,6 @@ impl BankMap {
         BankMap { banks }
     }
 
-    /// Number of banks.
-    pub fn num_banks(&self) -> usize {
-        self.banks.len()
-    }
-
     /// The bank nodes in interleave order.
     pub fn banks(&self) -> &[NodeId] {
         &self.banks
@@ -58,7 +53,6 @@ mod tests {
     #[test]
     fn interleaves_low_order_bits() {
         let m = map();
-        assert_eq!(m.num_banks(), 28);
         assert_eq!(m.home(LineAddr::from_index(0)), NodeId(10));
         assert_eq!(m.home(LineAddr::from_index(1)), NodeId(11));
         assert_eq!(m.home(LineAddr::from_index(28)), NodeId(10));

@@ -113,11 +113,6 @@ impl AddressStream {
             is_write: self.rng.gen_bool(self.cfg.write_prob),
         }
     }
-
-    /// Returns `true` if an address belongs to the shared region.
-    pub fn is_shared_addr(&self, addr: LineAddr) -> bool {
-        addr.index() < self.cfg.shared_lines
-    }
 }
 
 #[cfg(test)]
@@ -132,7 +127,7 @@ mod tests {
         for _ in 0..2_000 {
             let a0 = s0.next_access().addr;
             let a1 = s1.next_access().addr;
-            if !s0.is_shared_addr(a0) && !s1.is_shared_addr(a1) {
+            if a0.index() >= cfg.shared_lines && a1.index() >= cfg.shared_lines {
                 // Both private: must come from different regions.
                 let r0 = (a0.index() - cfg.shared_lines) / cfg.private_lines;
                 let r1 = (a1.index() - cfg.shared_lines) / cfg.private_lines;
@@ -155,12 +150,8 @@ mod tests {
     fn shared_fraction_matches_config() {
         let cfg = StreamConfig { shared_prob: 0.3, ..StreamConfig::default() };
         let mut s = AddressStream::new(2, cfg, 42);
-        let shared = (0..10_000)
-            .filter(|_| {
-                let a = s.next_access().addr;
-                s.is_shared_addr(a)
-            })
-            .count();
+        let shared =
+            (0..10_000).filter(|_| s.next_access().addr.index() < cfg.shared_lines).count();
         let frac = shared as f64 / 10_000.0;
         assert!((frac - 0.3).abs() < 0.02, "shared fraction {frac}");
     }

@@ -52,8 +52,7 @@ pub fn set_enabled(on: bool) {
 
 /// A complete point-in-time capture of the observability state: build
 /// provenance and the phase profile. This is
-/// what `--obs-out` writes (JSON plus Prometheus text) and what
-/// `trace_tool obs` pretty-prints.
+/// what `--obs-out` writes and what `trace_tool obs` pretty-prints.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ObsSnapshot {
     /// Build provenance of the producing binary.
@@ -82,30 +81,6 @@ impl ObsSnapshot {
         s.push('\n');
         s
     }
-
-    /// Prometheus text exposition format: the phase profile as
-    /// `mira_phase_nanos_total` / `mira_phase_calls_total` families
-    /// labelled by phase, plus the coverage ratio.
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "# mira build {} ({}, {})\n",
-            self.build.git_rev, self.build.profile, self.build.rustc
-        ));
-        out.push_str("# TYPE mira_phase_nanos_total counter\n");
-        for p in &self.phases {
-            out.push_str(&format!("mira_phase_nanos_total{{phase=\"{}\"}} {}\n", p.phase, p.nanos));
-        }
-        out.push_str("# TYPE mira_phase_calls_total counter\n");
-        for p in &self.phases {
-            out.push_str(&format!("mira_phase_calls_total{{phase=\"{}\"}} {}\n", p.phase, p.calls));
-        }
-        if let Some(cov) = self.coverage {
-            out.push_str("# TYPE mira_phase_coverage_ratio gauge\n");
-            out.push_str(&format!("mira_phase_coverage_ratio {cov}\n"));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -113,16 +88,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn snapshot_renders_both_formats() {
+    fn snapshot_round_trips_through_json() {
         let snap = snapshot();
         let json = snap.to_json();
         assert!(json.ends_with('\n'));
         let back: ObsSnapshot = serde_json::from_str(&json).expect("round-trips");
         assert_eq!(back.build.git_rev, snap.build.git_rev);
         assert_eq!(back.phases.len(), snap.phases.len());
-        let prom = snap.to_prometheus();
-        assert!(prom.contains("# TYPE mira_phase_nanos_total counter"));
-        assert!(prom.contains("phase=\"step_total\""));
     }
 
     #[test]

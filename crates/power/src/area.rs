@@ -1,21 +1,12 @@
 //! Router component areas (paper Table 1).
 //!
 //! The paper synthesised each module in a TSMC 90 nm standard-cell
-//! library; Table 1 reports the resulting areas. Two families of numbers
-//! are reproducible from first principles and match the table exactly:
-//!
-//! * **crossbar**: a matrix crossbar is wire-dominated; its per-layer
-//!   area is `(P·W·pitch / L)²` with a 0.75 µm per-bit track pitch —
-//!   giving 230 400 / 451 584 / 14 400 / 46 656 µm² for
-//!   2DB / 3DB / 3DM / 3DM-E, exactly the table;
-//! * **buffer**: register-file storage at 31.83 µm²/bit:
-//!   `P·V·k·W·31.83 / L` per layer reproduces
-//!   162 973 / 228 162 / 40 743 / 73 338 µm².
-//!
-//! RC, SA1 and VA1 scale linearly with port count from the 2DB
-//! synthesis; SA2 and VA2 arbiters scale super-linearly and are kept as
-//! synthesis constants (with a quadratic interpolation for non-paper
-//! geometries).
+//! library; Table 1 reports the resulting areas, which
+//! [`AreaModel::paper_areas`] returns. The crossbar is reproducible from
+//! first principles: a matrix crossbar is wire-dominated, so its
+//! per-layer area is `(P·W·pitch / L)²` with a 0.75 µm per-bit track
+//! pitch — giving 230 400 / 451 584 / 14 400 / 46 656 µm² for
+//! 2DB / 3DB / 3DM / 3DM-E, exactly the table.
 
 use serde::{Deserialize, Serialize};
 
@@ -51,16 +42,8 @@ impl ComponentAreas {
     }
 }
 
-/// Synthesis-derived per-architecture constants for the arbiter stages
-/// (2DB column of Table 1).
-const SA2_2DB_UM2: f64 = 6_201.0;
-const VA2_2DB_UM2: f64 = 29_312.0;
-const RC_2DB_UM2: f64 = 1_717.0;
-const SA1_2DB_UM2: f64 = 1_008.0;
-const VA1_2DB_UM2: f64 = 2_016.0;
-const PORTS_2DB: f64 = 5.0;
-
-/// The area model: parametric scaling laws anchored to the 2DB synthesis.
+/// The area model: the crossbar scaling law and Table 1's synthesis
+/// figures.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AreaModel {
     tech: TechParams,
@@ -76,49 +59,6 @@ impl AreaModel {
     pub fn crossbar_per_layer_um2(&self, geo: &RouterGeometry) -> f64 {
         let side = geo.xbar_side_um(self.tech.bit_pitch_um);
         side * side
-    }
-
-    /// Buffer area per layer, µm²: `P·V·k·W·a_bit / L`.
-    pub fn buffer_per_layer_um2(&self, geo: &RouterGeometry) -> f64 {
-        geo.buffer_bits() as f64 * self.tech.buffer_area_um2_per_bit / geo.layers as f64
-    }
-
-    /// RC logic area, µm² (linear in ports, whole block on one layer).
-    pub fn rc_um2(&self, geo: &RouterGeometry) -> f64 {
-        RC_2DB_UM2 * geo.ports as f64 / PORTS_2DB
-    }
-
-    /// SA1 area, µm² (linear in ports).
-    pub fn sa1_um2(&self, geo: &RouterGeometry) -> f64 {
-        SA1_2DB_UM2 * geo.ports as f64 / PORTS_2DB
-    }
-
-    /// VA1 area, µm² (linear in ports).
-    pub fn va1_um2(&self, geo: &RouterGeometry) -> f64 {
-        VA1_2DB_UM2 * geo.ports as f64 / PORTS_2DB
-    }
-
-    /// SA2 area, µm² for a planar design: `P` arbiters of `P:1`, scaling
-    /// ≈ quadratically with the port count from the 2DB synthesis point.
-    pub fn sa2_um2(&self, geo: &RouterGeometry) -> f64 {
-        let scale = geo.ports as f64 / PORTS_2DB;
-        SA2_2DB_UM2 * scale * scale
-    }
-
-    /// VA2 area, µm² for a planar design: `P·V` arbiters of `PV:1`.
-    pub fn va2_um2(&self, geo: &RouterGeometry) -> f64 {
-        let scale = geo.ports as f64 / PORTS_2DB;
-        VA2_2DB_UM2 * scale * scale
-    }
-
-    /// VA2 area on the busiest layer when the arbiters are spread over
-    /// the `L-1` non-sink layers (paper §3.2.7).
-    pub fn va2_per_layer_um2(&self, geo: &RouterGeometry) -> f64 {
-        if geo.layers > 1 {
-            self.va2_um2(geo) / (geo.layers as f64 - 1.0)
-        } else {
-            self.va2_um2(geo)
-        }
     }
 
     /// The exact Table 1 column for one of the paper's architectures.
@@ -167,7 +107,7 @@ impl AreaModel {
 
     /// Inter-layer via area per layer, µm², assuming 5×5 µm TSV pads
     /// (paper §3.2.7, citing TSMC technology parameters).
-    pub fn via_area_um2(&self, geo: &RouterGeometry) -> f64 {
+    fn via_area_um2(&self, geo: &RouterGeometry) -> f64 {
         if geo.layers <= 1 {
             return 0.0;
         }
@@ -251,45 +191,6 @@ mod tests {
             let got = m.crossbar_per_layer_um2(&arch.geometry());
             assert!((got - expect).abs() < 1e-6, "{arch}: {got} vs {expect}");
         }
-    }
-
-    /// The buffer scaling law reproduces Table 1 to rounding (±1 µm²).
-    #[test]
-    fn buffer_law_matches_table() {
-        let m = model();
-        for (arch, expect) in [
-            (PaperArch::TwoDB, 162_973.0),
-            (PaperArch::ThreeDB, 228_162.0),
-            (PaperArch::ThreeDM, 40_743.0),
-            (PaperArch::ThreeDME, 73_338.0),
-        ] {
-            let got = m.buffer_per_layer_um2(&arch.geometry());
-            assert!((got - expect).abs() < expect * 0.002, "{arch}: {got} vs {expect}");
-        }
-    }
-
-    /// RC / SA1 / VA1 scale linearly in ports from the 2DB synthesis.
-    #[test]
-    fn linear_components_match_table() {
-        let m = model();
-        for arch in PaperArch::ALL {
-            let geo = arch.geometry();
-            let t = m.paper_areas(arch);
-            assert!((m.rc_um2(&geo) - t.rc).abs() < 2.0, "{arch} rc");
-            assert!((m.sa1_um2(&geo) - t.sa1).abs() < 2.0, "{arch} sa1");
-            assert!((m.va1_um2(&geo) - t.va1).abs() < 2.0, "{arch} va1");
-        }
-    }
-
-    /// 3DM VA2 per-layer figure is the full VA2 spread over 3 layers.
-    #[test]
-    fn va2_spreads_over_non_sink_layers() {
-        let m = model();
-        let geo = PaperArch::ThreeDM.geometry();
-        let per_layer = m.va2_per_layer_um2(&geo);
-        // Full VA2 (2DB-sized: same P, V) split three ways: 29312/3 ≈ 9771.
-        assert!((per_layer - 29_312.0 / 3.0).abs() < 1.0, "{per_layer}");
-        assert!((m.paper_areas(PaperArch::ThreeDM).va2 - 9_770.0).abs() < 1.0);
     }
 
     /// Via overhead stays below 2 % for 3DM and below 1 % for 3DM-E

@@ -82,7 +82,7 @@ impl DelayModel {
     }
 
     /// Maximum per-stage delay at the configured clock, ps.
-    pub fn stage_budget_ps(&self) -> f64 {
+    fn stage_budget_ps(&self) -> f64 {
         self.tech.clock_period_ps()
     }
 
@@ -92,7 +92,7 @@ impl DelayModel {
     }
 
     /// Crossbar traversal delay from the per-layer side length, ps.
-    pub fn xbar_delay_ps(&self, geo: &RouterGeometry) -> f64 {
+    fn xbar_delay_ps(&self, geo: &RouterGeometry) -> f64 {
         let s = geo.xbar_side_um(self.tech.bit_pitch_um);
         XBAR_T0_PS + XBAR_C_PS_PER_UM2 * s * s
     }

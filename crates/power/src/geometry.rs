@@ -36,11 +36,6 @@ impl RouterGeometry {
         self.ports as f64 * self.flit_bits as f64 * bit_pitch_um / self.layers as f64
     }
 
-    /// Total buffer storage in bits across the router (`P·V·k·W`).
-    pub fn buffer_bits(&self) -> usize {
-        self.ports * self.vcs * self.buffer_depth * self.flit_bits
-    }
-
     /// Size of a VA stage-1 arbiter (`V:1`).
     pub fn va1_arbiter_size(&self) -> usize {
         self.vcs
@@ -167,12 +162,6 @@ mod tests {
         assert_eq!(PaperArch::ThreeDM.geometry().va2_arbiter_size(), 10);
         assert_eq!(PaperArch::ThreeDB.geometry().va2_arbiter_size(), 14);
         assert_eq!(PaperArch::ThreeDME.geometry().va2_arbiter_size(), 18);
-    }
-
-    #[test]
-    fn buffer_bits() {
-        // 2DB: 5 ports · 2 VCs · 4 flits · 128 bits = 5120 bits.
-        assert_eq!(PaperArch::TwoDB.geometry().buffer_bits(), 5120);
     }
 
     #[test]

@@ -47,7 +47,7 @@ impl LeakageModel {
 
     /// Leakage of one router of the given architecture at `temp_k`
     /// (counting all layers' silicon).
-    pub fn router_power_w(&self, arch: PaperArch, temp_k: f64) -> f64 {
+    fn router_power_w(&self, arch: PaperArch, temp_k: f64) -> f64 {
         let areas = AreaModel::default().paper_areas(arch);
         let layers = arch.geometry().layers as f64;
         // Per-layer crossbar/buffer figures were divided by L; leakage

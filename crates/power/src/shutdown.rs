@@ -16,11 +16,7 @@
 //! 0.5·0.75·0.8 = 30 %, and slightly more for 3DM whose separable share
 //! is higher in the simulator because control re-arbitration is load
 //! dependent. The simulator measures the real number; this module
-//! provides the closed form used for cross-checks and for Fig. 13(b)'s
-//! expected bars.
-
-use crate::energy::EnergyModel;
-use crate::geometry::PaperArch;
+//! provides the closed form for cross-checks.
 
 /// Expected power-scale factor under layer shutdown for a short-flit
 /// fraction `short_fraction` on an `L`-layer datapath with separable
@@ -36,15 +32,6 @@ pub fn shutdown_scale(short_fraction: f64, layers: usize, separable_share: f64) 
     1.0 - short_fraction * gated * separable_share
 }
 
-/// Expected power saving (1 − scale) for one of the paper's
-/// architectures, using its calibrated energy breakdown.
-pub fn expected_saving(arch: PaperArch, short_fraction: f64) -> f64 {
-    let b = EnergyModel::for_arch(arch).flit_hop_breakdown();
-    let sep = b.separable_j() / b.total_j();
-    let layers = arch.geometry().layers.max(4); // 2DB gates at word granularity too
-    1.0 - shutdown_scale(short_fraction, layers, sep)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -52,26 +39,6 @@ mod tests {
     #[test]
     fn no_short_flits_no_saving() {
         assert!((shutdown_scale(0.0, 4, 0.8) - 1.0).abs() < 1e-12);
-        assert_eq!(expected_saving(PaperArch::ThreeDM, 0.0), 0.0);
-    }
-
-    #[test]
-    fn saving_monotone_in_short_fraction() {
-        let s25 = expected_saving(PaperArch::ThreeDM, 0.25);
-        let s50 = expected_saving(PaperArch::ThreeDM, 0.50);
-        assert!(s25 > 0.0);
-        assert!(s50 > s25);
-        assert!((s50 - 2.0 * s25).abs() < 1e-12, "linear in fraction");
-    }
-
-    /// Paper Fig. 13(b): ≈36 % saving at 50 % short flits — our closed
-    /// form lands in the 25–40 % band for all shutdown-capable designs.
-    #[test]
-    fn fifty_percent_short_saves_about_a_third() {
-        for arch in [PaperArch::TwoDB, PaperArch::ThreeDM, PaperArch::ThreeDME] {
-            let s = expected_saving(arch, 0.5);
-            assert!((0.25..=0.40).contains(&s), "{arch}: {s:.3}");
-        }
     }
 
     #[test]

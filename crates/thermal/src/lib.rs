@@ -35,9 +35,7 @@
 pub mod material;
 pub mod solver;
 pub mod stack;
-pub mod transient;
 
 pub use material::{Material, AMBIENT_K};
 pub use solver::{SolveOptions, Temperatures};
 pub use stack::{ChipModel, StackConfig};
-pub use transient::TransientSim;

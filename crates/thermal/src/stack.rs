@@ -65,7 +65,7 @@ impl StackConfig {
     }
 
     /// Cells per layer.
-    pub fn cells_per_layer(&self) -> usize {
+    fn cells_per_layer(&self) -> usize {
         self.rows * self.cols
     }
 
@@ -75,7 +75,7 @@ impl StackConfig {
     }
 
     /// Cell area, m².
-    pub fn cell_area_m2(&self) -> f64 {
+    fn cell_area_m2(&self) -> f64 {
         self.cell_w_m * self.cell_h_m
     }
 }
@@ -127,16 +127,6 @@ impl ChipModel {
     /// Total dissipated power, W.
     pub fn total_power_w(&self) -> f64 {
         self.power_w.iter().sum()
-    }
-
-    /// The power map (cells in layer-major order, then the sink).
-    pub(crate) fn power_map(&self) -> &[f64] {
-        &self.power_w
-    }
-
-    /// Clears the power map.
-    pub fn reset_power(&mut self) {
-        self.power_w.fill(0.0);
     }
 
     /// Builds the sparse conductance adjacency: for each node, a list of
@@ -202,11 +192,6 @@ impl ChipModel {
 
     /// Solves for steady-state temperatures with default solver options.
     pub fn solve(&self) -> Temperatures {
-        self.solve_with(SolveOptions::default())
-    }
-
-    /// Solves with explicit solver options.
-    pub fn solve_with(&self, opts: SolveOptions) -> Temperatures {
         let adj = self.conductances();
         let sink = self.cfg.nodes() - 1;
         solve_steady_state(
@@ -215,7 +200,7 @@ impl ChipModel {
             sink,
             1.0 / self.cfg.sink_resistance_k_per_w,
             self.cfg.ambient_k,
-            opts,
+            SolveOptions::default(),
         )
         .with_geometry(self.cfg.layers, self.cfg.rows, self.cfg.cols)
     }
@@ -301,13 +286,11 @@ mod tests {
     }
 
     #[test]
-    fn add_and_reset_power() {
+    fn add_power_accumulates() {
         let mut chip = ChipModel::new(StackConfig::planar(2, 2, 0.003, 0.003));
         chip.add_cell_power(0, 0, 0, 1.0);
         chip.add_cell_power(0, 0, 0, 2.0);
         assert!((chip.total_power_w() - 3.0).abs() < 1e-12);
-        chip.reset_power();
-        assert_eq!(chip.total_power_w(), 0.0);
     }
 
     #[test]

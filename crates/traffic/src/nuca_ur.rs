@@ -82,26 +82,9 @@ impl NucaBimodal {
         }
     }
 
-    /// Sets the data-payload pattern mix and short-flit bias of the
-    /// responses (defaults: dense, 0 %).
-    #[must_use]
-    pub fn with_payloads(mut self, patterns: PatternMix, short_flit_fraction: f64) -> Self {
-        assert!((0.0..=1.0).contains(&short_flit_fraction), "fraction in [0,1]");
-        self.patterns = patterns;
-        self.short_flit_fraction = short_flit_fraction;
-        self
-    }
-
     /// The request rate per CPU per cycle.
     pub fn request_rate(&self) -> f64 {
         self.request_rate_per_cpu
-    }
-
-    /// Average offered load in flits/node/cycle over the whole network
-    /// (requests + responses).
-    pub fn offered_flits_per_node_cycle(&self, num_nodes: usize) -> f64 {
-        let pkts_per_cycle = self.request_rate_per_cpu * self.cpus.len() as f64;
-        pkts_per_cycle * (1.0 + self.response_len_flits as f64) / num_nodes as f64
     }
 
     fn response_payload(&mut self) -> Vec<FlitData> {
@@ -253,32 +236,5 @@ mod tests {
             len_flits: 5,
         };
         assert!(w.on_ejected(30, &eject).is_empty());
-    }
-
-    #[test]
-    fn short_flit_bias_shows_in_responses() {
-        let (cpus, caches) = mesh_sets();
-        let mut w = NucaBimodal::new(cpus, caches, 0.1, 3).with_payloads(PatternMix::dense(), 0.5);
-        w.init(16);
-        let mut short = 0usize;
-        let mut total = 0usize;
-        for _ in 0..500 {
-            for f in w.response_payload() {
-                total += 1;
-                if f.is_short() {
-                    short += 1;
-                }
-            }
-        }
-        let frac = short as f64 / total as f64;
-        assert!((frac - 0.5).abs() < 0.05, "short fraction {frac}");
-    }
-
-    #[test]
-    fn offered_load_formula() {
-        let (cpus, caches) = mesh_sets();
-        let w = NucaBimodal::new(cpus, caches, 0.1, 3);
-        // 4 CPUs × 0.1 pkts × (1 + 5 flits) / 16 nodes = 0.15.
-        assert!((w.offered_flits_per_node_cycle(16) - 0.15).abs() < 1e-12);
     }
 }

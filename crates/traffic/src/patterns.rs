@@ -44,7 +44,7 @@ impl PatternMix {
     }
 
     /// Draws one word.
-    pub fn sample_word<R: Rng>(&self, rng: &mut R) -> u32 {
+    fn sample_word<R: Rng>(&self, rng: &mut R) -> u32 {
         let x: f64 = rng.gen();
         if x < self.zero_fraction {
             0

@@ -190,160 +190,3 @@ mod tests {
         w.init(12);
     }
 }
-
-/// Two-state Markov-modulated (on/off bursty) uniform-random traffic —
-/// an extension for studying transient thermal and congestion behaviour
-/// under realistic burstiness (open-loop UR traffic is memoryless;
-/// real NUCA traffic is not).
-#[derive(Debug)]
-pub struct BurstyUniform {
-    /// Injection rate while the source is ON, flits/node/cycle.
-    on_rate: f64,
-    len_flits: usize,
-    /// Probability of switching OFF→ON per cycle.
-    p_on: f64,
-    /// Probability of switching ON→OFF per cycle.
-    p_off: f64,
-    payload: PayloadProfile,
-    rng: SmallRng,
-    num_nodes: usize,
-    /// Per-node burst state.
-    on: Vec<bool>,
-}
-
-impl BurstyUniform {
-    /// Creates a bursty source. The long-run duty cycle is
-    /// `p_on / (p_on + p_off)`, so the average offered load is
-    /// `on_rate × duty`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rate is negative, the packet length is zero, or a
-    /// switching probability is outside `(0, 1]`.
-    pub fn new(on_rate: f64, len_flits: usize, p_on: f64, p_off: f64, seed: u64) -> Self {
-        assert!(on_rate >= 0.0, "rate must be non-negative");
-        assert!(len_flits > 0, "packets need at least one flit");
-        assert!(p_on > 0.0 && p_on <= 1.0, "p_on in (0,1]");
-        assert!(p_off > 0.0 && p_off <= 1.0, "p_off in (0,1]");
-        BurstyUniform {
-            on_rate,
-            len_flits,
-            p_on,
-            p_off,
-            payload: PayloadProfile::dense(4),
-            rng: SmallRng::seed_from_u64(seed),
-            num_nodes: 0,
-            on: Vec::new(),
-        }
-    }
-
-    /// Long-run fraction of time a source spends ON.
-    pub fn duty_cycle(&self) -> f64 {
-        self.p_on / (self.p_on + self.p_off)
-    }
-
-    /// Average offered load, flits/node/cycle.
-    pub fn average_rate(&self) -> f64 {
-        self.on_rate * self.duty_cycle()
-    }
-
-    /// Replaces the payload profile.
-    #[must_use]
-    pub fn with_payload(mut self, payload: PayloadProfile) -> Self {
-        self.payload = payload;
-        self
-    }
-}
-
-impl Workload for BurstyUniform {
-    fn init(&mut self, num_nodes: usize) {
-        assert!(num_nodes > 1, "need at least two nodes");
-        self.num_nodes = num_nodes;
-        self.on = vec![false; num_nodes];
-    }
-
-    fn generate(&mut self, _cycle: u64) -> Vec<PacketSpec> {
-        let p = (self.on_rate / self.len_flits as f64).min(1.0);
-        let mut specs = Vec::new();
-        for src in 0..self.num_nodes {
-            // Markov state update.
-            let flip = if self.on[src] { self.p_off } else { self.p_on };
-            if self.rng.gen_bool(flip) {
-                self.on[src] = !self.on[src];
-            }
-            if self.on[src] && p > 0.0 && self.rng.gen_bool(p) {
-                let mut dst = self.rng.gen_range(0..self.num_nodes - 1);
-                if dst >= src {
-                    dst += 1;
-                }
-                let payload =
-                    (0..self.len_flits).map(|_| self.payload.sample(&mut self.rng)).collect();
-                specs.push(PacketSpec {
-                    src: NodeId(src),
-                    dst: NodeId(dst),
-                    class: PacketClass::DataResponse,
-                    payload,
-                });
-            }
-        }
-        specs
-    }
-}
-
-#[cfg(test)]
-mod bursty_tests {
-    use super::*;
-
-    #[test]
-    fn average_rate_matches_duty_cycle() {
-        let mut w = BurstyUniform::new(0.4, 4, 0.01, 0.03, 9);
-        assert!((w.duty_cycle() - 0.25).abs() < 1e-12);
-        assert!((w.average_rate() - 0.1).abs() < 1e-12);
-        w.init(16);
-        let mut flits = 0usize;
-        let cycles = 40_000u64;
-        for c in 0..cycles {
-            for s in w.generate(c) {
-                flits += s.payload.len();
-            }
-        }
-        let measured = flits as f64 / (cycles as f64 * 16.0);
-        assert!((measured - 0.1).abs() < 0.02, "measured {measured}");
-    }
-
-    #[test]
-    fn traffic_is_actually_bursty() {
-        // Compare the variance of per-window flit counts against a
-        // memoryless source at the same average rate: the bursty source
-        // must be substantially over-dispersed.
-        let windows = |mut w: Box<dyn Workload>, cycles: u64| -> Vec<usize> {
-            w.init(16);
-            let win = 100;
-            let mut counts = vec![0usize; (cycles / win) as usize];
-            for c in 0..cycles {
-                let n: usize = w.generate(c).iter().map(|s| s.payload.len()).sum();
-                counts[(c / win) as usize] += n;
-            }
-            counts
-        };
-        let var = |xs: &[usize]| {
-            let n = xs.len() as f64;
-            let mean = xs.iter().sum::<usize>() as f64 / n;
-            (xs.iter().map(|&x| (x as f64 - mean).powi(2)).sum::<f64>() / n, mean)
-        };
-        let bursty = windows(Box::new(BurstyUniform::new(0.4, 4, 0.005, 0.015, 7)), 30_000);
-        let smooth = windows(Box::new(mira_noc::traffic::UniformRandom::new(0.1, 4, 7)), 30_000);
-        let (vb, mb) = var(&bursty);
-        let (vs, ms) = var(&smooth);
-        // Similar means…
-        assert!((mb - ms).abs() < ms * 0.25, "means {mb} vs {ms}");
-        // …but far larger variance for the bursty source.
-        assert!(vb > vs * 3.0, "variance {vb} vs {vs}");
-    }
-
-    #[test]
-    #[should_panic(expected = "p_on")]
-    fn invalid_probability_panics() {
-        let _ = BurstyUniform::new(0.1, 4, 0.0, 0.5, 1);
-    }
-}

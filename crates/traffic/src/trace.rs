@@ -32,19 +32,8 @@ pub struct TraceRecord {
 }
 
 impl TraceRecord {
-    /// Builds a record from a packet spec.
-    pub fn from_spec(cycle: u64, spec: &PacketSpec) -> Self {
-        TraceRecord {
-            cycle,
-            src: spec.src.index(),
-            dst: spec.dst.index(),
-            class: spec.class,
-            payload: spec.payload.iter().map(|f| f.words().to_vec()).collect(),
-        }
-    }
-
     /// Converts back to a packet spec.
-    pub fn to_spec(&self) -> PacketSpec {
+    fn to_spec(&self) -> PacketSpec {
         PacketSpec {
             src: NodeId(self.src),
             dst: NodeId(self.dst),
@@ -127,30 +116,13 @@ pub struct TraceReplay {
     /// Records sorted by cycle.
     records: Vec<TraceRecord>,
     next: usize,
-    /// Repeat the trace with this period (0 = play once).
-    loop_period: u64,
-    offset: u64,
 }
 
 impl TraceReplay {
     /// Creates a replay over `records` (sorted by cycle internally).
     pub fn new(mut records: Vec<TraceRecord>) -> Self {
         records.sort_by_key(|r| r.cycle);
-        TraceReplay { records, next: 0, loop_period: 0, offset: 0 }
-    }
-
-    /// Loops the trace: after the last record, restart shifted by
-    /// `period` cycles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is zero or smaller than the trace span.
-    #[must_use]
-    pub fn looped(mut self, period: u64) -> Self {
-        let span = self.records.last().map_or(0, |r| r.cycle);
-        assert!(period > span, "loop period must exceed the trace span {span}");
-        self.loop_period = period;
-        self
+        TraceReplay { records, next: 0 }
     }
 
     /// Total records in one pass.
@@ -167,22 +139,8 @@ impl TraceReplay {
 impl Workload for TraceReplay {
     fn generate(&mut self, cycle: u64) -> Vec<PacketSpec> {
         let mut specs = Vec::new();
-        if self.records.is_empty() {
-            return specs;
-        }
-        loop {
-            if self.next >= self.records.len() {
-                if self.loop_period == 0 {
-                    break;
-                }
-                self.next = 0;
-                self.offset += self.loop_period;
-            }
-            let due = self.records[self.next].cycle + self.offset;
-            if due > cycle {
-                break;
-            }
-            specs.push(self.records[self.next].to_spec());
+        while let Some(rec) = self.records.get(self.next).filter(|r| r.cycle <= cycle) {
+            specs.push(rec.to_spec());
             self.next += 1;
         }
         specs
@@ -229,12 +187,12 @@ mod tests {
     }
 
     #[test]
-    fn spec_roundtrip() {
+    fn record_converts_to_its_spec() {
         let rec = &sample_records()[1];
         let spec = rec.to_spec();
-        assert_eq!(spec.payload.len(), 5);
-        let again = TraceRecord::from_spec(rec.cycle, &spec);
-        assert_eq!(&again, rec);
+        assert_eq!((spec.src.index(), spec.dst.index(), spec.class), (rec.src, rec.dst, rec.class));
+        let words: Vec<Vec<u32>> = spec.payload.iter().map(|f| f.words().to_vec()).collect();
+        assert_eq!(words, rec.payload);
     }
 
     #[test]
@@ -252,15 +210,6 @@ mod tests {
         // A generate() call at a later cycle delivers everything due.
         let mut replay = TraceReplay::new(sample_records());
         assert_eq!(replay.generate(10).len(), 2);
-    }
-
-    #[test]
-    fn looped_replay_repeats() {
-        let mut replay = TraceReplay::new(sample_records()).looped(10);
-        assert_eq!(replay.generate(5).len(), 2); // first pass
-        assert_eq!(replay.generate(10).len(), 1); // cycle 0 + 10
-        assert_eq!(replay.generate(13).len(), 1); // cycle 3 + 10
-        assert_eq!(replay.generate(20).len(), 1); // next lap
     }
 
     #[test]

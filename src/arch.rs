@@ -74,7 +74,7 @@ impl Arch {
     /// Whether this variant merges switch and link traversal. The answer
     /// is derived from the delay model (paper Table 3), with the NC
     /// ablations forced to keep the stages separate.
-    pub fn combines_st_lt(self) -> bool {
+    fn combines_st_lt(self) -> bool {
         match self {
             Arch::ThreeDMNc | Arch::ThreeDMENc => false,
             other => {

@@ -23,7 +23,7 @@ use crate::experiments::ablations::{
 };
 use crate::experiments::common::{sweep_of, sweep_ur_points, ur_point, RunResult, SweepPoint};
 use crate::experiments::latency::{self, trace_points};
-use crate::experiments::runner::{Runner, SimPoint};
+use crate::experiments::runner::{RunSummary, Runner, SimPoint};
 use crate::experiments::thermal::{chip_model, co_simulate};
 use crate::experiments::{energy, faults, patterns, power, scorecard, tables, thermal};
 use crate::report::{BarFigure, Figure, TextTable};
@@ -74,8 +74,9 @@ pub struct Exhibit {
     pub run: fn(&mut Pass) -> Output,
 }
 
-/// A pass over exhibits: the settings, the runner, and every point
-/// result so far, keyed by `(label, seed)`.
+/// A pass over exhibits: the settings, the runner, every point result
+/// so far, keyed by `(label, seed)`, and the summaries of the batches
+/// the current entry ran.
 ///
 /// Inside one pass that key names one simulation: every point is built
 /// from the one [`PassConfig`], and each label names what varies
@@ -88,18 +89,23 @@ pub struct Pass {
     pub config: PassConfig,
     runner: Runner,
     memo: HashMap<(String, u64), RunResult>,
+    batches: Vec<RunSummary>,
 }
 
 impl Pass {
     /// A fresh pass running its points on `runner`.
     pub fn new(config: PassConfig, runner: Runner) -> Pass {
-        Pass { config, runner, memo: HashMap::new() }
+        Pass { config, runner, memo: HashMap::new(), batches: Vec::new() }
     }
 
-    /// Runs one entry, naming the runner's batches after it.
-    pub fn show(&mut self, exhibit: &Exhibit) -> Output {
+    /// Runs one entry, naming the runner's batches after it. Returns
+    /// the entry's output and the summaries of the batches it ran, in
+    /// run order (none when every point it asked for ran earlier in
+    /// the pass).
+    pub fn show(&mut self, exhibit: &Exhibit) -> (Output, Vec<RunSummary>) {
         self.runner = self.runner.clone().exhibit(exhibit.name);
-        (exhibit.run)(self)
+        let output = (exhibit.run)(self);
+        (output, std::mem::take(&mut self.batches))
     }
 
     /// The results of `points` in input order. Only the `(label, seed)`
@@ -118,6 +124,7 @@ impl Pass {
         if !fresh.is_empty() {
             let batch = self.runner.run(fresh);
             self.memo.extend(batch.outcomes.into_iter().map(|o| ((o.label, o.seed), o.result)));
+            self.batches.push(batch.summary);
         }
         keys.iter().map(|k| self.memo[k].clone()).collect()
     }

@@ -146,7 +146,7 @@ pub(crate) fn trace_point(
 /// The MP-trace batch as runner points, app-major over `Arch::ALL`;
 /// with `shutdown_multilayer`, layer shutdown is on for the
 /// multi-layered designs.
-pub(crate) fn trace_points(
+pub fn trace_points(
     apps: &[Application],
     shutdown_multilayer: bool,
     cycles: u64,

@@ -40,20 +40,16 @@
 //! - **Observability**: per-point wall-clock and cycle counts, an
 //!   optional progress line (done/total, ETA) on stderr, and a
 //!   machine-readable [`RunSummary`] for the benches' `--json` output,
-//!   now including a `failed_points` itemization. The
-//!   [`Runner::install`]ed runner also keeps every summary in the
-//!   in-process session list, which [`take_session`] drains.
+//!   including a `failed_points` itemization.
 
 use std::io::IsTerminal;
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, Once, OnceLock};
 use std::time::{Duration, Instant};
 
 use mira_noc::anomaly::AnomalyAbort;
-use mira_noc::stats::{LatencyHistogram, LatencyStats};
-use mira_noc::telemetry::StallCounters;
 use mira_obs::provenance::Provenance;
 use mira_obs::store::{self, StoreWriter};
 use serde::{Deserialize, Serialize};
@@ -154,9 +150,6 @@ pub enum FailureKind {
         /// The panic payload, rendered to a string.
         payload: String,
     },
-    /// The point was never run: an earlier failure aborted the batch
-    /// under the fail-fast policy.
-    Skipped,
     /// A flight-recorder detector halted the simulation from inside the
     /// point (an in-simulator hang or invariant violation). Anomalies
     /// are deterministic — the same seed wedges the same way — and the
@@ -174,11 +167,10 @@ pub enum FailureKind {
 }
 
 impl FailureKind {
-    /// Stable machine-readable tag (`panic` / `skipped` / `anomaly`).
+    /// Stable machine-readable tag (`panic` / `anomaly`).
     pub fn name(&self) -> &'static str {
         match self {
             FailureKind::Panic { .. } => "panic",
-            FailureKind::Skipped => "skipped",
             FailureKind::Anomaly { .. } => "anomaly",
         }
     }
@@ -187,7 +179,6 @@ impl FailureKind {
     pub fn detail(&self) -> String {
         match self {
             FailureKind::Panic { payload } => payload.clone(),
-            FailureKind::Skipped => "skipped after an earlier failure (fail-fast)".to_string(),
             FailureKind::Anomaly { detector, cycle, dump_path } => match dump_path {
                 Some(p) => format!(
                     "anomaly `{detector}` halted the run at cycle {cycle} (dump: {})",
@@ -210,7 +201,7 @@ pub struct PointFailure {
     pub seed: u64,
     /// What went wrong.
     pub kind: FailureKind,
-    /// Wall-clock spent on the point (zero for fail-fast skips).
+    /// Wall-clock spent on the point.
     pub wall: Duration,
 }
 
@@ -219,7 +210,6 @@ impl std::fmt::Display for PointFailure {
         write!(f, "point {} `{}` (seed {}) ", self.index, self.label, self.seed)?;
         match &self.kind {
             FailureKind::Panic { payload } => write!(f, "panicked: {payload}"),
-            FailureKind::Skipped => write!(f, "skipped (fail-fast)"),
             FailureKind::Anomaly { detector, cycle, dump_path } => {
                 write!(f, "tripped anomaly detector `{detector}` at cycle {cycle}")?;
                 if let Some(p) = dump_path {
@@ -293,9 +283,9 @@ impl TryRunBatch {
 /// Machine-readable summary of one batch (emitted under `"runner"` in
 /// the benches' `--json` output).
 ///
-/// `Serialize` is implemented by hand (not derived) so the `windows`
-/// time-series, the `failed_points` itemization and the
-/// `resumed_points` count are omitted entirely when empty/zero — the
+/// `Serialize` is implemented by hand (not derived) so the
+/// `failed_points` itemization, the `resumed_points` count and the
+/// anomaly fields are omitted entirely when empty/zero — the
 /// default-path JSON stays byte-identical to pre-crash-safety output.
 #[derive(Debug, Clone)]
 pub struct RunSummary {
@@ -321,26 +311,12 @@ pub struct RunSummary {
     pub mflits_per_sec: f64,
     /// How many points hit saturation (drain budget expired).
     pub saturated_points: usize,
-    /// Mean latency over the merged per-point histograms, cycles.
-    pub agg_latency_mean: f64,
-    /// Median over the merged histograms (`None` for an empty batch).
-    pub agg_latency_p50: Option<u64>,
-    /// 95th percentile over the merged histograms.
-    pub agg_latency_p95: Option<u64>,
-    /// 99th percentile over the merged histograms.
-    pub agg_latency_p99: Option<u64>,
-    /// Mean per-point queue wait (batch start → claim), milliseconds,
-    /// over points executed in this batch (resumed points never queue).
-    pub queue_wait_mean_ms: f64,
-    /// Worst per-point queue wait, milliseconds.
+    /// Worst queue wait (batch start → claim) of a point executed in
+    /// this batch, milliseconds (resumed points never queue).
     pub queue_wait_max_ms: f64,
-    /// Load-imbalance ratio: busiest worker's busy time over the mean
-    /// worker busy time (1.0 = perfectly balanced): how well point-level
-    /// parallelism fills the cores (DESIGN.md §15).
-    pub imbalance: f64,
     /// Peak live flits in any point's arena (host memory watermark).
     pub peak_arena_flits: u64,
-    /// Per-worker busy/idle accounting, one row per worker thread.
+    /// Per-worker busy accounting, one row per worker thread.
     pub workers: Vec<WorkerSummary>,
     /// Build provenance of this binary (git rev, rustc, profile).
     pub build: Provenance,
@@ -354,9 +330,6 @@ pub struct RunSummary {
     /// Always 0: points run once. Kept so existing readers of the
     /// field still compile; never serialized.
     pub retried_points: usize,
-    /// Windowed-metrics time series aggregated across points, empty
-    /// unless points ran with `TelemetryConfig::metrics_window` set.
-    pub windows: Vec<WindowAggregate>,
     /// Anomaly-detector firings across the batch: windowed detections
     /// counted on completed points plus triggered halts (one per
     /// [`FailureKind::Anomaly`] failure). Zero on a healthy batch.
@@ -375,9 +348,6 @@ pub struct WorkerSummary {
     pub points: usize,
     /// Time spent inside point closures, milliseconds.
     pub busy_ms: f64,
-    /// Batch wall time minus busy time, milliseconds (startup, queue
-    /// polling, and tail idling after the queue drained).
-    pub idle_ms: f64,
 }
 
 /// One failed point as serialized under `failed_points` in the batch
@@ -390,7 +360,7 @@ pub struct FailureSummary {
     pub label: String,
     /// Seed the point ran (or would have run) with.
     pub seed: u64,
-    /// Failure tag: `panic`, `skipped` or `anomaly`.
+    /// Failure tag: `panic` or `anomaly`.
     pub kind: String,
     /// Human-readable cause (panic payload, detector, …).
     pub detail: String,
@@ -411,66 +381,6 @@ impl FailureSummary {
     }
 }
 
-/// One metrics window aggregated over every point that produced it
-/// (grouped by window index).
-#[derive(Debug, Clone, Serialize)]
-pub struct WindowAggregate {
-    /// Window index (windows with the same index across points are
-    /// merged).
-    pub index: u64,
-    /// First cycle covered (from the first contributing point).
-    pub start_cycle: u64,
-    /// One past the last cycle covered.
-    pub end_cycle: u64,
-    /// Points contributing to this window.
-    pub points: usize,
-    /// Mean per-router buffer occupancy (flits), averaged over points.
-    pub occupancy_mean: f64,
-    /// Stall cycles summed over all routers of all contributing points.
-    pub stalls: StallCounters,
-}
-
-/// Groups per-point metrics windows by index into batch-level
-/// aggregates.
-fn aggregate_windows(outcomes: &[&PointOutcome]) -> Vec<WindowAggregate> {
-    let mut aggs: Vec<WindowAggregate> = Vec::new();
-    for o in outcomes {
-        for w in &o.result.report.windows {
-            let idx = w.index as usize;
-            if aggs.len() <= idx {
-                let mut next = aggs.len() as u64;
-                aggs.resize_with(idx + 1, || {
-                    let a = WindowAggregate {
-                        index: next,
-                        start_cycle: w.start_cycle,
-                        end_cycle: w.end_cycle,
-                        points: 0,
-                        occupancy_mean: 0.0,
-                        stalls: StallCounters::new(),
-                    };
-                    next += 1;
-                    a
-                });
-            }
-            let agg = &mut aggs[idx];
-            agg.index = w.index;
-            if agg.points == 0 {
-                agg.start_cycle = w.start_cycle;
-                agg.end_cycle = w.end_cycle;
-            }
-            agg.points += 1;
-            agg.occupancy_mean += w.occupancy_mean();
-            agg.stalls.merge(&w.stall_total());
-        }
-    }
-    for agg in &mut aggs {
-        if agg.points > 0 {
-            agg.occupancy_mean /= agg.points as f64;
-        }
-    }
-    aggs
-}
-
 impl Serialize for RunSummary {
     fn to_value(&self) -> serde::Value {
         let mut fields = vec![
@@ -483,13 +393,7 @@ impl Serialize for RunSummary {
             ("kcycles_per_sec".to_string(), self.kcycles_per_sec.to_value()),
             ("mflits_per_sec".to_string(), self.mflits_per_sec.to_value()),
             ("saturated_points".to_string(), self.saturated_points.to_value()),
-            ("agg_latency_mean".to_string(), self.agg_latency_mean.to_value()),
-            ("agg_latency_p50".to_string(), self.agg_latency_p50.to_value()),
-            ("agg_latency_p95".to_string(), self.agg_latency_p95.to_value()),
-            ("agg_latency_p99".to_string(), self.agg_latency_p99.to_value()),
-            ("queue_wait_mean_ms".to_string(), self.queue_wait_mean_ms.to_value()),
             ("queue_wait_max_ms".to_string(), self.queue_wait_max_ms.to_value()),
-            ("imbalance".to_string(), self.imbalance.to_value()),
             ("peak_arena_flits".to_string(), self.peak_arena_flits.to_value()),
             ("workers".to_string(), self.workers.to_value()),
             ("build".to_string(), self.build.to_value()),
@@ -500,9 +404,6 @@ impl Serialize for RunSummary {
         }
         if self.resumed_points > 0 {
             fields.push(("resumed_points".to_string(), self.resumed_points.to_value()));
-        }
-        if !self.windows.is_empty() {
-            fields.push(("windows".to_string(), self.windows.to_value()));
         }
         if self.anomalies > 0 {
             fields.push(("anomalies".to_string(), self.anomalies.to_value()));
@@ -527,12 +428,6 @@ pub struct PointSummary {
     pub avg_latency: f64,
     /// Whether the point saturated.
     pub saturated: bool,
-    /// Simulation rate of this point: thousands of simulated cycles per
-    /// wall-clock second on its worker.
-    pub kcycles_per_sec: f64,
-    /// Simulation rate of this point: millions of flits ejected in the
-    /// measurement window per wall-clock second.
-    pub mflits_per_sec: f64,
     /// Wait from batch start until a worker claimed this point, ms.
     pub queue_wait_ms: f64,
     /// Peak live flits in this point's arena.
@@ -550,12 +445,9 @@ fn per_sec(numerator: f64, seconds: f64) -> f64 {
 }
 
 impl RunSummary {
-    /// Builds the summary for a finished batch. Aggregate latency is
-    /// computed by *merging* the per-point statistics and histograms
-    /// ([`LatencyStats::merge`], [`LatencyHistogram::merge`]) — the
-    /// same numbers a single serial pass over all packets would give.
-    /// Failed points contribute to `busy_ms` (their worker time was
-    /// real) but to none of the simulation aggregates.
+    /// Builds the summary for a finished batch. Failed points
+    /// contribute to `busy_ms` (their worker time was real) but to none
+    /// of the simulation aggregates.
     fn new(
         jobs: usize,
         wall: Duration,
@@ -563,40 +455,18 @@ impl RunSummary {
         worker_stats: &[(usize, Duration)],
     ) -> Self {
         let ok: Vec<&PointOutcome> = outcomes.iter().filter_map(|r| r.as_ref().ok()).collect();
-        let executed: Vec<&PointOutcome> = ok.iter().copied().filter(|o| !o.resumed).collect();
-        let mut merged_stats = LatencyStats::new();
-        let mut merged_hist = LatencyHistogram::new();
-        for o in &ok {
-            merged_stats.merge(&o.result.report.latency());
-            merged_hist.merge(&o.result.report.histogram);
-        }
         let wall_s = wall.as_secs_f64();
         let total_cycles: u64 = ok.iter().map(|o| o.result.report.cycles_simulated).sum();
         let total_flits: u64 = ok.iter().map(|o| o.result.report.counters.flits_ejected).sum();
         let workers: Vec<WorkerSummary> = worker_stats
             .iter()
             .enumerate()
-            .map(|(w, &(points, busy))| {
-                let busy_ms = busy.as_secs_f64() * 1e3;
-                WorkerSummary {
-                    worker: w,
-                    points,
-                    busy_ms,
-                    idle_ms: (wall.as_secs_f64() * 1e3 - busy_ms).max(0.0),
-                }
+            .map(|(worker, &(points, busy))| WorkerSummary {
+                worker,
+                points,
+                busy_ms: busy.as_secs_f64() * 1e3,
             })
             .collect();
-        let imbalance = if workers.is_empty() {
-            1.0
-        } else {
-            let mean_busy = workers.iter().map(|w| w.busy_ms).sum::<f64>() / workers.len() as f64;
-            let max_busy = workers.iter().map(|w| w.busy_ms).fold(0.0, f64::max);
-            if mean_busy > 0.0 {
-                max_busy / mean_busy
-            } else {
-                1.0
-            }
-        };
         let failed_points: Vec<FailureSummary> =
             outcomes.iter().filter_map(|r| r.as_ref().err()).map(FailureSummary::of).collect();
         let failure_busy_ms: f64 = outcomes
@@ -627,21 +497,11 @@ impl RunSummary {
             kcycles_per_sec: per_sec(total_cycles as f64 / 1e3, wall_s),
             mflits_per_sec: per_sec(total_flits as f64 / 1e6, wall_s),
             saturated_points: ok.iter().filter(|o| o.result.report.saturated).count(),
-            agg_latency_mean: merged_stats.mean(),
-            agg_latency_p50: merged_hist.p50(),
-            agg_latency_p95: merged_hist.p95(),
-            agg_latency_p99: merged_hist.p99(),
-            queue_wait_mean_ms: if executed.is_empty() {
-                0.0
-            } else {
-                executed.iter().map(|o| o.queue_wait.as_secs_f64() * 1e3).sum::<f64>()
-                    / executed.len() as f64
-            },
-            queue_wait_max_ms: executed
+            queue_wait_max_ms: ok
                 .iter()
+                .filter(|o| !o.resumed)
                 .map(|o| o.queue_wait.as_secs_f64() * 1e3)
                 .fold(0.0, f64::max),
-            imbalance,
             peak_arena_flits: ok.iter().map(|o| o.result.arena_peak_flits).max().unwrap_or(0),
             workers,
             build: Provenance::current(),
@@ -654,14 +514,6 @@ impl RunSummary {
                     cycles: o.result.report.cycles_simulated,
                     avg_latency: o.result.report.avg_latency,
                     saturated: o.result.report.saturated,
-                    kcycles_per_sec: per_sec(
-                        o.result.report.cycles_simulated as f64 / 1e3,
-                        o.wall.as_secs_f64(),
-                    ),
-                    mflits_per_sec: per_sec(
-                        o.result.report.counters.flits_ejected as f64 / 1e6,
-                        o.wall.as_secs_f64(),
-                    ),
                     queue_wait_ms: o.queue_wait.as_secs_f64() * 1e3,
                     arena_peak_flits: o.result.arena_peak_flits,
                 })
@@ -669,7 +521,6 @@ impl RunSummary {
             failed_points,
             resumed_points: ok.iter().filter(|o| o.resumed).count(),
             retried_points: 0,
-            windows: aggregate_windows(&ok),
             anomalies,
             anomaly_kinds,
         }
@@ -778,7 +629,6 @@ struct BatchState<'a> {
     started: Instant,
     next: AtomicUsize,
     finalized: AtomicUsize,
-    abort: AtomicBool,
     resumed: usize,
     store: Mutex<Option<StoreWriter>>,
 }
@@ -847,10 +697,6 @@ impl BatchState<'_> {
                 kind,
                 wall,
             };
-            if self.abort.load(Ordering::Relaxed) {
-                self.finalize(i, Err(failure(FailureKind::Skipped, Duration::ZERO)));
-                continue;
-            }
             let queue_wait = self.started.elapsed();
             let t0 = Instant::now();
             // The closures are pure functions of the seed by contract
@@ -911,18 +757,13 @@ impl BatchState<'_> {
         }
     }
 
-    /// Records point `index`'s outcome: point-line append, the
-    /// fail-fast abort flag and the progress line, then its slot.
+    /// Records point `index`'s outcome: point-line append and the
+    /// progress line, then its slot.
     fn finalize(&self, index: usize, value: Outcome) {
-        match &value {
-            // Flush the point line *before* the point counts as
-            // finalized: once reported done, it is durable.
-            Ok(o) => self.store_point(o),
-            Err(f) => {
-                if self.runner.fail_fast && !matches!(f.kind, FailureKind::Skipped) {
-                    self.abort.store(true, Ordering::Relaxed);
-                }
-            }
+        // Flush the point line *before* the point counts as finalized:
+        // once reported done, it is durable.
+        if let Ok(o) = &value {
+            self.store_point(o);
         }
         let finished = self.finalized.fetch_add(1, Ordering::Relaxed) + 1;
         self.emit_progress(finished, &value);
@@ -1043,17 +884,7 @@ fn prefill_from_store(
             continue;
         };
         let entry = pool.swap_remove(pos);
-        // The result must write back as stored: the reader fills a
-        // missing float with NaN, so a partial line would replay wrong.
-        let json = |v: &serde::Value| serde_json::to_string(v).unwrap_or_default();
-        let read = RunResult::from_value(&entry.result).and_then(|r| {
-            if json(&r.to_value()) == json(&entry.result) {
-                Ok(r)
-            } else {
-                Err(serde::Error::msg("fields missing or out of shape"))
-            }
-        });
-        match read {
+        match RunResult::from_value(&entry.result) {
             Ok(result) => {
                 let replayed = PointOutcome {
                     label: p.label.clone(),
@@ -1088,57 +919,27 @@ pub struct Runner {
     progress: bool,
     progress_json: bool,
     exhibit: Option<String>,
-    fail_fast: bool,
     checkpoint_dir: Option<PathBuf>,
     resume: bool,
     blackbox_dir: Option<PathBuf>,
     options: String,
-    session: bool,
 }
 
 /// Default directory for anomaly black-box dumps.
 const DEFAULT_BLACKBOX_DIR: &str = "results/blackbox";
 
-/// The process-wide runner set by [`Runner::install`].
-static INSTALLED: OnceLock<Runner> = OnceLock::new();
-
-/// Summaries of the batches the installed runner ran and nobody took yet.
-static SESSION: Mutex<Vec<RunSummary>> = Mutex::new(Vec::new());
-
-/// Takes every batch summary the [`Runner::install`]ed runner recorded
-/// since the last call, in completion order: what the bench driver
-/// reports per exhibit. Runners built in code record nothing, so a
-/// long-lived process that never installs one does not grow with its
-/// batch count.
-pub fn take_session() -> Vec<RunSummary> {
-    std::mem::take(&mut *SESSION.lock().expect("session list"))
-}
-
 impl Runner {
-    /// The process's runner: the one [`Runner::install`]ed, if any
-    /// (the bench binaries install the runner their flags describe at
-    /// startup, so library exhibits that cannot take a `&Runner` still
-    /// honour the flags). Otherwise the pool is sized from the
-    /// environment: `MIRA_JOBS` if set to a positive integer, else
-    /// [`std::thread::available_parallelism`]; a blank `MIRA_JOBS`
-    /// counts as unset, any other value exits non-zero naming the
-    /// variable. Progress reporting defaults to on when stderr is a
-    /// terminal; every other policy is off (see the builder methods).
+    /// A pool sized from the environment: `MIRA_JOBS` if set to a
+    /// positive integer, else [`std::thread::available_parallelism`]; a
+    /// blank `MIRA_JOBS` counts as unset, any other value exits non-zero
+    /// naming the variable. Progress reporting defaults to on when
+    /// stderr is a terminal; every other policy is off (see the builder
+    /// methods).
     pub fn from_env() -> Self {
-        if let Some(runner) = INSTALLED.get() {
-            return runner.clone();
-        }
         let jobs = parse_jobs(std::env::var("MIRA_JOBS").ok().as_deref())
             .unwrap_or_else(|e| e.exit())
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
         Runner { progress: std::io::stderr().is_terminal(), ..Runner::with_jobs(jobs) }
-    }
-
-    /// Makes this runner the one every later [`Runner::from_env`] call
-    /// in the process returns, recording each batch summary for
-    /// [`take_session`]. The first installed runner wins.
-    pub fn install(self) {
-        let _ = INSTALLED.set(Runner { session: true, ..self });
     }
 
     /// Pool with an explicit worker count (progress off, no store —
@@ -1149,12 +950,10 @@ impl Runner {
             progress: false,
             progress_json: false,
             exhibit: None,
-            fail_fast: false,
             checkpoint_dir: None,
             resume: false,
             blackbox_dir: None,
             options: String::new(),
-            session: false,
         }
     }
 
@@ -1170,15 +969,6 @@ impl Runner {
     /// binary's file stem).
     pub fn exhibit(mut self, name: impl Into<String>) -> Self {
         self.exhibit = Some(name.into());
-        self
-    }
-
-    /// Fail-fast policy: after the first point failure, remaining
-    /// unstarted points are recorded [`FailureKind::Skipped`] instead
-    /// of executed (default: degrade gracefully — run everything and
-    /// report all failures at the end).
-    pub fn fail_fast(mut self, on: bool) -> Self {
-        self.fail_fast = on;
         self
     }
 
@@ -1297,7 +1087,6 @@ impl Runner {
             started,
             next: AtomicUsize::new(0),
             finalized: AtomicUsize::new(resumed),
-            abort: AtomicBool::new(false),
             resumed,
             store: Mutex::new(writer),
         };
@@ -1330,9 +1119,6 @@ impl Runner {
             .collect();
         let summary = RunSummary::new(workers.max(1), started.elapsed(), &outcomes, &worker_stats);
         store_append(&mut writer, |w| w.append_batch(&exhibit, &self.options, summary.to_value()));
-        if self.session && total > 0 {
-            SESSION.lock().expect("session list").push(summary.clone());
-        }
         TryRunBatch { exhibit, outcomes, summary }
     }
 
@@ -1400,7 +1186,6 @@ mod tests {
         let batch = Runner::with_jobs(4).run(Vec::new());
         assert!(batch.outcomes.is_empty());
         assert_eq!(batch.summary.points, 0);
-        assert_eq!(batch.summary.agg_latency_p50, None);
     }
 
     #[test]
@@ -1417,10 +1202,6 @@ mod tests {
             s.packets_ejected,
             batch.outcomes.iter().map(|o| o.result.report.packets_ejected).sum::<u64>()
         );
-        // Identical seeds ⇒ identical runs ⇒ the merged mean equals the
-        // per-point mean.
-        let per_point = batch.outcomes[0].result.report.avg_latency;
-        assert!((s.agg_latency_mean - per_point).abs() < 1e-9);
         assert!(s.wall_ms > 0.0 && s.busy_ms > 0.0);
         assert_eq!(s.point_details.len(), 2);
         assert_eq!(s.point_details[0].label, "x");
@@ -1432,9 +1213,6 @@ mod tests {
         let expected = s.cycles_simulated as f64 / 1e3 / (s.wall_ms / 1e3);
         assert!((s.kcycles_per_sec - expected).abs() < 1e-6 * expected.max(1.0));
         assert!(s.mflits_per_sec > 0.0);
-        for d in &s.point_details {
-            assert!(d.kcycles_per_sec > 0.0, "{}", d.label);
-        }
         assert!(s.one_line().contains("Kcyc/s"));
         assert!(!s.one_line().contains("FAILED"));
         // The crash-safety fields stay out of clean-batch JSON.
@@ -1508,35 +1286,6 @@ mod tests {
         let msg = panic_message(err.as_ref());
         assert!(msg.contains("panic_test: 1 of 1 points failed"), "{msg}");
         assert!(msg.contains("`boom` (seed 5) panicked: kaboom"), "{msg}");
-    }
-
-    #[test]
-    fn fail_fast_skips_remaining_points() {
-        for jobs in [1, 2] {
-            let points = vec![
-                SimPoint::new("boom", 1, |_| panic!("first point fails")),
-                ur_point("after1", Arch::TwoDB, 0.05, 2),
-                ur_point("after2", Arch::TwoDB, 0.05, 3),
-            ];
-            let batch = Runner::with_jobs(jobs).fail_fast(true).try_run(points);
-            assert!(matches!(
-                batch.outcomes[0].as_ref().expect_err("panics").kind,
-                FailureKind::Panic { .. }
-            ));
-            // With two workers a point claimed before the abort landed
-            // may still complete; every other point is skipped.
-            for i in [1, 2] {
-                match &batch.outcomes[i] {
-                    Ok(_) => assert!(jobs > 1, "jobs {jobs}: point {i} ran after the abort"),
-                    Err(f) => assert_eq!(f.kind, FailureKind::Skipped, "jobs {jobs}: point {i}"),
-                }
-            }
-            let s = &batch.summary;
-            assert_eq!(s.point_details.len() + s.failed_points.len(), s.points, "jobs {jobs}");
-            if jobs == 1 {
-                assert_eq!(s.failed_points.len(), 3);
-            }
-        }
     }
 
     /// An anomaly halt unwinds without the default hook's `panicked at`

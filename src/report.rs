@@ -29,7 +29,7 @@ impl Series {
     }
 
     /// The y value at a given x, if sampled.
-    pub fn y_at(&self, x: f64) -> Option<f64> {
+    fn y_at(&self, x: f64) -> Option<f64> {
         self.points.iter().find(|p| (p.x - x).abs() < 1e-9).map(|p| p.y)
     }
 }

@@ -1,7 +1,8 @@
 //! The exhibit list against the direct library calls (DESIGN.md §10):
 //! a [`Pass`] over [`EXHIBITS`] prints what the direct calls of the full
 //! pass print, in `all_experiments` order, and simulates each distinct
-//! `(label, seed)` pair of those calls exactly once.
+//! `(label, seed)` pair of those calls exactly once, every batch on the
+//! pass's own runner.
 //!
 //! The scale is the benchmark's tiny pass: windows of 100/500/2,000
 //! cycles, one rate per grid, 1,500 trace cycles and 1,000 pattern
@@ -9,9 +10,9 @@
 
 use std::collections::HashSet;
 
-use mira::experiments::common::{default_sim_config, sweep_ur_on};
+use mira::experiments::common::{default_sim_config, sweep_ur_on, sweep_ur_points};
 use mira::experiments::exhibits::{Pass, PassConfig, EXHIBITS};
-use mira::experiments::runner::{take_session, RunSummary, Runner};
+use mira::experiments::runner::{RunSummary, Runner, SimPoint};
 use mira::experiments::{ablations, energy, faults, latency, patterns, power, scorecard};
 use mira::experiments::{tables, thermal};
 use mira::noc::sim::SimConfig;
@@ -76,25 +77,68 @@ fn direct_text(cfg: &PassConfig, runner: &Runner) -> String {
     exhibits.iter().map(|text| format!("{text}\n")).collect()
 }
 
+/// The points of the direct calls, from the builders their wrappers
+/// call: the shared UR sweep, then each runner-backed exhibit in
+/// [`direct_text`] order.
+fn direct_points(cfg: &PassConfig) -> Vec<SimPoint> {
+    let (sim, traces) = (cfg.sim, cfg.trace_cycles);
+    let presented = &Application::PRESENTED;
+    let batches = [
+        sweep_ur_points(&cfg.rates_ur, 0.0, sim),
+        latency::nuca_sweep_points(&cfg.rates_nuca, sim),
+        latency::nuca_sweep_points(&cfg.rates_nuca, sim),
+        latency::trace_points(presented, false, traces, sim),
+        latency::trace_points(presented, true, traces, sim),
+        latency::fig11d_points(0.05, Application::Apache, traces, sim),
+        power::fig13b_points(0.10, sim),
+        thermal::fig13c_points(&cfg.thermal_rates, sim),
+        ablations::ablate_pipeline_points(0.10, sim),
+        ablations::ablate_express_span_points(0.10, sim),
+        ablations::ablate_buffers_points(0.15, sim),
+        ablations::ablate_routing_points(0.15, sim),
+        latency::tail_points(0.15, sim),
+        faults::fault_sweep_points(&cfg.fault_ppm, sim),
+        scorecard::scorecard_points(sim, traces),
+    ];
+    batches.into_iter().flatten().collect()
+}
+
 /// Every `(label, seed)` pair the batches simulated, in batch order.
 fn simulated(batches: &[RunSummary]) -> Vec<(String, u64)> {
     batches.iter().flat_map(|b| &b.point_details).map(|p| (p.label.clone(), p.seed)).collect()
 }
 
+/// The store lines of every file in `dir`, parsed.
+fn store_lines(dir: &std::path::Path) -> Vec<Vec<serde::Value>> {
+    let files = std::fs::read_dir(dir).expect("the store directory");
+    let parse = |path: std::path::PathBuf| {
+        let text = std::fs::read_to_string(path).expect("a store file");
+        text.lines().map(|l| serde_json::from_str(l).expect("a store line")).collect()
+    };
+    files.map(|f| parse(f.expect("a directory entry").path())).collect()
+}
+
 #[test]
 fn the_list_prints_the_direct_calls_and_simulates_each_point_once() {
-    // Installed, the runner records every batch for `take_session`,
-    // including those of library calls that run on the process runner.
-    Runner::with_jobs(2).install();
-    let runner = Runner::from_env();
+    const OPTIONS: &str = "exhibits-test tiny pass";
     let cfg = tiny();
+    let direct = direct_text(&cfg, &Runner::with_jobs(2));
+    let direct_points: HashSet<(String, u64)> =
+        direct_points(&cfg).iter().map(|p| (p.label().to_string(), p.seed())).collect();
 
-    let direct = direct_text(&cfg, &runner);
-    let direct_points: HashSet<(String, u64)> = simulated(&take_session()).into_iter().collect();
-
+    // A batch that ran anywhere but on the pass's runner would write no
+    // store file here, or echo other options.
+    let dir = std::env::temp_dir().join(format!("mira_exhibits_store_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let runner = Runner::with_jobs(2).checkpoint_dir(&dir).options(OPTIONS);
     let mut pass = Pass::new(cfg, runner);
-    let listed: String = EXHIBITS.iter().map(|e| format!("{}\n", pass.show(e).text)).collect();
-    let pass_points = simulated(&take_session());
+    let (mut listed, mut batches) = (String::new(), Vec::new());
+    for exhibit in &EXHIBITS {
+        let (out, ran) = pass.show(exhibit);
+        listed.push_str(&format!("{}\n", out.text));
+        batches.extend(ran);
+    }
+    let pass_points = simulated(&batches);
 
     let differ = listed.lines().zip(direct.lines()).find(|(l, d)| l != d);
     assert_eq!(differ, None, "first line where the list and the direct calls differ");
@@ -102,4 +146,16 @@ fn the_list_prints_the_direct_calls_and_simulates_each_point_once() {
     let distinct: HashSet<(String, u64)> = pass_points.iter().cloned().collect();
     assert_eq!(distinct.len(), pass_points.len(), "no (label, seed) pair is simulated twice");
     assert_eq!(distinct, direct_points, "the pass simulates every distinct direct point");
+
+    let files = store_lines(&dir);
+    assert_eq!(files.len(), batches.len(), "one store file per batch the pass returned");
+    let is_batch = |line: &serde::Value| !matches!(line.field("batch"), serde::Value::Null);
+    for lines in &files {
+        for batch in lines.iter().filter(|l| is_batch(l)) {
+            assert_eq!(batch.field("options").as_str().expect("an echo"), OPTIONS);
+        }
+    }
+    let stored_points = files.iter().flatten().filter(|l| !is_batch(l)).count();
+    assert_eq!(stored_points, direct_points.len(), "point lines total the distinct pairs");
+    std::fs::remove_dir_all(&dir).expect("cleanup");
 }

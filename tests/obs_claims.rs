@@ -8,7 +8,7 @@
 
 use mira::arch::Arch;
 use mira::experiments::common::{quick_sim_config, run_arch, EXPERIMENT_SEED};
-use mira::experiments::runner::{derive_seed, take_session, ProgressEvent, Runner, SimPoint};
+use mira::experiments::runner::{derive_seed, ProgressEvent, Runner, SimPoint};
 use mira_noc::anomaly::AnomalyConfig;
 use mira_noc::traffic::UniformRandom;
 use serde::Serialize;
@@ -19,7 +19,7 @@ fn ur_point(label: &str, rate: f64, seed: u64) -> SimPoint {
     })
 }
 
-/// The batch summary carries build provenance, per-worker busy/idle
+/// The batch summary carries build provenance, per-worker busy
 /// accounting, queue waits and the arena watermark — with observability
 /// *off* (they are plain host-side measurements, always available).
 #[test]
@@ -43,8 +43,6 @@ fn summary_carries_provenance_and_worker_accounting() {
     assert_eq!(worker_points, 4, "every point attributed to a worker");
     let worker_busy: f64 = s.workers.iter().map(|w| w.busy_ms).sum();
     assert!((worker_busy - s.busy_ms).abs() < 1e-6, "worker busy sums to batch busy");
-    assert!(s.imbalance >= 1.0, "imbalance is max/mean, so >= 1");
-    assert!(s.queue_wait_max_ms >= s.queue_wait_mean_ms);
     assert!(s.peak_arena_flits > 0, "a loaded run has live flits");
     for (o, d) in batch.outcomes.iter().zip(&s.point_details) {
         assert_eq!(o.result.arena_peak_flits, d.arena_peak_flits);
@@ -54,14 +52,7 @@ fn summary_carries_provenance_and_worker_accounting() {
     // The new fields survive serialization (nothing pins RunSummary
     // JSON byte-for-byte, but monitors key on these names).
     let json = serde_json::to_string(&s.to_value()).expect("summary serializes");
-    for key in [
-        "queue_wait_mean_ms",
-        "imbalance",
-        "peak_arena_flits",
-        "\"workers\"",
-        "\"build\"",
-        "git_rev",
-    ] {
+    for key in ["peak_arena_flits", "\"workers\"", "\"build\"", "git_rev"] {
         assert!(json.contains(key), "summary JSON carries {key}");
     }
 }
@@ -97,9 +88,8 @@ fn progress_event_line_parses() {
 ///    `Network::step` wall time on a real simulation, and an armed run
 ///    attributes its anomaly detectors to their own driver phase;
 /// 2. a runner batch with a store directory writes one point line per
-///    point plus one batch line carrying its summary, which the session
-///    list of the installed runner also holds;
-/// 3. the snapshot renders those phases in both formats.
+///    point plus one batch line carrying its summary;
+/// 3. the snapshot round-trips those phases through JSON.
 #[test]
 fn obs_enabled_end_to_end() {
     mira_obs::set_enabled(true);
@@ -137,8 +127,7 @@ fn obs_enabled_end_to_end() {
         "",
         points.iter().map(|p| (p.label(), p.seed())),
     );
-    Runner::with_jobs(2).checkpoint_dir(&dir).exhibit("obs_claims").install();
-    let batch = Runner::from_env().run(points);
+    let batch = Runner::with_jobs(2).checkpoint_dir(&dir).exhibit("obs_claims").run(points);
     let path = mira_obs::store::path_for(&dir, "obs_claims", hash);
     let stored = mira_obs::store::load(&path, hash).expect("store written");
     assert_eq!(stored.points.len(), 2, "one point line per point");
@@ -155,20 +144,11 @@ fn obs_enabled_end_to_end() {
     assert_eq!(field("peak_arena_flits"), s.peak_arena_flits);
     assert_eq!(line.batch.field("build").field("git_rev").as_str().expect("rev"), s.build.git_rev);
     assert!(line.batch.field("kcycles_per_sec").as_f64().expect("rate") > 0.0);
-    let json = |s: &mira::experiments::runner::RunSummary| {
-        serde_json::to_string(&s.to_value()).expect("summary serializes")
-    };
-    assert!(
-        take_session().iter().any(|e| json(e) == json(s)),
-        "the summary is also in the session list"
-    );
     std::fs::remove_dir_all(&dir).expect("cleanup");
 
-    // Claim 3: the snapshot renders everything in both formats.
+    // Claim 3: the snapshot round-trips through JSON.
     let snap = mira_obs::snapshot();
     assert!(snap.coverage.is_some());
-    let prom = snap.to_prometheus();
-    assert!(prom.contains("mira_phase_nanos_total{phase=\"router_pipeline\"}"));
     let back: mira_obs::ObsSnapshot =
         serde_json::from_str(&snap.to_json()).expect("snapshot round-trips");
     assert_eq!(back.phases.len(), snap.phases.len());
