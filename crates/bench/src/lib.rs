@@ -8,11 +8,11 @@
 //! `--quick` to run a reduced configuration and prints the regenerated
 //! exhibits as text (plus `--json` for one machine-readable document).
 //!
-//! Telemetry flags (DESIGN.md §11): `--metrics-window <cycles>` turns on
-//! windowed per-router metrics for every simulation the binary runs;
-//! `--trace-out <path>` / `--metrics-out <path>` write a Perfetto
-//! -compatible event trace and a metrics dump from one representative
-//! traced run.
+//! Telemetry flags (DESIGN.md §11): `--trace-out <path>` /
+//! `--metrics-out <path>` write a Perfetto-compatible event trace and a
+//! metrics dump from one representative traced run, separate from the
+//! exhibit's own simulations; `--metrics-window <cycles>` sets that
+//! dump's window length and needs `--metrics-out`.
 //!
 //! [`Cli`] is the one run configuration: every run switch is a flag,
 //! parsed by [`Cli::parse_from`] into [`HostError::Flag`] on bad input;
@@ -40,8 +40,8 @@ use mira::noc::traffic::{PayloadProfile, UniformRandom};
 
 pub use mira::experiments::exhibits::{named, EXHIBITS};
 
-const USAGE: &str = "usage: <bin> [--quick] [--json] [--metrics-window <cycles>] \
-                     [--trace-out <path>] [--metrics-out <path>] \
+const USAGE: &str = "usage: <bin> [--quick] [--json] \
+                     [--trace-out <path>] [--metrics-out <path> [--metrics-window <cycles>]] \
                      [--span-sample-rate <0..=1>] [--journeys-out <path>] \
                      [--fault-rate <fraction>] [--kill-link <node:port[@cycle]>] \
                      [--fault-seed <seed>] \
@@ -56,7 +56,8 @@ pub struct Cli {
     pub quick: bool,
     /// Emit JSON instead of aligned text.
     pub json: bool,
-    /// Windowed-metrics interval in cycles (`--metrics-window`).
+    /// Window length in cycles of the `--metrics-out` dump
+    /// (`--metrics-window`; only with `--metrics-out`).
     pub metrics_window: Option<u64>,
     /// Write a Chrome trace-event JSON file from a representative traced
     /// run (`--trace-out`).
@@ -274,6 +275,9 @@ impl Cli {
     /// Rejects flag combinations that would panic or be silently
     /// ignored later.
     fn check_combinations(&self) -> Result<(), HostError> {
+        if self.metrics_window.is_some() && self.metrics_out.is_none() {
+            return Err(flag_error("--metrics-window", "shapes only the --metrics-out dump"));
+        }
         if self.journeys_out.is_some() && self.span_sample_ppm == Some(0) {
             return Err(flag_error("--journeys-out", "records no journey at --span-sample-rate 0"));
         }
@@ -306,8 +310,9 @@ impl Cli {
     /// everything [`Cli::sim_config`], [`Cli::trace_cycles`],
     /// [`rates_ur`] and [`rates_nuca`] read — in a fixed order with
     /// parsed values (so `--fault-rate 0.0010` and `--fault-rate 0.001`
-    /// render alike). Output-only flags (`--json`, the `--*-out` paths,
-    /// `--progress-json`, `--resume`, `--checkpoint-dir`) are left
+    /// render alike). Output-only flags (`--json`, the `--*-out` paths
+    /// and `--metrics-window`, which shapes only the `--metrics-out`
+    /// dump, `--progress-json`, `--resume`, `--checkpoint-dir`) are left
     /// out. [`Cli::runner`] hashes it into each batch's store identity
     /// and echoes it on the batch line.
     pub fn options(&self) -> String {
@@ -317,10 +322,9 @@ impl Cli {
         let kill = self.kill_link.map(|(node, port, cycle)| format!("{node}:{port}@{cycle}"));
         let stall = self.chaos_stall.map(|(cycle, router)| format!("{cycle}:{}", or_none(router)));
         format!(
-            "quick={} metrics_window={} span_sample_ppm={} fault_rate_ppm={} kill_link={} \
-             fault_seed={} anomaly={} chaos_stall={}",
+            "quick={} span_sample_ppm={} fault_rate_ppm={} kill_link={} fault_seed={} anomaly={} \
+             chaos_stall={}",
             self.quick,
-            or_none(self.metrics_window),
             or_none(self.span_sample_ppm),
             or_none(self.fault_rate_ppm),
             or_none(kill),
@@ -349,21 +353,16 @@ impl Cli {
         runner
     }
 
-    /// The simulation window for this invocation, with the telemetry,
-    /// fault, anomaly and chaos-stall flags wired in.
+    /// The simulation window for this invocation, with the span
+    /// sampling, fault, anomaly and chaos-stall flags wired in.
     pub fn sim_config(&self) -> mira::noc::sim::SimConfig {
         let base = if self.quick {
             mira::experiments::quick_sim_config()
         } else {
             mira::experiments::common::default_sim_config()
         };
-        let mut telemetry = match self.metrics_window {
-            Some(w) => TelemetryConfig::windows(w),
-            None => TelemetryConfig::disabled(),
-        };
-        if let Some(ppm) = self.span_sample_ppm {
-            telemetry = telemetry.with_journeys(ppm);
-        }
+        let telemetry =
+            TelemetryConfig::disabled().with_journeys(self.span_sample_ppm.unwrap_or(0));
         let base = mira::noc::sim::SimConfig { telemetry, chaos_stall: self.chaos_stall, ..base };
         let base = match self.fault_config() {
             Some(faults) => base.with_faults(faults),
@@ -685,6 +684,8 @@ mod tests {
             "--quick",
             "--metrics-window",
             "500",
+            "--metrics-out",
+            "m.json",
             "--span-sample-rate",
             "0.25",
             "--fault-rate",
@@ -699,6 +700,7 @@ mod tests {
         .expect("valid flags");
         assert!(cli.quick && !cli.json);
         assert_eq!(cli.metrics_window, Some(500));
+        assert_eq!(cli.metrics_out, Some("m.json"));
         assert_eq!(cli.span_sample_ppm, Some(250_000));
         assert_eq!(cli.fault_rate_ppm, Some(2_000));
         assert_eq!(cli.kill_link, Some((0, 1, 100)));
@@ -712,6 +714,7 @@ mod tests {
         assert_eq!(rejected_flag(&["--bogus"]), "--bogus");
         assert_eq!(rejected_flag(&["--metrics-window"]), "--metrics-window", "missing value");
         assert_eq!(rejected_flag(&["--metrics-window", "0"]), "--metrics-window");
+        assert_eq!(rejected_flag(&["--metrics-window", "500"]), "--metrics-window", "no dump");
         assert_eq!(rejected_flag(&["--span-sample-rate", "1.5"]), "--span-sample-rate");
         assert_eq!(rejected_flag(&["--fault-rate", "1"]), "--fault-rate");
         assert_eq!(rejected_flag(&["--kill-link", "7-3"]), "--kill-link");
@@ -773,8 +776,7 @@ mod tests {
         assert_ne!(echo(&["--quick"]), base, "--quick shapes results");
         assert!(echo(&["--quick"]).contains("quick=true"));
         for shaping in [
-            &["--metrics-window", "500"][..],
-            &["--span-sample-rate", "0.5"],
+            &["--span-sample-rate", "0.5"][..],
             &["--fault-rate", "0.001"],
             &["--kill-link", "0:1"],
             &["--anomaly"],
@@ -788,6 +790,7 @@ mod tests {
             &["--checkpoint-dir", "d"],
             &["--progress-json"],
             &["--trace-out", "t"],
+            &["--metrics-out", "m.json", "--metrics-window", "500"],
             &["--obs-out", "o.json"],
         ] {
             assert_eq!(echo(output_only), base, "{output_only:?} is output-only");
@@ -873,7 +876,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(2_048))]
 
         /// The parser never panics: any argument vector is a `Cli` or a
-        /// `HostError::Flag`.
+        /// `HostError::Flag`, and a parsed `--metrics-window` always has
+        /// the `--metrics-out` dump it shapes.
         #[test]
         fn parse_from_returns_a_cli_or_a_flag_error(
             args in proptest::collection::vec(
@@ -882,7 +886,11 @@ mod tests {
             ),
         ) {
             match Cli::parse_from(args.clone()) {
-                Ok(_) | Err(HostError::Flag { .. }) => {}
+                Ok(cli) => prop_assert!(
+                    cli.metrics_window.is_none() || cli.metrics_out.is_some(),
+                    "{:?} windows no dump", args
+                ),
+                Err(HostError::Flag { .. }) => {}
                 Err(other) => prop_assert!(false, "{args:?} gave {other:?}"),
             }
         }

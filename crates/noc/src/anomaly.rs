@@ -2,8 +2,8 @@
 //!
 //! The flight recorder ([`crate::recorder`]) evaluates a small set of
 //! deterministic detectors while a simulation runs. This module holds
-//! the shared vocabulary: [`AnomalyConfig`] (what is armed, with which
-//! thresholds — all off by default, the zero-overhead path),
+//! the shared vocabulary: [`AnomalyConfig`] (armed or not — off by
+//! default, the zero-overhead path),
 //! [`AnomalyKind`] (which detector fired), [`AnomalyCounts`] (per-kind
 //! firing counts carried on `SimReport`), and [`AnomalyAbort`] (the
 //! panic payload a halting trigger unwinds with, carrying the rendered
@@ -20,7 +20,7 @@ use crate::fault::FaultCounters;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AnomalyKind {
     /// No flit ejected and no router state-mask transition for the
-    /// configured number of cycles while the network is not drained —
+    /// watchdog's number of cycles while the network is not drained —
     /// a deadlock or a wedged router.
     NoProgress,
     /// A router's downstream credit count exceeds the buffer depth it
@@ -33,7 +33,7 @@ pub enum AnomalyKind {
     /// allows.
     FaultStorm,
     /// The windowed latency p99 exceeded the trailing baseline by the
-    /// configured multiplier.
+    /// spike multiplier.
     LatencySpike,
 }
 
@@ -66,112 +66,31 @@ impl std::fmt::Display for AnomalyKind {
     }
 }
 
-/// Detector thresholds. `disabled()` (the [`Default`]) arms nothing and
+/// Whether the flight recorder is armed. `disabled()` (the [`Default`])
 /// is the zero-overhead path: the simulator allocates no recorder and
 /// runs bit-identically to a build without the anomaly subsystem.
-///
-/// A threshold of zero disarms its detector individually, so partial
-/// configurations are possible (e.g. only the no-progress watchdog).
-/// `Copy + Eq` keeps `SimConfig` hashable and comparable; the
-/// latency-spike multiplier is therefore stored in percent
-/// (`300` = p99 must stay under 3× the trailing baseline).
+/// `detect()` arms every detector at its threshold (the constants in
+/// [`crate::recorder`]), and a no-progress trigger halts the run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AnomalyConfig {
-    /// Cycles without any progress (flit ejection or state-mask
-    /// transition) before the no-progress watchdog fires. 0 = off.
-    pub no_progress_cycles: u64,
-    /// Head-flit age (cycles parked at the front of a VC buffer) above
-    /// which the starvation detector fires. 0 = off.
-    pub starvation_age: u64,
-    /// Fault events allowed per evaluation window before the
-    /// fault-storm detector fires. 0 = off.
-    pub fault_storm_budget: u64,
-    /// Latency-spike threshold in percent of the trailing baseline p99
-    /// (`300` fires when a window's p99 exceeds 3× baseline). 0 = off.
-    pub latency_spike_pct: u32,
-    /// Minimum measured ejections a window needs before its p99 is
-    /// compared (guards against tiny-sample spikes).
-    pub latency_spike_min_samples: u64,
-    /// Evaluation cadence in cycles for the windowed detectors
-    /// (starvation, credit, fault-storm, latency-spike).
-    pub window: u64,
-    /// Whether a no-progress trigger halts the run by unwinding with an
-    /// [`AnomalyAbort`] (the runner converts it into a typed anomaly
-    /// failure). Off, the trigger only counts and snapshots.
-    pub halt_on_no_progress: bool,
+    armed: bool,
 }
 
 impl AnomalyConfig {
     /// Nothing armed — the default, zero-overhead path.
     pub const fn disabled() -> Self {
-        AnomalyConfig {
-            no_progress_cycles: 0,
-            starvation_age: 0,
-            fault_storm_budget: 0,
-            latency_spike_pct: 0,
-            latency_spike_min_samples: 0,
-            window: 1_000,
-            halt_on_no_progress: false,
-        }
+        AnomalyConfig { armed: false }
     }
 
-    /// Every detector armed with its default threshold, halting on
-    /// no-progress — what `--anomaly` gives the bench binaries.
-    pub fn detect() -> Self {
-        AnomalyConfig {
-            no_progress_cycles: 1_000,
-            starvation_age: 2_000,
-            fault_storm_budget: 1_000,
-            latency_spike_pct: 400,
-            latency_spike_min_samples: 200,
-            window: 1_000,
-            halt_on_no_progress: true,
-        }
+    /// Every detector armed, halting on no-progress — what `--anomaly`
+    /// gives the bench binaries.
+    pub const fn detect() -> Self {
+        AnomalyConfig { armed: true }
     }
 
-    /// Whether any detector is armed.
-    pub fn is_enabled(&self) -> bool {
-        self.no_progress_cycles > 0
-            || self.starvation_age > 0
-            || self.fault_storm_budget > 0
-            || self.latency_spike_pct > 0
-    }
-
-    /// The same thresholds with a different no-progress watchdog.
-    #[must_use]
-    pub fn with_no_progress(mut self, cycles: u64) -> Self {
-        self.no_progress_cycles = cycles;
-        self
-    }
-
-    /// The same thresholds with a different fault-storm budget.
-    #[must_use]
-    pub fn with_fault_storm(mut self, budget: u64) -> Self {
-        self.fault_storm_budget = budget;
-        self
-    }
-
-    /// The same thresholds with a different latency-spike multiplier
-    /// (percent of trailing baseline) and minimum sample count.
-    #[must_use]
-    pub fn with_latency_spike(mut self, pct: u32, min_samples: u64) -> Self {
-        self.latency_spike_pct = pct;
-        self.latency_spike_min_samples = min_samples;
-        self
-    }
-
-    /// The same thresholds with a different evaluation window.
-    #[must_use]
-    pub fn with_window(mut self, cycles: u64) -> Self {
-        self.window = cycles.max(1);
-        self
-    }
-
-    /// The same thresholds with halting configured.
-    #[must_use]
-    pub fn with_halt(mut self, halt: bool) -> Self {
-        self.halt_on_no_progress = halt;
-        self
+    /// Whether the recorder is armed.
+    pub const fn is_enabled(&self) -> bool {
+        self.armed
     }
 }
 
@@ -239,7 +158,7 @@ pub struct WindowStats {
     /// The value the detector measured (stalled cycles, head-flit age,
     /// fault events in the window, or the window's p99 in cycles).
     pub observed: u64,
-    /// The threshold it compared against (configured limit, or the
+    /// The threshold it compared against (constant limit, or the
     /// scaled trailing baseline for latency spikes).
     pub threshold: u64,
     /// Measured ejections contributing to the window (latency-spike
@@ -299,21 +218,7 @@ mod tests {
         let cfg = AnomalyConfig::disabled();
         assert!(!cfg.is_enabled());
         assert_eq!(cfg, AnomalyConfig::default());
-    }
-
-    #[test]
-    fn detect_arms_everything() {
-        let cfg = AnomalyConfig::detect();
-        assert!(cfg.is_enabled());
-        assert!(cfg.no_progress_cycles > 0 && cfg.starvation_age > 0);
-        assert!(cfg.halt_on_no_progress);
-    }
-
-    #[test]
-    fn single_detector_configs_are_enabled() {
-        assert!(AnomalyConfig::disabled().with_no_progress(500).is_enabled());
-        assert!(AnomalyConfig::disabled().with_fault_storm(10).is_enabled());
-        assert!(AnomalyConfig::disabled().with_latency_spike(300, 50).is_enabled());
+        assert!(AnomalyConfig::detect().is_enabled());
     }
 
     #[test]

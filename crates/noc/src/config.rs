@@ -1,4 +1,7 @@
-//! Simulation configuration types and builders.
+//! Simulation configuration types. Every field is public: a
+//! configuration is a struct literal (usually over
+//! `..NetworkConfig::default()`), checked by [`NetworkConfig::validate`]
+//! and again when a network is built on it.
 
 use serde::{Deserialize, Serialize};
 
@@ -144,11 +147,6 @@ pub struct NetworkConfig {
 }
 
 impl NetworkConfig {
-    /// Starts building a configuration from the paper's defaults.
-    pub fn builder() -> NetworkConfigBuilder {
-        NetworkConfigBuilder::new()
-    }
-
     /// Number of payload words per flit (one per layer slice at the MIRA
     /// word size of 32 bits).
     pub fn words_per_flit(&self) -> usize {
@@ -245,76 +243,6 @@ impl Default for NetworkConfig {
     }
 }
 
-/// Builder for [`NetworkConfig`] (see [`NetworkConfig::builder`]).
-#[derive(Debug, Clone, Default)]
-pub struct NetworkConfigBuilder {
-    cfg: NetworkConfig,
-}
-
-impl NetworkConfigBuilder {
-    /// Creates a builder initialised with the paper's defaults.
-    pub fn new() -> Self {
-        NetworkConfigBuilder { cfg: NetworkConfig::default() }
-    }
-
-    /// Sets the flit width in bits.
-    pub fn flit_bits(mut self, bits: usize) -> Self {
-        self.cfg.flit_bits = bits;
-        self
-    }
-
-    /// Sets the number of datapath layers.
-    pub fn layers(mut self, layers: usize) -> Self {
-        self.cfg.layers = layers;
-        self
-    }
-
-    /// Enables or disables short-flit layer shutdown.
-    pub fn layer_shutdown(mut self, on: bool) -> Self {
-        self.cfg.layer_shutdown = on;
-        self
-    }
-
-    /// Sets the number of virtual channels per port.
-    pub fn vcs_per_port(mut self, vcs: usize) -> Self {
-        self.cfg.router.vcs_per_port = vcs;
-        self
-    }
-
-    /// Sets the buffer depth (flits per VC).
-    pub fn buffer_depth(mut self, depth: usize) -> Self {
-        self.cfg.router.buffer_depth = depth;
-        self
-    }
-
-    /// Sets the pipeline organisation.
-    pub fn pipeline(mut self, pipeline: PipelineConfig) -> Self {
-        self.cfg.router.pipeline = pipeline;
-        self
-    }
-
-    /// Finalises the configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid; use [`Self::try_build`] for
-    /// a fallible version.
-    pub fn build(self) -> NetworkConfig {
-        self.try_build().expect("invalid network configuration")
-    }
-
-    /// Finalises the configuration, returning an error instead of
-    /// panicking.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`NetworkConfig::validate`] failures.
-    pub fn try_build(self) -> Result<NetworkConfig, NocError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -336,58 +264,52 @@ mod tests {
         assert_eq!(PipelineConfig::combined_st_lt().cycles_per_hop(), 4);
     }
 
-    #[test]
-    fn builder_sets_fields() {
-        let c = NetworkConfig::builder()
-            .flit_bits(64)
-            .layers(2)
-            .layer_shutdown(true)
-            .vcs_per_port(4)
-            .buffer_depth(8)
-            .pipeline(PipelineConfig::combined_st_lt())
-            .build();
-        assert_eq!(c.flit_bits, 64);
-        assert_eq!(c.layers, 2);
-        assert!(c.layer_shutdown);
-        assert_eq!(c.router.vcs_per_port, 4);
-        assert_eq!(c.router.buffer_depth, 8);
-        assert!(c.router.pipeline.st_lt_combined);
+    /// The default configuration with `edit` applied.
+    fn with(edit: impl FnOnce(&mut NetworkConfig)) -> NetworkConfig {
+        let mut cfg = NetworkConfig::default();
+        edit(&mut cfg);
+        cfg
+    }
+
+    fn rejected(cfg: NetworkConfig) -> &'static str {
+        match cfg.validate() {
+            Err(NocError::InvalidConfig { parameter, .. }) => parameter,
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
     }
 
     #[test]
     fn invalid_flit_width_rejected() {
-        let err = NetworkConfig::builder().flit_bits(100).try_build().unwrap_err();
-        assert!(matches!(err, NocError::InvalidConfig { parameter: "flit_bits", .. }));
+        assert_eq!(rejected(with(|c| c.flit_bits = 100)), "flit_bits");
     }
 
     #[test]
     fn layers_must_divide_words() {
-        let err = NetworkConfig::builder().flit_bits(128).layers(3).try_build().unwrap_err();
-        assert!(matches!(err, NocError::InvalidConfig { parameter: "layers", .. }));
+        assert_eq!(rejected(with(|c| c.layers = 3)), "layers");
     }
 
     #[test]
     fn zero_vcs_rejected() {
-        let err = NetworkConfig::builder().vcs_per_port(0).try_build().unwrap_err();
-        assert!(matches!(err, NocError::InvalidConfig { parameter: "vcs_per_port", .. }));
+        assert_eq!(rejected(with(|c| c.router.vcs_per_port = 0)), "vcs_per_port");
     }
 
     #[test]
     fn zero_depth_rejected() {
-        let err = NetworkConfig::builder().buffer_depth(0).try_build().unwrap_err();
-        assert!(matches!(err, NocError::InvalidConfig { parameter: "buffer_depth", .. }));
+        assert_eq!(rejected(with(|c| c.router.buffer_depth = 0)), "buffer_depth");
     }
 
     #[test]
     fn buffer_depth_fits_a_credit_byte() {
-        assert!(NetworkConfig::builder().buffer_depth(MAX_BUFFER_DEPTH).try_build().is_ok());
-        let err = NetworkConfig::builder().buffer_depth(MAX_BUFFER_DEPTH + 1).try_build();
-        assert!(matches!(err, Err(NocError::InvalidConfig { parameter: "buffer_depth", .. })));
+        assert!(with(|c| c.router.buffer_depth = MAX_BUFFER_DEPTH).validate().is_ok());
+        assert_eq!(
+            rejected(with(|c| c.router.buffer_depth = MAX_BUFFER_DEPTH + 1)),
+            "buffer_depth"
+        );
     }
 
     #[test]
     fn port_vc_pairs_fit_the_work_list_masks() {
-        let vcs = |v| NetworkConfig::builder().vcs_per_port(v).build();
+        let vcs = |v| with(|c| c.router.vcs_per_port = v);
         // A 7-port 3D mesh router: 7 x 9 = 63 pairs fit, 7 x 10 = 70 do not.
         assert!(vcs(9).validate_for(27, 7).is_ok());
         let err = vcs(10).validate_for(27, 7).unwrap_err();
@@ -406,9 +328,7 @@ mod tests {
 
     #[test]
     fn validate_for_includes_validate() {
-        let mut cfg = NetworkConfig::default();
-        cfg.router.buffer_depth = 0;
-        let err = cfg.validate_for(16, 5).unwrap_err();
+        let err = with(|c| c.router.buffer_depth = 0).validate_for(16, 5).unwrap_err();
         assert!(matches!(err, NocError::InvalidConfig { parameter: "buffer_depth", .. }));
     }
 }

@@ -28,15 +28,16 @@
 //! ## Quick example
 //!
 //! ```
-//! use mira_noc::config::{NetworkConfig, PipelineConfig};
+//! use mira_noc::config::{NetworkConfig, PipelineConfig, RouterConfig};
 //! use mira_noc::sim::{SimConfig, Simulator};
 //! use mira_noc::topology::Mesh2D;
 //! use mira_noc::traffic::UniformRandom;
 //!
 //! let topo = Mesh2D::new(4, 4);
-//! let net = NetworkConfig::builder()
-//!     .pipeline(PipelineConfig::separate_lt())
-//!     .build();
+//! let net = NetworkConfig {
+//!     router: RouterConfig { pipeline: PipelineConfig::combined_st_lt(), ..RouterConfig::default() },
+//!     ..NetworkConfig::default()
+//! };
 //! let mut sim = Simulator::new(Box::new(topo), net, SimConfig::default());
 //! let workload = UniformRandom::new(0.05, 5, 7);
 //! let report = sim.run(Box::new(workload));

@@ -901,6 +901,13 @@ impl Network {
         &self.routers
     }
 
+    /// Write access to the routers, for tests that break an invariant
+    /// on purpose.
+    #[cfg(test)]
+    pub(crate) fn routers_mut(&mut self) -> &mut Routers {
+        &mut self.routers
+    }
+
     /// Read access to the links (black-box dumps and tests).
     pub(crate) fn links(&self) -> &Links {
         &self.links
@@ -964,6 +971,7 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::RouterConfig;
     use crate::flit::FlitData;
     use crate::packet::PacketClass;
     use crate::topology::Mesh2D;
@@ -1053,7 +1061,10 @@ mod tests {
     fn router_widths_are_checked_at_construction() {
         // A 7-port 3D mesh router: 7 x 9 = 63 (port, vc) pairs fit the
         // work-list masks, 7 x 10 = 70 do not.
-        let vcs = |v| NetworkConfig::builder().vcs_per_port(v).build();
+        let vcs = |v| NetworkConfig {
+            router: RouterConfig { vcs_per_port: v, ..RouterConfig::default() },
+            ..NetworkConfig::default()
+        };
         let mesh = || Box::new(crate::topology::Mesh3D::new(2, 2, 2));
         assert!(Network::try_new(mesh(), vcs(9)).is_ok());
         let err = Network::try_new(mesh(), vcs(10)).unwrap_err();
@@ -1158,7 +1169,10 @@ mod tests {
         // NIC while its head crosses the first link (0 → 1, east); the
         // link dies under the head at `kill_at`, severing the packet.
         let kill_at = 5;
-        let cfg = NetworkConfig::builder().buffer_depth(2).build();
+        let cfg = NetworkConfig {
+            router: RouterConfig { buffer_depth: 2, ..RouterConfig::default() },
+            ..NetworkConfig::default()
+        };
         let mut net = Network::new(Box::new(Mesh2D::new(4, 4)), cfg);
         let east = crate::topology::port::EAST.index();
         net.set_faults(FaultConfig::disabled().with_kill(0, east, kill_at)).unwrap();

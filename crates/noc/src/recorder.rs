@@ -11,8 +11,8 @@
 //!    an armed ring obeys the same observational-purity contract as
 //!    every other telemetry consumer: a run with the ring on is
 //!    bit-identical to a run without it;
-//! 2. evaluates the deterministic detectors configured in
-//!    [`AnomalyConfig`]: a per-cycle no-progress watchdog — an exact
+//! 2. evaluates the deterministic detectors at their constant
+//!    thresholds (below): a per-cycle no-progress watchdog — an exact
 //!    comparison of the fabric's progress words (router work-list masks,
 //!    occupancy and grants, link wire state) against the previous
 //!    cycle's — and, on the window cadence, credit-conservation,
@@ -28,14 +28,13 @@
 //! `trace_tool blackbox` pretty-prints it.
 //!
 //! Everything here is pure observation over existing state: no detector
-//! or dump path mutates the network, and a disabled config never
-//! constructs a recorder at all.
+//! or dump path mutates the network, and a disabled
+//! [`AnomalyConfig`](crate::anomaly::AnomalyConfig) never constructs a
+//! recorder at all.
 
 use serde::{Deserialize, Serialize};
 
-use crate::anomaly::{
-    fault_event_total, AnomalyConfig, AnomalyCounts, AnomalyKind, FiredDetector, WindowStats,
-};
+use crate::anomaly::{fault_event_total, AnomalyCounts, AnomalyKind, FiredDetector, WindowStats};
 use crate::flit::FlitKind;
 use crate::journey::PacketJourney;
 use crate::network::Network;
@@ -50,6 +49,31 @@ pub const BLACKBOX_VERSION: u64 = 1;
 ///
 /// [`TelemetryConfig::trace_capacity`]: crate::telemetry::TelemetryConfig::trace_capacity
 pub const RING_CAPACITY: usize = 4_096;
+
+/// Consecutive cycles without progress (flit ejection or fabric-state
+/// transition) after which the no-progress watchdog fires and halts the
+/// run.
+pub const NO_PROGRESS_CYCLES: u64 = 1_000;
+
+/// Head-flit age (cycles parked at the front of a VC buffer) above which
+/// the starvation detector fires.
+pub const STARVATION_AGE: u64 = 2_000;
+
+/// Fault events allowed per window before the fault-storm detector
+/// fires.
+pub const FAULT_STORM_BUDGET: u64 = 1_000;
+
+/// Latency-spike threshold in percent of the trailing baseline p99: a
+/// window whose p99 exceeds 4× the baseline fires.
+pub const LATENCY_SPIKE_PCT: u32 = 400;
+
+/// Measured ejections a window needs before its p99 is compared (guards
+/// against tiny-sample spikes).
+pub const LATENCY_SPIKE_MIN_SAMPLES: u64 = 200;
+
+/// Evaluation cadence in cycles of the windowed detectors (starvation,
+/// credit, fault-storm, latency-spike).
+pub const WINDOW: u64 = 1_000;
 
 /// One non-idle input VC in a router dump.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -272,14 +296,13 @@ pub fn capture(
 /// The in-flight anomaly evaluator.
 ///
 /// One recorder per run, constructed only when
-/// [`AnomalyConfig::is_enabled`] — the disabled path never allocates.
-/// [`FlightRecorder::evaluate`] runs once per cycle after the network
-/// stepped and ejections were processed; it performs the per-cycle
-/// no-progress check every call and the windowed checks on the
-/// configured cadence.
-#[derive(Debug)]
+/// [`AnomalyConfig::is_enabled`](crate::anomaly::AnomalyConfig::is_enabled)
+/// — the disabled path never allocates. [`FlightRecorder::evaluate`]
+/// runs once per cycle after the network stepped and ejections were
+/// processed; it performs the per-cycle no-progress check every call and
+/// the windowed checks every [`WINDOW`] cycles.
+#[derive(Debug, Default)]
 pub struct FlightRecorder {
-    cfg: AnomalyConfig,
     counts: AnomalyCounts,
     fired: Vec<FiredDetector>,
     /// Consecutive cycles without ejection progress or a fabric-state
@@ -303,28 +326,6 @@ pub struct FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// Creates a recorder for `cfg` (which should be enabled — a
-    /// disabled config simply never fires).
-    pub fn new(cfg: AnomalyConfig) -> Self {
-        FlightRecorder {
-            cfg,
-            counts: AnomalyCounts::default(),
-            fired: Vec::new(),
-            stall_cycles: 0,
-            last_words: Vec::new(),
-            last_ejected: 0,
-            last_fault_total: 0,
-            window_latencies: Vec::new(),
-            baseline_p99_sum: 0.0,
-            baseline_windows: 0,
-        }
-    }
-
-    /// The thresholds this recorder evaluates.
-    pub fn config(&self) -> &AnomalyConfig {
-        &self.cfg
-    }
-
     /// Per-kind firing counts so far.
     pub fn counts(&self) -> AnomalyCounts {
         self.counts
@@ -339,9 +340,7 @@ impl FlightRecorder {
     /// this from its ejection path; the latency-spike detector windows
     /// these samples).
     pub fn record_latency(&mut self, latency: u64) {
-        if self.cfg.latency_spike_pct > 0 {
-            self.window_latencies.push(latency);
-        }
+        self.window_latencies.push(latency);
     }
 
     fn fire(&mut self, kind: AnomalyKind, cycle: u64, detail: String, stats: WindowStats) {
@@ -349,20 +348,14 @@ impl FlightRecorder {
         self.fired.push(FiredDetector { kind: kind.name().to_string(), cycle, detail, stats });
     }
 
-    /// Runs every armed detector for `cycle`. Returns `Some(kind)` when
-    /// a halting-class detector (currently only
-    /// [`AnomalyKind::NoProgress`]) fired *this* cycle; the driver
-    /// decides whether to abort based on
-    /// [`AnomalyConfig::halt_on_no_progress`].
-    pub fn evaluate(&mut self, net: &Network, cycle: u64) -> Option<AnomalyKind> {
-        let mut halting = None;
-        if self.cfg.no_progress_cycles > 0 {
-            halting = self.check_no_progress(net, cycle);
-        }
-        if cycle > 0 && cycle.is_multiple_of(self.cfg.window) {
+    /// Runs every detector for `cycle`. Returns `true` when the
+    /// no-progress watchdog fired *this* cycle: the run must halt.
+    pub fn evaluate(&mut self, net: &Network, cycle: u64) -> bool {
+        let stalled = self.check_no_progress(net, cycle);
+        if cycle > 0 && cycle.is_multiple_of(WINDOW) {
             self.end_window(net, cycle);
         }
-        halting
+        stalled
     }
 
     /// Whether any of the fabric's progress words
@@ -397,48 +390,37 @@ impl FlightRecorder {
     }
 
     /// The per-cycle no-progress/deadlock watchdog: while the network
-    /// holds flits and makes no [`progress`](Self::progressed) for the
-    /// configured number of consecutive cycles, the watchdog fires.
-    fn check_no_progress(&mut self, net: &Network, cycle: u64) -> Option<AnomalyKind> {
+    /// holds flits and makes no [`progress`](Self::progressed) for
+    /// [`NO_PROGRESS_CYCLES`] consecutive cycles, the watchdog fires.
+    fn check_no_progress(&mut self, net: &Network, cycle: u64) -> bool {
         if self.progressed(net) || net.is_drained() {
             self.stall_cycles = 0;
-            return None;
+            return false;
         }
         self.stall_cycles += 1;
-        if self.stall_cycles < self.cfg.no_progress_cycles {
-            return None;
+        if self.stall_cycles < NO_PROGRESS_CYCLES {
+            return false;
         }
-        let stats = WindowStats {
-            observed: self.stall_cycles,
-            threshold: self.cfg.no_progress_cycles,
-            samples: 0,
-        };
+        let stats =
+            WindowStats { observed: self.stall_cycles, threshold: NO_PROGRESS_CYCLES, samples: 0 };
         let detail = format!(
             "no flit ejected and no fabric-state transition for {} cycles with {} flits in fabric",
             self.stall_cycles,
             net.flits_in_fabric()
         );
         self.fire(AnomalyKind::NoProgress, cycle, detail, stats);
-        // Restart the count so a non-halting configuration records one
-        // firing per stalled period, not one per cycle.
-        self.stall_cycles = 0;
-        Some(AnomalyKind::NoProgress)
+        true
     }
 
     /// The windowed detectors, evaluated on the window cadence.
     fn end_window(&mut self, net: &Network, cycle: u64) {
         let routers = net.routers();
-        if self.cfg.starvation_age > 0 {
-            let age = (0..routers.len()).map(|r| routers.max_head_age(r, cycle)).max().unwrap_or(0);
-            if age > self.cfg.starvation_age {
-                let stats =
-                    WindowStats { observed: age, threshold: self.cfg.starvation_age, samples: 0 };
-                let detail = format!("a head flit has been parked for {age} cycles at a VC front");
-                self.fire(AnomalyKind::Starvation, cycle, detail, stats);
-            }
+        let age = (0..routers.len()).map(|r| routers.max_head_age(r, cycle)).max().unwrap_or(0);
+        if age > STARVATION_AGE {
+            let stats = WindowStats { observed: age, threshold: STARVATION_AGE, samples: 0 };
+            let detail = format!("a head flit has been parked for {age} cycles at a VC front");
+            self.fire(AnomalyKind::Starvation, cycle, detail, stats);
         }
-        // Credit conservation is an invariant, not a tuning question:
-        // it is armed whenever the recorder exists.
         let overflows: u64 = (0..routers.len()).map(|r| routers.credit_overflows(r)).sum();
         if overflows > 0 {
             let stats = WindowStats { observed: overflows, threshold: 0, samples: 0 };
@@ -447,23 +429,15 @@ impl FlightRecorder {
             );
             self.fire(AnomalyKind::CreditViolation, cycle, detail, stats);
         }
-        if self.cfg.fault_storm_budget > 0 {
-            let total = fault_event_total(&net.fault_counters());
-            let delta = total - self.last_fault_total;
-            self.last_fault_total = total;
-            if delta > self.cfg.fault_storm_budget {
-                let stats = WindowStats {
-                    observed: delta,
-                    threshold: self.cfg.fault_storm_budget,
-                    samples: 0,
-                };
-                let detail = format!("{delta} fault events landed in one window");
-                self.fire(AnomalyKind::FaultStorm, cycle, detail, stats);
-            }
+        let total = fault_event_total(&net.fault_counters());
+        let delta = total - self.last_fault_total;
+        self.last_fault_total = total;
+        if delta > FAULT_STORM_BUDGET {
+            let stats = WindowStats { observed: delta, threshold: FAULT_STORM_BUDGET, samples: 0 };
+            let detail = format!("{delta} fault events landed in one window");
+            self.fire(AnomalyKind::FaultStorm, cycle, detail, stats);
         }
-        if self.cfg.latency_spike_pct > 0 {
-            self.end_latency_window(cycle);
-        }
+        self.end_latency_window(cycle);
     }
 
     /// Closes the latency window: compares its p99 against the trailing
@@ -478,14 +452,13 @@ impl FlightRecorder {
         let idx = ((self.window_latencies.len() - 1) * 99) / 100;
         let p99 = self.window_latencies[idx];
         self.window_latencies.clear();
-        if samples >= self.cfg.latency_spike_min_samples && self.baseline_windows > 0 {
+        if samples >= LATENCY_SPIKE_MIN_SAMPLES && self.baseline_windows > 0 {
             let baseline = self.baseline_p99_sum / self.baseline_windows as f64;
-            let threshold = baseline * f64::from(self.cfg.latency_spike_pct) / 100.0;
+            let threshold = baseline * f64::from(LATENCY_SPIKE_PCT) / 100.0;
             if p99 as f64 > threshold {
                 let stats = WindowStats { observed: p99, threshold: threshold as u64, samples };
                 let detail = format!(
-                    "window p99 of {p99} cycles exceeds {}% of the trailing baseline p99 ({baseline:.1} cycles)",
-                    self.cfg.latency_spike_pct
+                    "window p99 of {p99} cycles exceeds {LATENCY_SPIKE_PCT}% of the trailing baseline p99 ({baseline:.1} cycles)"
                 );
                 self.fire(AnomalyKind::LatencySpike, cycle, detail, stats);
             }
@@ -512,9 +485,9 @@ mod tests {
     #[test]
     fn no_progress_ignores_a_drained_network() {
         let net = quiet_net();
-        let mut rec = FlightRecorder::new(AnomalyConfig::disabled().with_no_progress(3));
-        for cycle in 0..100 {
-            assert_eq!(rec.evaluate(&net, cycle), None, "idle network must never trip");
+        let mut rec = FlightRecorder::default();
+        for cycle in 0..3 * NO_PROGRESS_CYCLES {
+            assert!(!rec.evaluate(&net, cycle), "idle network must never trip");
         }
         assert_eq!(rec.counts().total(), 0);
     }
@@ -522,7 +495,7 @@ mod tests {
     #[test]
     fn compare_step_sees_first_call_stillness_and_a_delivery() {
         let mut net = quiet_net();
-        let mut rec = FlightRecorder::new(AnomalyConfig::detect());
+        let mut rec = FlightRecorder::default();
         assert!(rec.progressed(&net), "the first call has nothing to compare against");
         assert!(!rec.progressed(&net), "an unchanged fabric is no progress");
 
@@ -555,7 +528,7 @@ mod tests {
     #[test]
     fn word_comparison_agrees_with_the_signature() {
         let mut net = Network::new(Box::new(Mesh2D::new(4, 4)), NetworkConfig::default());
-        let mut rec = FlightRecorder::new(AnomalyConfig::detect());
+        let mut rec = FlightRecorder::default();
         let mut workload = UniformRandom::new(0.10, 5, 42);
         workload.init(net.topology().num_nodes());
         let (mut last_signature, mut id) = (0u64, 0u64);
@@ -590,40 +563,69 @@ mod tests {
         assert!(moved_cycles > 0 && still_cycles > 0, "{moved_cycles} moved, {still_cycles} still");
     }
 
+    /// Feeds `samples` latencies of `latency` cycles and closes the
+    /// window ending at `cycle`.
+    fn latency_window(
+        rec: &mut FlightRecorder,
+        net: &Network,
+        latency: u64,
+        samples: u64,
+        cycle: u64,
+    ) {
+        for _ in 0..samples {
+            rec.record_latency(latency);
+        }
+        rec.evaluate(net, cycle);
+    }
+
     #[test]
     fn latency_spike_needs_baseline_and_samples() {
-        let mut rec = FlightRecorder::new(
-            AnomalyConfig::disabled().with_latency_spike(200, 3).with_window(10),
-        );
+        let mut rec = FlightRecorder::default();
         let net = quiet_net();
-        // First window establishes the baseline; no firing possible.
-        for l in [10, 11, 12, 13] {
-            rec.record_latency(l);
-        }
-        rec.evaluate(&net, 10);
+        // The first window establishes the baseline; no firing possible.
+        latency_window(&mut rec, &net, 10, LATENCY_SPIKE_MIN_SAMPLES, WINDOW);
         assert_eq!(rec.counts().latency_spike, 0);
-        // Second window doubles-plus the p99 -> fires at 200%.
-        for l in [40, 41, 42, 43] {
-            rec.record_latency(l);
-        }
-        rec.evaluate(&net, 20);
+        // The second window's p99 sits exactly at the threshold: no firing.
+        let at = 10 * u64::from(LATENCY_SPIKE_PCT) / 100;
+        latency_window(&mut rec, &net, at, LATENCY_SPIKE_MIN_SAMPLES, 2 * WINDOW);
+        assert_eq!(rec.counts().latency_spike, 0);
+        // A p99 just above the threshold over the baseline mean fires.
+        let baseline = (10 + at) / 2;
+        let above = baseline * u64::from(LATENCY_SPIKE_PCT) / 100 + 1;
+        latency_window(&mut rec, &net, above, LATENCY_SPIKE_MIN_SAMPLES, 3 * WINDOW);
         assert_eq!(rec.counts().latency_spike, 1);
         let f = &rec.fired()[0];
         assert_eq!(f.kind, "latency_spike");
-        assert!(f.stats.observed >= 40);
+        assert_eq!(f.cycle, 3 * WINDOW);
+        assert_eq!(f.stats.observed, above);
+        assert_eq!(f.stats.samples, LATENCY_SPIKE_MIN_SAMPLES);
     }
 
     #[test]
     fn latency_spike_respects_min_samples() {
-        let mut rec = FlightRecorder::new(
-            AnomalyConfig::disabled().with_latency_spike(200, 50).with_window(10),
-        );
+        let mut rec = FlightRecorder::default();
         let net = quiet_net();
-        rec.record_latency(10);
-        rec.evaluate(&net, 10);
-        rec.record_latency(1000);
-        rec.evaluate(&net, 20);
-        assert_eq!(rec.counts().latency_spike, 0, "tiny windows must not fire");
+        latency_window(&mut rec, &net, 10, LATENCY_SPIKE_MIN_SAMPLES, WINDOW);
+        latency_window(&mut rec, &net, 1_000, LATENCY_SPIKE_MIN_SAMPLES - 1, 2 * WINDOW);
+        assert_eq!(rec.counts().latency_spike, 0, "small windows must not fire");
+    }
+
+    /// One credit returned to an output VC that never sent a flit puts
+    /// it above the buffer depth: the violation shows at the next window
+    /// boundary, not before.
+    #[test]
+    fn surplus_credit_is_a_credit_violation() {
+        let mut net = quiet_net();
+        let mut rec = FlightRecorder::default();
+        net.routers_mut().receive_credit(0, crate::topology::port::EAST, crate::ids::VcId(0));
+        for cycle in 0..WINDOW {
+            rec.evaluate(&net, cycle);
+        }
+        assert_eq!(rec.counts().total(), 0, "windowed detectors wait for the window");
+        rec.evaluate(&net, WINDOW);
+        assert_eq!(rec.counts().credit_violation, 1);
+        let f = &rec.fired()[0];
+        assert_eq!((f.kind.as_str(), f.cycle, f.stats.observed), ("credit_violation", WINDOW, 1));
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub struct SimConfig {
     /// Fault-injection switches (off by default — the zero-overhead
     /// path, bit-identical to a build without the fault subsystem).
     pub faults: FaultConfig,
-    /// Anomaly-detector thresholds (all off by default — the
+    /// Whether the flight recorder is armed (off by default — the
     /// zero-overhead path: no recorder is constructed and the run is
     /// bit-identical to a build without the anomaly subsystem).
     pub anomaly: AnomalyConfig,
@@ -103,7 +103,7 @@ impl SimConfig {
         self
     }
 
-    /// The same phase lengths with anomaly detection configured.
+    /// The same phase lengths with the flight recorder armed or not.
     #[must_use]
     pub fn with_anomaly(mut self, anomaly: AnomalyConfig) -> Self {
         self.anomaly = anomaly;
@@ -264,7 +264,7 @@ pub struct Simulator {
     /// per-cycle `Vec` churn).
     eject_buf: Vec<crate::router::EjectedFlit>,
     /// The flight recorder, present only when `SimConfig::anomaly`
-    /// arms a detector (the disabled path allocates nothing).
+    /// arms it (the disabled path allocates nothing).
     recorder: Option<Box<FlightRecorder>>,
 }
 
@@ -287,7 +287,7 @@ impl Simulator {
             ..cfg.telemetry
         });
         network.set_faults(cfg.faults).expect("invalid fault configuration");
-        let recorder = cfg.anomaly.is_enabled().then(|| Box::new(FlightRecorder::new(cfg.anomaly)));
+        let recorder = cfg.anomaly.is_enabled().then(Box::<FlightRecorder>::default);
         Simulator {
             network,
             cfg,
@@ -468,13 +468,12 @@ impl Simulator {
         measured
     }
 
-    /// Runs every armed anomaly detector for `cycle` and, when a
-    /// halting no-progress trigger fires, captures the black box and
-    /// unwinds with an [`AnomalyAbort`] carrying its rendered JSON.
+    /// Runs every anomaly detector for `cycle` and, when the
+    /// no-progress watchdog fires, captures the black box and unwinds
+    /// with an [`AnomalyAbort`] carrying its rendered JSON.
     fn evaluate_anomalies(&mut self, cycle: u64) {
         let Some(rec) = self.recorder.as_deref_mut() else { return };
-        let halting = rec.evaluate(&self.network, cycle);
-        if halting != Some(AnomalyKind::NoProgress) || !rec.config().halt_on_no_progress {
+        if !rec.evaluate(&self.network, cycle) {
             return;
         }
         // Stuck-packet set: everything injected but not yet ejected,
@@ -633,7 +632,7 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::PipelineConfig;
+    use crate::config::{PipelineConfig, RouterConfig};
     use crate::telemetry::TraceSink;
     use crate::topology::{ExpressMesh2D, Mesh2D};
     use crate::traffic::UniformRandom;
@@ -641,7 +640,10 @@ mod tests {
     fn run_ur(rate: f64, combined: bool) -> SimReport {
         let pipeline =
             if combined { PipelineConfig::combined_st_lt() } else { PipelineConfig::separate_lt() };
-        let cfg = NetworkConfig::builder().pipeline(pipeline).build();
+        let cfg = NetworkConfig {
+            router: RouterConfig { pipeline, ..RouterConfig::default() },
+            ..NetworkConfig::default()
+        };
         let mut sim = Simulator::new(Box::new(Mesh2D::new(4, 4)), cfg, SimConfig::short());
         sim.run(Box::new(UniformRandom::new(rate, 5, 42)))
     }

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use mira_noc::config::{NetworkConfig, PipelineConfig};
+use mira_noc::config::{NetworkConfig, PipelineConfig, RouterConfig};
 use mira_noc::flit::FlitData;
 use mira_noc::ids::NodeId;
 use mira_noc::network::Network;
@@ -30,7 +30,10 @@ fn spec_strategy(nodes: usize) -> impl Strategy<Value = Spec> {
 fn run_batch(topo: Box<dyn Topology>, combined: bool, specs: &[Spec]) -> Result<(), TestCaseError> {
     let pipeline =
         if combined { PipelineConfig::combined_st_lt() } else { PipelineConfig::separate_lt() };
-    let cfg = NetworkConfig::builder().pipeline(pipeline).build();
+    let cfg = NetworkConfig {
+        router: RouterConfig { pipeline, ..RouterConfig::default() },
+        ..NetworkConfig::default()
+    };
     let mut net = Network::new(topo, cfg);
     let mut total = 0usize;
     for (i, s) in specs.iter().enumerate() {
@@ -107,7 +110,7 @@ mod simulator_conservation {
             } else {
                 PipelineConfig::separate_lt()
             };
-            let cfg = NetworkConfig::builder().pipeline(pipeline).build();
+            let cfg = NetworkConfig { router: RouterConfig { pipeline, ..RouterConfig::default() }, ..NetworkConfig::default() };
             let mut sim = Simulator::new(Box::new(Mesh2D::new(4, 4)), cfg, SimConfig::short());
             let report = sim.run(Box::new(UniformRandom::new(rate_pct as f64 / 100.0, 5, seed)));
 
@@ -127,7 +130,7 @@ mod simulator_conservation {
             rate_pct in 5u32..60,
             seed in any::<u64>(),
         ) {
-            let cfg = NetworkConfig::builder().build();
+            let cfg = NetworkConfig::default();
             // Tiny drain window so high rates genuinely strand packets.
             let window = SimConfig {
                 warmup_cycles: 100,

@@ -13,7 +13,7 @@
 
 use proptest::prelude::*;
 
-use mira_noc::config::{NetworkConfig, PipelineConfig, PipelineDepth};
+use mira_noc::config::{NetworkConfig, PipelineConfig, PipelineDepth, RouterConfig};
 use mira_noc::sim::{SimConfig, Simulator};
 use mira_noc::telemetry::{StallCounters, TelemetryConfig};
 use mira_noc::topology::Mesh2D;
@@ -29,8 +29,13 @@ fn depth_of(idx: usize) -> PipelineDepth {
 }
 
 fn run_journeys(rate: f64, seed: u64, depth: PipelineDepth, sample_ppm: u32) -> Simulator {
-    let cfg =
-        NetworkConfig::builder().pipeline(PipelineConfig::separate_lt().with_depth(depth)).build();
+    let cfg = NetworkConfig {
+        router: RouterConfig {
+            pipeline: PipelineConfig::separate_lt().with_depth(depth),
+            ..RouterConfig::default()
+        },
+        ..NetworkConfig::default()
+    };
     let sim_cfg =
         SimConfig::short().with_telemetry(TelemetryConfig::disabled().with_journeys(sample_ppm));
     let mut sim = Simulator::new(Box::new(Mesh2D::new(4, 4)), cfg, sim_cfg);
@@ -133,7 +138,7 @@ proptest! {
 /// across at least two routers (the Perfetto cross-router view).
 #[test]
 fn chrome_trace_links_packets_across_routers() {
-    let cfg = NetworkConfig::builder().build();
+    let cfg = NetworkConfig::default();
     let sim_cfg = SimConfig::short().with_telemetry(TelemetryConfig {
         metrics_window: 0,
         trace_capacity: 1 << 14,

@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 
-use mira_noc::config::{NetworkConfig, PipelineConfig};
+use mira_noc::config::{NetworkConfig, PipelineConfig, RouterConfig};
 use mira_noc::flit::FlitData;
 use mira_noc::ids::NodeId;
 use mira_noc::network::Network;
@@ -50,7 +50,10 @@ fn run_checked(
     let nodes = topo.num_nodes();
     let pipeline =
         if combined { PipelineConfig::combined_st_lt() } else { PipelineConfig::separate_lt() };
-    let cfg = NetworkConfig::builder().pipeline(pipeline).build();
+    let cfg = NetworkConfig {
+        router: RouterConfig { pipeline, ..RouterConfig::default() },
+        ..NetworkConfig::default()
+    };
     let mut net = Network::new(topo, cfg);
     let mut enqueued = 0usize;
     for (i, s) in specs.iter().enumerate() {

@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 
-use mira_noc::config::{NetworkConfig, PipelineConfig, PipelineDepth};
+use mira_noc::config::{NetworkConfig, PipelineConfig, PipelineDepth, RouterConfig};
 use mira_noc::sim::{SimConfig, SimReport, Simulator};
 use mira_noc::telemetry::{StallCounters, TelemetryConfig, TraceEvent, TraceEventKind, TraceSink};
 use mira_noc::topology::Mesh2D;
@@ -31,8 +31,13 @@ fn run_telemetry(
     depth: PipelineDepth,
     telemetry: TelemetryConfig,
 ) -> (SimReport, StallCounters) {
-    let cfg =
-        NetworkConfig::builder().pipeline(PipelineConfig::separate_lt().with_depth(depth)).build();
+    let cfg = NetworkConfig {
+        router: RouterConfig {
+            pipeline: PipelineConfig::separate_lt().with_depth(depth),
+            ..RouterConfig::default()
+        },
+        ..NetworkConfig::default()
+    };
     let sim_cfg = SimConfig::short().with_telemetry(telemetry);
     let mut sim = Simulator::new(Box::new(Mesh2D::new(4, 4)), cfg, sim_cfg);
     let report = sim.run(Box::new(UniformRandom::new(rate, 5, seed)));
@@ -148,7 +153,7 @@ proptest! {
 /// wording), and the trace exports as valid Chrome trace-event JSON.
 #[test]
 fn ten_k_cycle_run_accounts_for_every_stall() {
-    let cfg = NetworkConfig::builder().build();
+    let cfg = NetworkConfig::default();
     let sim_cfg = SimConfig {
         warmup_cycles: 0,
         measure_cycles: 10_000,
@@ -207,7 +212,7 @@ fn ten_k_cycle_run_accounts_for_every_stall() {
 #[test]
 fn layer_duty_distinguishes_shutdown_from_baseline() {
     let duty = |layer_shutdown: bool| -> Vec<f64> {
-        let cfg = NetworkConfig::builder().layer_shutdown(layer_shutdown).build();
+        let cfg = NetworkConfig { layer_shutdown, ..NetworkConfig::default() };
         let sim_cfg = SimConfig::short().with_telemetry(TelemetryConfig::windows(400));
         let mut sim = Simulator::new(Box::new(Mesh2D::new(4, 4)), cfg, sim_cfg);
         let workload = UniformRandom::new(0.10, 5, 11)

@@ -16,8 +16,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use mira_noc::anomaly::AnomalyConfig;
-use mira_noc::config::{NetworkConfig, PipelineConfig};
+use mira_noc::config::{NetworkConfig, PipelineConfig, RouterConfig};
 use mira_noc::flit::FlitData;
 use mira_noc::ids::NodeId;
 use mira_noc::network::Network;
@@ -92,7 +91,10 @@ fn allocations_during_steady_state(
     let nodes = topo.num_nodes();
     let pipeline =
         if combined { PipelineConfig::combined_st_lt() } else { PipelineConfig::separate_lt() };
-    let cfg = NetworkConfig::builder().pipeline(pipeline).build();
+    let cfg = NetworkConfig {
+        router: RouterConfig { pipeline, ..RouterConfig::default() },
+        ..NetworkConfig::default()
+    };
     let mut net = Network::new(topo, cfg);
     net.set_telemetry(telemetry);
 
@@ -155,7 +157,10 @@ fn allocations_during_steady_state(
 /// × `side` nodes (the topology itself is built before counting).
 fn allocations_during_construction(side: usize) -> u64 {
     let topo: Box<dyn Topology> = Box::new(Mesh2D::new(side, side));
-    let cfg = NetworkConfig::builder().pipeline(PipelineConfig::separate_lt()).build();
+    let cfg = NetworkConfig {
+        router: RouterConfig { pipeline: PipelineConfig::separate_lt(), ..RouterConfig::default() },
+        ..NetworkConfig::default()
+    };
     ALLOCS.store(0, Ordering::SeqCst);
     ARMED.store(true, Ordering::SeqCst);
     let net = Network::new(topo, cfg);
@@ -209,7 +214,7 @@ fn steady_state_stepping_never_allocates() {
     // The armed flight recorder holds the contract too (DESIGN.md §17):
     // a non-firing `evaluate()` is pure reads over the SoA state, so
     // always-on anomaly detection costs zero allocations per cycle.
-    let mut rec = FlightRecorder::new(AnomalyConfig::detect());
+    let mut rec = FlightRecorder::default();
     let (allocs, ejected) = allocations_during_steady_state(
         Box::new(Mesh2D::new(4, 4)),
         false,

@@ -46,9 +46,6 @@ pub struct TechParams {
     /// reproduces the paper's Table 1 crossbar areas exactly:
     /// `(P·W·0.75)² = 230 400 µm²` for P=5, W=128.
     pub bit_pitch_um: f64,
-    /// Register-file buffer area per stored bit, µm². The value 31.83
-    /// reproduces Table 1's buffer areas: `5·2·4·128·31.83 ≈ 162 973`.
-    pub buffer_area_um2_per_bit: f64,
 }
 
 /// The calibrated 90 nm instance used throughout the reproduction.
@@ -64,7 +61,6 @@ pub const TECH_90NM: TechParams = TechParams {
     arbiter_cap_ff_per_req2: 1.5,
     control_cap_ff_per_bit: 375.0,
     bit_pitch_um: 0.75,
-    buffer_area_um2_per_bit: 31.83,
 };
 
 impl TechParams {

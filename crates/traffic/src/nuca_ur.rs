@@ -25,6 +25,12 @@ use crate::patterns::PatternMix;
 /// L2 bank access latency in cycles (paper Table 4).
 const BANK_LATENCY: u64 = 4;
 
+/// Flits in a data response (a cache line plus its header).
+const RESPONSE_LEN_FLITS: usize = 5;
+
+/// Payload words per flit (W = 128 bits of 32-bit words).
+const WORDS_PER_FLIT: usize = 4;
+
 /// Bimodal CPU↔cache request/response workload.
 ///
 /// ```
@@ -46,10 +52,6 @@ pub struct NucaBimodal {
     cpus: Vec<NodeId>,
     caches: Vec<NodeId>,
     request_rate_per_cpu: f64,
-    response_len_flits: usize,
-    words_per_flit: usize,
-    patterns: PatternMix,
-    short_flit_fraction: f64,
     rng: SmallRng,
 }
 
@@ -70,16 +72,7 @@ impl NucaBimodal {
     ) -> Self {
         assert!(!cpus.is_empty() && !caches.is_empty(), "node sets must be non-empty");
         assert!(request_rate_per_cpu >= 0.0, "rate must be non-negative");
-        NucaBimodal {
-            cpus,
-            caches,
-            request_rate_per_cpu,
-            response_len_flits: 5,
-            words_per_flit: 4,
-            patterns: PatternMix::dense(),
-            short_flit_fraction: 0.0,
-            rng: SmallRng::seed_from_u64(seed),
-        }
+        NucaBimodal { cpus, caches, request_rate_per_cpu, rng: SmallRng::seed_from_u64(seed) }
     }
 
     /// The request rate per CPU per cycle.
@@ -87,15 +80,11 @@ impl NucaBimodal {
         self.request_rate_per_cpu
     }
 
+    /// A response's payload: dense data words (the NUCA-UR exhibit
+    /// measures latency, not the short-flit shutdown).
     fn response_payload(&mut self) -> Vec<FlitData> {
-        (0..self.response_len_flits)
-            .map(|_| {
-                self.patterns.sample_flit_with_short(
-                    self.words_per_flit,
-                    self.short_flit_fraction,
-                    &mut self.rng,
-                )
-            })
+        (0..RESPONSE_LEN_FLITS)
+            .map(|_| PatternMix::dense().sample_flit(WORDS_PER_FLIT, &mut self.rng))
             .collect()
     }
 }
@@ -116,12 +105,7 @@ impl Workload for NucaBimodal {
                 let src = self.cpus[i];
                 let dst = self.caches[self.rng.gen_range(0..self.caches.len())];
                 // Requests are single-flit short control packets.
-                specs.push(PacketSpec::control(
-                    src,
-                    dst,
-                    PacketClass::ReadRequest,
-                    self.words_per_flit,
-                ));
+                specs.push(PacketSpec::control(src, dst, PacketClass::ReadRequest, WORDS_PER_FLIT));
             }
         }
         specs

@@ -12,7 +12,7 @@ use mira::arch::Arch;
 use mira::experiments::common::run_custom;
 use mira::experiments::runner::{Runner, SimPoint};
 use mira::experiments::{quick_sim_config, EXPERIMENT_SEED};
-use mira::noc::config::{NetworkConfig, PipelineConfig};
+use mira::noc::config::{NetworkConfig, PipelineConfig, RouterConfig};
 use mira::noc::traffic::UniformRandom;
 
 fn main() {
@@ -26,12 +26,14 @@ fn main() {
         .iter()
         .map(|&(vcs, depth)| {
             SimPoint::new(format!("V={vcs} k={depth}"), EXPERIMENT_SEED, move |seed| {
-                let cfg = NetworkConfig::builder()
-                    .vcs_per_port(vcs)
-                    .buffer_depth(depth)
-                    .layers(4)
-                    .pipeline(PipelineConfig::combined_st_lt())
-                    .build();
+                let cfg = NetworkConfig {
+                    router: RouterConfig {
+                        vcs_per_port: vcs,
+                        buffer_depth: depth,
+                        pipeline: PipelineConfig::combined_st_lt(),
+                    },
+                    ..NetworkConfig::default()
+                };
                 let w = UniformRandom::new(rate, 5, seed);
                 run_custom(
                     Arch::ThreeDM,

@@ -6,7 +6,7 @@
 //! from the delay model, not by fiat), the CPU/cache node layout of
 //! Fig. 10, and the matching power model geometry.
 
-use mira_noc::config::{NetworkConfig, PipelineConfig};
+use mira_noc::config::{NetworkConfig, PipelineConfig, RouterConfig};
 use mira_noc::ids::NodeId;
 use mira_noc::topology::{ExpressMesh2D, Mesh2D, Mesh3D, Topology};
 use mira_power::delay::DelayModel;
@@ -110,14 +110,12 @@ impl Arch {
         } else {
             PipelineConfig::separate_lt()
         };
-        NetworkConfig::builder()
-            .flit_bits(128)
-            .layers(slices)
-            .layer_shutdown(layer_shutdown)
-            .vcs_per_port(2)
-            .buffer_depth(4)
-            .pipeline(pipeline)
-            .build()
+        NetworkConfig {
+            flit_bits: 128,
+            layers: slices,
+            layer_shutdown,
+            router: RouterConfig { vcs_per_port: 2, buffer_depth: 4, pipeline },
+        }
     }
 
     /// CPU node placement (paper Fig. 10): 8 CPUs in the middle of the

@@ -251,18 +251,59 @@ fn points_from_another_build_are_rerun() {
     seeded[4] = with_rev(&lines[4], None);
     let batch = resume_with_prefix(&seeded, 2, "rev");
     assert_eq!(batch.summary.resumed_points, lines.len() - 2, "two lines are stale");
-    // Lines are in completion order, so name the re-run points by label.
-    let label = |line: &str| {
-        let v: serde::Value = serde_json::from_str(line).expect("point line parses");
-        v.field("label").as_str().expect("label").to_string()
-    };
-    let rerun = [label(&lines[1]), label(&lines[4])];
+    assert_reran(base, &batch, &[&lines[1], &lines[4]]);
+}
+
+/// The label a point line stores.
+fn label(line: &str) -> String {
+    let v: serde::Value = serde_json::from_str(line).expect("point line parses");
+    v.field("label").as_str().expect("label").to_string()
+}
+
+/// Checks that `batch` re-ran exactly the points of `rerun` (by label:
+/// lines are in completion order), replayed the rest, and matches the
+/// clean run bit for bit.
+fn assert_reran(base: &[PointOutcome], batch: &RunBatch, rerun: &[&str]) {
+    let rerun: Vec<String> = rerun.iter().map(|l| label(l)).collect();
     for o in &batch.outcomes {
         assert_eq!(o.resumed, !rerun.contains(&o.label), "{}", o.label);
     }
     for (a, b) in base.iter().zip(&batch.outcomes) {
         assert_bit_identical(a, b);
     }
+}
+
+/// A point line with the field at `path` under its `result` removed.
+fn without_result_field(line: &str, path: &[&str]) -> String {
+    fn remove(v: &mut serde::Value, path: &[&str]) {
+        let serde::Value::Object(fields) = v else { panic!("{path:?}: not an object") };
+        let at = fields.iter().position(|(k, _)| k == path[0]).expect("the field is stored");
+        match path {
+            [_] => drop(fields.remove(at)),
+            [_, rest @ ..] => remove(&mut fields[at].1, rest),
+            [] => unreachable!("a path names a field"),
+        }
+    }
+    let mut v: serde::Value = serde_json::from_str(line).expect("point line parses");
+    remove(&mut v, &[&["result"], path].concat());
+    serde_json::to_string(&v).expect("point line serializes")
+}
+
+/// A stored result that lost a float field is incomplete, so its point
+/// re-runs: replaying it would read the missing number as NaN. One line
+/// each loses the power, the power-delay product and the report's mean
+/// latency.
+#[test]
+fn lines_missing_a_float_field_are_rerun() {
+    let (base, lines) = baseline();
+    let mut seeded = lines.clone();
+    let lost: [&[&str]; 3] = [&["avg_power_w"], &["pdp"], &["report", "avg_latency"]];
+    for (line, path) in seeded.iter_mut().zip(lost) {
+        *line = without_result_field(line, path);
+    }
+    let batch = resume_with_prefix(&seeded, 2, "floats");
+    assert_eq!(batch.summary.resumed_points, lines.len() - 3, "three lines lost a float");
+    assert_reran(base, &batch, &[&lines[0], &lines[1], &lines[2]]);
 }
 
 /// A point line with field `field` (mod the count) of its `result`
