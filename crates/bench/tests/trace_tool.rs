@@ -8,6 +8,8 @@ use std::path::PathBuf;
 use std::process::Command;
 
 use mira::arch::Arch;
+use mira::noc::anomaly::{AnomalyAbort, AnomalyConfig};
+use mira::noc::recorder::BlackBox;
 use mira::noc::sim::{SimConfig, Simulator};
 use mira::noc::telemetry::TelemetryConfig;
 use mira::noc::traffic::UniformRandom;
@@ -88,5 +90,68 @@ fn each_failure_exits_with_its_code() {
         trace_tool(&["obs", &arg(&file("obs.json", &mira_obs::snapshot().to_json()))]);
     assert_eq!(code, 0, "{err}");
 
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// The black box of a short 2DB run whose central switch allocator
+/// freezes at cycle 300.
+fn stalled_dump() -> BlackBox {
+    let cfg = SimConfig {
+        warmup_cycles: 100,
+        measure_cycles: 600,
+        drain_cycles: 2_000,
+        chaos_stall: Some((300, None)),
+        ..SimConfig::default()
+    }
+    .with_anomaly(AnomalyConfig::detect());
+    let arch = Arch::TwoDB;
+    let halted = std::panic::catch_unwind(|| {
+        let mut sim = Simulator::new(arch.topology(), arch.network_config(false), cfg);
+        sim.run(Box::new(UniformRandom::new(0.15, 5, 1)))
+    });
+    let abort = halted.expect_err("the stall halts the run");
+    let dump = &abort.downcast_ref::<AnomalyAbort>().expect("an anomaly halt").dump;
+    serde_json::from_str(dump).expect("the dump parses")
+}
+
+/// A dump that breaks one invariant of `BlackBox::check` is invalid
+/// data: `trace_tool blackbox` exits 1 and names the rule. Each case
+/// below breaks one rule of an otherwise valid dump, which renders.
+#[test]
+fn each_broken_blackbox_rule_exits_1_naming_it() {
+    let dir = std::env::temp_dir().join(format!("mira_blackbox_rules_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let valid = stalled_dump();
+    assert!(!valid.arena.is_empty() && !valid.stuck_packets.is_empty(), "a wedged fabric");
+    let run = |name: &str, bb: &BlackBox| {
+        let path = dir.join(format!("{name}.json"));
+        std::fs::write(&path, serde_json::to_string(bb).expect("serializes")).expect("write");
+        trace_tool(&["blackbox", path.to_str().expect("a UTF-8 path")])
+    };
+    let (code, err) = run("valid", &valid);
+    assert_eq!(code, 0, "{err}");
+
+    let broken = |name: &str, rule: &str, damage: &dyn Fn(&mut BlackBox)| {
+        let mut bb = valid.clone();
+        damage(&mut bb);
+        let (code, err) = run(name, &bb);
+        assert_eq!(code, 1, "{name}: {err}");
+        assert!(err.contains(rule), "{name}: expected {rule:?} in {err}");
+    };
+    let busy = valid.routers.iter().position(|r| !r.vcs.is_empty()).expect("a busy VC");
+    let arena_packet = valid.arena[0].packet;
+    broken("version", "version 2 is not 1", &|bb| bb.version = 2);
+    broken("detector", "is not a detector name", &|bb| bb.trigger.kind = "hang".into());
+    broken("vc_state", "is not a VC state", &|bb| bb.routers[busy].vcs[0].state = "x".into());
+    broken("flit_kind", "is not a flit kind", &|bb| bb.arena[0].kind = "middle".into());
+    broken("fired", "the firing log is empty", &|bb| bb.fired.clear());
+    broken("routers", "the router list is empty", &|bb| bb.routers.clear());
+    broken("len_flits", "has no flits", &|bb| bb.stuck_packets[0].len_flits = 0);
+    broken("trigger", "is not in the firing log", &|bb| bb.trigger.cycle += 1);
+    broken("counts", "is below its 1 logged firings", &|bb| bb.counts.no_progress = 0);
+    broken("age", "is not capture-relative", &|bb| bb.stuck_packets[0].age += 1);
+    broken("arena", "is not in the stuck set", &|bb| {
+        bb.stuck_packets.retain(|s| s.packet != arena_packet);
+    });
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }

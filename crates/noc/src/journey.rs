@@ -35,6 +35,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::ids::{NodeId, PortId};
 use crate::packet::{PacketClass, PacketId};
+use crate::stats::nearest_rank;
 use crate::telemetry::{StallCause, StallCounters};
 
 /// SplitMix64 finalizer: a high-quality 64-bit mix used to turn packet
@@ -551,11 +552,9 @@ impl JourneyRecorder {
         latencies.sort_unstable();
         let mut buckets = Vec::new();
         if !latencies.is_empty() {
-            let n = latencies.len();
+            let n = latencies.len() as u64;
             for (label, q) in TAIL_QUANTILES {
-                // Nearest-rank threshold, matching LatencyHistogram.
-                let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
-                let threshold = latencies[rank - 1];
+                let threshold = latencies[nearest_rank(q, n) as usize - 1];
                 let in_bucket = |j: &&PacketJourney| j.measured && j.latency() >= threshold;
                 let (count, mean) =
                     AttributionShare::mean_over(self.finished.iter().filter(in_bucket));

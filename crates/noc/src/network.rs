@@ -9,7 +9,7 @@
 //! routers advance one cycle, and ejected flits accumulate for the
 //! simulator to collect.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::{BTreeMap, HashSet, VecDeque};
 
 use mira_obs::phase::{step_timer, Phase as ObsPhase};
 
@@ -32,17 +32,18 @@ use crate::topology::Topology;
 use crate::worklist::WorkList;
 
 /// A queued packet's header: everything [`Packet::flit`] reads besides
-/// the payload (the source is the queue's own node). 24 bytes.
+/// the payload (the source is the queue's own node). 24 bytes. It is
+/// also what [`Network::packets_in_flight`] reports of each packet.
 #[derive(Debug, Clone, Copy)]
-struct QueuedPacket {
-    id: PacketId,
-    created_at: u64,
+pub(crate) struct QueuedPacket {
+    pub(crate) id: PacketId,
+    pub(crate) created_at: u64,
     /// Packet length in flits.
-    flits: u32,
+    pub(crate) flits: u32,
     /// Destination node (a network has at most
     /// [`MAX_NODES`](crate::config::MAX_NODES) nodes).
-    dst: u16,
-    class: PacketClass,
+    pub(crate) dst: u16,
+    pub(crate) class: PacketClass,
 }
 
 /// One VC's unbounded source queue at a network interface (NIC).
@@ -328,15 +329,47 @@ impl Network {
     /// so existing callers compile.
     pub fn set_shards(&mut self, _shards: usize) {}
 
-    /// `true` when fault injection is engaged.
-    pub fn faults_enabled(&self) -> bool {
-        self.faults.is_some()
-    }
-
     /// Drains the ids of packets dropped (severed) by the fault
     /// machinery since the last call.
     pub fn take_dropped(&mut self) -> Vec<PacketId> {
         self.faults.as_mut().map_or_else(Vec::new, |f| std::mem::take(&mut f.dropped))
+    }
+
+    /// `true` when the fault machinery severed (dropped) packet `pid`.
+    pub(crate) fn severed(&self, pid: PacketId) -> bool {
+        self.faults.as_ref().is_some_and(|f| f.severed.contains(&pid))
+    }
+
+    /// Every packet enqueued and not yet fully ejected, save the ones
+    /// the fault machinery severed, in id order, each with its source:
+    /// the source queues' headers, then the packets whose flits have all
+    /// left their queue, read off their flits in the arena (the tail
+    /// gives the length). The network is the one record of these
+    /// packets; the simulator keeps no copy.
+    pub(crate) fn packets_in_flight(&self) -> impl Iterator<Item = (NodeId, QueuedPacket)> + '_ {
+        let vcs = self.cfg.router.vcs_per_port;
+        let mut packets = BTreeMap::new();
+        for (q, queue) in self.nics.iter().enumerate() {
+            packets.extend(queue.packets.iter().map(|p| (p.id, (NodeId(q / vcs), *p))));
+        }
+        // A tail in the arena has left its queue, so it never overwrites
+        // a queued header's length.
+        for (_, f) in self.arena.iter_live() {
+            let (_, p) = packets.entry(f.packet).or_insert((
+                f.src,
+                QueuedPacket {
+                    id: f.packet,
+                    created_at: f.created_at,
+                    flits: 0,
+                    dst: f.dst.index() as u16,
+                    class: f.class,
+                },
+            ));
+            if f.is_tail() {
+                p.flits = f.seq + 1;
+            }
+        }
+        packets.into_values().filter(|(_, p)| !self.severed(p.id))
     }
 
     /// Cumulative fault and recovery counters (all zero when fault
@@ -1201,6 +1234,44 @@ mod tests {
         assert!(net.is_drained());
         assert_eq!(ejected, 0);
         assert_eq!(dropped(&net), 5, "every flit of the severed packet is dropped once");
+    }
+
+    /// The walk of the packets in flight equals, after every cycle, the
+    /// ledger of packets enqueued and neither ejected whole nor dropped:
+    /// packets wait queued, stream half queued and half in the fabric,
+    /// and one is severed by a link that dies under it.
+    #[test]
+    fn packets_in_flight_match_the_ledger_every_cycle() {
+        let cfg = NetworkConfig {
+            router: RouterConfig { buffer_depth: 2, ..RouterConfig::default() },
+            ..NetworkConfig::default()
+        };
+        let mut net = Network::new(Box::new(Mesh2D::new(4, 4)), cfg);
+        let east = crate::topology::port::EAST.index();
+        net.set_faults(FaultConfig::disabled().with_kill(0, east, 5)).unwrap();
+        let mut ledger = std::collections::BTreeMap::new();
+        for (id, src, dst, len) in [(1, 0, 3, 5), (2, 0, 2, 3), (3, 5, 10, 4), (4, 15, 0, 1)] {
+            let packet = mk_packet(id, src, dst, len);
+            ledger.insert(id, (src, dst, len));
+            net.enqueue_packet(packet);
+        }
+        let mut severed = false;
+        for c in 0..200 {
+            net.step(c);
+            for e in net.take_ejected().into_iter().filter(|e| e.flit.is_tail()) {
+                ledger.remove(&e.flit.packet.0);
+            }
+            for pid in net.take_dropped() {
+                severed = true;
+                ledger.remove(&pid.0);
+            }
+            let walk: Vec<_> = net
+                .packets_in_flight()
+                .map(|(src, p)| (p.id.0, (src.index(), usize::from(p.dst), p.flits as usize)))
+                .collect();
+            assert_eq!(walk, ledger.clone().into_iter().collect::<Vec<_>>(), "cycle {c}");
+        }
+        assert!(severed && ledger.is_empty(), "one packet severed, the rest delivered");
     }
 
     #[test]

@@ -32,16 +32,19 @@
 //! [`AnomalyConfig`](crate::anomaly::AnomalyConfig) never constructs a
 //! recorder at all.
 
+use std::collections::HashSet;
+
 use serde::{Deserialize, Serialize};
 
 use crate::anomaly::{fault_event_total, AnomalyCounts, AnomalyKind, FiredDetector, WindowStats};
 use crate::flit::FlitKind;
 use crate::journey::PacketJourney;
 use crate::network::Network;
+use crate::stats::nearest_rank;
 use crate::telemetry::TraceEvent;
 
-/// Schema version stamped into every dump (`docs/blackbox.schema.json`
-/// tracks the same number).
+/// Format version stamped into every dump; [`BlackBox::check`] accepts
+/// this one only.
 pub const BLACKBOX_VERSION: u64 = 1;
 
 /// Events an armed recorder's trace ring keeps for the black-box dump
@@ -185,10 +188,13 @@ pub struct StuckPacket {
     pub journey: Option<PacketJourney>,
 }
 
-/// The complete black-box snapshot serialized on a trigger.
+/// The complete black-box snapshot serialized on a trigger: the dump
+/// format's one definition. Deserializing rejects an absent field, a
+/// wrong type and a negative integer; [`BlackBox::check`] holds every
+/// other invariant of a dump.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BlackBox {
-    /// Dump schema version ([`BLACKBOX_VERSION`]).
+    /// Dump format version ([`BLACKBOX_VERSION`]).
     pub version: u64,
     /// Cycle the dump was captured on.
     pub cycle: u64,
@@ -216,6 +222,9 @@ pub struct BlackBox {
     pub stuck_packets: Vec<StuckPacket>,
 }
 
+/// The VC pipeline-state names a router dump uses.
+const VC_STATES: [&str; 4] = ["idle", "routing", "waiting_vc", "active"];
+
 const fn flit_kind_name(kind: FlitKind) -> &'static str {
     match kind {
         FlitKind::Head => "head",
@@ -225,18 +234,72 @@ const fn flit_kind_name(kind: FlitKind) -> &'static str {
     }
 }
 
-/// Freezes the network's full state into a [`BlackBox`].
-///
-/// `stuck` is supplied by the driver (it owns the in-flight packet
-/// table); everything else is read straight off the network. Pure
-/// observation: `&Network` only.
+impl BlackBox {
+    /// Checks the invariants the field types do not carry: the version,
+    /// the detector, VC-state and flit-kind names, a non-empty firing
+    /// log and router list, stuck packets of at least one flit, the
+    /// trigger in the firing log, per-kind counts that cover the log,
+    /// capture-relative stuck ages, and every arena packet in the stuck
+    /// set. The error names the first rule broken.
+    pub fn check(&self) -> Result<(), String> {
+        macro_rules! ensure {
+            ($holds:expr, $($why:tt)+) => {
+                if !$holds {
+                    return Err(format!($($why)+));
+                }
+            };
+        }
+        ensure!(
+            self.version == BLACKBOX_VERSION,
+            "version {} is not {BLACKBOX_VERSION}",
+            self.version
+        );
+        ensure!(!self.fired.is_empty(), "the firing log is empty");
+        ensure!(!self.routers.is_empty(), "the router list is empty");
+        for f in std::iter::once(&self.trigger).chain(&self.fired) {
+            let known = AnomalyKind::ALL.iter().any(|k| k.name() == f.kind);
+            ensure!(known, "detector {:?} is not a detector name", f.kind);
+        }
+        let (kind, cycle) = (&self.trigger.kind, self.trigger.cycle);
+        let logged = self.fired.iter().any(|f| (&f.kind, f.cycle) == (kind, cycle));
+        ensure!(logged, "trigger {kind}@{cycle} is not in the firing log");
+        for k in AnomalyKind::ALL {
+            let logged = self.fired.iter().filter(|f| f.kind == k.name()).count() as u64;
+            let count = self.counts.get(k);
+            ensure!(count >= logged, "count {k} = {count} is below its {logged} logged firings");
+        }
+        for (r, v) in self.routers.iter().flat_map(|r| r.vcs.iter().map(move |v| (r.router, v))) {
+            let known = VC_STATES.contains(&v.state.as_str());
+            ensure!(known, "router {r} VC {}: {:?} is not a VC state", v.pv, v.state);
+        }
+        let kinds = [FlitKind::Head, FlitKind::Body, FlitKind::Tail, FlitKind::HeadTail];
+        for a in &self.arena {
+            let known = kinds.map(flit_kind_name).contains(&a.kind.as_str());
+            ensure!(known, "arena slot {}: {:?} is not a flit kind", a.slot, a.kind);
+        }
+        for s in &self.stuck_packets {
+            ensure!(s.len_flits >= 1, "stuck packet {} has no flits", s.packet);
+            let relative = s.created_at.checked_add(s.age) == Some(self.cycle);
+            ensure!(relative, "stuck packet {} age {} is not capture-relative", s.packet, s.age);
+        }
+        let stuck: HashSet<u64> = self.stuck_packets.iter().map(|s| s.packet).collect();
+        for a in &self.arena {
+            ensure!(stuck.contains(&a.packet), "arena packet {} is not in the stuck set", a.packet);
+        }
+        Ok(())
+    }
+}
+
+/// Freezes the network's full state into a [`BlackBox`], every section
+/// read straight off the network — the stuck packets from its walk of
+/// the packets in flight, in id order. Pure observation: `&Network`
+/// only.
 pub fn capture(
     net: &Network,
     cycle: u64,
     trigger: FiredDetector,
     fired: &[FiredDetector],
     counts: AnomalyCounts,
-    stuck_packets: Vec<StuckPacket>,
 ) -> BlackBox {
     let topo = net.topology();
     let routers = (0..net.routers().len())
@@ -278,6 +341,19 @@ pub fn capture(
         Some(t) => (t.events().copied().collect(), t.dropped()),
         None => (Vec::new(), 0),
     };
+    let stuck_packets = net
+        .packets_in_flight()
+        .map(|(src, p)| StuckPacket {
+            packet: p.id.0,
+            class: format!("{:?}", p.class),
+            src: src.index() as u64,
+            dst: u64::from(p.dst),
+            created_at: p.created_at,
+            age: cycle.saturating_sub(p.created_at),
+            len_flits: u64::from(p.flits),
+            journey: net.journeys().and_then(|j| j.open(p.id)).cloned(),
+        })
+        .collect();
     BlackBox {
         version: BLACKBOX_VERSION,
         cycle,
@@ -449,8 +525,7 @@ impl FlightRecorder {
             return;
         }
         self.window_latencies.sort_unstable();
-        let idx = ((self.window_latencies.len() - 1) * 99) / 100;
-        let p99 = self.window_latencies[idx];
+        let p99 = self.window_latencies[nearest_rank(0.99, samples) as usize - 1];
         self.window_latencies.clear();
         if samples >= LATENCY_SPIKE_MIN_SAMPLES && self.baseline_windows > 0 {
             let baseline = self.baseline_p99_sum / self.baseline_windows as f64;
@@ -601,6 +676,22 @@ mod tests {
         assert_eq!(f.stats.samples, LATENCY_SPIKE_MIN_SAMPLES);
     }
 
+    /// At 250 samples the nearest-rank p99 is the 248th, one rank above
+    /// the `(n − 1)·99/100` index: 247 samples at the baseline and three
+    /// far above it put the spike threshold between the two ranks.
+    #[test]
+    fn latency_spike_reads_the_nearest_rank_p99() {
+        let mut rec = FlightRecorder::default();
+        let net = quiet_net();
+        latency_window(&mut rec, &net, 10, LATENCY_SPIKE_MIN_SAMPLES, WINDOW);
+        for latency in [10; 247].into_iter().chain([100; 3]) {
+            rec.record_latency(latency);
+        }
+        rec.evaluate(&net, 2 * WINDOW);
+        assert_eq!(rec.counts().latency_spike, 1, "the 248th of 250 samples is the p99");
+        assert_eq!((rec.fired()[0].stats.observed, rec.fired()[0].stats.samples), (100, 250));
+    }
+
     #[test]
     fn latency_spike_respects_min_samples() {
         let mut rec = FlightRecorder::default();
@@ -637,8 +728,11 @@ mod tests {
             detail: "test".into(),
             stats: WindowStats::default(),
         };
-        let bb = capture(&net, 7, trigger.clone(), &[trigger], AnomalyCounts::default(), vec![]);
+        let mut counts = AnomalyCounts::default();
+        counts.record(AnomalyKind::NoProgress);
+        let bb = capture(&net, 7, trigger.clone(), &[trigger], counts);
         assert_eq!(bb.version, BLACKBOX_VERSION);
+        assert_eq!(bb.check(), Ok(()));
         assert_eq!(bb.routers.len(), 4);
         assert!(bb.links.is_empty() && bb.arena.is_empty() && bb.stuck_packets.is_empty());
         let json = serde_json::to_string(&bb).expect("dump serializes");

@@ -15,7 +15,8 @@
 //! matching how latency-vs-injection curves in the paper blow up at
 //! saturation.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
@@ -24,8 +25,8 @@ use crate::config::NetworkConfig;
 use crate::fault::{FaultConfig, FaultCounters};
 use crate::journey::{JourneyReport, PacketJourney};
 use crate::network::Network;
-use crate::packet::{Packet, PacketClass, PacketId, PacketSpec};
-use crate::recorder::{self, FlightRecorder, StuckPacket};
+use crate::packet::{Packet, PacketId, PacketSpec};
+use crate::recorder::{self, FlightRecorder};
 use crate::stats::{
     ActivityCounters, LatencyHistogram, LatencyStats, PerClassLatency, RouterActivity,
 };
@@ -226,16 +227,6 @@ impl Deserialize for SimReport {
     }
 }
 
-#[derive(Debug, Clone)]
-struct PacketMeta {
-    class: PacketClass,
-    src: crate::ids::NodeId,
-    dst: crate::ids::NodeId,
-    created_at: u64,
-    len_flits: usize,
-    measured: bool,
-}
-
 /// The capacity of the run's one trace ring: an explicit
 /// [`TelemetryConfig::trace_capacity`] wins; otherwise an armed flight
 /// recorder's [`recorder::RING_CAPACITY`], whose ring the recorder then
@@ -255,7 +246,11 @@ pub struct Simulator {
     network: Network,
     cfg: SimConfig,
     next_packet: u64,
-    in_flight: HashMap<PacketId, PacketMeta>,
+    /// Ids of the measured packets: [`Simulator::inject`] hands out ids
+    /// in creation order, so they run from the first id issued in the
+    /// measurement window to the first issued after it. Empty until the
+    /// window opens and open-ended until it closes.
+    measured: Range<u64>,
     /// Closed-loop replies keyed by `(due cycle, sequence)`; the
     /// sequence number breaks ties deterministically.
     pending: BTreeMap<(u64, u64), PacketSpec>,
@@ -292,7 +287,7 @@ impl Simulator {
             network,
             cfg,
             next_packet: 0,
-            in_flight: HashMap::new(),
+            measured: u64::MAX..u64::MAX,
             pending: BTreeMap::new(),
             next_reply_seq: 0,
             eject_buf: Vec::new(),
@@ -310,14 +305,7 @@ impl Simulator {
     /// is also enabled, flow events linking each sampled packet's hops
     /// across routers are appended to the trace.
     pub fn trace_chrome_json(&self) -> Option<String> {
-        let journeys = self.journeys();
-        self.network.trace_sink().map(|t| {
-            if journeys.is_empty() {
-                t.to_chrome_trace()
-            } else {
-                t.to_chrome_trace_with_flows(journeys)
-            }
-        })
+        self.network.trace_sink().map(|t| t.to_chrome_trace(self.journeys()))
     }
 
     /// Completed journeys of sampled packets (empty when span sampling
@@ -330,15 +318,12 @@ impl Simulator {
     /// [`Simulator::run`] this is non-zero exactly when the report says
     /// `saturated` — the drain failed to empty the measured population.
     pub fn in_flight_measured(&self) -> usize {
-        self.in_flight.values().filter(|m| m.measured).count()
+        self.network.packets_in_flight().filter(|(_, p)| self.measured.contains(&p.id.0)).count()
     }
 
-    /// Ids of every packet injected but not yet fully ejected, sorted —
-    /// the set a black-box dump's stuck packets must match exactly.
-    pub fn in_flight_ids(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self.in_flight.keys().map(|p| p.0).collect();
-        ids.sort_unstable();
-        ids
+    /// Measured packets created so far.
+    fn measured_created(&self) -> u64 {
+        self.measured.end.min(self.next_packet).saturating_sub(self.measured.start)
     }
 
     /// The flight recorder's per-kind firing counts (all zero when
@@ -353,21 +338,11 @@ impl Simulator {
         self.recorder.as_deref().map(FlightRecorder::fired).unwrap_or(&[])
     }
 
-    fn inject(&mut self, spec: PacketSpec, cycle: u64, measured: bool) {
+    fn inject(&mut self, spec: PacketSpec, cycle: u64) {
         let id = PacketId(self.next_packet);
         self.next_packet += 1;
+        let measured = self.measured.contains(&id.0);
         self.network.telemetry_mut().packet_created(id, cycle, spec.class, measured);
-        self.in_flight.insert(
-            id,
-            PacketMeta {
-                class: spec.class,
-                src: spec.src,
-                dst: spec.dst,
-                created_at: cycle,
-                len_flits: spec.payload.len(),
-                measured,
-            },
-        );
         self.network.enqueue_packet(Packet {
             id,
             src: spec.src,
@@ -387,13 +362,13 @@ impl Simulator {
         }
     }
 
-    fn inject_due_replies(&mut self, cycle: u64, measuring: bool) {
+    fn inject_due_replies(&mut self, cycle: u64) {
         while let Some(entry) = self.pending.first_entry() {
             if entry.key().0 > cycle {
                 break;
             }
             let spec = entry.remove();
-            self.inject(spec, cycle, measuring);
+            self.inject(spec, cycle);
         }
     }
 
@@ -410,23 +385,19 @@ impl Simulator {
         let mut ejected_flits = std::mem::take(&mut self.eject_buf);
         self.network.drain_ejected(&mut ejected_flits);
         for e in &ejected_flits {
-            if e.flit.is_tail() {
-                self.network.telemetry_mut().packet_ejected(e.flit.packet, e.cycle);
-            }
-        }
-        for e in &ejected_flits {
-            if !e.flit.is_tail() {
+            let f = &e.flit;
+            if !f.is_tail() {
                 continue;
             }
-            let Some(meta) = self.in_flight.remove(&e.flit.packet) else {
-                // Only the fault machinery removes in-flight entries
-                // early (packet drops); without it this is a bug.
-                debug_assert!(self.network.faults_enabled(), "ejected packet was injected");
+            self.network.telemetry_mut().packet_ejected(f.packet, e.cycle);
+            // A packet the fault layer severed is already counted as
+            // dropped, even when its tail still ejects in the same cycle.
+            if self.network.severed(f.packet) {
                 continue;
-            };
-            let latency = e.cycle - meta.created_at;
-            if meta.measured {
-                per_class.record(meta.class, latency, e.flit.hops);
+            }
+            let latency = e.cycle - f.created_at;
+            if self.measured.contains(&f.packet.0) {
+                per_class.record(f.class, latency, f.hops);
                 histogram.record(latency);
                 if let Some(rec) = self.recorder.as_deref_mut() {
                     rec.record_latency(latency);
@@ -434,14 +405,14 @@ impl Simulator {
                 completed += 1;
             }
             let ejected = EjectedPacket {
-                id: e.flit.packet,
-                src: meta.src,
-                dst: meta.dst,
-                class: meta.class,
-                created_at: meta.created_at,
+                id: f.packet,
+                src: f.src,
+                dst: f.dst,
+                class: f.class,
+                created_at: f.created_at,
                 ejected_at: e.cycle,
-                hops: e.flit.hops,
-                len_flits: meta.len_flits,
+                hops: f.hops,
+                len_flits: f.seq as usize + 1,
             };
             // Replies inherit measurement status from the window in
             // which they are eventually *injected* (see `run`), not the
@@ -457,15 +428,8 @@ impl Simulator {
     /// Collects drop notifications from the fault machinery; returns
     /// how many *measured* packets were severed.
     fn process_drops(&mut self) -> u64 {
-        let mut measured = 0;
-        for pid in self.network.take_dropped() {
-            if let Some(meta) = self.in_flight.remove(&pid) {
-                if meta.measured {
-                    measured += 1;
-                }
-            }
-        }
-        measured
+        let dropped = self.network.take_dropped();
+        dropped.iter().filter(|pid| self.measured.contains(&pid.0)).count() as u64
     }
 
     /// Runs every anomaly detector for `cycle` and, when the
@@ -476,25 +440,9 @@ impl Simulator {
         if !rec.evaluate(&self.network, cycle) {
             return;
         }
-        // Stuck-packet set: everything injected but not yet ejected,
-        // sorted by id so dumps are deterministic.
-        let mut stuck: Vec<StuckPacket> = self
-            .in_flight
-            .iter()
-            .map(|(pid, meta)| StuckPacket {
-                packet: pid.0,
-                class: format!("{:?}", meta.class),
-                src: meta.src.index() as u64,
-                dst: meta.dst.index() as u64,
-                created_at: meta.created_at,
-                age: cycle.saturating_sub(meta.created_at),
-                len_flits: meta.len_flits as u64,
-                journey: self.network.journeys().and_then(|j| j.open(*pid)).cloned(),
-            })
-            .collect();
-        stuck.sort_unstable_by_key(|s| s.packet);
         let trigger = rec.fired().last().cloned().expect("no-progress fired without a record");
-        let bb = recorder::capture(&self.network, cycle, trigger, rec.fired(), rec.counts(), stuck);
+        let bb = recorder::capture(&self.network, cycle, trigger, rec.fired(), rec.counts());
+        debug_assert_eq!(bb.check(), Ok(()), "a captured black box breaks its own invariants");
         let dump = serde_json::to_string_pretty(&bb).expect("black box serializes");
         std::panic::panic_any(AnomalyAbort { kind: AnomalyKind::NoProgress, cycle, dump });
     }
@@ -517,7 +465,6 @@ impl Simulator {
         // warm_end == 0 means measurement starts immediately; the zeroed
         // defaults above are then the correct snapshot.
         let mut warm_snapshot_taken = warm_end == 0;
-        let mut measured_created = 0u64;
         let mut measured_done = 0u64;
         let mut measured_dropped = 0u64;
         let mut cycle = 0u64;
@@ -532,21 +479,23 @@ impl Simulator {
             if counters_at_measure_end.is_none() && cycle >= measure_end {
                 counters_at_measure_end = Some(self.network.counters().clone());
             }
-            let measuring = cycle >= warm_end && cycle < measure_end;
+            if cycle == warm_end {
+                self.measured = self.next_packet..u64::MAX;
+            }
+            if cycle == measure_end {
+                self.measured.end = self.next_packet;
+            }
 
             {
                 let _obs = mira_obs::phase::scope(mira_obs::phase::Phase::Workload);
                 if cycle < measure_end {
                     for spec in workload.generate(cycle) {
-                        self.inject(spec, cycle, measuring);
-                        if measuring {
-                            measured_created += 1;
-                        }
+                        self.inject(spec, cycle);
                     }
                 }
                 // Replies due now are injected with the current window's
                 // measurement status.
-                self.inject_due_replies(cycle, measuring);
+                self.inject_due_replies(cycle);
             }
 
             if let Some((at, router)) = self.cfg.chaos_stall {
@@ -573,7 +522,7 @@ impl Simulator {
             // Early exit once everything measured has drained (delivered
             // or dropped) and the measurement window is over.
             if cycle >= measure_end
-                && measured_done + measured_dropped >= measured_created
+                && measured_done + measured_dropped >= self.measured_created()
                 && self.network.is_drained()
             {
                 break;
@@ -606,6 +555,7 @@ impl Simulator {
             .unwrap_or_else(|| self.network.counters().clone())
             .delta_since(&counters_at_start);
         let throughput = window.flits_ejected as f64 / ((window.cycles.max(1)) as f64 * nodes);
+        let measured_created = self.measured_created();
 
         SimReport {
             avg_latency: total.mean(),

@@ -426,6 +426,14 @@ mod activity_tests {
     }
 }
 
+/// The 1-based nearest rank of the `q`-quantile among `n > 0` sorted
+/// samples, `ceil(q·n)` clamped to `1..=n`: the one quantile rule of the
+/// latency histogram, the journey tail buckets and the latency-spike
+/// detector.
+pub(crate) fn nearest_rank(q: f64, n: u64) -> u64 {
+    ((q * n as f64).ceil() as u64).clamp(1, n)
+}
+
 /// An exact latency histogram (cycle-resolution counts) with percentile
 /// queries — the tail-latency view the mean hides near saturation.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -462,7 +470,7 @@ impl LatencyHistogram {
         if self.total == 0 {
             return None;
         }
-        let rank = ((q * self.total as f64).ceil() as u64).clamp(1, self.total);
+        let rank = nearest_rank(q, self.total);
         let mut seen = 0;
         for (&latency, &n) in &self.counts {
             seen += n;

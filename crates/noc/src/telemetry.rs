@@ -202,22 +202,13 @@ impl TraceSink {
     /// Renders the retained events as Chrome trace-event JSON
     /// (`{"traceEvents": [...]}`): `ph: "X"` slices of one cycle for the
     /// pipeline stages, `ph: "i"` instants for credits and layer gating,
-    /// `ts` in cycles, `pid` = router, `tid` = port. Loads directly in
-    /// Perfetto (ui.perfetto.dev) and `chrome://tracing`.
-    pub fn to_chrome_trace(&self) -> String {
-        self.chrome_trace_impl(&[])
-    }
-
-    /// Like [`TraceSink::to_chrome_trace`], but additionally renders each
-    /// journey's hops as a Perfetto *flow* (`ph: "s"`/`"t"`/`"f"`, `id` =
+    /// `ts` in cycles, `pid` = router, `tid` = port. Each of `journeys`
+    /// adds its hops as a Perfetto *flow* (`ph: "s"`/`"t"`/`"f"`, `id` =
     /// packet id) bound to the `ST` slices at the hop's (router, input
     /// port, cycle) — so a sampled packet's path lights up across router
-    /// tracks when a flow arrow is clicked.
-    pub fn to_chrome_trace_with_flows(&self, journeys: &[PacketJourney]) -> String {
-        self.chrome_trace_impl(journeys)
-    }
-
-    fn chrome_trace_impl(&self, journeys: &[PacketJourney]) -> String {
+    /// tracks when a flow arrow is clicked. Loads directly in Perfetto
+    /// (ui.perfetto.dev) and `chrome://tracing`.
+    pub fn to_chrome_trace(&self, journeys: &[PacketJourney]) -> String {
         let mut out = String::with_capacity(self.ring.len() * 96 + 256);
         out.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
         // Metadata: name each router's process once.
@@ -890,7 +881,7 @@ mod tests {
         let mut s = TraceSink::new(16);
         s.record(ev(5, TraceEventKind::RouteCompute));
         s.record(ev(6, TraceEventKind::CreditReturn));
-        let json = s.to_chrome_trace();
+        let json = s.to_chrome_trace(&[]);
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"traceEvents\":["));
         assert!(json.contains("\"name\":\"RC\""));
@@ -967,7 +958,7 @@ mod tests {
         s.record(ev(2, TraceEventKind::FaultInject));
         s.record(ev(3, TraceEventKind::Retransmit));
         s.record(ev(4, TraceEventKind::PacketDrop));
-        let json = s.to_chrome_trace();
+        let json = s.to_chrome_trace(&[]);
         assert!(json.contains("\"name\":\"fault\""));
         assert!(json.contains("\"name\":\"retransmit\""));
         assert!(json.contains("\"name\":\"drop\""));

@@ -3,7 +3,10 @@
 //! deadlock (injected with the chaos stall hook) trips the no-progress
 //! watchdog with a black-box dump whose stuck-packet set is *exact*.
 
+use std::cell::RefCell;
+use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::rc::Rc;
 
 use mira_noc::anomaly::{AnomalyAbort, AnomalyConfig, AnomalyKind};
 use mira_noc::config::NetworkConfig;
@@ -14,7 +17,7 @@ use mira_noc::recorder::{BlackBox, BLACKBOX_VERSION, FAULT_STORM_BUDGET, STARVAT
 use mira_noc::sim::{SimConfig, SimReport, Simulator};
 use mira_noc::telemetry::TelemetryConfig;
 use mira_noc::topology::Mesh2D;
-use mira_noc::traffic::{UniformRandom, Workload};
+use mira_noc::traffic::{EjectedPacket, UniformRandom, Workload};
 use proptest::prelude::*;
 use serde::Deserialize;
 
@@ -50,49 +53,90 @@ proptest! {
     }
 }
 
+/// A workload wrapper that keeps its own ledger of the packets in
+/// flight, without reading the network: ids follow the generation order
+/// (the wrapped workloads send no replies), and an id leaves the ledger
+/// when `on_ejected` reports its packet.
+struct Ledger<W> {
+    inner: W,
+    next: u64,
+    in_flight: Rc<RefCell<BTreeSet<u64>>>,
+}
+
+impl<W: Workload> Workload for Ledger<W> {
+    fn init(&mut self, num_nodes: usize) {
+        self.inner.init(num_nodes);
+    }
+
+    fn generate(&mut self, cycle: u64) -> Vec<PacketSpec> {
+        let specs = self.inner.generate(cycle);
+        self.in_flight.borrow_mut().extend(self.next..self.next + specs.len() as u64);
+        self.next += specs.len() as u64;
+        specs
+    }
+
+    fn on_ejected(&mut self, cycle: u64, packet: &EjectedPacket) -> Vec<(u64, PacketSpec)> {
+        self.in_flight.borrow_mut().remove(&packet.id.0);
+        self.inner.on_ejected(cycle, packet)
+    }
+}
+
 /// The chaos scenario every deadlock assertion below shares: a 4x4 mesh
 /// at 10% load whose router 5 has its switch allocator frozen at cycle
-/// 400, run with the recorder armed.
-fn stalled_sim() -> Simulator {
+/// 400, run with the recorder armed and the given faults.
+fn stalled_sim(faults: FaultConfig) -> Simulator {
     let cfg = SimConfig::short()
         // Sample every packet so stuck packets carry their journeys.
         .with_telemetry(TelemetryConfig::disabled().with_journeys(1_000_000))
+        .with_faults(faults)
         .with_anomaly(AnomalyConfig::detect());
     let cfg = SimConfig { chaos_stall: Some((400, Some(5))), ..cfg };
     Simulator::new(Box::new(Mesh2D::new(4, 4)), NetworkConfig::default(), cfg)
 }
 
 /// Runs the chaos scenario to its halting trigger and returns the
-/// simulator (frozen at the abort) plus the unwound [`AnomalyAbort`].
-fn run_to_abort() -> (Simulator, AnomalyAbort) {
-    let mut sim = stalled_sim();
-    let err = catch_unwind(AssertUnwindSafe(|| sim.run(Box::new(UniformRandom::new(0.10, 5, 42)))))
+/// simulator (frozen at the abort), the unwound [`AnomalyAbort`] and the
+/// workload's ledger of packets generated and not ejected.
+fn run_to_abort(faults: FaultConfig) -> (Simulator, AnomalyAbort, BTreeSet<u64>) {
+    let mut sim = stalled_sim(faults);
+    let in_flight = Rc::new(RefCell::new(BTreeSet::new()));
+    let workload =
+        Ledger { inner: UniformRandom::new(0.10, 5, 42), next: 0, in_flight: in_flight.clone() };
+    let err = catch_unwind(AssertUnwindSafe(|| sim.run(Box::new(workload))))
         .expect_err("a frozen switch allocator must trip the no-progress watchdog");
     let abort = err.downcast::<AnomalyAbort>().expect("payload is an AnomalyAbort");
-    (sim, *abort)
+    let ledger = in_flight.borrow().clone();
+    (sim, *abort, ledger)
+}
+
+/// The dump in `abort`, parsed and checked against its invariants.
+fn parse_dump(abort: &AnomalyAbort) -> BlackBox {
+    let value: serde::Value = serde_json::from_str(&abort.dump).expect("dump is valid JSON");
+    let bb = BlackBox::from_value(&value).expect("dump matches the BlackBox type");
+    assert_eq!(bb.check(), Ok(()));
+    bb
 }
 
 /// A deadlocked run unwinds with a parseable black-box dump whose
-/// stuck-packet set matches the simulator's in-flight set exactly — no
-/// packet missing, none invented.
+/// stuck-packet set matches the workload's ledger exactly — no packet
+/// missing, none invented.
 #[test]
 fn deadlock_dump_has_exact_stuck_packet_set() {
-    let (sim, abort) = run_to_abort();
+    let (_, abort, ledger) = run_to_abort(FaultConfig::disabled());
     assert_eq!(abort.kind, AnomalyKind::NoProgress);
     assert!(abort.cycle > 400, "trigger follows the stall injection");
     assert_eq!(abort.cycle, 1979, "the watchdog fires on the pinned cycle");
 
-    let value: serde::Value = serde_json::from_str(&abort.dump).expect("dump is valid JSON");
-    let bb = BlackBox::from_value(&value).expect("dump matches the BlackBox schema");
+    let bb = parse_dump(&abort);
     assert_eq!(bb.version, BLACKBOX_VERSION);
     assert_eq!(bb.cycle, abort.cycle);
     assert_eq!(bb.trigger.kind, "no_progress");
     assert!(bb.counts.no_progress >= 1);
     assert!(!bb.fired.is_empty(), "the trigger is itemized in the firing log");
 
-    let dumped: Vec<u64> = bb.stuck_packets.iter().map(|s| s.packet).collect();
+    let dumped: BTreeSet<u64> = bb.stuck_packets.iter().map(|s| s.packet).collect();
     assert!(!dumped.is_empty(), "a deadlock strands packets");
-    assert_eq!(dumped, sim.in_flight_ids(), "stuck-packet set must be exact");
+    assert_eq!(dumped, ledger, "stuck-packet set must be exact");
 
     // The dump carries enough state to diagnose the hang: the frozen
     // router is flagged, live flits are in the arena, the event ring
@@ -110,12 +154,28 @@ fn deadlock_dump_has_exact_stuck_packet_set() {
     }
 }
 
+/// With transient link faults and a one-retry budget, packets are
+/// dropped before the deadlock: the stuck set is the ledger less exactly
+/// as many packets as the fault layer dropped.
+#[test]
+fn deadlock_dump_leaves_out_dropped_packets() {
+    let faults = FaultConfig::disabled().with_transient(100_000).with_max_retries(1);
+    let (sim, abort, ledger) = run_to_abort(faults);
+    let bb = parse_dump(&abort);
+    let dropped = sim.network().fault_counters().packets_dropped;
+    assert!(dropped > 0, "the faults drop packets");
+    let dumped: BTreeSet<u64> = bb.stuck_packets.iter().map(|s| s.packet).collect();
+    assert!(!dumped.is_empty(), "a deadlock strands packets");
+    assert!(dumped.is_subset(&ledger), "stuck packets not in the ledger: {:?}", &dumped - &ledger);
+    assert_eq!((ledger.len() - dumped.len()) as u64, dropped, "the ledger less the drops");
+}
+
 /// Anomaly failures are deterministic: the same (config, seed) pair
 /// reproduces the same trigger cycle and the same dump, byte for byte.
 #[test]
 fn deadlock_dump_is_deterministic() {
-    let (_, a) = run_to_abort();
-    let (_, b) = run_to_abort();
+    let (_, a, _) = run_to_abort(FaultConfig::disabled());
+    let (_, b, _) = run_to_abort(FaultConfig::disabled());
     assert_eq!(a.cycle, b.cycle);
     assert_eq!(a.dump, b.dump, "black-box dumps must reproduce bit-for-bit");
 }

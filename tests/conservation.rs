@@ -2,6 +2,7 @@
 
 use mira::arch::Arch;
 use mira::experiments::common::{quick_sim_config, run_arch, EXPERIMENT_SEED};
+use mira::experiments::latency::run_nuca_ur;
 use mira::noc::flit::FlitData;
 use mira::noc::ids::NodeId;
 use mira::noc::network::Network;
@@ -9,7 +10,8 @@ use mira::noc::packet::{Packet, PacketClass, PacketId};
 use mira::noc::traffic::UniformRandom;
 
 /// Every injected flit is eventually ejected on every architecture, at a
-/// drainable load.
+/// drainable load, and every measured packet is counted once: created
+/// is ejected plus dropped, closed-loop NUCA replies included.
 #[test]
 fn all_flits_delivered_all_archs() {
     for arch in Arch::ALL {
@@ -17,6 +19,14 @@ fn all_flits_delivered_all_archs() {
         let r = run_arch(arch, false, Box::new(w), quick_sim_config());
         assert!(!r.report.saturated, "{arch} saturated at 8%");
         assert_eq!(r.report.packets_created, r.report.packets_ejected, "{arch}");
+
+        let nuca = run_nuca_ur(arch, 0.05, EXPERIMENT_SEED, quick_sim_config()).report;
+        assert!(!nuca.saturated, "{arch} NUCA-UR saturated at 0.05");
+        assert_eq!(
+            nuca.packets_created,
+            nuca.packets_ejected + nuca.packets_dropped,
+            "{arch} NUCA-UR"
+        );
     }
 }
 
