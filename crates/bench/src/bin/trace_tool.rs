@@ -512,12 +512,14 @@ fn run(args: &[String]) -> Result<String, Failure> {
         return Err(bad(format!("{command} needs an input file")));
     };
     // A file that is not UTF-8 is an I/O error (invalid data), as a
-    // corrupt trace line is.
-    let text = std::fs::read_to_string(path)?;
-    render(&text, rest.get(1).map(String::as_str)).map_err(|e| match e {
-        Failure::Usage(m) => Failure::Usage(format!("{path}: {m}")),
-        io => io,
-    })
+    // corrupt trace line is. Every failure names the file.
+    std::fs::read_to_string(path)
+        .map_err(Failure::Io)
+        .and_then(|text| render(&text, rest.get(1).map(String::as_str)))
+        .map_err(|e| match e {
+            Failure::Usage(m) => Failure::Usage(format!("{path}: {m}")),
+            Failure::Io(e) => Failure::Io(std::io::Error::new(e.kind(), format!("{path}: {e}"))),
+        })
 }
 
 fn main() {

@@ -82,9 +82,11 @@ fn each_failure_exits_with_its_code() {
     assert_eq!(code, 2, "{err}");
     assert!(err.contains("lies outside"), "{err}");
 
-    let (code, err) = trace_tool(&["stats", &arg(&file("corrupt.jsonl", "{\"cycle\": 1,"))]);
+    let corrupt = arg(&file("corrupt.jsonl", "{\"cycle\": 1,"));
+    let (code, err) = trace_tool(&["stats", &corrupt]);
     assert_eq!(code, 1, "{err}");
     assert!(err.contains("InvalidData"), "{err}");
+    assert!(err.contains(&format!("{corrupt}: ")), "the error names the file: {err}");
 
     let (code, err) =
         trace_tool(&["obs", &arg(&file("obs.json", &mira_obs::snapshot().to_json()))]);
@@ -137,6 +139,7 @@ fn each_broken_blackbox_rule_exits_1_naming_it() {
         let (code, err) = run(name, &bb);
         assert_eq!(code, 1, "{name}: {err}");
         assert!(err.contains(rule), "{name}: expected {rule:?} in {err}");
+        assert!(err.contains(&format!("{name}.json: ")), "{name}: the error names the file: {err}");
     };
     let busy = valid.routers.iter().position(|r| !r.vcs.is_empty()).expect("a busy VC");
     let arena_packet = valid.arena[0].packet;

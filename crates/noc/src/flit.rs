@@ -81,7 +81,7 @@ pub enum WordPattern {
 impl WordPattern {
     /// Classifies a single payload word.
     #[inline]
-    pub fn of(word: u32) -> Self {
+    pub const fn of(word: u32) -> Self {
         match word {
             0 => WordPattern::AllZero,
             u32::MAX => WordPattern::AllOne,
@@ -93,7 +93,7 @@ impl WordPattern {
     /// pattern tag (and can therefore be regenerated on the far side
     /// instead of being transported).
     #[inline]
-    pub fn is_redundant(self) -> bool {
+    pub const fn is_redundant(self) -> bool {
         !matches!(self, WordPattern::Other)
     }
 }
@@ -153,60 +153,79 @@ impl FlitData {
     ///
     /// Panics if `words` is empty or wider than [`MAX_FLIT_WORDS`].
     pub fn from_words(words: &[u32]) -> Self {
-        assert!(!words.is_empty(), "flit payload must have at least one word");
-        assert!(
-            words.len() <= MAX_FLIT_WORDS,
-            "flit payload is limited to {MAX_FLIT_WORDS} words, got {}",
-            words.len()
-        );
+        assert_width(words.len());
         let mut w = [0u32; MAX_FLIT_WORDS];
         w[..words.len()].copy_from_slice(words);
-        let mut d = FlitData { words: w, len: words.len() as u8, active: 0 };
-        d.recompute_active();
-        d
+        let len = words.len() as u8;
+        FlitData { words: w, len, active: active_words_of(&w, len) }
     }
 
     /// An all-zero payload of `num_words` words — the maximally short flit.
     pub fn zeroed(num_words: usize) -> Self {
-        assert!(num_words >= 1, "flit payload must have at least one word");
-        assert!(
-            num_words <= MAX_FLIT_WORDS,
-            "flit payload is limited to {MAX_FLIT_WORDS} words, got {num_words}"
-        );
+        assert_width(num_words);
         FlitData { words: [0; MAX_FLIT_WORDS], len: num_words as u8, active: 1 }
     }
 
     /// A payload in which every word is distinct and non-redundant — the
     /// maximally long flit (all layers active).
     pub fn dense(num_words: usize) -> Self {
-        let mut d = FlitData::zeroed(num_words);
-        for i in 0..num_words {
-            d.words[i] = 0xDEAD_0001_u32.wrapping_mul(i as u32 + 1);
-        }
-        d.recompute_active();
-        d
+        assert_width(num_words);
+        CANONICAL[num_words - 1][0]
     }
 
     /// Builds a payload with exactly `active` meaningful low words; all
     /// higher words are zero. `active` is clamped to `1..=num_words`.
     pub fn with_active_words(num_words: usize, active: usize) -> Self {
-        let active = active.clamp(1, num_words);
-        let mut d = FlitData::zeroed(num_words);
-        for i in 0..active {
-            d.words[i] = 0xA5A5_0001_u32.wrapping_mul(i as u32 + 1);
-        }
-        d.recompute_active();
-        d
+        assert_width(num_words);
+        CANONICAL[num_words - 1][active.clamp(1, num_words)]
     }
 
-    /// Re-runs the zero-detector over the stored words (constructors and
-    /// payload mutation call this; everything else reads the cache).
-    fn recompute_active(&mut self) {
-        let mut active = self.len as usize;
-        while active > 1 && WordPattern::of(self.words[active - 1]).is_redundant() {
-            active -= 1;
+    /// A `len`-word payload whose first `live` words are
+    /// `seed * (i + 1)` and the rest zero: the shape of every canonical
+    /// payload.
+    const fn patterned(len: usize, live: usize, seed: u32) -> Self {
+        let mut words = [0u32; MAX_FLIT_WORDS];
+        let mut i = 0;
+        while i < live {
+            words[i] = seed.wrapping_mul(i as u32 + 1);
+            i += 1;
         }
-        self.active = active as u8;
+        FlitData { words, len: len as u8, active: active_words_of(&words, len as u8) }
+    }
+
+    /// This payload's one-byte source-queue code (DESIGN.md §14). The low
+    /// nibble is the word count. The high nibble names the constructor
+    /// that rebuilds the payload: `1` for [`FlitData::dense`], `1 + a`
+    /// for [`FlitData::with_active_words`]`(n, a)`, and `0` for an
+    /// explicit payload, whose words the queue stores beside the code.
+    /// A payload is coded as a constructor only when it equals that
+    /// constructor's output whole: words, length and cached `active`.
+    pub(crate) fn code(&self) -> u8 {
+        let row = &CANONICAL[usize::from(self.len) - 1];
+        let shape = if *self == row[0] {
+            1
+        } else if *self == row[usize::from(self.active)] {
+            1 + self.active
+        } else {
+            0
+        };
+        (shape << 4) | self.len
+    }
+
+    /// The payload `code` names, or `None` when the code is explicit.
+    pub(crate) fn from_code(code: u8) -> Option<FlitData> {
+        let shape = usize::from(code >> 4);
+        (shape > 0).then(|| CANONICAL[usize::from(code & 0xF) - 1][shape - 1])
+    }
+
+    /// Words stored beside a payload coded `code`: its word count when
+    /// the code is explicit, none otherwise.
+    pub(crate) fn stored_words(code: u8) -> usize {
+        if code >> 4 == 0 {
+            usize::from(code & 0xF)
+        } else {
+            0
+        }
     }
 
     /// Number of payload words (= number of datapath layers it spans).
@@ -261,9 +280,50 @@ impl FlitData {
     pub fn flip_bits(&mut self, word: usize, mask: u32) {
         let len = self.len as usize;
         self.words[..len][word] ^= mask;
-        self.recompute_active();
+        self.active = active_words_of(&self.words, self.len);
     }
 }
+
+/// Panics unless a payload of `num_words` words is representable.
+fn assert_width(num_words: usize) {
+    assert!(num_words >= 1, "flit payload must have at least one word");
+    assert!(
+        num_words <= MAX_FLIT_WORDS,
+        "flit payload is limited to {MAX_FLIT_WORDS} words, got {num_words}"
+    );
+}
+
+/// The zero-detector over `words[..len]`: every constructor and
+/// [`FlitData::flip_bits`] cache its output; everything else reads the
+/// cache.
+const fn active_words_of(words: &[u32; MAX_FLIT_WORDS], len: u8) -> u8 {
+    let mut active = len as usize;
+    while active > 1 && WordPattern::of(words[active - 1]).is_redundant() {
+        active -= 1;
+    }
+    active as u8
+}
+
+/// Every canonical payload, built at compile time: row `n - 1` holds
+/// [`FlitData::dense`]`(n)` in column 0 and
+/// [`FlitData::with_active_words`]`(n, a)` in column `a` (columns past
+/// `n` repeat `a = n`, as the clamp does). The two constructors, the
+/// queue code and its decoding all read this one table.
+static CANONICAL: [[FlitData; MAX_FLIT_WORDS + 1]; MAX_FLIT_WORDS] = {
+    let blank = FlitData { words: [0; MAX_FLIT_WORDS], len: 0, active: 0 };
+    let mut table = [[blank; MAX_FLIT_WORDS + 1]; MAX_FLIT_WORDS];
+    let mut n = 1;
+    while n <= MAX_FLIT_WORDS {
+        table[n - 1][0] = FlitData::patterned(n, n, 0xDEAD_0001);
+        let mut a = 1;
+        while a <= MAX_FLIT_WORDS {
+            table[n - 1][a] = FlitData::patterned(n, if a < n { a } else { n }, 0xA5A5_0001);
+            a += 1;
+        }
+        n += 1;
+    }
+    table
+};
 
 /// The unit of flow control: one flit travelling through the network.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]

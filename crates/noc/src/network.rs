@@ -49,26 +49,28 @@ pub(crate) struct QueuedPacket {
 /// One VC's unbounded source queue at a network interface (NIC).
 ///
 /// Packets are stored compactly: a 24-byte [`QueuedPacket`] header per
-/// packet and, per flit, a one-byte word count plus only the payload
-/// words the flit uses, appended back to back with bulk copies. A flit
-/// is rebuilt — exactly as [`Packet::flit`] builds it — and enters the
-/// arena only when the NIC writes it into the local input buffer, so the
-/// arena holds fabric flits and nothing else, however long the queues
-/// grow.
+/// packet and, per flit, a one-byte payload code (see
+/// [`FlitData::code`]). A canonical payload — the output of
+/// [`FlitData::dense`] or [`FlitData::with_active_words`], as every
+/// synthetic source's is — is that byte alone; any other payload is
+/// coded explicit and its words follow, back to back. A flit is rebuilt
+/// — exactly as [`Packet::flit`] builds it — and enters the arena only
+/// when the NIC writes it into the local input buffer, so the arena
+/// holds fabric flits and nothing else, however long the queues grow.
 #[derive(Debug, Default)]
 struct SourceQueue {
     packets: VecDeque<QueuedPacket>,
-    /// Payload word count of every queued flit, front to back.
-    lens: VecDeque<u8>,
-    /// Payload words of every queued flit, front to back.
+    /// Payload code of every queued flit, front to back.
+    codes: VecDeque<u8>,
+    /// Payload words of every queued explicit flit, front to back.
     words: VecDeque<u32>,
     /// Index of the front packet's next flit to inject.
     next: u32,
 }
 
 impl SourceQueue {
-    /// Appends `packet`: its header, then its flits' word counts and
-    /// words.
+    /// Appends `packet`: its header, then its flits' codes and the words
+    /// of its explicit flits.
     fn push(&mut self, packet: &Packet) {
         self.packets.push_back(QueuedPacket {
             id: packet.id,
@@ -77,9 +79,10 @@ impl SourceQueue {
             dst: packet.dst.index() as u16,
             class: packet.class,
         });
-        self.lens.extend(packet.payload.iter().map(|d| d.num_words() as u8));
         for d in &packet.payload {
-            self.words.extend(d.words());
+            let code = d.code();
+            self.codes.push_back(code);
+            self.words.extend(&d.words()[..FlitData::stored_words(code)]);
         }
     }
 
@@ -93,11 +96,15 @@ impl SourceQueue {
     fn pop_flit(&mut self, src: NodeId) -> Flit {
         let p = *self.packets.front().expect("pop from an empty source queue");
         let seq = self.next;
-        let n = usize::from(self.lens.pop_front().expect("every queued flit has a word count"));
-        let mut words = [0u32; MAX_FLIT_WORDS];
-        for (w, queued) in words.iter_mut().zip(self.words.drain(..n)) {
-            *w = queued;
-        }
+        let code = self.codes.pop_front().expect("every queued flit has a code");
+        let data = FlitData::from_code(code).unwrap_or_else(|| {
+            let n = FlitData::stored_words(code);
+            let mut words = [0u32; MAX_FLIT_WORDS];
+            for (w, queued) in words.iter_mut().zip(self.words.drain(..n)) {
+                *w = queued;
+            }
+            FlitData::from_words(&words[..n])
+        });
         self.advance(1);
         Flit {
             packet: p.id,
@@ -106,17 +113,17 @@ impl SourceQueue {
             src,
             dst: NodeId(usize::from(p.dst)),
             class: p.class,
-            data: FlitData::from_words(&words[..n]),
+            data,
             created_at: p.created_at,
             hops: 0,
         }
     }
 
-    /// Drops the rest of the front packet, its words included; returns
-    /// the number of flits dropped.
+    /// Drops the rest of the front packet, its stored words included;
+    /// returns the number of flits dropped.
     fn drop_front(&mut self) -> usize {
         let rest = self.packets[0].flits - self.next;
-        let words: usize = self.lens.drain(..rest as usize).map(usize::from).sum();
+        let words: usize = self.codes.drain(..rest as usize).map(FlitData::stored_words).sum();
         self.words.drain(..words);
         self.advance(rest);
         rest as usize
@@ -885,6 +892,21 @@ impl Network {
         self.queued_flits
     }
 
+    /// Bytes the source-queue backlog holds (DESIGN.md §14): a 24-byte
+    /// header per queued packet, a code byte per queued flit and 4 bytes
+    /// per stored word of an explicit flit; spare deque capacity is not
+    /// counted. Walks every queue.
+    pub fn source_queue_bytes(&self) -> usize {
+        self.nics
+            .iter()
+            .map(|q| {
+                q.packets.len() * std::mem::size_of::<QueuedPacket>()
+                    + q.codes.len()
+                    + q.words.len() * std::mem::size_of::<u32>()
+            })
+            .sum()
+    }
+
     /// Checks every work-list invariant, panicking on the first
     /// violation — the check the property-test suite applies after every
     /// simulated cycle:
@@ -1003,11 +1025,14 @@ impl Network {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
     use crate::config::RouterConfig;
     use crate::flit::FlitData;
     use crate::packet::PacketClass;
     use crate::topology::Mesh2D;
+    use crate::traffic::{PayloadProfile, UniformRandom, Workload};
 
     fn mk_net() -> Network {
         Network::new(Box::new(Mesh2D::new(4, 4)), NetworkConfig::default())
@@ -1076,13 +1101,125 @@ mod tests {
         assert_eq!(q.pop_flit(NodeId(3)), severed.flit(0));
         assert_eq!(q.pop_flit(NodeId(3)), severed.flit(1));
         assert_eq!(q.drop_front(), severed.len_flits() - 2);
-        let words: usize = last.payload.iter().map(FlitData::num_words).sum();
+        // Only the explicit (all-ones) flits store words.
+        let words: usize = last.payload.iter().map(|d| FlitData::stored_words(d.code())).sum();
+        assert_eq!(words, 4);
         assert_eq!(q.words.len(), words, "the drop skipped exactly its packet's words");
-        assert_eq!(q.lens.len(), last.len_flits());
+        assert_eq!(q.codes.len(), last.len_flits());
         for i in 0..last.len_flits() {
             assert_eq!(q.pop_flit(NodeId(3)), last.flit(i));
         }
-        assert!(q.is_empty() && q.lens.is_empty() && q.words.is_empty());
+        assert!(q.is_empty() && q.codes.is_empty() && q.words.is_empty());
+    }
+
+    /// One payload of `width` words. Kinds 0 and 1 are canonical
+    /// (`dense`, `with_active_words(width, active)`); 2 is explicit
+    /// random words; 3 to 5 are near misses of a canonical payload (one
+    /// bit flipped, `zeroed`, all ones).
+    fn payload_of(width: usize, kind: u8, active: usize, words: &[u32], bit: u32) -> FlitData {
+        match kind {
+            0 => FlitData::dense(width),
+            1 => FlitData::with_active_words(width, active),
+            2 => FlitData::from_words(&words[..width]),
+            3 => {
+                let mut d = FlitData::with_active_words(width, active);
+                d.flip_bits(active.min(width - 1), 1 << bit);
+                d
+            }
+            4 => FlitData::zeroed(width),
+            _ => FlitData::from_words(&[u32::MAX; MAX_FLIT_WORDS][..width]),
+        }
+    }
+
+    proptest! {
+        /// Every queued flit rebuilds as `Packet::flit(i)` whatever its
+        /// payload, only canonical payloads are coded without words, and
+        /// a drop skips exactly the rest of its packet, with the next
+        /// packet already queued behind it.
+        #[test]
+        fn coded_flits_rebuild_as_packet_flit_under_drops(
+            packets in proptest::collection::vec(
+                (
+                    1usize..=MAX_FLIT_WORDS,
+                    proptest::collection::vec(
+                        (
+                            0u8..6,
+                            0usize..=MAX_FLIT_WORDS + 1,
+                            proptest::collection::vec(any::<u32>(), MAX_FLIT_WORDS),
+                            0u32..32,
+                        ),
+                        1..7,
+                    ),
+                    0usize..8,
+                ),
+                1..12,
+            )
+        ) {
+            let packets: Vec<(Packet, usize)> = packets
+                .iter()
+                .enumerate()
+                .map(|(id, (width, flits, drop_at))| {
+                    let payload = flits
+                        .iter()
+                        .map(|(kind, active, words, bit)| {
+                            let d = payload_of(*width, *kind, *active, words, *bit);
+                            let canonical = FlitData::stored_words(d.code()) == 0;
+                            assert_eq!(canonical, *kind < 2, "kind {kind} coded {:#04x}", d.code());
+                            d
+                        })
+                        .collect();
+                    let packet = Packet {
+                        id: PacketId(id as u64),
+                        src: NodeId(2),
+                        dst: NodeId(5),
+                        class: PacketClass::DataResponse,
+                        payload,
+                        created_at: id as u64,
+                    };
+                    (packet, *drop_at)
+                })
+                .collect();
+            let mut q = SourceQueue::default();
+            q.push(&packets[0].0);
+            for (i, (p, drop_at)) in packets.iter().enumerate() {
+                if let Some((next, _)) = packets.get(i + 1) {
+                    q.push(next);
+                }
+                let sent = (*drop_at).min(p.len_flits());
+                for f in 0..sent {
+                    prop_assert_eq!(q.pop_flit(NodeId(2)), p.flit(f));
+                }
+                if sent < p.len_flits() {
+                    prop_assert_eq!(q.drop_front(), p.len_flits() - sent);
+                }
+            }
+            prop_assert!(q.is_empty() && q.codes.is_empty() && q.words.is_empty());
+        }
+    }
+
+    #[test]
+    fn synthetic_payloads_queue_as_one_code_byte_a_flit() {
+        let mut net = mk_net();
+        let mut w =
+            UniformRandom::new(0.5, 5, 7).with_payload(PayloadProfile::with_short_fraction(4, 0.5));
+        w.init(16);
+        let (mut packets, mut flits) = (0, 0);
+        for spec in (0..200).flat_map(|c| w.generate(c)) {
+            packets += 1;
+            flits += spec.payload.len();
+            net.enqueue_packet(Packet {
+                id: PacketId(packets),
+                src: spec.src,
+                dst: spec.dst,
+                class: spec.class,
+                payload: spec.payload,
+                created_at: 0,
+            });
+        }
+        assert!(flits > 1_000, "{flits} flits queued");
+        assert!(net.nics.iter().all(|q| q.words.is_empty()), "a canonical payload stored words");
+        assert_eq!(net.nics.iter().map(|q| q.codes.len()).sum::<usize>(), flits);
+        assert_eq!(net.source_queue_bytes(), 24 * packets as usize + flits);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use mira_noc::flit::{FlitData, WordPattern};
+use mira_noc::flit::{FlitData, WordPattern, MAX_FLIT_WORDS};
 
 /// A distribution over word patterns.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -59,7 +59,11 @@ impl PatternMix {
 
     /// Synthesises a flit payload of `num_words` i.i.d. words.
     pub fn sample_flit<R: Rng>(&self, num_words: usize, rng: &mut R) -> FlitData {
-        FlitData::new((0..num_words).map(|_| self.sample_word(rng)).collect())
+        let mut words = [0u32; MAX_FLIT_WORDS];
+        for w in &mut words[..num_words] {
+            *w = self.sample_word(rng);
+        }
+        FlitData::from_words(&words[..num_words])
     }
 
     /// Synthesises a *short-flit biased* payload: with probability
@@ -73,9 +77,9 @@ impl PatternMix {
         rng: &mut R,
     ) -> FlitData {
         if short_prob > 0.0 && rng.gen_bool(short_prob.min(1.0)) {
-            let mut words = vec![0u32; num_words];
+            let mut words = [0u32; MAX_FLIT_WORDS];
             words[0] = rng.gen_range(1..u32::MAX);
-            FlitData::new(words)
+            FlitData::from_words(&words[..num_words])
         } else {
             self.sample_flit(num_words, rng)
         }

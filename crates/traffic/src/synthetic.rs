@@ -116,7 +116,8 @@ impl Workload for PermutationTraffic {
 
     fn generate(&mut self, _cycle: u64) -> Vec<PacketSpec> {
         let p = (self.rate_flits_per_node_cycle / self.len_flits as f64).min(1.0);
-        let mut specs = Vec::new();
+        // Pre-sized to the expected packet count.
+        let mut specs = Vec::with_capacity((p * self.num_nodes as f64).round() as usize);
         for src in 0..self.num_nodes {
             if p > 0.0 && self.rng.gen_bool(p) {
                 if let Some(dst) = self.destination(src) {

@@ -38,7 +38,7 @@ impl TraceRecord {
             src: NodeId(self.src),
             dst: NodeId(self.dst),
             class: self.class,
-            payload: self.payload.iter().map(|w| FlitData::new(w.clone())).collect(),
+            payload: self.payload.iter().map(|w| FlitData::from_words(w)).collect(),
         }
     }
 

@@ -7,7 +7,7 @@ use mira::noc::flit::FlitData;
 use mira::noc::ids::NodeId;
 use mira::noc::network::Network;
 use mira::noc::packet::{Packet, PacketClass, PacketId};
-use mira::noc::traffic::UniformRandom;
+use mira::noc::traffic::{UniformRandom, Workload};
 
 /// Every injected flit is eventually ejected on every architecture, at a
 /// drainable load, and every measured packet is counted once: created
@@ -106,4 +106,31 @@ fn shutdown_is_timing_neutral() {
     assert_eq!(off.report.avg_latency.to_bits(), on.report.avg_latency.to_bits());
     assert_eq!(off.report.counters.flits_ejected, on.report.counters.flits_ejected);
     assert!(on.avg_power_w < off.avg_power_w, "gating must save energy");
+}
+
+/// A synthetic payload queues as its one-byte code: the source-queue
+/// backlog holds 24 bytes a packet and 1 byte a flit, no payload words.
+#[test]
+fn synthetic_backlog_is_a_code_byte_a_flit() {
+    let arch = Arch::TwoDB;
+    let mut net = Network::new(arch.topology(), arch.network_config(true));
+    let mut w = UniformRandom::new(0.8, 5, EXPERIMENT_SEED)
+        .with_payload(mira::noc::traffic::PayloadProfile::with_short_fraction(4, 0.5));
+    w.init(36);
+    let (mut packets, mut flits) = (0, 0);
+    for spec in (0..300).flat_map(|c| w.generate(c)) {
+        flits += spec.payload.len();
+        net.enqueue_packet(Packet {
+            id: PacketId(packets as u64),
+            src: spec.src,
+            dst: spec.dst,
+            class: spec.class,
+            payload: spec.payload,
+            created_at: 0,
+        });
+        packets += 1;
+    }
+    assert_eq!(net.flits_in_source_queues(), flits);
+    assert!(flits > 5_000, "{flits} flits queued");
+    assert_eq!(net.source_queue_bytes(), 24 * packets + flits);
 }
