@@ -484,7 +484,7 @@ fn write_telemetry_artifacts(cli: Cli) {
     let workload = UniformRandom::new(0.15, 5, EXPERIMENT_SEED)
         .with_payload(PayloadProfile::with_short_fraction(4, 0.5));
     let mut sim = Simulator::new(arch.topology(), arch.network_config(true), sim_cfg);
-    let report = sim.run(Box::new(workload));
+    let mut report = sim.run(Box::new(workload));
 
     if let Some(path) = cli.trace_out {
         let trace = sim.trace_chrome_json().expect("trace sink installed");
@@ -497,7 +497,7 @@ fn write_telemetry_artifacts(cli: Cli) {
         let dump = MetricsDump {
             arch: arch.name().to_string(),
             window_cycles: window,
-            windows: report.windows.clone(),
+            windows: std::mem::take(&mut report.windows),
         };
         let json = serde_json::to_string_pretty(&dump).expect("serialisable dump");
         if let Err(e) = std::fs::write(path, json) {
@@ -505,14 +505,14 @@ fn write_telemetry_artifacts(cli: Cli) {
         }
         eprintln!(
             "[telemetry] {} metrics windows written to {path} (render with `trace_tool netview`)",
-            report.windows.len()
+            dump.windows.len()
         );
     }
     if let Some(path) = cli.journeys_out {
         let dump = JourneysDump {
             arch: arch.name().to_string(),
             sample_ppm: journey_ppm,
-            report: report.journeys.clone().expect("journey recorder installed"),
+            report: report.journeys.take().expect("journey recorder installed"),
             journeys: sim.journeys().to_vec(),
         };
         let json = serde_json::to_string_pretty(&dump).expect("serialisable journeys");

@@ -119,8 +119,10 @@ pub struct FlitData {
 }
 
 impl Serialize for FlitData {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![("words".to_string(), self.words().to_value())])
+    fn serialize(&self, e: &mut dyn serde::Emitter) {
+        e.begin_object();
+        e.field("words", self.words());
+        e.end_object();
     }
 }
 

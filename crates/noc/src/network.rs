@@ -409,9 +409,10 @@ impl Network {
         self.telemetry.trace.as_ref()
     }
 
-    /// Metrics windows closed so far (empty when windows are disabled).
-    pub fn metrics_windows(&self) -> &[MetricsWindow] {
-        self.telemetry.metrics.as_ref().map_or(&[], MetricsCollector::windows)
+    /// Moves out the metrics windows closed so far (empty when windows
+    /// are disabled); later windows start a fresh list.
+    pub fn take_metrics_windows(&mut self) -> Vec<MetricsWindow> {
+        self.telemetry.metrics.as_mut().map_or_else(Vec::new, MetricsCollector::take_windows)
     }
 
     /// The journey recorder, when journey sampling is enabled.

@@ -172,29 +172,28 @@ impl SimReport {
 // pre-anomaly format: `anomalies` is appended only when a detector
 // actually fired (the golden-bits suites pin this).
 impl Serialize for SimReport {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("avg_latency".to_string(), self.avg_latency.to_value()),
-            ("avg_hops".to_string(), self.avg_hops.to_value()),
-            ("throughput".to_string(), self.throughput.to_value()),
-            ("packets_created".to_string(), self.packets_created.to_value()),
-            ("packets_ejected".to_string(), self.packets_ejected.to_value()),
-            ("packets_dropped".to_string(), self.packets_dropped.to_value()),
-            ("saturated".to_string(), self.saturated.to_value()),
-            ("faults".to_string(), self.faults.to_value()),
-            ("counters".to_string(), self.counters.to_value()),
-            ("per_class".to_string(), self.per_class.to_value()),
-            ("per_router".to_string(), self.per_router.to_value()),
-            ("histogram".to_string(), self.histogram.to_value()),
-            ("cycles_simulated".to_string(), self.cycles_simulated.to_value()),
-            ("stalls".to_string(), self.stalls.to_value()),
-            ("windows".to_string(), self.windows.to_value()),
-            ("journeys".to_string(), self.journeys.to_value()),
-        ];
+    fn serialize(&self, e: &mut dyn serde::Emitter) {
+        e.begin_object();
+        e.field("avg_latency", &self.avg_latency);
+        e.field("avg_hops", &self.avg_hops);
+        e.field("throughput", &self.throughput);
+        e.field("packets_created", &self.packets_created);
+        e.field("packets_ejected", &self.packets_ejected);
+        e.field("packets_dropped", &self.packets_dropped);
+        e.field("saturated", &self.saturated);
+        e.field("faults", &self.faults);
+        e.field("counters", &self.counters);
+        e.field("per_class", &self.per_class);
+        e.field("per_router", &self.per_router);
+        e.field("histogram", &self.histogram);
+        e.field("cycles_simulated", &self.cycles_simulated);
+        e.field("stalls", &self.stalls);
+        e.field("windows", &self.windows);
+        e.field("journeys", &self.journeys);
         if self.anomalies.total() > 0 {
-            fields.push(("anomalies".to_string(), self.anomalies.to_value()));
+            e.field("anomalies", &self.anomalies);
         }
-        serde::Value::Object(fields)
+        e.end_object();
     }
 }
 
@@ -572,7 +571,7 @@ impl Simulator {
             histogram,
             cycles_simulated: cycle,
             stalls: self.network.stall_totals().delta_since(&stalls_at_start),
-            windows: self.network.metrics_windows().to_vec(),
+            windows: self.network.take_metrics_windows(),
             journeys: self.network.journeys().map(|j| j.report()),
             anomalies: self.anomaly_counts(),
         }

@@ -33,6 +33,8 @@
 //! packet journeys ([`crate::journey`]). With all of them off, an emit
 //! is a few `Option` checks.
 
+use std::fmt::Write as _;
+
 use serde::{Deserialize, Serialize};
 
 use crate::ids::{NodeId, PortId, VcId};
@@ -132,6 +134,15 @@ pub struct TraceEvent {
     pub detail: u32,
 }
 
+/// Bytes [`TraceSink::to_chrome_trace`] reserves per retained event.
+/// An event takes 117 bytes on average on a 3DM run of ~3,000 cycles
+/// and 130 once cycles and packet ids reach six digits (a full
+/// 65,536-event ring of the benchmark's `sim_observed` run). The margin
+/// keeps a full export in the one buffer reserved up front: growing it
+/// doubles the buffer, and on a fragmented heap that added ~8 MiB to
+/// the peak resident set.
+const CHROME_EVENT_BYTES: usize = 136;
+
 /// A bounded ring buffer of trace events.
 ///
 /// Once `capacity` events are held, each new event overwrites the oldest
@@ -209,46 +220,44 @@ impl TraceSink {
     /// tracks when a flow arrow is clicked. Loads directly in Perfetto
     /// (ui.perfetto.dev) and `chrome://tracing`.
     pub fn to_chrome_trace(&self, journeys: &[PacketJourney]) -> String {
-        let mut out = String::with_capacity(self.ring.len() * 96 + 256);
+        // Writing into a `String` cannot fail, so each `write!` result
+        // is dropped.
+        let mut out = String::with_capacity(self.ring.len() * CHROME_EVENT_BYTES + 256);
         out.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
         // Metadata: name each router's process once.
-        let mut routers: Vec<usize> = self.events().map(|e| e.router.index()).collect();
-        routers.sort_unstable();
-        routers.dedup();
-        let mut first = true;
-        for r in routers {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{r},\"tid\":0,\
+        let mut seen =
+            vec![false; self.ring.iter().map(|e| e.router.index() + 1).max().unwrap_or(0)];
+        for e in &self.ring {
+            seen[e.router.index()] = true;
+        }
+        let mut sep = "";
+        for r in (0..seen.len()).filter(|&r| seen[r]) {
+            let _ = write!(
+                out,
+                "{sep}{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{r},\"tid\":0,\
                  \"args\":{{\"name\":\"router {r}\"}}}}"
-            ));
+            );
+            sep = ",";
         }
         for e in self.events() {
-            if !first {
-                out.push(',');
-            }
-            first = false;
             let (name, cat) = (e.kind.name(), e.kind.category());
-            out.push_str(&format!(
-                "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ts\":{},\"pid\":{},\"tid\":{}",
+            let phase = if e.kind.is_duration() {
+                "\"ph\":\"X\",\"dur\":1"
+            } else {
+                "\"ph\":\"i\",\"s\":\"t\""
+            };
+            let _ = write!(
+                out,
+                "{sep}{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ts\":{},\"pid\":{},\"tid\":{},{phase},\
+                 \"args\":{{\"vc\":{},\"packet\":{},\"detail\":{}}}}}",
                 e.cycle,
                 e.router.index(),
-                e.port.index()
-            ));
-            if e.kind.is_duration() {
-                out.push_str(",\"ph\":\"X\",\"dur\":1");
-            } else {
-                out.push_str(",\"ph\":\"i\",\"s\":\"t\"");
-            }
-            out.push_str(&format!(
-                ",\"args\":{{\"vc\":{},\"packet\":{},\"detail\":{}}}}}",
+                e.port.index(),
                 e.vc.index(),
                 e.packet,
                 e.detail
-            ));
+            );
+            sep = ",";
         }
         // Flow events: one arrow chain per sampled journey, anchored to
         // the ST slice of each hop. Perfetto binds a flow phase to the
@@ -260,26 +269,20 @@ impl TraceSink {
             }
             let last = closed.len() - 1;
             for (i, h) in closed.iter().enumerate() {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                let ph = if i == 0 {
-                    "s"
+                let (ph, bp) = if i == 0 {
+                    ("s", "")
                 } else if i == last {
-                    "f"
+                    ("f", ",\"bp\":\"e\"")
                 } else {
-                    "t"
+                    ("t", "")
                 };
-                out.push_str(&format!(
-                    "{{\"name\":\"journey\",\"cat\":\"journey\",\"ph\":\"{ph}\",\"id\":{},\
-                     \"pid\":{},\"tid\":{},\"ts\":{}",
+                let _ = write!(
+                    out,
+                    "{sep}{{\"name\":\"journey\",\"cat\":\"journey\",\"ph\":\"{ph}\",\"id\":{},\
+                     \"pid\":{},\"tid\":{},\"ts\":{}{bp}}}",
                     j.packet, h.router, h.in_port, h.departed
-                ));
-                if ph == "f" {
-                    out.push_str(",\"bp\":\"e\"");
-                }
-                out.push('}');
+                );
+                sep = ",";
             }
         }
         out.push_str("]}");
@@ -611,6 +614,11 @@ impl MetricsCollector {
     /// Windows closed so far.
     pub fn windows(&self) -> &[MetricsWindow] {
         &self.windows
+    }
+
+    /// Moves the windows closed so far out of the collector.
+    pub(crate) fn take_windows(&mut self) -> Vec<MetricsWindow> {
+        std::mem::take(&mut self.windows)
     }
 }
 

@@ -7,6 +7,11 @@
 //! state live in network-wide arrays (DESIGN.md §14), so building a
 //! 32×32 mesh makes exactly as many heap allocations as a 6×6 one.
 //!
+//! And it pins serialization (DESIGN.md §7): `serde_json` writes a
+//! report's tokens straight into the output text, so rendering a
+//! `SimReport` with over a hundred metrics windows allocates only as
+//! the output `String` grows, never per value.
+//!
 //! A counting global allocator observes every `alloc`/`realloc`;
 //! deallocation is not counted (dropping ejected flits is free anyway:
 //! flit payloads are inline). The whole scenario lives in a single
@@ -22,8 +27,10 @@ use mira_noc::ids::NodeId;
 use mira_noc::network::Network;
 use mira_noc::packet::{Packet, PacketClass, PacketId};
 use mira_noc::recorder::FlightRecorder;
+use mira_noc::sim::{SimConfig, SimReport, Simulator};
 use mira_noc::telemetry::TelemetryConfig;
 use mira_noc::topology::{ExpressMesh2D, Mesh2D, Mesh3D, Topology};
+use mira_noc::traffic::UniformRandom;
 
 /// Pass-through allocator that counts allocations while armed. With
 /// `ZERO_ALLOC_PANIC=1` in the environment it panics (with a backtrace)
@@ -169,6 +176,19 @@ fn allocations_during_construction(side: usize) -> u64 {
     ALLOCS.load(Ordering::SeqCst)
 }
 
+/// A `serde_json` renderer of a report.
+type Render = fn(&SimReport) -> serde_json::Result<String>;
+
+/// Heap allocations made by `render` on `report`, with the rendered
+/// length.
+fn allocations_during_render(report: &SimReport, render: Render) -> (u64, usize) {
+    ALLOCS.store(0, Ordering::SeqCst);
+    ARMED.store(true, Ordering::SeqCst);
+    let json = render(report).expect("a report serializes");
+    ARMED.store(false, Ordering::SeqCst);
+    (ALLOCS.load(Ordering::SeqCst), json.len())
+}
+
 #[test]
 fn steady_state_stepping_never_allocates() {
     // Construction does not scale per router: no router, link or NIC
@@ -241,4 +261,33 @@ fn steady_state_stepping_never_allocates() {
         "traced steady-state stepping performed {allocs} heap allocations \
          across {MEASURED_CYCLES} cycles — recording into a full trace ring must not allocate"
     );
+
+    // Serialization: a 4×4 run closing a window every 10 cycles, with
+    // every packet's journey sampled, renders without a value tree. A
+    // `String` that doubles as it grows reallocates about once per bit
+    // of its final length; a tree would allocate per field.
+    let telemetry = TelemetryConfig {
+        metrics_window: 10,
+        journey_sample_ppm: 1_000_000,
+        ..TelemetryConfig::disabled()
+    };
+    let mut sim = Simulator::new(
+        Box::new(Mesh2D::new(4, 4)),
+        NetworkConfig::default(),
+        SimConfig::short().with_telemetry(telemetry),
+    );
+    let report = sim.run(Box::new(UniformRandom::new(0.1, 5, 7)));
+    assert!(report.windows.len() >= 100, "{} windows", report.windows.len());
+    assert!(report.journeys.is_some(), "journeys were sampled");
+    let renders: [(&str, Render); 2] =
+        [("to_string", serde_json::to_string), ("to_string_pretty", serde_json::to_string_pretty)];
+    for (name, render) in renders {
+        let (allocs, len) = allocations_during_render(&report, render);
+        let doublings = u64::from(usize::BITS - len.leading_zeros());
+        assert!(
+            allocs <= doublings,
+            "{name} of a {len}-byte report made {allocs} heap allocations, more than the \
+             {doublings} its output buffer needs to grow"
+        );
+    }
 }

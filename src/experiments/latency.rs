@@ -100,6 +100,20 @@ pub fn app_trace(
     arch: Arch,
     cycles: u64,
 ) -> Vec<mira_traffic::trace::TraceRecord> {
+    app_trace_prefix(app, arch, cycles, cycles)
+}
+
+/// The first `until` cycles of [`app_trace`]`(app, arch, cycles)`: the
+/// same calibration pilot, then generation stops at
+/// `min(cycles, until)`. A record is never earlier than the cycle that
+/// generated it and the sort is stable, so every record below the stop
+/// equals the full trace's, in the same order.
+pub fn app_trace_prefix(
+    app: Application,
+    arch: Arch,
+    cycles: u64,
+    until: u64,
+) -> Vec<mira_traffic::trace::TraceRecord> {
     let mut sys = CmpSystem::new(CmpConfig::for_app(
         app,
         arch.cpu_nodes(),
@@ -107,10 +121,12 @@ pub fn app_trace(
         EXPERIMENT_SEED,
     ));
     sys.calibrate_rate(app.profile().offered_load, 36, cycles.min(10_000));
-    sys.generate_trace(cycles)
+    sys.generate_trace(cycles.min(until))
 }
 
-/// Runs one application trace on one architecture.
+/// Runs one application trace on one architecture. The simulator asks
+/// the workload for packets only before the end of measurement, so only
+/// that prefix of the trace is generated.
 pub fn run_trace(
     app: Application,
     arch: Arch,
@@ -118,7 +134,8 @@ pub fn run_trace(
     cycles: u64,
     sim_cfg: SimConfig,
 ) -> RunResult {
-    let trace = app_trace(app, arch, cycles);
+    let replayed = sim_cfg.warmup_cycles + sim_cfg.measure_cycles;
+    let trace = app_trace_prefix(app, arch, cycles, replayed);
     run_arch(arch, shutdown, Box::new(TraceReplay::new(trace)), sim_cfg)
 }
 
@@ -264,6 +281,18 @@ pub fn fig11d_on(
 mod tests {
     use super::*;
     use crate::experiments::common::{quick_sim_config, sweep_ur_on};
+
+    #[test]
+    fn trace_prefix_is_the_full_trace_below_its_stop() {
+        // 12k cycles: the pilot runs its full 10k cycles in both calls.
+        let (cycles, until) = (12_000, 3_000);
+        let full = app_trace(Application::Multimedia, Arch::ThreeDM, cycles);
+        let prefix = app_trace_prefix(Application::Multimedia, Arch::ThreeDM, cycles, until);
+        let below = full.iter().take_while(|r| r.cycle < until).count();
+        assert!(below > 0 && prefix.len() < full.len(), "{below} of {}", full.len());
+        assert_eq!(prefix[..below], full[..below]);
+        assert!(prefix[below..].iter().all(|r| r.cycle >= until));
+    }
 
     #[test]
     fn fig11a_has_six_series() {

@@ -382,34 +382,33 @@ impl FailureSummary {
 }
 
 impl Serialize for RunSummary {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("jobs".to_string(), self.jobs.to_value()),
-            ("points".to_string(), self.points.to_value()),
-            ("wall_ms".to_string(), self.wall_ms.to_value()),
-            ("busy_ms".to_string(), self.busy_ms.to_value()),
-            ("cycles_simulated".to_string(), self.cycles_simulated.to_value()),
-            ("packets_ejected".to_string(), self.packets_ejected.to_value()),
-            ("kcycles_per_sec".to_string(), self.kcycles_per_sec.to_value()),
-            ("mflits_per_sec".to_string(), self.mflits_per_sec.to_value()),
-            ("saturated_points".to_string(), self.saturated_points.to_value()),
-            ("queue_wait_max_ms".to_string(), self.queue_wait_max_ms.to_value()),
-            ("peak_arena_flits".to_string(), self.peak_arena_flits.to_value()),
-            ("workers".to_string(), self.workers.to_value()),
-            ("build".to_string(), self.build.to_value()),
-            ("point_details".to_string(), self.point_details.to_value()),
-        ];
+    fn serialize(&self, e: &mut dyn serde::Emitter) {
+        e.begin_object();
+        e.field("jobs", &self.jobs);
+        e.field("points", &self.points);
+        e.field("wall_ms", &self.wall_ms);
+        e.field("busy_ms", &self.busy_ms);
+        e.field("cycles_simulated", &self.cycles_simulated);
+        e.field("packets_ejected", &self.packets_ejected);
+        e.field("kcycles_per_sec", &self.kcycles_per_sec);
+        e.field("mflits_per_sec", &self.mflits_per_sec);
+        e.field("saturated_points", &self.saturated_points);
+        e.field("queue_wait_max_ms", &self.queue_wait_max_ms);
+        e.field("peak_arena_flits", &self.peak_arena_flits);
+        e.field("workers", &self.workers);
+        e.field("build", &self.build);
+        e.field("point_details", &self.point_details);
         if !self.failed_points.is_empty() {
-            fields.push(("failed_points".to_string(), self.failed_points.to_value()));
+            e.field("failed_points", &self.failed_points);
         }
         if self.resumed_points > 0 {
-            fields.push(("resumed_points".to_string(), self.resumed_points.to_value()));
+            e.field("resumed_points", &self.resumed_points);
         }
         if self.anomalies > 0 {
-            fields.push(("anomalies".to_string(), self.anomalies.to_value()));
-            fields.push(("anomaly_kinds".to_string(), self.anomaly_kinds.to_value()));
+            e.field("anomalies", &self.anomalies);
+            e.field("anomaly_kinds", &self.anomaly_kinds);
         }
-        serde::Value::Object(fields)
+        e.end_object();
     }
 }
 
@@ -590,21 +589,20 @@ pub struct ProgressEvent {
 }
 
 impl Serialize for ProgressEvent {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("done".to_string(), self.done.to_value()),
-            ("total".to_string(), self.total.to_value()),
-            ("label".to_string(), self.label.to_value()),
-            ("seed".to_string(), self.seed.to_value()),
-            ("wall_ms".to_string(), self.wall_ms.to_value()),
-            ("cycles".to_string(), self.cycles.to_value()),
-            ("kcycles_per_sec".to_string(), self.kcycles_per_sec.to_value()),
-            ("saturated".to_string(), self.saturated.to_value()),
-        ];
+    fn serialize(&self, e: &mut dyn serde::Emitter) {
+        e.begin_object();
+        e.field("done", &self.done);
+        e.field("total", &self.total);
+        e.field("label", &self.label);
+        e.field("seed", &self.seed);
+        e.field("wall_ms", &self.wall_ms);
+        e.field("cycles", &self.cycles);
+        e.field("kcycles_per_sec", &self.kcycles_per_sec);
+        e.field("saturated", &self.saturated);
         if self.failed {
-            fields.push(("failed".to_string(), self.failed.to_value()));
+            e.field("failed", &self.failed);
         }
-        serde::Value::Object(fields)
+        e.end_object();
     }
 }
 

@@ -38,15 +38,15 @@ impl Claim {
 }
 
 impl serde::Serialize for Claim {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("name".to_string(), self.what.to_value()),
-            ("source".to_string(), self.source.to_value()),
-            ("expected".to_string(), self.paper.to_value()),
-            ("actual".to_string(), self.measured.to_value()),
-            ("band".to_string(), self.band.to_value()),
-            ("passes".to_string(), self.passes().to_value()),
-        ])
+    fn serialize(&self, e: &mut dyn serde::Emitter) {
+        e.begin_object();
+        e.field("name", &self.what);
+        e.field("source", &self.source);
+        e.field("expected", &self.paper);
+        e.field("actual", &self.measured);
+        e.field("band", &self.band);
+        e.field("passes", &self.passes());
+        e.end_object();
     }
 }
 
