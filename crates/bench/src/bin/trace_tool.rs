@@ -21,7 +21,6 @@ use std::io::BufWriter;
 
 use mira::arch::Arch;
 use mira::experiments::EXPERIMENT_SEED;
-use mira::noc::flit::MAX_FLIT_WORDS;
 use mira::noc::recorder::{BlackBox, StuckPacket};
 use mira::noc::telemetry::{render_heatmap, MetricsWindow};
 use mira::noc::PacketJourney;
@@ -405,15 +404,6 @@ fn generate(args: &[String]) -> Result<String, Failure> {
 /// flit of no or too many words is invalid data (exit 1).
 fn stats(text: &str, _: Option<&str>) -> Result<String, Failure> {
     let trace = read_trace(text.as_bytes())?;
-    if let Some(r) =
-        trace.iter().find(|r| r.payload.iter().any(|f| !(1..=MAX_FLIT_WORDS).contains(&f.len())))
-    {
-        let detail = format!(
-            "packet at cycle {} has a flit of 0 or more than {MAX_FLIT_WORDS} words",
-            r.cycle
-        );
-        return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, detail).into());
-    }
     let span = trace.last().map_or(0, |r| r.cycle.saturating_add(1));
     let stats = TraceStats::from_trace(&trace, span);
     let (z, o, other) = stats.patterns.fractions();

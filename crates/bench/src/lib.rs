@@ -428,29 +428,59 @@ impl Cli {
 }
 
 /// The journeys dump written by `--journeys-out`: what the `journey`
-/// subcommand of `trace_tool` pretty-prints.
-#[derive(Debug, Clone, Serialize)]
-struct JourneysDump {
+/// subcommand of `trace_tool` pretty-prints. It borrows the run's
+/// journeys, so writing it copies none.
+struct JourneysDump<'a> {
     /// Architecture of the representative run.
-    pub arch: String,
+    arch: &'a str,
     /// Head-sampling rate in ppm.
-    pub sample_ppm: u32,
+    sample_ppm: u32,
     /// The tail-latency attribution report over the sampled journeys.
-    pub report: mira::noc::JourneyReport,
+    report: &'a mira::noc::JourneyReport,
     /// Every completed sampled journey, in completion order.
-    pub journeys: Vec<mira::noc::PacketJourney>,
+    journeys: &'a [mira::noc::PacketJourney],
+}
+
+impl Serialize for JourneysDump<'_> {
+    fn serialize(&self, e: &mut dyn serde::Emitter) {
+        e.begin_object();
+        e.field("arch", self.arch);
+        e.field("sample_ppm", &self.sample_ppm);
+        e.field("report", self.report);
+        e.field("journeys", self.journeys);
+        e.end_object();
+    }
 }
 
 /// The metrics dump written by `--metrics-out`: what the `netview`
-/// subcommand of `trace_tool` renders.
-#[derive(Debug, Clone, Serialize)]
-struct MetricsDump {
+/// subcommand of `trace_tool` renders. It borrows the report's windows.
+struct MetricsDump<'a> {
     /// Architecture of the representative run.
-    pub arch: String,
+    arch: &'a str,
     /// Metrics-window length in cycles.
-    pub window_cycles: u64,
+    window_cycles: u64,
     /// The closed windows.
-    pub windows: Vec<mira::noc::telemetry::MetricsWindow>,
+    windows: &'a [mira::noc::telemetry::MetricsWindow],
+}
+
+impl Serialize for MetricsDump<'_> {
+    fn serialize(&self, e: &mut dyn serde::Emitter) {
+        e.begin_object();
+        e.field("arch", self.arch);
+        e.field("window_cycles", &self.window_cycles);
+        e.field("windows", self.windows);
+        e.end_object();
+    }
+}
+
+/// Writes `dump` to `path` as pretty JSON, a chunk at a time; `what`
+/// names the artifact in the error.
+fn write_dump(what: &'static str, path: &str, dump: &dyn Serialize) {
+    let written =
+        std::fs::File::create(path).and_then(|file| serde_json::to_writer_pretty(file, dump));
+    if let Err(e) = written {
+        HostError::io(what, path, &e).exit();
+    }
 }
 
 /// Runs one representative traced simulation and writes the artifacts
@@ -484,7 +514,7 @@ fn write_telemetry_artifacts(cli: Cli) {
     let workload = UniformRandom::new(0.15, 5, EXPERIMENT_SEED)
         .with_payload(PayloadProfile::with_short_fraction(4, 0.5));
     let mut sim = Simulator::new(arch.topology(), arch.network_config(true), sim_cfg);
-    let mut report = sim.run(Box::new(workload));
+    let report = sim.run(Box::new(workload));
 
     if let Some(path) = cli.trace_out {
         let trace = sim.trace_chrome_json().expect("trace sink installed");
@@ -494,15 +524,9 @@ fn write_telemetry_artifacts(cli: Cli) {
         eprintln!("[telemetry] event trace written to {path} (load in ui.perfetto.dev)");
     }
     if let Some(path) = cli.metrics_out {
-        let dump = MetricsDump {
-            arch: arch.name().to_string(),
-            window_cycles: window,
-            windows: std::mem::take(&mut report.windows),
-        };
-        let json = serde_json::to_string_pretty(&dump).expect("serialisable dump");
-        if let Err(e) = std::fs::write(path, json) {
-            HostError::io("write metrics to", path, &e).exit();
-        }
+        let dump =
+            MetricsDump { arch: arch.name(), window_cycles: window, windows: &report.windows };
+        write_dump("write metrics to", path, &dump);
         eprintln!(
             "[telemetry] {} metrics windows written to {path} (render with `trace_tool netview`)",
             dump.windows.len()
@@ -510,15 +534,12 @@ fn write_telemetry_artifacts(cli: Cli) {
     }
     if let Some(path) = cli.journeys_out {
         let dump = JourneysDump {
-            arch: arch.name().to_string(),
+            arch: arch.name(),
             sample_ppm: journey_ppm,
-            report: report.journeys.take().expect("journey recorder installed"),
-            journeys: sim.journeys().to_vec(),
+            report: report.journeys.as_ref().expect("journey recorder installed"),
+            journeys: sim.journeys(),
         };
-        let json = serde_json::to_string_pretty(&dump).expect("serialisable journeys");
-        if let Err(e) = std::fs::write(path, json) {
-            HostError::io("write journeys to", path, &e).exit();
-        }
+        write_dump("write journeys to", path, &dump);
         eprintln!(
             "[telemetry] {} packet journeys written to {path} (inspect with `trace_tool journey`)",
             dump.journeys.len()

@@ -249,6 +249,14 @@ pub(crate) struct Routers {
     /// Flits buffered over every router (the running sum of the
     /// routers' `occupied`).
     buffered: usize,
+    /// `(port, vc)` of each flat index `pv`, so the stages split a `pv`
+    /// without an integer division. [`NetworkConfig::validate_for`]
+    /// caps ports × VCs at
+    /// [`MAX_PORT_VCS`](crate::config::MAX_PORT_VCS) = 64, so a `u8`
+    /// holds either half. Boxed: inline, its 128 bytes made every
+    /// `Network` move dearer (`step_6x6` set-up time rose ~20% on a
+    /// 2-CPU x86-64 host).
+    port_vc: Box<[(u8, u8)]>,
 }
 
 impl Routers {
@@ -267,6 +275,7 @@ impl Routers {
             va2: 0,
         };
         let port = PortCell { in_link: NO_LINK, grant: PackedGrant::default(), sa1: 0, sa2: 0 };
+        let port_vc = (0..ports * vcs).map(|pv| ((pv / vcs) as u8, (pv % vcs) as u8)).collect();
         Routers {
             ports,
             vcs,
@@ -280,6 +289,7 @@ impl Routers {
             router: vec![RouterCell::default(); nodes],
             awake: WorkList::new(nodes),
             buffered: 0,
+            port_vc,
         }
     }
 
@@ -298,6 +308,13 @@ impl Routers {
     #[inline]
     fn vi(&self, r: usize, pv: usize) -> usize {
         r * self.pvs() + pv
+    }
+
+    /// `(port, vc)` of flat index `pv`: the inverse of [`Routers::pv`].
+    #[inline]
+    fn port_vc(&self, pv: usize) -> (usize, usize) {
+        let (port, vc) = self.port_vc[pv];
+        (usize::from(port), usize::from(vc))
     }
 
     /// Flat `(port, vc)` index within a router.
@@ -669,14 +686,15 @@ impl Routers {
                 VcState::Idle | VcState::Routing => (None, None),
                 VcState::WaitingVc { out_port } => (Some(u64::from(out_port)), None),
                 VcState::Active { out_pv } => {
-                    let (p, v) = (usize::from(out_pv) / self.vcs, usize::from(out_pv) % self.vcs);
+                    let (p, v) = self.port_vc(usize::from(out_pv));
                     (Some(p as u64), Some(v as u64))
                 }
             };
+            let (port, vc) = self.port_vc(pv);
             vcs.push(crate::recorder::VcDump {
                 pv: pv as u64,
-                port: (pv / self.vcs) as u64,
-                vc: (pv % self.vcs) as u64,
+                port: port as u64,
+                vc: vc as u64,
                 state: match state {
                     VcState::Idle => "idle",
                     VcState::Routing => "routing",
@@ -768,7 +786,7 @@ impl Routers {
             }
             // Each popped flit frees a slot the upstream router already
             // paid a credit for.
-            let (ip, iv) = (pv / self.vcs, pv % self.vcs);
+            let (ip, iv) = self.port_vc(pv);
             if let Some(li) = self.in_link(r, PortId(ip)) {
                 for _ in 0..popped {
                     links.send_credit(li, VcId(iv), delivery_cycle(cycle, 0));
@@ -855,15 +873,15 @@ impl Routers {
         if grants == 0 {
             return;
         }
-        let vcs = self.vcs;
         for gi in 0..grants {
             let PackedGrant { in_pv, out_pv } = self.port[r * self.ports + gi].grant;
             let (pv, ov) = (usize::from(in_pv), usize::from(out_pv));
+            let ((ip, iv), (op, oc)) = (self.port_vc(pv), self.port_vc(ov));
             let g = StGrant {
-                in_port: PortId(pv / vcs),
-                in_vc: VcId(pv % vcs),
-                out_port: PortId(ov / vcs),
-                out_vc: VcId(ov % vcs),
+                in_port: PortId(ip),
+                in_vc: VcId(iv),
+                out_port: PortId(op),
+                out_vc: VcId(oc),
             };
             let slot = self.pop(r, pv).expect("SA granted an empty VC");
             // The only payload touch on the traversal path: one arena
@@ -949,7 +967,7 @@ impl Routers {
         let mut sa2_used: u64 = 0;
         let mut pending = active;
         while pending != 0 {
-            let ip = pending.trailing_zeros() as usize / vcs;
+            let (ip, _) = self.port_vc(pending.trailing_zeros() as usize);
             pending &= !(port_vcs << (ip * vcs));
             let port_active = (active >> (ip * vcs)) & port_vcs;
             let mut elig_mask: u64 = 0;
@@ -962,7 +980,7 @@ impl Routers {
                 if !self.buf.front_ready(vb + pv, cycle) {
                     return;
                 }
-                let out_port = usize::from(out_pv) / vcs;
+                let (out_port, _) = self.port_vc(usize::from(out_pv));
                 if out_port != 0 && link_paused & (1 << out_port) != 0 {
                     // The outgoing link is replaying its window; new
                     // traffic would interleave into the resent stream.
@@ -981,7 +999,7 @@ impl Routers {
             counters.sa1_arbitrations += 1;
             if let Some(iv) = arbitrate_mask(&mut self.port[pb + ip].sa1, vcs, elig_mask) {
                 if let VcState::Active { out_pv } = self.vc[vb + ip * vcs + iv].state {
-                    let op = usize::from(out_pv) / vcs;
+                    let (op, _) = self.port_vc(usize::from(out_pv));
                     scratch.sa1[ip] = iv as u8;
                     scratch.sa2_req[op] |= 1u64 << ip;
                     sa2_used |= 1u64 << op;
@@ -1012,7 +1030,7 @@ impl Routers {
                 cycle,
                 router: NodeId(r),
                 port: PortId(ip),
-                vc: VcId(pv % vcs),
+                vc: VcId(self.port_vc(pv).1),
                 kind: TraceEventKind::SwitchAlloc,
                 packet: self.vc[vb + pv].packet.0,
                 detail: op as u32,
@@ -1087,14 +1105,15 @@ impl Routers {
             };
             self.vc[vb + b].owner = line as u8;
             self.set_state(r, line, VcState::Active { out_pv: b as u8 });
+            let (port, vc) = self.port_vc(line);
             tel.trace_event(TraceEvent {
                 cycle,
                 router: NodeId(r),
-                port: PortId(line / vcs),
-                vc: VcId(line % vcs),
+                port: PortId(port),
+                vc: VcId(vc),
                 kind: TraceEventKind::VcAlloc,
                 packet: self.vc[vb + line].packet.0,
-                detail: (b / vcs) as u32,
+                detail: self.port_vc(b).0 as u32,
             });
             // The remaining requesters lost the arbitration.
             for_each_bit(lines & !(1u64 << line), |pv| self.stall(r, pv, StallCause::VaLoss, tel));
@@ -1123,7 +1142,7 @@ impl Routers {
         }
         let (vcs, vb) = (self.vcs, self.vi(r, 0));
         for_each_bit(routing, |pv| {
-            let (ip, iv) = (pv / vcs, pv % vcs);
+            let (ip, iv) = self.port_vc(pv);
             if !self.buf.front_ready(vb + pv, cycle) {
                 return;
             }

@@ -18,6 +18,8 @@
 //! generate no NoC traffic — the paper's network connects CPUs and cache
 //! banks only.
 
+use std::vec::Drain;
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -33,6 +35,9 @@ use crate::directory::Directory;
 use crate::protocol::CoherenceMsg;
 use crate::snuca::BankMap;
 use crate::stream::{AddressStream, StreamConfig};
+
+/// Records [`CmpSystem::generate`] gathers before it hands them on.
+const BATCH: usize = 256;
 
 /// Configuration of the CMP trace generator.
 #[derive(Debug, Clone)]
@@ -171,7 +176,7 @@ impl CmpSystem {
             src: src.index(),
             dst: dst.index(),
             class: msg.packet_class(),
-            payload: payload.iter().map(|f| f.words().to_vec()).collect(),
+            payload,
         });
     }
 
@@ -316,19 +321,41 @@ impl CmpSystem {
         !holders.is_empty()
     }
 
-    /// Generates a trace spanning `cycles` cycles.
-    pub fn generate_trace(&mut self, cycles: u64) -> Vec<TraceRecord> {
-        let mut out = Vec::new();
+    /// The one generation loop: runs `cycles` cycles of references and
+    /// hands the records they make to `consume` in generation order, a
+    /// batch of about [`BATCH`] at a time, so a consumer that keeps
+    /// nothing holds at most one batch.
+    fn generate(&mut self, cycles: u64, mut consume: impl FnMut(Drain<'_, TraceRecord>)) {
+        let mut batch = Vec::with_capacity(2 * BATCH);
         let n_cpus = self.cfg.cpu_nodes.len();
         for cycle in 0..cycles {
             for cpu in 0..n_cpus {
                 if self.cfg.access_rate > 0.0 && self.rng.gen_bool(self.cfg.access_rate) {
-                    self.process_access(&mut out, cycle, cpu);
+                    self.process_access(&mut batch, cycle, cpu);
                 }
             }
+            if batch.len() >= BATCH {
+                consume(batch.drain(..));
+            }
         }
+        consume(batch.drain(..));
+    }
+
+    /// Generates a trace spanning `cycles` cycles, sorted by cycle.
+    pub fn generate_trace(&mut self, cycles: u64) -> Vec<TraceRecord> {
+        let mut out = Vec::new();
+        self.generate(cycles, |records| out.extend(records));
         out.sort_by_key(|r| r.cycle);
         out
+    }
+
+    /// The statistics of the trace [`CmpSystem::generate_trace`] would
+    /// return, folded as the records are made: the same draws and state
+    /// changes, without keeping the trace.
+    pub fn trace_stats(&mut self, cycles: u64) -> TraceStats {
+        let mut stats = TraceStats::empty();
+        self.generate(cycles, |records| records.for_each(|r| stats.add(&r)));
+        stats.over_span(cycles)
     }
 
     /// Calibrates the access rate so the trace offers approximately
@@ -336,8 +363,7 @@ impl CmpSystem {
     /// using a pilot run of `pilot_cycles`.
     pub fn calibrate_rate(&mut self, target_load: f64, num_nodes: usize, pilot_cycles: u64) {
         assert!(target_load > 0.0, "target load must be positive");
-        let pilot = self.generate_trace(pilot_cycles);
-        let stats = TraceStats::from_trace(&pilot, pilot_cycles);
+        let stats = self.trace_stats(pilot_cycles);
         let measured = stats.flits_per_cycle / num_nodes as f64;
         if measured > 0.0 {
             let new_rate = (self.cfg.access_rate * target_load / measured).min(0.95);
@@ -368,35 +394,44 @@ pub struct TraceStats {
 impl TraceStats {
     /// Computes the statistics of a trace spanning `span_cycles`.
     pub fn from_trace(trace: &[TraceRecord], span_cycles: u64) -> Self {
-        let mut packets_per_class = vec![0u64; PacketClass::ALL.len()];
-        let mut flits = 0u64;
-        let mut payload_flits = 0u64;
-        let mut short_payload = 0u64;
-        let mut patterns = mira_traffic::patterns::PatternCounts::default();
-        for rec in trace {
-            packets_per_class[rec.class.table_index()] += 1;
-            flits += rec.payload.len() as u64;
-            if rec.class.is_data() {
-                // Skip the header flit; observe line payload flits.
-                for words in rec.payload.iter().skip(1) {
-                    let f = mira_noc::flit::FlitData::new(words.clone());
-                    payload_flits += 1;
-                    if f.is_short() {
-                        short_payload += 1;
-                    }
-                    patterns.observe(&f);
-                }
+        let mut stats = TraceStats::empty();
+        trace.iter().for_each(|r| stats.add(r));
+        stats.over_span(span_cycles)
+    }
+
+    /// The statistics of no records.
+    fn empty() -> Self {
+        TraceStats {
+            packets_per_class: vec![0; PacketClass::ALL.len()],
+            packets: 0,
+            flits: 0,
+            payload_flits: 0,
+            short_payload_flits: 0,
+            patterns: mira_traffic::patterns::PatternCounts::default(),
+            flits_per_cycle: 0.0,
+        }
+    }
+
+    /// Folds one record into the counts.
+    fn add(&mut self, rec: &TraceRecord) {
+        self.packets_per_class[rec.class.table_index()] += 1;
+        self.packets += 1;
+        self.flits += rec.payload.len() as u64;
+        if rec.class.is_data() {
+            // Skip the header flit; observe line payload flits.
+            for f in rec.payload.iter().skip(1) {
+                self.payload_flits += 1;
+                self.short_payload_flits += u64::from(f.is_short());
+                self.patterns.observe(f);
             }
         }
-        TraceStats {
-            packets_per_class,
-            packets: trace.len() as u64,
-            flits,
-            payload_flits,
-            short_payload_flits: short_payload,
-            patterns,
-            flits_per_cycle: if span_cycles > 0 { flits as f64 / span_cycles as f64 } else { 0.0 },
-        }
+    }
+
+    /// Sets the flit rate of counts gathered over `span_cycles`.
+    fn over_span(mut self, span_cycles: u64) -> Self {
+        self.flits_per_cycle =
+            if span_cycles > 0 { self.flits as f64 / span_cycles as f64 } else { 0.0 };
+        self
     }
 
     /// Fraction of packets that are control messages (Fig. 2).
@@ -551,6 +586,22 @@ mod tests {
             sys.generate_trace(3_000)
         };
         assert_eq!(mk(), mk());
+    }
+
+    /// Folding records as they are made gives the statistics of the
+    /// kept trace, and leaves the system where generating it would: a
+    /// later trace is the same record for record.
+    #[test]
+    fn streamed_stats_equal_stats_of_the_trace() {
+        for app in
+            [Application::Tpcw, Application::Barnes, Application::Multimedia, Application::Zeus]
+        {
+            let (mut streamed, mut kept) = (system(app), system(app));
+            let stats = streamed.trace_stats(4_000);
+            let trace = kept.generate_trace(4_000);
+            assert_eq!(stats, TraceStats::from_trace(&trace, 4_000), "{app}");
+            assert_eq!(streamed.generate_trace(1_500), kept.generate_trace(1_500), "{app}");
+        }
     }
 
     #[test]

@@ -72,9 +72,9 @@ impl LineDataSynth {
 
 /// A header/address flit: one meaningful word, upper words redundant.
 fn header_flit<R: Rng>(rng: &mut R) -> FlitData {
-    let mut words = vec![0u32; WORDS_PER_FLIT];
+    let mut words = [0u32; WORDS_PER_FLIT];
     words[0] = rng.gen_range(1..u32::MAX);
-    FlitData::new(words)
+    FlitData::from_words(&words)
 }
 
 /// Solves the forced-short probability `p` such that

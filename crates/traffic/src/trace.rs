@@ -9,15 +9,18 @@
 
 use std::io::{BufRead, Write};
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Emitter, Serialize, Value};
 
-use mira_noc::flit::FlitData;
+use mira_noc::flit::{FlitData, MAX_FLIT_WORDS};
 use mira_noc::ids::NodeId;
 use mira_noc::packet::{PacketClass, PacketSpec};
 use mira_noc::traffic::Workload;
 
 /// One packet injection event.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Its JSON line is `{"cycle":…,"src":…,"dst":…,"class":"…","payload":[[w,…],…]}`:
+/// the payload is one array of words per flit.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceRecord {
     /// Injection cycle.
     pub cycle: u64,
@@ -27,8 +30,8 @@ pub struct TraceRecord {
     pub dst: usize,
     /// Message class.
     pub class: PacketClass,
-    /// Payload words, one inner vector per flit.
-    pub payload: Vec<Vec<u32>>,
+    /// Payload, one entry per flit.
+    pub payload: Vec<FlitData>,
 }
 
 impl TraceRecord {
@@ -38,13 +41,71 @@ impl TraceRecord {
             src: NodeId(self.src),
             dst: NodeId(self.dst),
             class: self.class,
-            payload: self.payload.iter().map(|w| FlitData::from_words(w)).collect(),
+            payload: self.payload.clone(),
         }
     }
 
     /// Packet length in flits.
     pub fn len_flits(&self) -> usize {
         self.payload.len()
+    }
+}
+
+impl Serialize for TraceRecord {
+    fn serialize(&self, e: &mut dyn Emitter) {
+        e.begin_object();
+        e.field("cycle", &self.cycle);
+        e.field("src", &self.src);
+        e.field("dst", &self.dst);
+        e.field("class", &self.class);
+        e.key("payload");
+        e.begin_array();
+        for flit in &self.payload {
+            e.seq(flit.words());
+        }
+        e.end_array();
+        e.end_object();
+    }
+}
+
+impl Deserialize for TraceRecord {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        Ok(TraceRecord {
+            cycle: Deserialize::from_field(v, "cycle")?,
+            src: Deserialize::from_field(v, "src")?,
+            dst: Deserialize::from_field(v, "dst")?,
+            class: Deserialize::from_field(v, "class")?,
+            payload: Flits::from_field(v, "payload")?.0,
+        })
+    }
+}
+
+/// A record's payload as read from its JSON word lists. A record must
+/// have a flit and a flit 1 to [`MAX_FLIT_WORDS`] words, so a bad
+/// payload is a read error rather than a panic at replay.
+struct Flits(Vec<FlitData>);
+
+impl Deserialize for Flits {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let flit = |item: &Value| {
+            let words = item.as_array()?;
+            if words.is_empty() || words.len() > MAX_FLIT_WORDS {
+                return Err(serde::Error::msg(format!(
+                    "a flit has 1..={MAX_FLIT_WORDS} words, got {}",
+                    words.len()
+                )));
+            }
+            let mut w = [0u32; MAX_FLIT_WORDS];
+            for (slot, word) in w.iter_mut().zip(words) {
+                *slot = u32::from_value(word)?;
+            }
+            Ok(FlitData::from_words(&w[..words.len()]))
+        };
+        let flits = v.as_array()?;
+        if flits.is_empty() {
+            return Err(serde::Error::msg("a record has at least one flit"));
+        }
+        flits.iter().map(flit).collect::<Result<_, _>>().map(Flits)
     }
 }
 
@@ -95,7 +156,8 @@ impl<W: Write> TraceWriter<W> {
 ///
 /// # Errors
 ///
-/// Returns an error if a line fails to parse.
+/// Returns an `InvalidData` error if a line fails to parse, has no
+/// flits, or holds a flit of no or more than [`MAX_FLIT_WORDS`] words.
 pub fn read_trace<R: BufRead>(input: R) -> std::io::Result<Vec<TraceRecord>> {
     let mut records = Vec::new();
     for line in input.lines() {
@@ -159,14 +221,14 @@ mod tests {
                 src: 0,
                 dst: 5,
                 class: PacketClass::ReadRequest,
-                payload: vec![vec![7, 0, 0, 0]],
+                payload: vec![FlitData::new(vec![7, 0, 0, 0])],
             },
             TraceRecord {
                 cycle: 3,
                 src: 5,
                 dst: 0,
                 class: PacketClass::DataResponse,
-                payload: vec![vec![1, 2, 3, 4]; 5],
+                payload: vec![FlitData::new(vec![1, 2, 3, 4]); 5],
             },
         ]
     }
@@ -191,8 +253,7 @@ mod tests {
         let rec = &sample_records()[1];
         let spec = rec.to_spec();
         assert_eq!((spec.src.index(), spec.dst.index(), spec.class), (rec.src, rec.dst, rec.class));
-        let words: Vec<Vec<u32>> = spec.payload.iter().map(|f| f.words().to_vec()).collect();
-        assert_eq!(words, rec.payload);
+        assert_eq!(spec.payload, rec.payload);
     }
 
     #[test]
@@ -210,6 +271,44 @@ mod tests {
         // A generate() call at a later cycle delivers everything due.
         let mut replay = TraceReplay::new(sample_records());
         assert_eq!(replay.generate(10).len(), 2);
+    }
+
+    /// The JSON-lines form is one object per record, the payload one
+    /// word list per flit.
+    #[test]
+    fn writer_line_is_pinned() {
+        let mut buf = Vec::new();
+        let mut w = TraceWriter::new(&mut buf);
+        for r in sample_records() {
+            w.write(&r).unwrap();
+        }
+        w.finish().unwrap();
+        assert_eq!(
+            String::from_utf8(buf).unwrap(),
+            r#"{"cycle":0,"src":0,"dst":5,"class":"ReadRequest","payload":[[7,0,0,0]]}"#
+                .to_string()
+                + "\n"
+                + r#"{"cycle":3,"src":5,"dst":0,"class":"DataResponse","payload":"#
+                + r#"[[1,2,3,4],[1,2,3,4],[1,2,3,4],[1,2,3,4],[1,2,3,4]]}"#
+                + "\n"
+        );
+    }
+
+    #[test]
+    fn bad_payloads_are_invalid_data() {
+        let line = |words: &str| {
+            format!(
+                r#"{{"cycle":1,"src":0,"dst":5,"class":"ReadRequest","payload":[[7],{words}]}}"#
+            )
+        };
+        let no_flits = r#"{"cycle":1,"src":0,"dst":5,"class":"ReadRequest","payload":[]}"#;
+        for text in [line("[]"), line("[1,2,3,4,5,6,7,8,9]"), no_flits.to_string()] {
+            let err = read_trace(BufReader::new(text.as_bytes())).expect_err(&text);
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{text}");
+        }
+        let widest = line("[1,2,3,4,5,6,7,8]");
+        let back = read_trace(BufReader::new(widest.as_bytes())).unwrap();
+        assert_eq!(back[0].payload[1].num_words(), MAX_FLIT_WORDS);
     }
 
     #[test]

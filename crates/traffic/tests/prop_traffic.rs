@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 
+use mira_noc::flit::FlitData;
 use mira_noc::packet::PacketClass;
 use mira_noc::traffic::Workload;
 use mira_traffic::patterns::PatternMix;
@@ -20,7 +21,7 @@ fn record_strategy() -> impl Strategy<Value = TraceRecord> {
             src,
             dst,
             class: PacketClass::ALL[class],
-            payload,
+            payload: payload.into_iter().map(FlitData::new).collect(),
         })
 }
 

@@ -13,7 +13,8 @@ use crate::experiments::common::EXPERIMENT_SEED;
 use crate::report::BarFigure;
 
 /// Generates the statistics of one application's trace (on the 2DB
-/// layout; the statistics are layout-independent).
+/// layout; the statistics are layout-independent). The records are
+/// counted as they are made; the trace is never held.
 pub fn app_stats(app: Application, cycles: u64) -> TraceStats {
     let arch = Arch::TwoDB;
     let mut sys = CmpSystem::new(CmpConfig::for_app(
@@ -22,8 +23,7 @@ pub fn app_stats(app: Application, cycles: u64) -> TraceStats {
         arch.cache_nodes(),
         EXPERIMENT_SEED,
     ));
-    let trace = sys.generate_trace(cycles);
-    TraceStats::from_trace(&trace, cycles)
+    sys.trace_stats(cycles)
 }
 
 /// Fig. 1: data-pattern breakdown (all-0 / all-1 / other words) of the
